@@ -242,11 +242,12 @@ def check_round_advance(trace, ctx: CheckContext, max_round: int | None = None) 
         for n in ctx.correct_nodes:
             got = trace.current_round_at(n, deadline)
             if got < r:
+                last = trace.last_event_at(deadline)
                 return CheckReport(
                     "round_advance", FAIL,
                     f"node {n} at round {got} < {r} at time {deadline}",
-                    {"seed": ctx.seed, "event_index": len(trace.events)},
-                    measured={"round": r, "deadline": deadline})
+                    {"seed": ctx.seed, "event_index": last.seq if last else 0},
+                    measured={"node": n, "round": r, "deadline": deadline})
         checked = r
         r += 1
     if checked == 0:
@@ -278,6 +279,10 @@ def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
             inputs.setdefault(ev.data["instance"], []).append(ev)
     if not inputs:
         return CheckReport("subprotocol_delay", INCONCLUSIVE, "no inputs to time")
+    outputs: dict[str, list] = {}
+    for ev in trace.iter_kind("sub_output"):
+        if ev.node in ctx.correct_nodes:
+            outputs.setdefault(ev.data.get("instance"), []).append(ev)
     measured = {}
     for instance, evs in sorted(inputs.items()):
         base = max(e.time for e in evs)
@@ -288,9 +293,7 @@ def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
         if kind == "wba" and len({e.data["value"] for e in evs}) > 1:
             continue                     # exactness needs unanimity
         expect = base + offsets[kind]
-        for ev in trace.iter_kind("sub_output"):
-            if ev.data.get("instance") != instance or ev.node not in ctx.correct_nodes:
-                continue
+        for ev in outputs.get(instance, ()):
             if ev.time != expect:
                 return CheckReport(
                     "subprotocol_delay", FAIL,

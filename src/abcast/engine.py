@@ -27,6 +27,7 @@ stay duplicate free.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -63,11 +64,6 @@ class InputWba:
 
 
 @dataclass(frozen=True)
-class DeliverOutput:
-    value: object
-
-
-@dataclass(frozen=True)
 class Wake:
     """Ask to be poked at an absolute time; used only by the delay gates."""
 
@@ -87,7 +83,8 @@ class EngineOptions:
     spam_window: int = 100
     # Extra acceptance gate.  Off by default: a predicate that rejects
     # re-proposals can wedge the whole network once an undecided round pins
-    # the fertile frontier above a value it carries.
+    # the fertile frontier above a value it carries.  It must be a pure
+    # function of its arguments, since the engine keeps acceptance for good.
     validity: Optional[ValidityPredicate] = None
     start_time: int | None = None           # gates, both disabled by default
     min_parent_delay: int | None = None
@@ -101,9 +98,32 @@ class Engine:
     """Per-node round engine.
 
     `view` is anything exposing rb_output(r), wba_output(r),
-    input_made(key) and rb_rounds_with_output(), normally the node's
-    InstanceTable.  Handlers return (actions, notes); notes are trace
-    breadcrumbs like ("advance", r) or ("ab_output", value, r).
+    input_made(key) and rb_rounds_with_output() (ascending, read but never
+    modified here), normally the node's InstanceTable.  Handlers return
+    (actions, notes); notes are trace breadcrumbs like ("advance", r) or
+    ("ab_output", value, r), and a delivery exists only as its note.
+
+    Incremental state.  RB and WBA outputs are write-once and a round's
+    ancestor chain is fixed by those RB outputs, so with a pure validity
+    predicate every definition above is monotone in the view: once
+    skippable(r), fertile(r, s) or accepted(r) holds it keeps holding, with
+    the same proposal.  The engine therefore keeps
+
+      _skip_prefix  every round below it is skippable, so fertile(r, None)
+                    is a comparison once the counter has caught up;
+      _accepted     every non-None accepted(r), kept for good; only None
+                    results are recomputed, and only once per handler call
+                    because the view does not change during one;
+      _pending      rounds with an RB output and no WBA vote of this node
+                    yet, the only candidates for step 3 of the fixpoint;
+      _unresolved   rounds with an RB output that are not yet accepted,
+                    which with _newest_ts feeds the min_parent_delay gate.
+
+    New RB outputs are picked up from rb_rounds_with_output() at the start
+    of each handler call, scanning from the highest round down, where new
+    outputs nearly always land.  Finalization only looks at rounds from
+    undecided_round up.  As long as rounds keep being finalized, this keeps
+    the cost of a handler call independent of how many rounds came before.
     """
 
     def __init__(self, params: Params, schedule: LeaderSchedule, self_id: int,
@@ -120,6 +140,12 @@ class Engine:
         self.output_log: list = []
         self._output_set: set = set()
         self._proposed_rounds: set[int] = set()
+        self._skip_prefix = 0
+        self._accepted: dict[int, Proposal] = {}
+        self._rb_seen: set[int] = set()
+        self._pending: set[int] = set()
+        self._unresolved: set[int] = set()
+        self._newest_ts: int | None = None
 
     @property
     def timer_delay(self) -> int:
@@ -156,31 +182,43 @@ class Engine:
     def _skippable(self, r: int) -> bool:
         return self.view.wba_output(r) == 0
 
-    def fertile(self, r: int, parent: int | None, memo: dict | None = None) -> bool:
-        if memo is None:
-            memo = {}
+    def _skipped_between(self, lo: int, hi: int) -> bool:
+        """Every round in [lo, hi) is skippable."""
+        while self._skip_prefix < hi and self._skippable(self._skip_prefix):
+            self._skip_prefix += 1
+        return all(self._skippable(u) for u in range(max(lo, self._skip_prefix), hi))
+
+    def fertile(self, r: int, parent: int | None, rejected: set | None = None) -> bool:
         if parent is None:
-            return all(self._skippable(t) for t in range(r))
+            return self._skipped_between(0, r)
         if not 0 <= parent < r:
             return False
-        if not all(self._skippable(u) for u in range(parent + 1, r)):
-            return False
-        return self.accepted(parent, memo) is not None
+        return (self._skipped_between(parent + 1, r)
+                and self.accepted(parent, rejected) is not None)
 
-    def accepted(self, r: int, memo: dict | None = None) -> Proposal | None:
-        """RB[r]'s output if it is fertile and valid in this view, else None."""
-        if memo is None:
-            memo = {}
-        if r in memo:
-            return memo[r]
-        memo[r] = None          # cuts accidental cycles; rounds only decrease
-        prop = self.view.rb_output(r)
-        if prop is None or not self.fertile(r, prop.parent, memo):
+    def accepted(self, r: int, rejected: set | None = None) -> Proposal | None:
+        """RB[r]'s output if it is fertile and valid in this view, else None.
+
+        `rejected` collects rounds found unaccepted in the current view; a
+        handler call shares one set across its fixpoint.
+        """
+        prop = self._accepted.get(r)
+        if prop is not None:
+            return prop
+        if rejected is None:
+            rejected = set()
+        elif r in rejected:
             return None
-        if self.options.validity is not None:
-            if not self.options.validity(prop, self._ancestors(prop)):
-                return None
-        memo[r] = prop
+        prop = self.view.rb_output(r)
+        if (prop is None or not self.fertile(r, prop.parent, rejected)
+                or (self.options.validity is not None
+                    and not self.options.validity(prop, self._ancestors(prop)))):
+            rejected.add(r)
+            return None
+        self._accepted[r] = prop
+        self._unresolved.discard(r)
+        if prop.ts is not None and (self._newest_ts is None or prop.ts > self._newest_ts):
+            self._newest_ts = prop.ts
         return prop
 
     def _ancestors(self, prop: Proposal) -> tuple[Proposal, ...]:
@@ -196,15 +234,13 @@ class Engine:
 
     # -- finalization --------------------------------------------------------
 
-    def finalize_chain(self, r: int) -> list:
+    def _finalize_pairs(self, r: int) -> list[tuple[object, int]]:
         """Deliver round r's value and any undecided ancestors, lowest first.
 
-        Mutates the output log and removes delivered values from the input
-        buffer; the caller is responsible for bumping undecided_round.
+        Returns the (value, round) pairs newly delivered, after appending
+        them to the output log and removing them from the input buffer; the
+        caller is responsible for bumping undecided_round.
         """
-        return [value for value, _ in self._finalize_pairs(r)]
-
-    def _finalize_pairs(self, r: int) -> list[tuple[object, int]]:
         pairs: list[tuple[object, int]] = []
 
         def walk(rr: int) -> None:
@@ -229,24 +265,50 @@ class Engine:
 
     # -- the condition fixpoint ----------------------------------------------
 
-    def _advance_gate(self, now: int, memo: dict) -> tuple[bool, int | None]:
+    def _discover(self) -> list[int]:
+        """Take in RB outputs that arrived since the last handler call."""
+        rounds = self.view.rb_rounds_with_output()
+        missing = len(rounds) - len(self._rb_seen)
+        i = len(rounds) - 1
+        while missing > 0:
+            r = rounds[i]
+            if r not in self._rb_seen:
+                self._rb_seen.add(r)
+                self._pending.add(r)
+                self._unresolved.add(r)
+                missing -= 1
+            i -= 1
+        return rounds
+
+    def _advance_gate(self, now: int, rejected: set) -> tuple[bool, int | None]:
         """Optional minimum-delay gates; open unless configured."""
         wake = None
         opts = self.options
         if opts.start_time is not None and now < opts.start_time:
             wake = opts.start_time
         if opts.min_parent_delay is not None:
-            newest = None
-            for r in self.view.rb_rounds_with_output():
-                prop = self.accepted(r, memo)
-                if prop is not None and prop.ts is not None:
-                    newest = prop.ts if newest is None else max(newest, prop.ts)
+            for r in list(self._unresolved):
+                self.accepted(r, rejected)
+            newest = self._newest_ts
             if newest is not None and now < newest + opts.min_parent_delay:
                 t = newest + opts.min_parent_delay
                 wake = t if wake is None else max(wake, t)
         return wake is None, wake
 
-    def _pick_proposal(self, r: int, now: int, memo: dict) -> Proposal | None:
+    def _fertile_parents(self, r: int, rejected: set):
+        """Round r's fertile parents, highest first, genesis (None) last.
+
+        A parent s needs every round strictly between s and r skippable, so
+        the walk down from r - 1 ends at the first round that is not.
+        """
+        for s in range(r - 1, -1, -1):
+            if self.accepted(s, rejected) is not None:
+                yield s
+            if not self._skippable(s):
+                return
+        yield None
+
+    def _pick_proposal(self, r: int, now: int, rejected: set) -> Proposal | None:
         """Head of the buffer under the highest fertile parent.
 
         A configured validity predicate narrows the search: acceptance would
@@ -257,19 +319,16 @@ class Engine:
         if not self.inputs:
             return None
         ts = now if self.options.min_parent_delay is not None else None
-        parents: list[int | None] = [s for s in range(r - 1, -1, -1)
-                                     if self.fertile(r, s, memo)]
-        if self.fertile(r, None, memo):
-            parents.append(None)
-        if not parents:
-            return None
+        parents = self._fertile_parents(r, rejected)
         if self.options.validity is None:
-            return Proposal(self.inputs[0], parents[0], ts)
+            for parent in parents:
+                return Proposal(self.inputs[0], parent, ts)
+            return None
         for parent in parents:
             if parent is None:
                 chain: tuple[Proposal, ...] = ()
             else:
-                parent_prop = self.accepted(parent, memo)
+                parent_prop = self.accepted(parent, rejected)
                 assert parent_prop is not None
                 chain = (parent_prop,) + self._ancestors(parent_prop)
             for value in self.inputs:
@@ -281,16 +340,16 @@ class Engine:
     def _conditions(self, now: int):
         actions: list = []
         notes: list = []
-        wba_emitted: set[int] = set()
+        rejected: set[int] = set()
+        rounds = self._discover()
         progress = True
         while progress:
             progress = False
-            memo: dict = {}
 
             # 1. move past rounds that have an RB output or were skipped
             while (self.view.rb_output(self.current) is not None
                    or self._skippable(self.current)):
-                ok, wake = self._advance_gate(now, memo)
+                ok, wake = self._advance_gate(now, rejected)
                 if not ok:
                     if wake is not None and Wake(wake) not in actions:
                         actions.append(Wake(wake))
@@ -305,28 +364,26 @@ class Engine:
             if (self.schedule.leader_of(r) == self.self_id
                     and r not in self._proposed_rounds
                     and not self.view.input_made(InstanceKey(Kind.RB, r))):
-                prop = self._pick_proposal(r, now, memo)
+                prop = self._pick_proposal(r, now, rejected)
                 if prop is not None:
                     self._proposed_rounds.add(r)
                     actions.append(InputRb(r, prop))
                     notes.append(("propose", r, prop))
 
-            # 3. vote to commit every accepted round
-            for s in self.view.rb_rounds_with_output():
-                if s in wba_emitted or self.view.input_made(InstanceKey(Kind.WBA, s)):
-                    continue
-                if self.accepted(s, memo) is not None:
-                    wba_emitted.add(s)
+            # 3. vote to commit every accepted round not yet voted on
+            for s in sorted(self._pending):
+                if self.view.input_made(InstanceKey(Kind.WBA, s)):
+                    self._pending.discard(s)
+                elif self.accepted(s, rejected) is not None:
+                    self._pending.discard(s)
                     actions.append(InputWba(s, 1))
 
             # 4. finalize the lowest committed, accepted, undecided round
-            for s in self.view.rb_rounds_with_output():
-                if s < self.undecided_round or self.view.wba_output(s) != 1:
-                    continue
-                if self.accepted(s, memo) is None:
+            for i in range(bisect_left(rounds, self.undecided_round), len(rounds)):
+                s = rounds[i]
+                if self.view.wba_output(s) != 1 or self.accepted(s, rejected) is None:
                     continue
                 for value, rr in self._finalize_pairs(s):
-                    actions.append(DeliverOutput(value))
                     notes.append(("ab_output", value, rr))
                 notes.append(("finalize", s))
                 self.undecided_round = s + 1

@@ -29,7 +29,7 @@ from .subproto import (InstanceKey, Kind, InstanceTable, LocalInput, Recv,
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
 from .engine import (Engine, EngineOptions, Proposal, RestartTimer, InputRb,
-                     InputWba, DeliverOutput, Wake)
+                     InputWba, Wake)
 from .gossip import SignatureScheme, SignedMsg, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
@@ -242,8 +242,6 @@ class _NodeRuntime:
                 self.work.append(("subinput", InstanceKey(Kind.RB, a.round), a.proposal))
             elif isinstance(a, InputWba):
                 self.work.append(("subinput", InstanceKey(Kind.WBA, a.round), a.bit))
-            elif isinstance(a, DeliverOutput):
-                pass                         # the ab_output note already recorded it
             elif isinstance(a, Wake):
                 self.sim.set_wake(self.node, a.at)
         if self.held and self.engine is not None:
@@ -451,6 +449,8 @@ class Simulation:
         self.seq = 0
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
         self.gossip_seen: list[set] = [set() for _ in range(self.total)]
+        # per node: gossip message -> earliest arrival still in the queue
+        self.gossip_due: list[dict] = [{} for _ in range(self.total)]
 
         self.crash_at: dict[int, int] = {}
         self.crashed_noted: set[int] = set()
@@ -499,12 +499,27 @@ class Simulation:
             if to != sender:
                 self.schedule_direct(to, msg, now)
 
+    def _send_gossip(self, to: int, msg, now: int) -> None:
+        """Schedule one gossip copy.  A node acts only on the first copy of a
+        message it receives, so a copy that would arrive after the node has
+        it, or no earlier than a copy already queued, is not queued at all.
+        The delay is drawn either way, which keeps the RNG stream and thus
+        the trace unchanged."""
+        at = self._delivery_time(now, self.cfg.gossip_relay_latency)
+        if msg in self.gossip_seen[to]:
+            return
+        due = self.gossip_due[to]
+        queued = due.get(msg)
+        if queued is not None and queued <= at:
+            return
+        due[msg] = at
+        self._push(at, ("gossip_deliver", to, msg))
+
     def gossip_from(self, origin: int, msg, now: int, targets=None) -> None:
         self.gossip_seen[origin].add(msg)
         for to in (targets if targets is not None else range(self.total)):
             if to != origin:
-                at = self._delivery_time(now, self.cfg.gossip_relay_latency)
-                self._push(at, ("gossip_deliver", to, msg))
+                self._send_gossip(to, msg, now)
 
     def set_timer(self, node: int, gen: int, fire_at: int, now: int) -> None:
         self.trace.append(now, "timer_set", node, generation=gen, fire_at=fire_at)
@@ -580,6 +595,7 @@ class Simulation:
                 self.runtimes[to].on_deliver(now, msg)
         elif tag == "gossip_deliver":
             _, to, msg = ev
+            self.gossip_due[to].pop(msg, None)
             if msg in self.gossip_seen[to]:
                 return
             self.gossip_seen[to].add(msg)
@@ -592,8 +608,7 @@ class Simulation:
                 # first receipt at a live correct node: relay to everyone
                 for other in range(self.total):
                     if other != to:
-                        at = self._delivery_time(now, self.cfg.gossip_relay_latency)
-                        self._push(at, ("gossip_deliver", other, msg))
+                        self._send_gossip(other, msg, now)
                 self.runtimes[to].on_deliver(now, msg)
         elif tag == "timer":
             _, node, gen = ev

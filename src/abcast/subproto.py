@@ -9,7 +9,8 @@ immutable output per instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol
 
@@ -90,6 +91,7 @@ class InstanceTable:
         self.self_id = self_id
         self._factory = factory
         self._slots: dict[InstanceKey, _Slot] = {}
+        self._rb_rounds: list[int] = []          # ascending, RB output recorded
 
     def slot(self, key: InstanceKey) -> _Slot:
         s = self._slots.get(key)
@@ -132,6 +134,8 @@ class InstanceTable:
             return False
         s.has_output = True
         s.output = value
+        if key.kind is Kind.RB:
+            insort(self._rb_rounds, key.round)
         return True
 
     def rb_output(self, rnd: int):
@@ -143,5 +147,7 @@ class InstanceTable:
         return s.output if s and s.has_output else None
 
     def rb_rounds_with_output(self) -> list[int]:
-        return sorted(k.round for k, s in self._slots.items()
-                      if k.kind is Kind.RB and s.has_output)
+        """Rounds whose RB instance has output, ascending.  The list is the
+        table's own, kept up to date as outputs are recorded: read it, do not
+        modify it."""
+        return self._rb_rounds

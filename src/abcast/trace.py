@@ -9,6 +9,7 @@ recorded, so serialization is a straight dump.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 TRACE_VERSION = 1
@@ -36,6 +37,8 @@ class Trace:
         self.meta = meta or {}
         self.events: list[TraceEvent] = []
         self._seq = 0
+        self._advance_index: dict[int, tuple[list[int], list[int]]] = {}
+        self._advance_indexed = -1           # len(events) when last indexed
 
     def append(self, time: int, kind: str, node: int | None = None, **data) -> TraceEvent:
         ev = TraceEvent(time, self._seq, kind, node, data)
@@ -68,13 +71,34 @@ class Trace:
             adv.setdefault(ev.node, []).append(ev)
         return adv
 
+    def _advances_by_node(self) -> dict[int, tuple[list[int], list[int]]]:
+        """Per node: its advance times, ascending, and the highest round it
+        had reached at each.  Built once and rebuilt only if the trace grew."""
+        if self._advance_indexed != len(self.events):
+            index = {}
+            for node, evs in self.advances().items():
+                pairs = sorted((ev.time, ev.data["round"]) for ev in evs)
+                best, highs = 0, []
+                for _, rnd in pairs:
+                    best = max(best, rnd)
+                    highs.append(best)
+                index[node] = ([t for t, _ in pairs], highs)
+            self._advance_index = index
+            self._advance_indexed = len(self.events)
+        return self._advance_index
+
     def current_round_at(self, node: int, when: int) -> int:
         """The node's round counter after all events at `when` are in."""
-        best = 0
-        for ev in self.iter_kind("advance"):
-            if ev.node == node and ev.time <= when:
-                best = max(best, ev.data["round"])
-        return best
+        times, highs = self._advances_by_node().get(node, ((), ()))
+        i = bisect_right(times, when)
+        return highs[i - 1] if i else 0
+
+    def last_event_at(self, when: int) -> TraceEvent | None:
+        """The last event, in trace order, at or before time `when`."""
+        for ev in reversed(self.events):
+            if ev.time <= when:
+                return ev
+        return None
 
     # -- (de)serialization ---------------------------------------------------
 

@@ -190,6 +190,19 @@ def test_round_advance_violation():
     assert "node 2" in rep.detail
 
 
+def test_round_advance_violation_points_at_missed_deadline():
+    t = advance_trace([(0, 1, 10), (1, 1, 10)])
+    t.append(17, "timer_fire", 2, generation=1)
+    t.append(18, "timer_set", 2, generation=2, fire_at=30)
+    t.append(25, "advance", 2, round=1)
+    rep = check_round_advance(t, ctx(horizon=40))
+    assert rep.status == FAIL
+    assert rep.measured == {"node": 2, "round": 1, "deadline": 18}
+    # The last event at or before the deadline, not one past the trace end.
+    assert rep.violation["event_index"] == 3
+    assert t.events[3].time == 18
+
+
 def test_round_advance_inconclusive_cases():
     assert check_round_advance(Trace(), ctx(horizon=10)).status == INCONCLUSIVE
     fast = Params(n=4, f=1, delta=2, gst=0, sub_delay=5)

@@ -2,7 +2,6 @@ import pytest
 
 from abcast.core import LeaderSchedule, Params
 from abcast.engine import (
-    DeliverOutput,
     Engine,
     EngineOptions,
     InputRb,
@@ -166,10 +165,8 @@ def test_committed_chain_finalizes_lowest_first():
     actions, notes = eng.on_subproto_output(30)
     timers = [a for a in actions if isinstance(a, RestartTimer)]
     assert len(timers) == 3
-    assert [a for a in actions if isinstance(a, DeliverOutput)] == [
-        DeliverOutput("a"), DeliverOutput("b")]
-    assert ("ab_output", "a", 0) in notes
-    assert ("ab_output", "b", 2) in notes
+    assert [n for n in notes if n[0] == "ab_output"] == [
+        ("ab_output", "a", 0), ("ab_output", "b", 2)]
     assert ("finalize", 2) in notes
     assert eng.current == 3
     assert eng.undecided_round == 3
@@ -179,18 +176,19 @@ def test_committed_chain_finalizes_lowest_first():
 def test_finalize_chain_respects_undecided_floor():
     view = ViewStub(rb={0: Proposal("a", None), 2: Proposal("b", 0)})
     whole = make_engine(view)
-    assert whole.finalize_chain(2) == ["a", "b"]
+    assert whole._finalize_pairs(2) == [("a", 0), ("b", 2)]
     upper = make_engine(view)
     upper.undecided_round = 1
-    assert upper.finalize_chain(2) == ["b"]
+    assert upper._finalize_pairs(2) == [("b", 2)]
+    assert upper.output_log == ["b"]
     single = make_engine(view)
-    assert single.finalize_chain(0) == ["a"]
+    assert single._finalize_pairs(0) == [("a", 0)]
 
 
 def test_finalize_consumes_buffered_copies():
     view = ViewStub(rb={0: Proposal("a", None)})
     eng = make_engine(view, inputs=("a", "b"))
-    assert eng.finalize_chain(0) == ["a"]
+    assert eng._finalize_pairs(0) == [("a", 0)]
     assert eng.inputs == ["b"]
 
 
@@ -200,9 +198,8 @@ def test_repeated_value_on_chain_delivered_once():
                     wba={1: 1},
                     inputs_made=[wba_key(0), wba_key(1)])
     eng = make_engine(view, self_id=3)
-    actions, _ = eng.on_subproto_output(25)
-    assert [a for a in actions if isinstance(a, DeliverOutput)] == [
-        DeliverOutput("a")]
+    _, notes = eng.on_subproto_output(25)
+    assert [n for n in notes if n[0] == "ab_output"] == [("ab_output", "a", 0)]
     assert eng.output_log == ["a"]
     assert eng.undecided_round == 2
 
@@ -284,3 +281,29 @@ def test_proposals_carry_timestamp_only_under_delay_gate():
     plain = make_engine(self_id=0, inputs=("a",))
     actions, _ = plain.start(7)
     assert InputRb(0, Proposal("a", None)) in actions
+
+
+def test_rb_output_arriving_below_known_rounds_is_voted():
+    view = ViewStub(rb={0: Proposal("a", None), 2: Proposal("c", 1)},
+                    inputs_made=[wba_key(0)])
+    eng = make_engine(view, self_id=3)
+    actions, _ = eng.on_subproto_output(10)
+    assert not any(isinstance(a, InputWba) for a in actions)
+    view.rb[1] = Proposal("b", 0)
+    actions, _ = eng.on_subproto_output(20)
+    assert [a for a in actions if isinstance(a, InputWba)] == [
+        InputWba(1, 1), InputWba(2, 1)]
+    assert eng.current == 3
+
+
+def test_min_parent_delay_counts_rounds_accepted_late():
+    view = ViewStub(rb={1: Proposal("b", 0, ts=20)}, wba={0: 0})
+    eng = make_engine(view, self_id=3, options=EngineOptions(min_parent_delay=5))
+    eng.on_subproto_output(21)
+    assert eng.current == 2
+    # Round 0's output makes round 1, the newest proposal, accepted.
+    view.rb[0] = Proposal("a", None, ts=10)
+    view.wba[2] = 0
+    actions, _ = eng.on_subproto_output(22)
+    assert Wake(25) in actions
+    assert eng.current == 2

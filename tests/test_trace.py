@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from abcast.trace import Trace, TraceEvent
@@ -57,3 +59,19 @@ def test_rejects_malformed_input():
     bad_version = '{"kind":"trace_header","version":99,"seed":0}\n'
     with pytest.raises(ValueError):
         Trace.from_jsonl(bad_version)
+
+
+def test_current_round_at_matches_a_rescan():
+    rng = random.Random(7)
+    t = Trace()
+    for _ in range(200):
+        t.append(rng.randint(0, 50), "advance", rng.randint(0, 2),
+                 round=rng.randint(1, 30))
+    for node in range(4):
+        for when in range(-1, 52):
+            expect = max((ev.data["round"] for ev in t.iter_kind("advance")
+                          if ev.node == node and ev.time <= when), default=0)
+            assert t.current_round_at(node, when) == expect
+    # The index follows a trace that grows after it was built.
+    t.append(60, "advance", 0, round=99)
+    assert t.current_round_at(0, 60) == 99
