@@ -68,6 +68,12 @@ def _violation(ctx: CheckContext, event) -> dict:
     return {"seed": ctx.seed, "event_index": event.seq}
 
 
+def _missed_deadline(trace, ctx: CheckContext, deadline: int) -> dict:
+    """Point a missed-deadline failure at the last event at or before it."""
+    last = trace.last_event_at(deadline)
+    return {"seed": ctx.seed, "event_index": last.seq if last else 0}
+
+
 def check_safety(trace, ctx: CheckContext) -> CheckReport:
     """No two correct nodes ever disagree at any delivered position."""
     first_at: dict[int, tuple] = {}
@@ -103,19 +109,21 @@ def check_liveness(trace, ctx: CheckContext, rotations: int = 2) -> CheckReport:
     gated = 0
     missing = []
     for t, node, value in obligations:
-        if max(t, p.gst) + slack > ctx.horizon:
+        deadline = max(t, p.gst) + slack
+        if deadline > ctx.horizon:
             gated += 1
             continue
         for n in ctx.correct_nodes:
             if value not in delivered[n]:
-                missing.append((value, node, n))
+                missing.append((value, node, n, deadline))
     if missing:
-        value, src, n = missing[0]
+        value, src, n, deadline = missing[0]
         return CheckReport(
             "liveness", FAIL,
             f"value {value!r} injected at node {src} never delivered at node {n} "
             f"(+{len(missing) - 1} more)",
-            {"seed": ctx.seed, "event_index": len(trace.events)})
+            _missed_deadline(trace, ctx, deadline),
+            measured={"node": n, "deadline": deadline})
     if gated == len(obligations) and obligations:
         return CheckReport("liveness", INCONCLUSIVE,
                            f"horizon {ctx.horizon} too short to oblige any of the "
@@ -169,7 +177,8 @@ def check_wba_contract(trace, ctx: CheckContext, slack: int | None = None) -> Ch
             if len(times) < p.quorum:
                 continue
             t_q = times[p.quorum - 1]
-            if max(t_q, p.gst) + slack > ctx.horizon:
+            deadline = max(t_q, p.gst) + slack
+            if deadline > ctx.horizon:
                 continue
             for n in ctx.correct_nodes:
                 got = outputs.get(rnd, {}).get(n)
@@ -178,7 +187,8 @@ def check_wba_contract(trace, ctx: CheckContext, slack: int | None = None) -> Ch
                         "wba_contract", FAIL,
                         f"round {rnd}: {p.quorum} correct inputs of {bit} by "
                         f"t={t_q} but node {n} never output it",
-                        {"seed": ctx.seed, "event_index": len(trace.events)})
+                        _missed_deadline(trace, ctx, deadline),
+                        measured={"node": n, "deadline": deadline})
     return CheckReport("wba_contract", PASS, measured={"instances": checked})
 
 
@@ -206,7 +216,8 @@ def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> Che
         if _kind_of(ev.data["instance"]) != "rb" or ev.node not in ctx.correct_nodes:
             continue
         rnd, t = _round_of(ev.data["instance"]), ev.time
-        if max(t, p.gst) + slack > ctx.horizon:
+        deadline = max(t, p.gst) + slack
+        if deadline > ctx.horizon:
             continue
         terminated += 1
         for n in ctx.correct_nodes:
@@ -215,7 +226,8 @@ def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> Che
                 return CheckReport(
                     "rb_contract", FAIL,
                     f"round {rnd}: correct proposer input at t={t} but node {n} "
-                    f"never output", {"seed": ctx.seed, "event_index": len(trace.events)})
+                    f"never output", _missed_deadline(trace, ctx, deadline),
+                    measured={"node": n, "deadline": deadline})
             if t >= p.gst and ctx.delay_law == "fixed" and got[1].time > t + bound:
                 return CheckReport(
                     "rb_contract", FAIL,
@@ -242,11 +254,10 @@ def check_round_advance(trace, ctx: CheckContext, max_round: int | None = None) 
         for n in ctx.correct_nodes:
             got = trace.current_round_at(n, deadline)
             if got < r:
-                last = trace.last_event_at(deadline)
                 return CheckReport(
                     "round_advance", FAIL,
                     f"node {n} at round {got} < {r} at time {deadline}",
-                    {"seed": ctx.seed, "event_index": last.seq if last else 0},
+                    _missed_deadline(trace, ctx, deadline),
                     measured={"node": n, "round": r, "deadline": deadline})
         checked = r
         r += 1
@@ -314,14 +325,16 @@ def check_spread(trace, ctx: CheckContext, slack: int | None = None) -> CheckRep
             outputs.setdefault(ev.data["instance"], {})[ev.node] = (ev.data["value"], ev.time)
     for instance, by_node in sorted(outputs.items()):
         earliest = min(t for _, t in by_node.values())
-        if max(earliest, p.gst) + slack > ctx.horizon:
+        deadline = max(earliest, p.gst) + slack
+        if deadline > ctx.horizon:
             continue
         for n in ctx.correct_nodes:
             if n not in by_node:
                 return CheckReport(
                     "spread", FAIL,
                     f"{instance}: output seen at t={earliest} never reached node {n}",
-                    {"seed": ctx.seed, "event_index": len(trace.events)})
+                    _missed_deadline(trace, ctx, deadline),
+                    measured={"node": n, "deadline": deadline})
     return CheckReport("spread", PASS, measured={"instances": len(outputs)})
 
 

@@ -8,8 +8,20 @@ any point and at most once per recipient (tallies deduplicate senders), so
 the search over delivery orders covers every adversary behaviour within
 that budget.  A message is in flight exactly when its sender has sent it
 and it is absent from the recipient's tally, so the packed tuple of
-validator states is the whole configuration and the memo set needs
-nothing else.
+validator states is the whole configuration.
+
+Correct validators with equal inputs are interchangeable when the
+Byzantine budget treats their ids alike (its message set is unchanged
+when recipients are relabeled).  Those relabelings form a group G, and
+relabeling a reachable state (moving validator i's word to slot pi(i),
+with the correct sender bits of every tally moved along) gives another
+reachable state.  The memo set therefore holds one representative per
+orbit, the least of its |G| images, and the search adds up the orbit sizes
+|G|/|Stab| (the number of distinct images) as it stores representatives,
+so `ExploreResult.states` is the count of the unreduced search.  When G is
+the identity alone, the search visits states in the same order as an
+unreduced one; a violation found under a larger G is searched for again
+under the identity, so the reported count and witness do not depend on G.
 
 The tallies are order-independent sets; all order dependence funnels
 through the latches (a validator backs one bit, outputs once), which the
@@ -24,7 +36,9 @@ add a 2-bit first-initial latch.  Three validators pack into one int.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import getitem, xor
 
 from .core import Params
 
@@ -46,8 +60,9 @@ class Thresholds:
 
 @dataclass
 class ExploreResult:
-    states: int
+    states: int                 # reachable states, every orbit counted in full
     violation: dict | None
+    representatives: int        # states the search stored: one per orbit
 
     @property
     def ok(self) -> bool:
@@ -162,6 +177,125 @@ def _wba_violation(state: int, inputs, need: int):
     return None
 
 
+# -- symmetry-reduced search core ---------------------------------------------
+
+def symmetry_group(inputs, budget) -> tuple[tuple[int, ...], ...]:
+    """Relabelings of the correct validators that the instance cannot observe.
+
+    `perm` (validator i becomes perm[i]) is kept when every validator keeps
+    its input and the Byzantine budget maps onto itself with its recipients
+    relabeled.  The identity comes first.
+    """
+    ids = range(len(inputs))
+    pool = set(budget)
+    return tuple(perm for perm in itertools.permutations(ids)
+                 if all(inputs[perm[i]] == inputs[i] for i in ids)
+                 and {(kind, bit, perm[r]) for kind, bit, r in pool} == pool)
+
+
+def _relabel_word(word: int, perm) -> int:
+    """Move the correct sender bits of every tally nibble along `perm`; the
+    Byzantine sender bit and the latches stay."""
+    out = word
+    for fld in range(4):
+        for i in range(len(perm)):
+            out &= ~(1 << (_W * fld + i))
+        for i, j in enumerate(perm):
+            out |= (word >> (_W * fld + i) & 1) << (_W * fld + j)
+    return out
+
+
+class _Images(dict):
+    """One slot's words, each mapped to its images under every group element
+    (the relabeled word shifted into the slot it moves to)."""
+
+    def __init__(self, group, slot: int, width: int):
+        super().__init__()
+        self.shifts = [(perm, width * perm[slot]) for perm in group]
+
+    def __missing__(self, word: int) -> tuple[int, ...]:
+        ims = self[word] = tuple(_relabel_word(word, perm) << shift
+                                 for perm, shift in self.shifts)
+        return ims
+
+
+def _search(initial: int, width: int, byz_offer, successors, good, group,
+            max_states: int):
+    """Depth-first search over one representative per orbit of `group`.
+
+    Each correct validator is a `width`-bit word; `byz_offer[r]` holds the
+    tally positions the Byzantine budget may deliver to r, and
+    `successors(r, word, avail)` lists r's new words, one per deliverable
+    message in `avail`.  `good(tags)` judges a tuple of output latches.
+    Returns (states, representatives, bad_state): the visited count with
+    every orbit expanded, the count stored, and the first visited state
+    that is not good (None if there is none).  A bad state found under a
+    non-trivial group is searched for again under the identity alone, so
+    the count and the state reported are those of the unreduced search.
+    """
+    ids = range(len(byz_offer))
+    bases = [width * i for i in ids]
+    word_mask = (1 << width) - 1
+    self_mask = [sum(1 << (_W * fld + s) for fld in range(4)) for s in ids]
+    out_mask = sum(3 << (b + _OUT_SHIFT) for b in bases)
+    ok_outs = {sum(t << (b + _OUT_SHIFT) for t, b in zip(tags, bases))
+               for tags in itertools.product(range(3), repeat=len(bases))
+               if good(tags)}
+    # A state's images are the sums of its slots' images (the slots land on
+    # disjoint bits).  Per recipient and (word, deliverable set), `changes`
+    # holds what each delivery XORs into every image.  The identity alone
+    # runs as a pair of identities: the min and the orbit size (the count
+    # of distinct images) come out the same, and pairs take an inline min.
+    elements = group * 2 if len(group) == 1 else group
+    pair = len(elements) == 2
+    images = [_Images(elements, i, width) for i in ids]
+    step_memo: list[dict] = [dict() for _ in ids]
+
+    words = [initial >> b & word_mask for b in bases]
+    imgs = tuple(map(sum, zip(*map(getitem, images, words))))
+    states = len(set(imgs))
+    rep = min(imgs)
+    seen = {rep}
+    stack = [rep]
+    while stack:
+        state = stack.pop()
+        if state & out_mask not in ok_outs:
+            if len(group) > 1:
+                return _search(initial, width, byz_offer, successors, good,
+                               group[:1], max_states)
+            return states, len(seen), state
+        words = [state >> b & word_mask for b in bases]
+        imgs = tuple(map(sum, zip(*map(getitem, images, words))))
+        im0, im1 = imgs[:2]
+        offers = 0
+        for i in ids:
+            offers |= words[i] & self_mask[i]
+        for r in ids:
+            sr = words[r]
+            key = sr << 16 | (offers | byz_offer[r]) & ~sr & 0xFFFF
+            changes = step_memo[r].get(key)
+            if changes is None:
+                old = images[r][sr]
+                changes = tuple(tuple(map(xor, old, images[r][nv]))
+                                for nv in successors(r, sr, key & 0xFFFF))
+                step_memo[r][key] = changes
+            for change in changes:
+                if pair:
+                    a, b = change
+                    a ^= im0
+                    b ^= im1
+                    nxt = a if a < b else b
+                else:
+                    nxt = min(map(xor, imgs, change))
+                if nxt not in seen:
+                    states += len(set(map(xor, imgs, change)))
+                    if states > max_states:
+                        raise BudgetExceeded(f"over {max_states} states")
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return states, len(seen), None
+
+
 def explore_wba(inputs, params: Params, byz_budget=None,
                 thresholds: Thresholds | None = None,
                 max_states: int = 20_000_000) -> ExploreResult:
@@ -182,66 +316,37 @@ def explore_wba(inputs, params: Params, byz_budget=None,
         byz_budget = default_wba_budget(correct)
     need = params.quorum - params.f
     initial = _wba_initial(inputs, th)
-
-    # A validator's self-bits in its own tallies are exactly its sent flags
-    # (self-delivery is immediate), so one AND per validator yields every
-    # message it offers; clearing the recipient's own tally bits leaves the
-    # deliverable set.  Delivery outcomes are memoised per recipient.
-    v_mask = (1 << _V_BITS) - 1
-    self_mask = [sum(1 << (_W * fld + s) for fld in range(4))
-                 for s in range(correct)]
     byz_offer = [0] * correct
     for kind, bit, rcpt in byz_budget:
-        pos = _W * bit + (0 if kind == "vote" else 8) + byz
-        byz_offer[rcpt] |= 1 << pos
+        byz_offer[rcpt] |= 1 << (_W * bit + (0 if kind == "vote" else 8) + byz)
     valid_bit = [True, sum(1 for x in inputs if x == 0) >= need,
                  sum(1 for x in inputs if x == 1) >= need]
-    tables: list[dict] = [dict() for _ in range(correct)]
-    ids = list(range(correct))
 
-    seen = {initial}
-    stack = [initial]
-    bad_state = None
-    while stack:
-        state = stack.pop()
-        vals = [(state >> (_V_BITS * i)) & v_mask for i in ids]
-        tag_set = {st >> _OUT_SHIFT for st in vals}
-        tag_set.discard(0)
-        if len(tag_set) > 1 or any(not valid_bit[t] for t in tag_set):
-            bad_state = state
-            break
-        offers = 0
-        for i in ids:
-            offers |= vals[i] & self_mask[i]
-        for r in ids:
-            sr = vals[r]
-            avail = (offers | byz_offer[r]) & ~sr & 0xFFFF
-            table = tables[r]
-            base = _V_BITS * r
-            inp = inputs[r]
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                key = (sr << 4) | (low.bit_length() - 1)
-                nv = table.get(key)
-                if nv is None:
-                    pos = low.bit_length() - 1
-                    nv = _wba_fire(sr | low, r, (pos >> 2) & 1, inp, th)
-                    table[key] = nv
-                nxt = state ^ ((sr ^ nv) << base)
-                if nxt not in seen:
-                    if len(seen) >= max_states:
-                        raise BudgetExceeded(f"over {max_states} states")
-                    seen.add(nxt)
-                    stack.append(nxt)
+    def successors(r: int, sr: int, avail: int) -> list[int]:
+        inp = inputs[r]
+        out = []
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            out.append(_wba_fire(sr | low, r, (low.bit_length() - 1) >> 2 & 1,
+                                 inp, th))
+        return out
+
+    def good(tags) -> bool:
+        nonzero = set(tags) - {0}
+        return len(nonzero) <= 1 and all(valid_bit[t] for t in nonzero)
+
+    states, reps, bad_state = _search(initial, _V_BITS, byz_offer, successors,
+                                      good, symmetry_group(inputs, byz_budget),
+                                      max_states)
     if bad_state is None:
-        return ExploreResult(len(seen), None)
+        return ExploreResult(states, None, reps)
     detail = _wba_violation(bad_state, inputs, need)
-    if len(seen) <= _WITNESS_LIMIT:
+    if states <= _WITNESS_LIMIT:
         detail["path"] = _witness(initial, bad_state,
                                   lambda s: _wba_moves(s, inputs, byz_budget, byz),
                                   lambda s, m: _wba_apply(s, m, inputs, th))
-    return ExploreResult(len(seen), detail)
+    return ExploreResult(states, detail, reps)
 
 
 def _witness(initial: int, target: int, moves_of, apply_move):
@@ -371,77 +476,40 @@ def explore_rb(params: Params, correct: int = 3, byz_budget=None,
     byz = correct
     if byz_budget is None:
         byz_budget = default_rb_budget(correct)
-    r_mask = (1 << _R_BITS) - 1
-    self_mask = [sum(1 << (_W * fld + s) for fld in range(4))
-                 for s in range(correct)]
     byz_offer = [0] * correct           # tally positions, as in explore_wba
     init_offer = [0] * correct          # value bits the budget lets byz propose
     for kind, v, rcpt in byz_budget:
         if kind == "initial":
             init_offer[rcpt] |= 1 << v
         else:
-            pos = _W * v + (0 if kind == "echo" else 8) + byz
-            byz_offer[rcpt] |= 1 << pos
-    tables: list[dict] = [dict() for _ in range(correct)]
-    ids = list(range(correct))
+            byz_offer[rcpt] |= 1 << (_W * v + (0 if kind == "echo" else 8) + byz)
 
-    initial = 0
-    seen = {initial}
-    stack = [initial]
-    bad_state = None
-    while stack:
-        state = stack.pop()
-        vals = [(state >> (_R_BITS * i)) & r_mask for i in ids]
-        tag_set = {(st >> 16) & 0x3 for st in vals}
-        tag_set.discard(0)
-        if len(tag_set) > 1:
-            bad_state = state
-            break
-        offers = 0
-        for i in ids:
-            offers |= vals[i] & self_mask[i]
-        for r in ids:
-            sr = vals[r]
-            base = _R_BITS * r
-            table = tables[r]
-            avail = (offers | byz_offer[r]) & ~sr & 0xFFFF
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                pos = low.bit_length() - 1
-                key = (sr << 5) | pos
-                nv = table.get(key)
-                if nv is None:
-                    nv = _rb_fire(sr | low, r, (pos >> 2) & 1, th)
-                    table[key] = nv
-                nxt = state ^ ((sr ^ nv) << base)
-                if nxt not in seen:
-                    if len(seen) >= max_states:
-                        raise BudgetExceeded(f"over {max_states} states")
-                    seen.add(nxt)
-                    stack.append(nxt)
-            if not sr >> _R_INIT_SHIFT:
-                inits = init_offer[r]
-                while inits:
-                    low = inits & -inits
-                    inits ^= low
-                    v = low.bit_length() - 1
-                    key = (sr << 5) | (16 + v)
-                    nv = table.get(key)
-                    if nv is None:
-                        nv = _rb_fire(sr | (1 + v) << _R_INIT_SHIFT, r, v, th)
-                        table[key] = nv
-                    nxt = state ^ ((sr ^ nv) << base)
-                    if nxt not in seen:
-                        if len(seen) >= max_states:
-                            raise BudgetExceeded(f"over {max_states} states")
-                        seen.add(nxt)
-                        stack.append(nxt)
+    def successors(r: int, sr: int, avail: int) -> list[int]:
+        out = []
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            out.append(_rb_fire(sr | low, r, (low.bit_length() - 1) >> 2 & 1, th))
+        if not sr >> _R_INIT_SHIFT:
+            inits = init_offer[r]
+            while inits:
+                low = inits & -inits
+                inits ^= low
+                v = low.bit_length() - 1
+                out.append(_rb_fire(sr | (1 + v) << _R_INIT_SHIFT, r, v, th))
+        return out
+
+    def good(tags) -> bool:
+        return len(set(tags) - {0}) <= 1
+
+    states, reps, bad_state = _search(0, _R_BITS, byz_offer, successors, good,
+                                      symmetry_group((None,) * correct, byz_budget),
+                                      max_states)
     if bad_state is None:
-        return ExploreResult(len(seen), None)
+        return ExploreResult(states, None, reps)
     detail = _rb_violation(bad_state, correct)
-    if len(seen) <= _WITNESS_LIMIT:
-        detail["path"] = _witness(initial, bad_state,
+    if states <= _WITNESS_LIMIT:
+        detail["path"] = _witness(0, bad_state,
                                   lambda s: _rb_moves(s, correct, byz_budget, byz),
                                   lambda s, m: _rb_apply(s, m, th))
-    return ExploreResult(len(seen), detail)
+    return ExploreResult(states, detail, reps)

@@ -18,6 +18,7 @@ from .engine import EngineOptions
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
                      PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
                      run)
+from .subproto import InstanceKey, Kind, parse_key
 
 SCENARIO_VERSION = 1
 
@@ -29,17 +30,71 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(obj: dict, key: str, default=None, minimum=None):
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing field {key!r}")
         return default
     v = obj[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool),
-            f"field {key!r} must be an integer, got {v!r}")
+    _expect(_is_int(v), f"field {key!r} must be an integer, got {v!r}")
     if minimum is not None:
         _expect(v >= minimum, f"field {key!r} must be >= {minimum}, got {v}")
     return v
+
+
+def _scalar(v, what: str):
+    """Values end up in sets and signatures, so they must be hashable."""
+    _expect(v is None or isinstance(v, (str, int, float)),
+            f"{what} must be a string, number, boolean or null, got {v!r}")
+    return v
+
+
+def _node_list(v, n_total: int, what: str) -> tuple:
+    _expect(isinstance(v, list) and all(_is_int(x) and 0 <= x < n_total for x in v),
+            f"{what} must be a list of existing node ids, got {v!r}")
+    return tuple(v)
+
+
+def _instance_key(text) -> InstanceKey:
+    try:
+        key = parse_key(text) if isinstance(text, str) else None
+    except ValueError:
+        key = None
+    _expect(key is not None and key.round >= 0,
+            f"bad instance {text!r}: expected rb/<round> or wba/<round>")
+    return key
+
+
+def _int_like(v, what: str) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _check_script_entry(entry, n_total: int) -> None:
+    _expect(isinstance(entry, dict) and "time" in entry and "op" in entry,
+            f"bad script entry: {entry!r}")
+    _int_field(entry, "time", minimum=0)
+    key = _instance_key(entry.get("instance"))
+    _expect(isinstance(entry.get("mkind"), str),
+            f"script entry needs a string mkind: {entry!r}")
+    to = entry.get("to", "all")
+    if to != "all":
+        _node_list(to, n_total, "script entry 'to'")
+    forged = entry.get("forge_signer")
+    _expect(forged is None or _is_int(forged), f"bad forge_signer {forged!r}")
+    payload = entry.get("payload")
+    if key.kind is Kind.RB and isinstance(payload, dict):
+        _expect("value" in payload, f"rb payload needs a value: {payload!r}")
+        for field in ("value", "parent", "ts"):
+            _scalar(payload.get(field), f"rb payload {field}")
+    else:
+        _scalar(payload, "script payload")
 
 
 @dataclass
@@ -134,21 +189,27 @@ def _parse_adversary(obj: dict, n_total: int):
                 "equivocating_proposer needs a partitions list")
         built = []
         for p in parts:
-            nodes = tuple(p.get("nodes", ()))
+            _expect(isinstance(p, dict), f"partition must be an object: {p!r}")
+            nodes = _node_list(p.get("nodes", []), n_total, "partition nodes")
             _expect(nodes != (), "partition needs nodes")
-            built.append(PartitionValue(nodes, p.get("value"),
-                                        p.get("parent", "bot")))
+            parent = p.get("parent", "bot")
+            if parent not in ("bot", "prev", None):
+                _int_like(parent, "partition parent")
+            built.append(PartitionValue(nodes, _scalar(p.get("value"), "partition value"),
+                                        parent))
         return EquivocatingProposerSpec(node, tuple(built))
     if kind == "flip_voter":
-        bits = {int(k): int(v) for k, v in obj.get("bits", {}).items()}
+        bits_doc = obj.get("bits", {})
+        _expect(isinstance(bits_doc, dict), "flip_voter bits must be an object")
+        bits = {_int_like(k, "flip_voter round"): _int_like(v, "flip_voter bit")
+                for k, v in bits_doc.items()}
         _expect(all(v in (0, 1) for v in bits.values()), "flip bits must be 0/1")
         return FlipVoterSpec(node, bits, bool(obj.get("equivocate", False)))
     if kind == "scripted":
         script = obj.get("script", [])
         _expect(isinstance(script, list), "script must be a list")
         for entry in script:
-            _expect(isinstance(entry, dict) and "time" in entry and "op" in entry,
-                    f"bad script entry: {entry!r}")
+            _check_script_entry(entry, n_total)
         return ScriptedSpec(node, tuple(script))
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
@@ -181,7 +242,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if sched_doc is None or sched_doc == "round_robin":
         schedule = LeaderSchedule(params.n)
     else:
-        _expect(isinstance(sched_doc, list), "schedule must be a list or null")
+        _expect(isinstance(sched_doc, list) and all(map(_is_int, sched_doc)),
+                "schedule must be a list of validator ids or null")
         schedule = LeaderSchedule(params.n, tuple(sched_doc))
 
     sim = doc.get("sim", {})
@@ -203,7 +265,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _expect(isinstance(inj, dict) and "value" in inj,
                 f"bad injection entry: {inj!r}")
         injections.append((_int_field(inj, "time", default=0),
-                           _int_field(inj, "node", minimum=0), inj["value"]))
+                           _int_field(inj, "node", minimum=0),
+                           _scalar(inj["value"], "injection value")))
 
     opts_doc = doc.get("engine_options", {})
     _expect(isinstance(opts_doc, dict), "engine_options must be an object")
@@ -234,6 +297,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for ri in doc.get("raw_inputs", []):
         _expect(isinstance(ri, dict) and "instance" in ri and "value" in ri,
                 f"bad raw input entry: {ri!r}")
+        _instance_key(ri["instance"])
         raw_inputs.append((_int_field(ri, "time", default=0),
                            _int_field(ri, "node", minimum=0),
                            ri["instance"], ri["value"]))

@@ -81,6 +81,20 @@ def test_liveness_pass_fail_and_gate():
     assert short.status == INCONCLUSIVE
 
 
+def test_liveness_violation_points_at_missed_deadline():
+    inj = ((0, 0, "v"),)                 # obliged by t=156
+    t = Trace()
+    deliver(t, 0, "v", 0)
+    deliver(t, 1, "v", 0)
+    t.append(150, "timer_fire", 2, generation=1)
+    t.append(200, "timer_fire", 2, generation=2)
+    rep = check_liveness(t, ctx(horizon=1000, injections=inj))
+    assert rep.status == FAIL
+    assert rep.measured == {"node": 2, "deadline": 156}
+    assert rep.violation["event_index"] == 2
+    assert t.events[2].time == 150
+
+
 def test_liveness_skips_faulty_targets():
     inj = ((0, 3, "v"),)
     rep = check_liveness(Trace(), ctx(horizon=1000, injections=inj))
@@ -131,6 +145,17 @@ def test_wba_contract_weak_termination_violation():
     assert check_wba_contract(t, ctx(horizon=10)).status == PASS
 
 
+def test_wba_termination_violation_points_at_missed_deadline():
+    t = wba_trace([(0, 1, 5), (1, 1, 5), (2, 1, 5)], [])   # due by 5 + 12
+    t.append(16, "timer_fire", 0, generation=1)
+    t.append(30, "timer_fire", 0, generation=2)
+    rep = check_wba_contract(t, ctx(horizon=1000))
+    assert rep.status == FAIL
+    assert rep.measured == {"node": 0, "deadline": 17}
+    assert rep.violation["event_index"] == 3
+    assert t.events[3].time == 16
+
+
 def rb_trace(inputs, outputs):
     t = Trace()
     for node, value, at in inputs:
@@ -157,6 +182,16 @@ def test_rb_contract_termination_violation():
     rep = check_rb_contract(t, ctx())
     assert rep.status == FAIL
     assert "never output" in rep.detail
+
+
+def test_rb_termination_violation_points_at_missed_deadline():
+    t = rb_trace([(0, "x", 5)], [(0, "x", 11), (1, "x", 11)])   # due by 5 + 6
+    t.append(20, "timer_fire", 2, generation=1)
+    rep = check_rb_contract(t, ctx())
+    assert rep.status == FAIL
+    assert rep.measured == {"node": 2, "deadline": 11}
+    assert rep.violation["event_index"] == 2
+    assert t.events[2].time == 11
 
 
 def test_rb_contract_delay_violation():
@@ -262,6 +297,17 @@ def test_spread_pass_fail_and_gate():
     assert rep.status == FAIL
     assert "never reached node 2" in rep.detail
     assert check_spread(partial, ctx(horizon=10)).status == PASS
+
+
+def test_spread_violation_points_at_missed_deadline():
+    t = rb_trace([], [(0, "x", 10)])     # due everywhere by 10 + 6
+    t.append(12, "timer_fire", 1, generation=1)
+    t.append(30, "timer_fire", 1, generation=2)
+    rep = check_spread(t, ctx())
+    assert rep.status == FAIL
+    assert rep.measured == {"node": 1, "deadline": 16}
+    assert rep.violation["event_index"] == 1
+    assert t.events[1].time == 12
 
 
 def test_engine_invariants_pass():

@@ -73,6 +73,15 @@ def test_bad_scenario_exits_2(capsys):
     assert "configuration error" in err
 
 
+
+def test_malformed_scenario_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(HONEST).read_text())
+    doc["injections"][0]["value"] = ["not", "hashable"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "injection value" in capsys.readouterr().err
+
 def test_fuzz_reports_seed_tally(capsys):
     assert main(["fuzz", HONEST, "--seeds", "0..4"]) == 0
     out = capsys.readouterr().out

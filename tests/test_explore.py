@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcast.core import Params
 from abcast.explore import (
@@ -6,6 +8,7 @@ from abcast.explore import (
     Thresholds,
     _rb_apply,
     _rb_moves,
+    _rb_violation,
     _wba_apply,
     _wba_initial,
     _wba_moves,
@@ -14,6 +17,7 @@ from abcast.explore import (
     default_wba_budget,
     explore_rb,
     explore_wba,
+    symmetry_group,
 )
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
@@ -31,8 +35,8 @@ def test_default_budgets():
     assert ("initial", 1, 0) in default_rb_budget(3)
 
 
-def slow_wba_reach(inputs, budget, th):
-    """Reachable-state count via the generic move/apply pair."""
+def slow_wba_states(inputs, budget, th):
+    """Every reachable state, via the generic move/apply pair and no symmetry."""
     init = _wba_initial(inputs, th)
     seen = {init}
     stack = [init]
@@ -44,10 +48,15 @@ def slow_wba_reach(inputs, budget, th):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return len(seen)
+    return seen
 
 
-def slow_rb_reach(correct, budget, th):
+def slow_wba_reach(inputs, budget, th):
+    """Reachable-state count via the generic move/apply pair."""
+    return len(slow_wba_states(inputs, budget, th))
+
+
+def slow_rb_states(correct, budget, th):
     seen = {0}
     stack = [0]
     while stack:
@@ -57,7 +66,11 @@ def slow_rb_reach(correct, budget, th):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return len(seen)
+    return seen
+
+
+def slow_rb_reach(correct, budget, th):
+    return len(slow_rb_states(correct, budget, th))
 
 
 def test_wba_explorer_matches_reference_walk():
@@ -135,8 +148,114 @@ def test_rb_default_budget_exhaustive_and_safe():
     res = explore_rb(PARAMS)
     assert res.ok
     assert res.states == 159264
+    # All three correct validators are interchangeable under this budget.
+    assert res.representatives < res.states
 
 
 def test_state_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
         explore_wba((1, 1, 1), PARAMS, max_states=100)
+
+
+ALL = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+IDENTITY = ((0, 1, 2),)
+
+
+def test_symmetry_group_derivation():
+    assert symmetry_group((1, 1, 1), default_wba_budget(3)) == ALL
+    assert symmetry_group((0, 1, 1), default_wba_budget(3)) == ((0, 1, 2), (0, 2, 1))
+    assert symmetry_group((1, None, 1), default_wba_budget(3)) == ((0, 1, 2), (2, 1, 0))
+    # Unequal inputs or a budget that singles out a recipient leave the identity.
+    assert symmetry_group((0, 1, None), default_wba_budget(3)) == IDENTITY
+    assert symmetry_group((1, 1, 1), [("vote", 0, 0), ("vote", 1, 1)]) == IDENTITY
+    assert symmetry_group((None,) * 3, default_rb_budget(3)) == ALL
+    assert symmetry_group((None,) * 3, [("initial", 0, 0), ("initial", 1, 1),
+                                        ("initial", 1, 2)]) == ((0, 1, 2), (0, 2, 1))
+
+
+def to_all(*msgs):
+    return [(kind, v, r) for kind, v in msgs for r in range(3)]
+
+
+@pytest.mark.parametrize("inputs,budget,group", [
+    ((1, 1, 1), to_all(("vote", 0)), 6),
+    ((1, 1, 1), to_all(("ready", 1)), 6),
+    ((0, 1, 1), to_all(("ready", 1)), 2),
+    ((0, 1, 1), to_all(("vote", 0), ("ready", 1)), 2),
+])
+def test_reduced_wba_search_matches_reference_walk(inputs, budget, group):
+    res = explore_wba(inputs, PARAMS, byz_budget=budget)
+    assert len(symmetry_group(inputs, budget)) == group
+    assert res.ok
+    assert res.states == slow_wba_reach(inputs, budget, TH)
+    assert res.representatives < res.states
+
+
+@pytest.mark.parametrize("budget,group", [
+    (to_all(("initial", 0), ("initial", 1)), 6),
+    (to_all(("ready", 0), ("initial", 1)), 6),
+    ([("initial", 0, 0), ("initial", 1, 1), ("initial", 1, 2)], 2),
+])
+def test_reduced_rb_search_matches_reference_walk(budget, group):
+    res = explore_rb(PARAMS, byz_budget=budget)
+    assert len(symmetry_group((None,) * 3, budget)) == group
+    assert res.ok
+    assert res.states == slow_rb_reach(3, budget, TH)
+    assert res.representatives < res.states
+
+
+def test_state_budget_counts_every_orbit_member():
+    budget = to_all(("vote", 0))
+    full = explore_wba((1, 1, 1), PARAMS, byz_budget=budget)
+    assert full.representatives < full.states - 1
+    assert explore_wba((1, 1, 1), PARAMS, byz_budget=budget,
+                       max_states=full.states).states == full.states
+    with pytest.raises(BudgetExceeded):
+        explore_wba((1, 1, 1), PARAMS, byz_budget=budget,
+                    max_states=full.states - 1)
+
+
+def test_identity_group_stores_every_state():
+    budget = [("vote", 0, 0), ("ready", 1, 1)]
+    res = explore_wba((1, 1, 1), PARAMS, byz_budget=budget)
+    assert res.states == res.representatives == 2380
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(inputs=st.tuples(*[st.sampled_from((0, 1, None))] * 3),
+       budget=st.lists(st.sampled_from(default_wba_budget(3)), max_size=4,
+                       unique=True))
+def test_reduced_wba_search_agrees_with_reference_walk(inputs, budget):
+    res = explore_wba(inputs, PARAMS, byz_budget=budget)
+    seen = slow_wba_states(inputs, budget, TH)
+    need = PARAMS.quorum - PARAMS.f
+    ok = all(_wba_violation(s, inputs, need) is None for s in seen)
+    assert res.ok == ok
+    if ok:
+        assert res.states == len(seen)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(budget=st.lists(st.sampled_from(default_rb_budget(3)), max_size=4,
+                       unique=True))
+def test_reduced_rb_search_agrees_with_reference_walk(budget):
+    res = explore_rb(PARAMS, byz_budget=budget)
+    seen = slow_rb_states(3, budget, TH)
+    ok = all(_rb_violation(s, 3) is None for s in seen)
+    assert res.ok == ok
+    if ok:
+        assert res.states == len(seen)
+
+
+def test_violation_under_full_group_reports_the_unreduced_search():
+    # Counts and path lengths as the unreduced search reports them: a
+    # violation is searched for again under the identity alone.
+    bad = Thresholds(quorum=3, amplify=2, output=1)
+    budget = to_all(("ready", 0), ("ready", 1))
+    wba = explore_wba((1, 1, 1), PARAMS, byz_budget=budget, thresholds=bad)
+    assert (wba.states, wba.representatives) == (269, 269)
+    assert wba.violation["kind"] == "agreement"
+    assert len(wba.violation["path"]) == 11
+    rb = explore_rb(PARAMS, byz_budget=budget, thresholds=bad)
+    assert (rb.states, rb.representatives) == (22, 22)
+    assert len(rb.violation["path"]) == 5

@@ -112,6 +112,37 @@ def test_script_entries_validated():
         scenario_from_dict(doc)
 
 
+
+def _scripted(**entry):
+    return [{"kind": "scripted", "node": 3,
+             "script": [{"time": 1, "op": "send", "mkind": "vote", "payload": 1,
+                         **entry}]}]
+
+
+MALFORMED = {
+    "script entry without instance": {"adversaries": _scripted()},
+    "unknown instance kind": {"adversaries": _scripted(instance="zz/1")},
+    "unknown raw instance kind": {
+        "mode": "raw", "injections": [],
+        "raw_inputs": [{"time": 1, "node": 0, "instance": "zz/1", "value": 1}]},
+    "dict payload under gossip": {
+        "backend": "gossip",
+        "injections": [{"time": 0, "node": 0, "value": {"a": 1}}]},
+    "non-integer flip_voter round": {
+        "adversaries": [{"kind": "flip_voter", "node": 3, "bits": {"x": 1}}]},
+    "list-valued injection": {
+        "injections": [{"time": 0, "node": 0, "value": [1, 2]}]},
+    "string in schedule": {"schedule": ["a"]},
+}
+
+
+@pytest.mark.parametrize("patch", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_input_is_config_error_at_parse(patch):
+    doc = base_doc()
+    doc.update(copy.deepcopy(patch))
+    with pytest.raises(ConfigError):
+        scenario_from_dict(doc)
+
 def test_digest_mode_needs_gossip():
     doc = base_doc()
     doc["backend"] = {"kind": "bracha", "digest_mode": True}
