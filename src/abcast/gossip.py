@@ -27,14 +27,18 @@ VOTE = "vote"
 
 def canonical(payload: object) -> bytes:
     """Stable byte encoding used for both digests and signatures."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=_encode_opaque).encode()
+    return _CANONICAL.encode(payload).encode()
 
 
 def _encode_opaque(obj: object):
     if hasattr(obj, "__dataclass_fields__"):
         return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+# Built once: json.dumps with these arguments builds an encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=_encode_opaque)
 
 
 def digest(value: object) -> str:
@@ -74,6 +78,13 @@ class SignedMsg:
     payload: object
     signer: int
     sig: str
+
+    def __hash__(self) -> int:
+        # Equal messages have equal sigs, so this agrees with __eq__; it
+        # spares the simulator's relay dedup re-hashing the nested payload.
+        # A forged copy (same sig, another signer) hashes alike but stays
+        # unequal.
+        return hash(self.sig)
 
 
 def signed_payload(instance: InstanceKey, kind: str, payload: object) -> bytes:

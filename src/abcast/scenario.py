@@ -8,11 +8,12 @@ raises ConfigError, which the command line maps to exit code 2.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass, replace
 
-from .checks import CheckContext, run_checks
+from .checks import CHECKS, CheckContext, run_checks
 from .core import ConfigError, LeaderSchedule, Params
 from .engine import EngineOptions
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
@@ -74,6 +75,23 @@ def _int_like(v, what: str) -> int:
         return int(v)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _check_entry(entry):
+    """A check is a name, or an object with a ``name`` and integer (or null)
+    values for that check's keyword arguments."""
+    name = entry.get("name") if isinstance(entry, dict) else entry
+    _expect(isinstance(name, str) and name in CHECKS,
+            f"unknown check {name!r}, expected one of {', '.join(CHECKS)}")
+    if isinstance(entry, dict):
+        # every check takes (trace, ctx) and then its keyword arguments
+        known = list(inspect.signature(CHECKS[name]).parameters)[2:]
+        for key, value in entry.items():
+            if key != "name":
+                _expect(key in known, f"check {name!r} takes no argument {key!r}")
+                _expect(value is None or _is_int(value),
+                        f"check {name!r} argument {key!r} must be an integer")
+    return entry
 
 
 def _check_script_entry(entry, n_total: int) -> None:
@@ -302,7 +320,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                            _int_field(ri, "node", minimum=0),
                            ri["instance"], ri["value"]))
 
-    checks = tuple(doc.get("checks", []))
+    checks_doc = doc.get("checks", [])
+    _expect(isinstance(checks_doc, list), "checks must be a list")
+    checks = tuple(_check_entry(entry) for entry in checks_doc)
     return Scenario(
         params=params, backend=backend, digest_mode=digest_mode,
         schedule=schedule, adversaries=adversaries, injections=tuple(injections),

@@ -108,12 +108,12 @@ def _encode_value(v):
 
 
 def _encode_msg(msg) -> dict:
-    if isinstance(msg, BrachaMsg):
-        return {"instance": str(msg.instance), "mkind": msg.kind,
-                "payload": _encode_value(msg.payload), "from": msg.sender}
-    assert isinstance(msg, SignedMsg)
+    author = msg.sender if isinstance(msg, BrachaMsg) else msg.signer
     return {"instance": str(msg.instance), "mkind": msg.kind,
-            "payload": _encode_value(msg.payload), "from": msg.signer}
+            "payload": _encode_value(msg.payload), "from": author}
+
+
+_HAS = -1         # below every arrival time, so no later copy is queued
 
 
 class _NodeRuntime:
@@ -448,9 +448,9 @@ class Simulation:
         self.queue: list = []
         self.seq = 0
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
-        self.gossip_seen: list[set] = [set() for _ in range(self.total)]
-        # per node: gossip message -> earliest arrival still in the queue
-        self.gossip_due: list[dict] = [{} for _ in range(self.total)]
+        # gossip message -> per node: None, the earliest arrival still in
+        # the queue, or _HAS once the node has the message
+        self.gossip_state: dict = {}
 
         self.crash_at: dict[int, int] = {}
         self.crashed_noted: set[int] = set()
@@ -480,46 +480,65 @@ class Simulation:
         heappush(self.queue, (time, self.seq, payload))
         self.seq += 1
 
-    def _delivery_time(self, now: int, post_bound: int) -> int:
+    def _delivery_times(self, now: int, post_bound: int, copies: int) -> list:
+        """Arrival times of `copies` copies sent at `now`, drawn in order.
+        Under "uniform" each delay is 1 plus a value below its bound, drawn
+        by rejection on `getrandbits(bound.bit_length())`.  That is the loop
+        of CPython's `Random._randbelow_with_getrandbits`, down to the 1-bit
+        draws for a bound of 1, so it yields the values and consumes the
+        stream of `randint(1, bound)`, without that call's three frames."""
         cfg = self.cfg
         gst = cfg.params.gst
+        pre = cfg.pre_gst_max_delay
         if cfg.delay_law == "fixed":
-            d_pre, d_post = cfg.pre_gst_max_delay, post_bound
-        else:
-            d_pre = self.rng.randint(1, cfg.pre_gst_max_delay)
-            d_post = self.rng.randint(1, post_bound)
-        return min(now + d_pre, max(now, gst) + d_post)
+            return [min(now + pre, max(now, gst) + post_bound)] * copies
+        getrandbits = self.rng.getrandbits
+        k_pre, k_post = pre.bit_length(), post_bound.bit_length()
+        early, late = now + 1, max(now, gst) + 1
+        times = []
+        for _ in range(copies):
+            d_pre = getrandbits(k_pre)
+            while d_pre >= pre:
+                d_pre = getrandbits(k_pre)
+            d_post = getrandbits(k_post)
+            while d_post >= post_bound:
+                d_post = getrandbits(k_post)
+            times.append(min(early + d_pre, late + d_post))
+        return times
 
     def schedule_direct(self, to: int, msg, now: int) -> None:
-        at = self._delivery_time(now, self.cfg.params.delta)
-        self._push(at, ("deliver", to, msg))
+        self._send_direct(msg, now, (to,))
 
     def broadcast(self, sender: int, msg, now: int) -> None:
-        for to in range(self.total):
-            if to != sender:
-                self.schedule_direct(to, msg, now)
+        self._send_direct(msg, now, [to for to in range(self.total) if to != sender])
 
-    def _send_gossip(self, to: int, msg, now: int) -> None:
-        """Schedule one gossip copy.  A node acts only on the first copy of a
-        message it receives, so a copy that would arrive after the node has
-        it, or no earlier than a copy already queued, is not queued at all.
-        The delay is drawn either way, which keeps the RNG stream and thus
-        the trace unchanged."""
-        at = self._delivery_time(now, self.cfg.gossip_relay_latency)
-        if msg in self.gossip_seen[to]:
-            return
-        due = self.gossip_due[to]
-        queued = due.get(msg)
-        if queued is not None and queued <= at:
-            return
-        due[msg] = at
-        self._push(at, ("gossip_deliver", to, msg))
+    def _send_direct(self, msg, now: int, recipients) -> None:
+        times = self._delivery_times(now, self.cfg.params.delta, len(recipients))
+        for to, at in zip(recipients, times):
+            self._push(at, ("deliver", to, msg))
+
+    def _send_gossip(self, sender: int, msg, now: int, targets) -> None:
+        """Schedule a gossip copy of `msg` to each target but `sender`, with
+        one delay draw per copy in target order.  A node acts only on the
+        first copy of a message it receives, so a copy that would arrive
+        after the node has it, or no earlier than a copy already queued, is
+        not queued at all.  The delay is drawn either way, which keeps the
+        RNG stream and thus the trace unchanged."""
+        recipients = [to for to in targets if to != sender]
+        times = self._delivery_times(now, self.cfg.gossip_relay_latency,
+                                     len(recipients))
+        state = self.gossip_state.setdefault(msg, [None] * self.total)
+        for to, at in zip(recipients, times):
+            known = state[to]
+            if known is not None and known <= at:
+                continue
+            state[to] = at
+            self._push(at, ("gossip_deliver", to, msg))
 
     def gossip_from(self, origin: int, msg, now: int, targets=None) -> None:
-        self.gossip_seen[origin].add(msg)
-        for to in (targets if targets is not None else range(self.total)):
-            if to != origin:
-                self._send_gossip(to, msg, now)
+        self.gossip_state.setdefault(msg, [None] * self.total)[origin] = _HAS
+        self._send_gossip(origin, msg, now,
+                          range(self.total) if targets is None else targets)
 
     def set_timer(self, node: int, gen: int, fire_at: int, now: int) -> None:
         self.trace.append(now, "timer_set", node, generation=gen, fire_at=fire_at)
@@ -595,10 +614,10 @@ class Simulation:
                 self.runtimes[to].on_deliver(now, msg)
         elif tag == "gossip_deliver":
             _, to, msg = ev
-            self.gossip_due[to].pop(msg, None)
-            if msg in self.gossip_seen[to]:
+            state = self.gossip_state[msg]
+            if state[to] == _HAS:
                 return
-            self.gossip_seen[to].add(msg)
+            state[to] = _HAS
             self.trace.append(now, "deliver", to, **_encode_msg(msg), gossip=1)
             if to in self.drivers:
                 api = AdversaryApi(self, to, now)
@@ -606,9 +625,7 @@ class Simulation:
                     drv.on_deliver(api, msg)
             elif not self._crashed(to, now):
                 # first receipt at a live correct node: relay to everyone
-                for other in range(self.total):
-                    if other != to:
-                        self._send_gossip(other, msg, now)
+                self._send_gossip(to, msg, now, range(self.total))
                 self.runtimes[to].on_deliver(now, msg)
         elif tag == "timer":
             _, node, gen = ev

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 TRACE_VERSION = 1
 
+# Built once: json.dumps with these arguments builds an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -28,7 +32,7 @@ class TraceEvent:
         if self.node is not None:
             rec["node"] = self.node
         rec.update(self.data)
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(rec)
 
 
 class Trace:
@@ -103,30 +107,39 @@ class Trace:
     # -- (de)serialization ---------------------------------------------------
 
     def to_jsonl(self) -> str:
-        header = json.dumps({"kind": "trace_header", "version": TRACE_VERSION,
-                             "seed": self.seed, **self.meta},
-                            sort_keys=True, separators=(",", ":"))
+        header = _ENCODER.encode({"kind": "trace_header", "version": TRACE_VERSION,
+                                  "seed": self.seed, **self.meta})
         return "\n".join([header] + [ev.to_json() for ev in self.events]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        """Parse a trace file.  Each line must hold exactly one JSON object,
+        and each event line an int ``time``, an int ``seq`` and a str
+        ``kind``; anything else raises ValueError."""
+        numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), 1)
+                    if ln and not ln.isspace())
+        first = next(numbered, None)
+        if first is None:
             raise ValueError("empty trace")
-        header = json.loads(lines[0])
-        if header.get("kind") != "trace_header":
+        decode = _DECODER.decode
+        header = decode(first[1])
+        if type(header) is not dict or header.get("kind") != "trace_header":
             raise ValueError("trace file lacks a header line")
         if header.get("version") != TRACE_VERSION:
             raise ValueError(f"unsupported trace version {header.get('version')}")
         meta = {k: v for k, v in header.items()
                 if k not in ("kind", "version", "seed")}
         trace = cls(seed=header.get("seed", 0), meta=meta)
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            time, seq = rec.pop("time"), rec.pop("seq")
-            kind = rec.pop("kind")
-            node = rec.pop("node", None)
-            ev = TraceEvent(time, seq, kind, node, rec)
-            trace.events.append(ev)
-            trace._seq = max(trace._seq, seq + 1)
+        events = trace.events
+        for i, ln in numbered:
+            rec = decode(ln)
+            if type(rec) is not dict:
+                raise ValueError(f"trace line {i} is not a JSON object")
+            time, seq = rec.pop("time", None), rec.pop("seq", None)
+            kind = rec.pop("kind", None)
+            if type(time) is not int or type(seq) is not int or type(kind) is not str:
+                raise ValueError(f"trace line {i} needs an int time, an int seq "
+                                 f"and a str kind")
+            events.append(TraceEvent(time, seq, kind, rec.pop("node", None), rec))
+        trace._seq = max((ev.seq for ev in events), default=-1) + 1
         return trace

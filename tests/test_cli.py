@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from abcast.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -81,6 +83,29 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) == 2
     assert "injection value" in capsys.readouterr().err
+
+
+def test_unknown_check_name_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(HONEST).read_text())
+    doc["checks"] = ["safety", {"name": "nope"}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "unknown check 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["{}", "1", '{"time":0,"seq":0,"kind":"start"},'
+                                  '{"time":0,"seq":1,"kind":"start"}'])
+def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
+    trace_path = tmp_path / "t.jsonl"
+    main(["run", HONEST, "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    lines.insert(2, line)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace_path), HONEST]) == 2
+    assert "bad trace file" in capsys.readouterr().err
+
 
 def test_fuzz_reports_seed_tally(capsys):
     assert main(["fuzz", HONEST, "--seeds", "0..4"]) == 0

@@ -1,4 +1,5 @@
 from abcast.core import LeaderSchedule, Params
+from abcast.engine import Proposal
 from abcast.gossip import (
     ECHO,
     INITIAL,
@@ -12,6 +13,8 @@ from abcast.gossip import (
     make_signed,
     signed_payload,
 )
+from abcast.scenario import scenario_from_dict
+from abcast.simnet import Simulation
 from abcast.subproto import GossipSend, InstanceKey, Kind, LocalInput, Output, Recv
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
@@ -182,3 +185,38 @@ def test_factory_builds_both_kinds():
     assert isinstance(rb, GossipRb)
     assert rb.proposer == 2 and rb.digest_mode
     assert isinstance(make(InstanceKey(Kind.WBA, 6)), GossipWba)
+
+
+def test_equal_signed_messages_hash_equal_and_forgeries_stay_distinct():
+    a = make_signed(SCHEME, 1, RB_KEY, INITIAL, Proposal("v", 0, 3))
+    b = make_signed(SCHEME, 1, RB_KEY, INITIAL, Proposal("v", 0, 3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    forged = SignedMsg(a.instance, a.kind, a.payload, 2, a.sig)
+    assert hash(forged) == hash(a) and forged != a
+    assert len({a, b, forged}) == 2
+
+
+def test_forged_copy_is_gossiped_as_its_own_message():
+    """Node 3 gossips its vote to node 1 and, once every node has it, a copy
+    with the same sig naming signer 2.  Sharing a hash must not make the
+    forgery a duplicate: every correct node gets both through node 1's
+    relay, and rejects the forgery's signature."""
+    vote = {"op": "gossip", "to": [1], "instance": "wba/5", "mkind": "vote",
+            "payload": 1}
+    doc = {
+        "version": 1,
+        "params": {"n": 4, "f": 1, "delta": 2, "gst": 0, "Delta": 6},
+        "backend": "gossip",
+        "adversaries": [{"kind": "scripted", "node": 3, "script": [
+            {**vote, "time": 1}, {**vote, "time": 20, "forge_signer": 2}]}],
+        "sim": {"horizon": 40, "delay_law": "uniform"},
+    }
+    sim = Simulation(scenario_from_dict(doc).config_for())
+    trace = sim.run()
+    delivered = {(ev.node, ev.data["from"]) for ev in trace.iter_kind("deliver")
+                 if ev.data["instance"] == "wba/5"}
+    assert delivered == {(node, signer) for node in (0, 1, 2) for signer in (3, 2)}
+    for node in (0, 1, 2):
+        machine = sim.runtimes[node].table.slot(InstanceKey(Kind.WBA, 5)).machine
+        assert machine.invalid_sigs == 1
+        assert machine.vote_signers == {1: {3}}

@@ -238,12 +238,31 @@ def test_context_excludes_faulty_nodes():
     assert ctx.backend == "bracha"
 
 
-def test_unknown_check_name_raises_at_execute():
+BAD_CHECKS = {
+    "unknown name": ["not_a_check"],
+    "unknown name in an object": [{"name": "not_a_check"}],
+    "object without a name": [{"rotations": 1}],
+    "list entry": [["safety"]],
+    "string for the list": "safety",
+    "unknown argument": [{"name": "liveness", "bogus": 1}],
+    "non-integer argument": [{"name": "liveness", "rotations": "two"}],
+}
+
+
+@pytest.mark.parametrize("checks", BAD_CHECKS.values(), ids=list(BAD_CHECKS))
+def test_unknown_check_is_config_error_at_parse(checks):
     doc = base_doc()
-    doc["checks"] = ["not_a_check"]
-    sc = scenario_from_dict(doc)
-    with pytest.raises(KeyError):
-        sc.execute()
+    doc["checks"] = checks
+    with pytest.raises(ConfigError, match="check"):
+        scenario_from_dict(doc)
+
+
+def test_check_arguments_reach_the_check():
+    doc = base_doc()
+    doc["checks"] = ["safety", {"name": "liveness", "rotations": 1},
+                     {"name": "spread", "slack": None}]
+    _, reports, _ = scenario_from_dict(doc).execute()
+    assert [r.name for r in reports] == ["safety", "liveness", "spread"]
 
 
 def test_engine_options_parsed():

@@ -1,3 +1,10 @@
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from abcast.core import LeaderSchedule, Params
 from abcast.engine import EngineOptions
 from abcast.simnet import (
@@ -44,11 +51,11 @@ def test_seed_changes_uniform_schedule():
 def test_fixed_delivery_law():
     params = Params(n=4, f=1, delta=2, gst=10, sub_delay=6)
     sim = Simulation(make_cfg(params=params, pre_gst_max_delay=5))
-    assert sim._delivery_time(0, 2) == 5
-    assert sim._delivery_time(9, 2) == 12
-    assert sim._delivery_time(50, 2) == 52
+    assert sim._delivery_times(0, 2, 1) == [5]
+    assert sim._delivery_times(9, 2, 2) == [12, 12]
+    assert sim._delivery_times(50, 2, 1) == [52]
     tight = Simulation(make_cfg(params=params, pre_gst_max_delay=1))
-    assert tight._delivery_time(0, 2) == 1
+    assert tight._delivery_times(0, 2, 1) == [1]
 
 
 def test_uniform_delivery_law_bounds_and_replay():
@@ -56,12 +63,45 @@ def test_uniform_delivery_law_bounds_and_replay():
     cfg = make_cfg(params=params, delay_law="uniform", seed=9)
     a = Simulation(cfg)
     b = Simulation(cfg)
-    pre = [a._delivery_time(0, 2) for _ in range(100)]
-    assert pre == [b._delivery_time(0, 2) for _ in range(100)]
+    pre = a._delivery_times(0, 2, 100)
+    # one batch of copies draws what as many single copies draw
+    assert pre == [b._delivery_times(0, 2, 1)[0] for _ in range(100)]
     assert all(1 <= d <= 5 for d in pre)
-    post = [a._delivery_time(20, 2) for _ in range(100)]
+    post = a._delivery_times(20, 2, 100)
     assert all(21 <= d <= 22 for d in post)
-    assert [b._delivery_time(20, 2) for _ in range(100)] == post
+    assert [b._delivery_times(20, 2, 1)[0] for _ in range(100)] == post
+
+
+def _assert_draws_match_randint(seed, gst, plan):
+    """Each (pre, post, now, copies) step must give the arrival times that
+    `randint(1, pre)` and `randint(1, post)` per copy give, and leave the
+    RNG where they leave it."""
+    sim = Simulation(make_cfg(delay_law="uniform", seed=seed, gst=gst))
+    ref = random.Random(seed)
+    for pre, post, now, copies in plan:
+        sim.cfg = replace(sim.cfg, pre_gst_max_delay=pre)
+        want = [min(now + ref.randint(1, pre), max(now, gst) + ref.randint(1, post))
+                for _ in range(copies)]
+        assert sim._delivery_times(now, post, copies) == want
+        assert sim.rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("gst", [0, 10**6])
+def test_delay_draws_are_the_randint_stream_for_every_bound(seed, gst):
+    # With gst far off every time is now + the pre-GST draw itself.
+    plan = [(b, 71 - b, b % 13, 3) for b in range(1, 71)]
+    plan += [(71 - b, b, 50 + b, 2) for b in range(1, 71)]
+    _assert_draws_match_randint(seed, gst, plan)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**64), gst=st.sampled_from((0, 9, 10**6)),
+       plan=st.lists(st.tuples(st.integers(1, 70), st.integers(1, 70),
+                               st.integers(0, 20), st.integers(0, 10)),
+                     min_size=1, max_size=25))
+def test_interleaved_delay_draws_are_the_randint_stream(seed, gst, plan):
+    _assert_draws_match_randint(seed, gst, plan)
 
 
 def test_all_injections_delivered_in_same_order():

@@ -61,6 +61,32 @@ def test_rejects_malformed_input():
         Trace.from_jsonl(bad_version)
 
 
+HEADER = '{"kind":"trace_header","seed":0,"version":1}'
+START = '{"kind":"start","node":0,"seq":0,"time":0}'
+
+
+@pytest.mark.parametrize("line", [
+    "{}", "1", "[]", '"start"', "null",
+    START + "," + START, START + " " + START, "[" + START + "]",
+    '{"seq":0,"kind":"start"}', '{"time":0,"kind":"start"}', '{"time":0,"seq":0}',
+    '{"time":"0","seq":0,"kind":"start"}', '{"time":0,"seq":0.0,"kind":"start"}',
+    '{"time":true,"seq":0,"kind":"start"}', '{"time":0,"seq":0,"kind":7}',
+])
+def test_rejects_a_line_that_is_not_one_event_object(line):
+    with pytest.raises(ValueError):
+        Trace.from_jsonl("\n".join([HEADER, START, line]) + "\n")
+
+
+def test_rejects_a_header_that_is_not_an_object():
+    with pytest.raises(ValueError):
+        Trace.from_jsonl("1\n" + START + "\n")
+
+
+def test_event_lines_may_carry_surrounding_whitespace():
+    back = Trace.from_jsonl(HEADER + "\n  " + START + " \n\n")
+    assert back.to_jsonl() == HEADER + "\n" + START + "\n"
+
+
 def test_current_round_at_matches_a_rescan():
     rng = random.Random(7)
     t = Trace()
