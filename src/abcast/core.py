@@ -10,6 +10,7 @@ at least one correct one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ConfigError(ValueError):
@@ -59,8 +60,9 @@ class Params:
         if self.gst < 0:
             raise ConfigError("gst must be >= 0")
 
-    @property
+    @cached_property
     def quorum(self) -> int:
+        """Computed once per Params; every quorum test reads it."""
         return quorum_min_size(self.n, self.f)
 
 

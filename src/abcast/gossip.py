@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .core import Params, LeaderSchedule, is_validator
@@ -86,6 +87,12 @@ class SignedMsg:
         # unequal.
         return hash(self.sig)
 
+    @cached_property
+    def signed_bytes(self) -> bytes:
+        """The bytes the signature covers, encoded once per message object
+        from its own fields; every receipt still verifies the signature."""
+        return signed_payload(self.instance, self.kind, self.payload)
+
 
 def signed_payload(instance: InstanceKey, kind: str, payload: object) -> bytes:
     # The signature binds the instance and message kind, not just the value,
@@ -95,8 +102,10 @@ def signed_payload(instance: InstanceKey, kind: str, payload: object) -> bytes:
 
 def make_signed(scheme: SignatureScheme, signer: int, instance: InstanceKey,
                 kind: str, payload: object) -> SignedMsg:
-    sig = scheme.sign(signer, signed_payload(instance, kind, payload))
-    return SignedMsg(instance, kind, payload, signer, sig)
+    data = signed_payload(instance, kind, payload)
+    msg = SignedMsg(instance, kind, payload, signer, scheme.sign(signer, data))
+    msg.__dict__["signed_bytes"] = data      # what the property would compute
+    return msg
 
 
 class GossipRb:
@@ -134,8 +143,7 @@ class GossipRb:
         msg = event.msg
         if not isinstance(msg, SignedMsg) or msg.instance != self.key:
             return []
-        if not self.scheme.verify(msg.signer, signed_payload(msg.instance, msg.kind,
-                                                             msg.payload), msg.sig):
+        if not self.scheme.verify(msg.signer, msg.signed_bytes, msg.sig):
             self.invalid_sigs += 1
             return []
         if msg.kind == INITIAL:
@@ -221,8 +229,7 @@ class GossipWba:
             return []
         if msg.kind != VOTE or msg.payload not in (0, 1):
             return []
-        if not self.scheme.verify(msg.signer, signed_payload(msg.instance, msg.kind,
-                                                             msg.payload), msg.sig):
+        if not self.scheme.verify(msg.signer, msg.signed_bytes, msg.sig):
             self.invalid_sigs += 1
             return []
         if not is_validator(msg.signer, self.params):

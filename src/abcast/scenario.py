@@ -47,6 +47,20 @@ def _int_field(obj: dict, key: str, default=None, minimum=None):
     return v
 
 
+def _bool_field(obj: dict, key: str) -> bool:
+    """A JSON boolean, false when absent; ``"false"`` is not one."""
+    v = obj.get(key, False)
+    _expect(isinstance(v, bool), f"field {key!r} must be true or false, got {v!r}")
+    return v
+
+
+def _list_field(obj: dict, key: str) -> list:
+    """A JSON list, empty when absent; an object is not read as no entries."""
+    v = obj.get(key, [])
+    _expect(isinstance(v, list), f"{key} must be a list, got {v!r}")
+    return v
+
+
 def _scalar(v, what: str):
     """Values end up in sets and signatures, so they must be hashable."""
     _expect(v is None or isinstance(v, (str, int, float)),
@@ -94,7 +108,7 @@ def _check_entry(entry):
     return entry
 
 
-def _check_script_entry(entry, n_total: int) -> None:
+def _check_script_entry(entry, n_total: int, mode: str) -> None:
     _expect(isinstance(entry, dict) and "time" in entry and "op" in entry,
             f"bad script entry: {entry!r}")
     _int_field(entry, "time", minimum=0)
@@ -109,9 +123,15 @@ def _check_script_entry(entry, n_total: int) -> None:
     payload = entry.get("payload")
     if key.kind is Kind.RB and isinstance(payload, dict):
         _expect("value" in payload, f"rb payload needs a value: {payload!r}")
-        for field in ("value", "parent", "ts"):
-            _scalar(payload.get(field), f"rb payload {field}")
+        _scalar(payload["value"], "rb payload value")
+        for field in ("parent", "ts"):
+            v = payload.get(field)
+            _expect(v is None or _is_int(v),
+                    f"rb payload {field} must be an integer or null, got {v!r}")
     else:
+        # the engine reads an RB output as a proposal; bare instances do not
+        _expect(key.kind is not Kind.RB or mode == "raw",
+                f"rb payload must be an object with a value: {payload!r}")
         _scalar(payload, "script payload")
 
 
@@ -192,7 +212,7 @@ class Scenario:
         return trace, reports, cfg
 
 
-def _parse_adversary(obj: dict, n_total: int):
+def _parse_adversary(obj: dict, n_total: int, mode: str):
     _expect(isinstance(obj, dict), f"adversary entry must be an object: {obj!r}")
     kind = obj.get("kind")
     node = _int_field(obj, "node", minimum=0)
@@ -222,12 +242,11 @@ def _parse_adversary(obj: dict, n_total: int):
         bits = {_int_like(k, "flip_voter round"): _int_like(v, "flip_voter bit")
                 for k, v in bits_doc.items()}
         _expect(all(v in (0, 1) for v in bits.values()), "flip bits must be 0/1")
-        return FlipVoterSpec(node, bits, bool(obj.get("equivocate", False)))
+        return FlipVoterSpec(node, bits, _bool_field(obj, "equivocate"))
     if kind == "scripted":
-        script = obj.get("script", [])
-        _expect(isinstance(script, list), "script must be a list")
+        script = _list_field(obj, "script")
         for entry in script:
-            _check_script_entry(entry, n_total)
+            _check_script_entry(entry, n_total, mode)
         return ScriptedSpec(node, tuple(script))
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
@@ -250,8 +269,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         _expect(isinstance(backend_doc, dict), "backend must be a string or object")
         kind = backend_doc.get("kind", "bracha")
-        digest_mode = bool(backend_doc.get("digest_mode", False))
-    _expect(kind in _BACKENDS, f"unknown backend {kind!r}")
+        digest_mode = _bool_field(backend_doc, "digest_mode")
+    _expect(isinstance(kind, str) and kind in _BACKENDS, f"unknown backend {kind!r}")
     backend = _BACKENDS[kind]
     _expect(not (digest_mode and backend != "gossip"),
             "digest_mode only applies to the gossip backend")
@@ -268,8 +287,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _expect(isinstance(sim, dict), "sim must be an object")
     extra_nodes = _int_field(sim, "extra_nodes", default=0, minimum=0)
     n_total = params.n + extra_nodes
-    adversaries = tuple(_parse_adversary(a, n_total)
-                        for a in doc.get("adversaries", []))
+    mode = doc.get("mode", "engine")
+    _expect(mode in ("engine", "raw"), f"unknown mode {mode!r}")
+    adversaries = tuple(_parse_adversary(a, n_total, mode)
+                        for a in _list_field(doc, "adversaries"))
     crashed = {a.node for a in adversaries if isinstance(a, CrashSpec)}
     driven = {a.node for a in adversaries if not isinstance(a, CrashSpec)}
     _expect(not (crashed & driven),
@@ -279,7 +300,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f"{len(faulty_validators)} faulty validators exceeds f={params.f}")
 
     injections = []
-    for inj in doc.get("injections", []):
+    for inj in _list_field(doc, "injections"):
         _expect(isinstance(inj, dict) and "value" in inj,
                 f"bad injection entry: {inj!r}")
         injections.append((_int_field(inj, "time", default=0),
@@ -309,10 +330,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 "gst_draw must be [lo, hi] with 0 <= lo <= hi")
         gst_draw = (draw[0], draw[1])
 
-    mode = doc.get("mode", "engine")
-    _expect(mode in ("engine", "raw"), f"unknown mode {mode!r}")
     raw_inputs = []
-    for ri in doc.get("raw_inputs", []):
+    for ri in _list_field(doc, "raw_inputs"):
         _expect(isinstance(ri, dict) and "instance" in ri and "value" in ri,
                 f"bad raw input entry: {ri!r}")
         _instance_key(ri["instance"])
@@ -320,9 +339,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                            _int_field(ri, "node", minimum=0),
                            ri["instance"], ri["value"]))
 
-    checks_doc = doc.get("checks", [])
-    _expect(isinstance(checks_doc, list), "checks must be a list")
-    checks = tuple(_check_entry(entry) for entry in checks_doc)
+    checks = tuple(_check_entry(entry) for entry in _list_field(doc, "checks"))
     return Scenario(
         params=params, backend=backend, digest_mode=digest_mode,
         schedule=schedule, adversaries=adversaries, injections=tuple(injections),

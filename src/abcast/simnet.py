@@ -108,8 +108,11 @@ def _encode_value(v):
 
 
 def _encode_msg(msg) -> dict:
+    """A message's trace fields.  Built once where the message is sent and
+    carried with every queued copy; each event spreads it into a dict of
+    its own."""
     author = msg.sender if isinstance(msg, BrachaMsg) else msg.signer
-    return {"instance": str(msg.instance), "mkind": msg.kind,
+    return {"instance": msg.instance.text, "mkind": msg.kind,
             "payload": _encode_value(msg.payload), "from": author}
 
 
@@ -150,7 +153,9 @@ class _NodeRuntime:
             if msg.instance.round > window:
                 self.held.append(msg)
                 return
-        self.work.append(("recv", msg))
+        # The work queue is empty between entry points, so the receipt is
+        # stepped first, as it would be if queued, and the pump follows.
+        self._recv(now, msg)
         self._pump(now)
 
     def on_timer(self, now: int, gen: int) -> None:
@@ -185,9 +190,7 @@ class _NodeRuntime:
             item = self.work.popleft()
             tag = item[0]
             if tag == "recv":
-                msg = item[1]
-                machine = self.table.slot(msg.instance).machine
-                self._apply_backend(now, msg.instance, machine.step(Recv(msg)))
+                self._recv(now, item[1])
             elif tag == "subinput":
                 _, key, value = item
                 before = self.table.input_made(key)
@@ -204,15 +207,21 @@ class _NodeRuntime:
                 acts, notes = self.engine.on_subproto_output(now)
                 self._apply_engine(now, acts, notes)
 
+    def _recv(self, now: int, msg) -> None:
+        key = msg.instance
+        self._apply_backend(now, key, self.table.slot(key).machine.step(Recv(msg)))
+
     def _apply_backend(self, now: int, key: InstanceKey, acts: list) -> None:
         for a in acts:
             if isinstance(a, SendAll):
-                self.sim.trace.append(now, "send", self.node, **_encode_msg(a.msg), to="all")
-                self.sim.broadcast(self.node, a.msg, now)
+                enc = _encode_msg(a.msg)
+                self.sim.trace.append(now, "send", self.node, **enc, to="all")
+                self.sim.broadcast(self.node, a.msg, enc, now)
                 self.work.append(("recv", a.msg))
             elif isinstance(a, GossipSend):
-                self.sim.trace.append(now, "gossip", self.node, **_encode_msg(a.msg))
-                self.sim.gossip_from(self.node, a.msg, now)
+                enc = _encode_msg(a.msg)
+                self.sim.trace.append(now, "gossip", self.node, **enc)
+                self.sim.gossip_from(self.node, a.msg, enc, now)
                 self.work.append(("recv", a.msg))
             elif isinstance(a, Output):
                 if self.table.record_output(key, a.value):
@@ -267,16 +276,19 @@ class AdversaryApi:
         return self.schedule.leader_of(rnd)
 
     def send(self, to: int, msg) -> None:
-        self.sim.trace.append(self.now, "send", self.node, **_encode_msg(msg), to=[to])
-        self.sim.schedule_direct(to, msg, self.now)
+        enc = _encode_msg(msg)
+        self.sim.trace.append(self.now, "send", self.node, **enc, to=[to])
+        self.sim.schedule_direct(to, msg, enc, self.now)
 
     def send_all(self, msg) -> None:
-        self.sim.trace.append(self.now, "send", self.node, **_encode_msg(msg), to="all")
-        self.sim.broadcast(self.node, msg, self.now)
+        enc = _encode_msg(msg)
+        self.sim.trace.append(self.now, "send", self.node, **enc, to="all")
+        self.sim.broadcast(self.node, msg, enc, self.now)
 
     def gossip(self, msg, targets=None) -> None:
-        self.sim.trace.append(self.now, "gossip", self.node, **_encode_msg(msg))
-        self.sim.gossip_from(self.node, msg, self.now, targets)
+        enc = _encode_msg(msg)
+        self.sim.trace.append(self.now, "gossip", self.node, **enc)
+        self.sim.gossip_from(self.node, msg, enc, self.now, targets)
 
     def signed(self, instance: InstanceKey, kind: str, payload) -> SignedMsg:
         # Drivers can only produce signatures for their own identity.
@@ -476,8 +488,10 @@ class Simulation:
 
     # -- scheduling primitives -------------------------------------------------
 
-    def _push(self, time: int, payload: tuple) -> None:
-        heappush(self.queue, (time, self.seq, payload))
+    def _push(self, time: int, handler, args: tuple) -> None:
+        """Queue `handler(time, *args)`.  Entries are (time, seq, handler,
+        args); seq is unique, so the heap never compares handlers."""
+        heappush(self.queue, (time, self.seq, handler, args))
         self.seq += 1
 
     def _delivery_times(self, now: int, post_bound: int, copies: int) -> list:
@@ -506,46 +520,60 @@ class Simulation:
             times.append(min(early + d_pre, late + d_post))
         return times
 
-    def schedule_direct(self, to: int, msg, now: int) -> None:
-        self._send_direct(msg, now, (to,))
+    def schedule_direct(self, to: int, msg, enc: dict, now: int) -> None:
+        self._send_direct(msg, enc, now, (to,))
 
-    def broadcast(self, sender: int, msg, now: int) -> None:
-        self._send_direct(msg, now, [to for to in range(self.total) if to != sender])
+    def broadcast(self, sender: int, msg, enc: dict, now: int) -> None:
+        self._send_direct(msg, enc, now,
+                          [to for to in range(self.total) if to != sender])
 
-    def _send_direct(self, msg, now: int, recipients) -> None:
+    def _send_direct(self, msg, enc: dict, now: int, recipients) -> None:
+        """Queue one copy of `msg` per recipient; `enc` is its trace fields,
+        encoded once at the send."""
         times = self._delivery_times(now, self.cfg.params.delta, len(recipients))
+        queue, seq, deliver = self.queue, self.seq, self._on_deliver
         for to, at in zip(recipients, times):
-            self._push(at, ("deliver", to, msg))
+            heappush(queue, (at, seq, deliver, (to, msg, enc)))
+            seq += 1
+        self.seq = seq
 
-    def _send_gossip(self, sender: int, msg, now: int, targets) -> None:
+    def _send_gossip(self, sender: int, msg, enc: dict, state: list, now: int,
+                     targets) -> None:
         """Schedule a gossip copy of `msg` to each target but `sender`, with
         one delay draw per copy in target order.  A node acts only on the
         first copy of a message it receives, so a copy that would arrive
         after the node has it, or no earlier than a copy already queued, is
         not queued at all.  The delay is drawn either way, which keeps the
-        RNG stream and thus the trace unchanged."""
+        RNG stream and thus the trace unchanged.  `state` is the message's
+        slot list in `gossip_state`; each queued copy carries it."""
         recipients = [to for to in targets if to != sender]
         times = self._delivery_times(now, self.cfg.gossip_relay_latency,
                                      len(recipients))
-        state = self.gossip_state.setdefault(msg, [None] * self.total)
+        queue, seq, deliver = self.queue, self.seq, self._on_gossip_deliver
         for to, at in zip(recipients, times):
             known = state[to]
             if known is not None and known <= at:
                 continue
             state[to] = at
-            self._push(at, ("gossip_deliver", to, msg))
+            heappush(queue, (at, seq, deliver, (to, msg, enc, state)))
+            seq += 1
+        self.seq = seq
 
-    def gossip_from(self, origin: int, msg, now: int, targets=None) -> None:
-        self.gossip_state.setdefault(msg, [None] * self.total)[origin] = _HAS
-        self._send_gossip(origin, msg, now,
+    def gossip_from(self, origin: int, msg, enc: dict, now: int,
+                    targets=None) -> None:
+        state = self.gossip_state.get(msg)
+        if state is None:
+            state = self.gossip_state[msg] = [None] * self.total
+        state[origin] = _HAS
+        self._send_gossip(origin, msg, enc, state, now,
                           range(self.total) if targets is None else targets)
 
     def set_timer(self, node: int, gen: int, fire_at: int, now: int) -> None:
         self.trace.append(now, "timer_set", node, generation=gen, fire_at=fire_at)
-        self._push(fire_at, ("timer", node, gen))
+        self._push(fire_at, self._on_timer, (node, gen))
 
     def set_wake(self, node: int, at: int) -> None:
-        self._push(at, ("wake", node))
+        self._push(at, self._on_wake, (node,))
 
     def factory_for(self, node: int):
         cfg = self.cfg
@@ -568,88 +596,88 @@ class Simulation:
     def run(self) -> Trace:
         cfg = self.cfg
         for node in range(self.total):
-            self._push(0, ("start", node))
+            self._push(0, self._on_start, (node,))
         for t, node, value in cfg.injections:
             if t > 0 or node in self.drivers:
-                self._push(max(t, 0), ("inject", node, value))
+                self._push(max(t, 0), self._on_inject, (node, value))
         for t, node, key_text, value in cfg.raw_inputs:
-            self._push(t, ("rawinput", node, parse_key(key_text), value))
+            self._push(t, self._on_raw_input, (node, parse_key(key_text), value))
         for node, drivers in self.drivers.items():
             for drv in drivers:
                 if isinstance(drv, ScriptedDriver):
                     for entry in drv.spec.script:
-                        self._push(entry["time"], ("script", node, entry))
+                        self._push(entry["time"], self._on_script, (node, entry))
 
-        while self.queue:
-            now, _, ev = heappop(self.queue)
-            if now > cfg.horizon:
+        queue, horizon = self.queue, cfg.horizon
+        while queue:
+            now, _, handler, args = heappop(queue)
+            if now > horizon:
                 break
-            self._dispatch(now, ev)
+            handler(now, *args)
         return self.trace
 
-    def _dispatch(self, now: int, ev: tuple) -> None:
-        tag = ev[0]
-        if tag == "start":
-            node = ev[1]
-            if node in self.drivers:
-                api = AdversaryApi(self, node, now)
-                for drv in self.drivers[node]:
-                    drv.on_start(api)
-            elif not self._crashed(node, now):
-                rt = self.runtimes[node]
-                preseeded = list(rt.engine.inputs) if rt.engine else []
-                for value in preseeded:
-                    self.trace.append(now, "inject", node, value=_encode_value(value))
-                self.trace.append(now, "start", node)
-                rt.on_start(now)
-        elif tag == "deliver":
-            _, to, msg = ev
-            if to in self.drivers:
-                self.trace.append(now, "deliver", to, **_encode_msg(msg))
-                api = AdversaryApi(self, to, now)
-                for drv in self.drivers[to]:
-                    drv.on_deliver(api, msg)
-            elif not self._crashed(to, now):
-                self.trace.append(now, "deliver", to, **_encode_msg(msg))
-                self.runtimes[to].on_deliver(now, msg)
-        elif tag == "gossip_deliver":
-            _, to, msg = ev
-            state = self.gossip_state[msg]
-            if state[to] == _HAS:
-                return
-            state[to] = _HAS
-            self.trace.append(now, "deliver", to, **_encode_msg(msg), gossip=1)
-            if to in self.drivers:
-                api = AdversaryApi(self, to, now)
-                for drv in self.drivers[to]:
-                    drv.on_deliver(api, msg)
-            elif not self._crashed(to, now):
-                # first receipt at a live correct node: relay to everyone
-                self._send_gossip(to, msg, now, range(self.total))
-                self.runtimes[to].on_deliver(now, msg)
-        elif tag == "timer":
-            _, node, gen = ev
-            if node in self.runtimes and not self._crashed(node, now):
-                self.runtimes[node].on_timer(now, gen)
-        elif tag == "inject":
-            _, node, value = ev
-            self.trace.append(now, "inject", node, value=_encode_value(value))
-            if node in self.runtimes and not self._crashed(node, now):
-                self.runtimes[node].on_inject(now, value)
-        elif tag == "wake":
-            _, node = ev
-            if node in self.runtimes and not self._crashed(node, now):
-                self.runtimes[node].on_wake(now)
-        elif tag == "rawinput":
-            _, node, key, value = ev
-            if node in self.runtimes and not self._crashed(node, now):
-                self.runtimes[node].on_raw_input(now, key, value)
-        elif tag == "script":
-            _, node, entry = ev
+    # -- event handlers, one per kind of queued event ----------------------------
+
+    def _on_start(self, now: int, node: int) -> None:
+        if node in self.drivers:
             api = AdversaryApi(self, node, now)
             for drv in self.drivers[node]:
-                if isinstance(drv, ScriptedDriver):
-                    drv.on_script(api, entry)
+                drv.on_start(api)
+        elif not self._crashed(node, now):
+            rt = self.runtimes[node]
+            preseeded = list(rt.engine.inputs) if rt.engine else []
+            for value in preseeded:
+                self.trace.append(now, "inject", node, value=_encode_value(value))
+            self.trace.append(now, "start", node)
+            rt.on_start(now)
+
+    def _on_deliver(self, now: int, to: int, msg, enc: dict) -> None:
+        if to in self.drivers:
+            self.trace.append(now, "deliver", to, **enc)
+            api = AdversaryApi(self, to, now)
+            for drv in self.drivers[to]:
+                drv.on_deliver(api, msg)
+        elif not self._crashed(to, now):
+            self.trace.append(now, "deliver", to, **enc)
+            self.runtimes[to].on_deliver(now, msg)
+
+    def _on_gossip_deliver(self, now: int, to: int, msg, enc: dict,
+                           state: list) -> None:
+        if state[to] == _HAS:
+            return
+        state[to] = _HAS
+        self.trace.append(now, "deliver", to, **enc, gossip=1)
+        if to in self.drivers:
+            api = AdversaryApi(self, to, now)
+            for drv in self.drivers[to]:
+                drv.on_deliver(api, msg)
+        elif not self._crashed(to, now):
+            # first receipt at a live correct node: relay to everyone
+            self._send_gossip(to, msg, enc, state, now, range(self.total))
+            self.runtimes[to].on_deliver(now, msg)
+
+    def _on_timer(self, now: int, node: int, gen: int) -> None:
+        if node in self.runtimes and not self._crashed(node, now):
+            self.runtimes[node].on_timer(now, gen)
+
+    def _on_inject(self, now: int, node: int, value) -> None:
+        self.trace.append(now, "inject", node, value=_encode_value(value))
+        if node in self.runtimes and not self._crashed(node, now):
+            self.runtimes[node].on_inject(now, value)
+
+    def _on_wake(self, now: int, node: int) -> None:
+        if node in self.runtimes and not self._crashed(node, now):
+            self.runtimes[node].on_wake(now)
+
+    def _on_raw_input(self, now: int, node: int, key: InstanceKey, value) -> None:
+        if node in self.runtimes and not self._crashed(node, now):
+            self.runtimes[node].on_raw_input(now, key, value)
+
+    def _on_script(self, now: int, node: int, entry: dict) -> None:
+        api = AdversaryApi(self, node, now)
+        for drv in self.drivers[node]:
+            if isinstance(drv, ScriptedDriver):
+                drv.on_script(api, entry)
 
 
 def run(cfg: RunConfig) -> Trace:

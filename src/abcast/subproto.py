@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Protocol
 
 from .core import InternalInvariantError, Params, LeaderSchedule, is_validator
@@ -27,8 +28,14 @@ class InstanceKey:
     kind: Kind
     round: int
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The ``rb/3`` form, built once per key; it is in every trace
+        event about a message."""
         return f"{self.kind.value}/{self.round}"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def parse_key(text: str) -> InstanceKey:
@@ -82,7 +89,10 @@ class _Slot:
 
 
 class InstanceTable:
-    """Per-node registry of live subprotocol instances."""
+    """Per-node registry of live subprotocol instances.
+
+    RB and WBA slots live in two dicts keyed by the round number, so a
+    lookup hashes an int rather than an InstanceKey."""
 
     def __init__(self, params: Params, schedule: LeaderSchedule, self_id: int,
                  factory: Callable[[InstanceKey], Machine]):
@@ -90,18 +100,19 @@ class InstanceTable:
         self.schedule = schedule
         self.self_id = self_id
         self._factory = factory
-        self._slots: dict[InstanceKey, _Slot] = {}
+        self._rb: dict[int, _Slot] = {}
+        self._wba: dict[int, _Slot] = {}
         self._rb_rounds: list[int] = []          # ascending, RB output recorded
 
     def slot(self, key: InstanceKey) -> _Slot:
-        s = self._slots.get(key)
+        slots = self._rb if key.kind is Kind.RB else self._wba
+        s = slots.get(key.round)
         if s is None:
-            s = _Slot(self._factory(key))
-            self._slots[key] = s
+            s = slots[key.round] = _Slot(self._factory(key))
         return s
 
     def input_made(self, key: InstanceKey) -> bool:
-        s = self._slots.get(key)
+        s = (self._rb if key.kind is Kind.RB else self._wba).get(key.round)
         return s.input_made if s else False
 
     def submit_input(self, key: InstanceKey, value: object) -> list:
@@ -139,11 +150,11 @@ class InstanceTable:
         return True
 
     def rb_output(self, rnd: int):
-        s = self._slots.get(InstanceKey(Kind.RB, rnd))
+        s = self._rb.get(rnd)
         return s.output if s and s.has_output else None
 
     def wba_output(self, rnd: int):
-        s = self._slots.get(InstanceKey(Kind.WBA, rnd))
+        s = self._wba.get(rnd)
         return s.output if s and s.has_output else None
 
     def rb_rounds_with_output(self) -> list[int]:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,8 @@ def test_quorum_minus_f_meets_amplification_threshold():
 def test_params_validation():
     p = Params(n=4, f=1, delta=2, gst=10, sub_delay=6)
     assert p.quorum == 3
+    # the quorum is cached per object; a replaced copy computes its own
+    assert p.quorum == 3 and replace(p, n=7, f=2).quorum == 5
     with pytest.raises(ConfigError):
         Params(n=3, f=1, delta=2, gst=10, sub_delay=6)
     with pytest.raises(ConfigError):

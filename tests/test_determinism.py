@@ -3,7 +3,8 @@
 A run is a pure function of its config and seed, and `replay` and `check`
 rely on that.  This test pins the sha256 of `trace.to_jsonl()` for every
 loadable bundled scenario on both backends, plus long injection streams
-that exercise the engine options the scenario format cannot express.  A
+that exercise the engine options the scenario format cannot express, raw
+mode, and the adversary paths no bundled scenario takes.  A
 change that alters event order, delay draws or engine decisions shows up
 as a differing seed.
 
@@ -25,7 +26,8 @@ import pytest
 from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.engine import EngineOptions, no_duplicate_ancestor
 from abcast.scenario import scenario_from_dict
-from abcast.simnet import CrashSpec, RunConfig, run
+from abcast.simnet import (CrashSpec, FlipVoterSpec, RunConfig, ScriptedSpec,
+                           SilentLeaderSpec, run)
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).with_name("trace_hashes.json")
@@ -66,6 +68,30 @@ def _stream(n: int, backend: str, horizon: int, **fields):
     return lambda seed: replace(base, seed=seed)
 
 
+def _raw(backend: str):
+    """Bare instances, no engine: RB and WBA inputs over ten rounds, and a
+    validator that crashes at t=12, with inputs still to come."""
+    raw = []
+    for r in range(10):
+        raw.append((3 * r, r % 4, f"rb/{r}", f"r{r}"))
+        raw += [(3 * r + i, i, f"wba/{r}", (r + i) % 2) for i in range(4)]
+    return _stream(4, backend, 120, mode="raw", injections=(),
+                   raw_inputs=tuple(raw), adversaries=(CrashSpec(2, 12),))
+
+
+# A scripted gossip adversary: an RB initial and votes gossiped to subsets
+# of the nodes, each also as a copy whose signature names another signer.
+_FORGE_SCRIPT = tuple(
+    {"time": t, "op": "gossip", "to": to, "instance": inst, "mkind": mkind,
+     "payload": payload, **extra}
+    for t, to, inst, mkind, payload in (
+        (5, [1], "wba/2", "vote", 1),
+        (9, [0, 2], "rb/7", "initial", {"value": "x", "parent": None}),
+        (30, "all", "wba/3", "vote", 0),
+        (44, [2], "wba/6", "vote", 0))
+    for extra in ({}, {"forge_signer": 1}))
+
+
 def _stream_cases() -> dict:
     return {
         "stream_n4/bracha": _stream(4, "bracha", 1200),
@@ -84,6 +110,18 @@ def _stream_cases() -> dict:
             4, "gossip", 600, adversaries=(CrashSpec(1, 0),)),
         "stream_n10_crash/gossip": _stream(
             10, "gossip", 200, adversaries=(CrashSpec(9, 0),)),
+        "raw_n4/bracha": _raw("bracha"),
+        "raw_n4/gossip": _raw("gossip"),
+        "stream_n4_silent/bracha": _stream(
+            4, "bracha", 400, adversaries=(SilentLeaderSpec(3),)),
+        "stream_n4_silent/gossip": _stream(
+            4, "gossip", 400, adversaries=(SilentLeaderSpec(3),)),
+        "stream_n4_flip/bracha": _stream(
+            4, "bracha", 400, adversaries=(FlipVoterSpec(3, {1: 1, 2: 1}),)),
+        "stream_n4_flip/gossip": _stream(
+            4, "gossip", 400, adversaries=(FlipVoterSpec(3, {1: 1, 2: 1}),)),
+        "stream_n4_forge/gossip": _stream(
+            4, "gossip", 400, adversaries=(ScriptedSpec(3, _FORGE_SCRIPT),)),
     }
 
 

@@ -1,3 +1,7 @@
+from dataclasses import replace
+
+import pytest
+
 from abcast.core import LeaderSchedule, Params
 from abcast.engine import Proposal
 from abcast.gossip import (
@@ -14,7 +18,7 @@ from abcast.gossip import (
     signed_payload,
 )
 from abcast.scenario import scenario_from_dict
-from abcast.simnet import Simulation
+from abcast.simnet import AdversaryApi, Driver, Simulation
 from abcast.subproto import GossipSend, InstanceKey, Kind, LocalInput, Output, Recv
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
@@ -216,6 +220,64 @@ def test_forged_copy_is_gossiped_as_its_own_message():
     delivered = {(ev.node, ev.data["from"]) for ev in trace.iter_kind("deliver")
                  if ev.data["instance"] == "wba/5"}
     assert delivered == {(node, signer) for node in (0, 1, 2) for signer in (3, 2)}
+    for node in (0, 1, 2):
+        machine = sim.runtimes[node].table.slot(InstanceKey(Kind.WBA, 5)).machine
+        assert machine.invalid_sigs == 1
+        assert machine.vote_signers == {1: {3}}
+
+
+def test_signed_bytes_are_the_signed_payload():
+    prop = Proposal("v", 0, 3)
+    msg = make_signed(SCHEME, 1, RB_KEY, INITIAL, prop)
+    assert msg.signed_bytes == signed_payload(RB_KEY, INITIAL, prop)
+    assert SCHEME.verify(1, msg.signed_bytes, msg.sig)
+    # a message built by hand encodes its own fields
+    rebuilt = SignedMsg(msg.instance, msg.kind, msg.payload, msg.signer, msg.sig)
+    assert rebuilt.signed_bytes == msg.signed_bytes
+    other = replace(msg, payload=Proposal("w", 0, 3))
+    assert other.signed_bytes == signed_payload(RB_KEY, INITIAL, Proposal("w", 0, 3))
+    assert not SCHEME.verify(1, other.signed_bytes, other.sig)
+
+
+class _TamperDriver(Driver):
+    """Gossips its own signed vote, and from t=20 a copy of it with one
+    field changed but the signature kept."""
+
+    def __init__(self, node, change):
+        super().__init__(node)
+        self.change = change
+        self.tampered = None
+
+    def on_start(self, api: AdversaryApi) -> None:
+        vote = api.signed(InstanceKey(Kind.WBA, 5), VOTE, 1)
+        api.gossip(vote)
+        self.tampered = replace(vote, **self.change)
+
+    def on_deliver(self, api: AdversaryApi, msg) -> None:
+        if api.now >= 20 and self.tampered is not None:
+            api.gossip(self.tampered)
+            self.tampered = None
+
+
+@pytest.mark.parametrize("change, fields", [({"payload": 0}, (0, 3)),
+                                            ({"signer": 2}, (1, 2))])
+def test_tampered_copy_fails_verify_at_every_correct_node(change, fields):
+    doc = {
+        "version": 1,
+        "params": {"n": 4, "f": 1, "delta": 2, "gst": 0, "Delta": 6},
+        "backend": "gossip",
+        "adversaries": [{"kind": "silent_leader", "node": 3}],
+        "injections": [{"time": 0, "node": 0, "value": "a"}],
+        "sim": {"horizon": 60, "delay_law": "uniform"},
+    }
+    sim = Simulation(scenario_from_dict(doc).config_for())
+    sim.drivers[3] = [_TamperDriver(3, change)]
+    trace = sim.run()
+    got = [(ev.node, (ev.data["payload"], ev.data["from"]))
+           for ev in trace.iter_kind("deliver")
+           if ev.data["instance"] == "wba/5" and ev.node != 3]
+    assert sorted(got) == sorted((node, msg) for node in (0, 1, 2)
+                                 for msg in ((1, 3), fields))
     for node in (0, 1, 2):
         machine = sim.runtimes[node].table.slot(InstanceKey(Kind.WBA, 5)).machine
         assert machine.invalid_sigs == 1

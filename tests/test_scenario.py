@@ -1,12 +1,17 @@
 import copy
+import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abcast.checks import run_checks
 from abcast.core import ConfigError
 from abcast.scenario import load_scenario, scenario_from_dict
-from abcast.simnet import CrashSpec, FlipVoterSpec
+from abcast.simnet import CrashSpec, FlipVoterSpec, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -133,6 +138,26 @@ MALFORMED = {
     "list-valued injection": {
         "injections": [{"time": 0, "node": 0, "value": [1, 2]}]},
     "string in schedule": {"schedule": ["a"]},
+    "string for equivocate": {
+        "adversaries": [{"kind": "flip_voter", "node": 3, "equivocate": "false"}]},
+    "integer for equivocate": {
+        "adversaries": [{"kind": "flip_voter", "node": 3, "equivocate": 1}]},
+    "string for digest_mode": {"backend": {"kind": "gossip", "digest_mode": "no"}},
+    "integer for digest_mode": {"backend": {"kind": "gossip", "digest_mode": 1}},
+    "object for adversaries": {"adversaries": {}},
+    "object for injections": {"injections": {}},
+    "object for raw_inputs": {"mode": "raw", "injections": [], "raw_inputs": {}},
+    "string for a script": {
+        "adversaries": [{"kind": "scripted", "node": 3, "script": "abc"}]},
+    "list for the backend kind": {"backend": {"kind": ["bracha"]}},
+    "string rb parent": {"adversaries": _scripted(
+        instance="rb/3", mkind="initial", payload={"value": "v", "parent": "x"})},
+    "fractional rb parent": {"adversaries": _scripted(
+        instance="rb/3", mkind="initial", payload={"value": "v", "parent": 1.5})},
+    "string rb ts": {"adversaries": _scripted(
+        instance="rb/3", mkind="initial", payload={"value": "v", "ts": "x"})},
+    "bare rb payload in engine mode": {"adversaries": _scripted(
+        instance="rb/3", mkind="initial", payload="v")},
 }
 
 
@@ -142,6 +167,26 @@ def test_malformed_input_is_config_error_at_parse(patch):
     doc.update(copy.deepcopy(patch))
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
+
+def test_booleans_are_json_booleans():
+    doc = base_doc()
+    doc["adversaries"] = [{"kind": "flip_voter", "node": 3, "equivocate": True},
+                          {"kind": "flip_voter", "node": 3}]
+    doc["backend"] = {"kind": "gossip", "digest_mode": False}
+    sc = scenario_from_dict(doc)
+    assert [spec.equivocate for spec in sc.adversaries] == [True, False]
+    assert sc.digest_mode is False
+
+
+def test_bare_rb_payload_is_allowed_in_raw_mode():
+    # bare instances output whatever RB carried; only the engine needs a
+    # proposal object
+    doc = base_doc()
+    doc.update(mode="raw", injections=[], adversaries=_scripted(
+        instance="rb/3", mkind="initial", payload="v"))
+    trace, _, _ = scenario_from_dict(doc).execute()
+    assert any(ev.data.get("value") == "v" for ev in trace.iter_kind("sub_output"))
+
 
 def test_digest_mode_needs_gossip():
     doc = base_doc()
@@ -282,3 +327,60 @@ def test_parse_does_not_mutate_document():
     snapshot = copy.deepcopy(doc)
     scenario_from_dict(doc)
     assert doc == snapshot
+
+
+# -- property: any one-field mutation of a bundled scenario runs or is a
+# ConfigError, never another exception --------------------------------------
+
+HORIZON_CAP = 150          # past skippable_accepted's gst and injection
+
+
+def _paths(node, prefix=()):
+    """The path to every value inside a JSON document, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+BUNDLED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+MUTATION_SITES = [(name, path) for name, doc in BUNDLED.items()
+                  for path in _paths(doc)]
+
+# Small integers keep a mutated node count cheap to run; the strings are
+# ones the format gives meaning to.
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from(["auto", "all", "bot", "prev", "rb/1", "wba/2",
+                                   "gossip", "bracha", "lifo", "vote", "1", ""])
+                | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(site=st.sampled_from(MUTATION_SITES), value=JSON_VALUES)
+def test_mutated_bundled_scenario_runs_or_is_config_error(site, value):
+    name, path = site
+    doc = copy.deepcopy(BUNDLED[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        sc = scenario_from_dict(doc)
+        cfg = sc.config_for()
+        cfg = replace(cfg, horizon=min(cfg.horizon, HORIZON_CAP))
+        trace = run(cfg)
+        run_checks(trace, sc.context_for(cfg), sc.checks)
+    except ConfigError:
+        return
+    assert all(ev.time <= cfg.horizon for ev in trace.events)

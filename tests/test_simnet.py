@@ -245,3 +245,25 @@ def test_raw_gossip_completes_at_exact_bounds():
     for n in range(4):
         assert subs[(n, "rb/0")].time == 10 + 2
         assert subs[(n, "wba/0")].time == 10 + 1
+
+
+MSG_FIELDS = ("instance", "mkind", "payload", "from")
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_send_and_deliver_events_share_fields_not_dicts(backend):
+    """A message's trace fields are encoded once at its send; every event
+    about it still gets a data dict of its own."""
+    trace = run(make_cfg(backend=backend, delay_law="uniform", seed=4))
+    sends = [ev for ev in trace.events if ev.kind in ("send", "gossip")
+             and ev.data["instance"] == "rb/0" and ev.data["mkind"] == "initial"]
+    assert len(sends) == 1 and sends[0].node == 0
+    fields = {f: sends[0].data[f] for f in MSG_FIELDS}
+    assert fields["payload"]["value"] == "v0"
+    delivers = [ev for ev in trace.iter_kind("deliver")
+                if ev.data["instance"] == "rb/0" and ev.data["mkind"] == "initial"]
+    assert sorted(ev.node for ev in delivers) == [1, 2, 3]
+    for ev in delivers:
+        assert {f: ev.data[f] for f in MSG_FIELDS} == fields
+    dicts = [sends[0].data] + [ev.data for ev in delivers]
+    assert len({id(d) for d in dicts}) == len(dicts)

@@ -37,6 +37,31 @@ def test_key_string_round_trip():
     assert str(key) == "rb/3"
     assert parse_key("rb/3") == key
     assert parse_key("wba/0") == InstanceKey(Kind.WBA, 0)
+    # the text is cached per key; equality and hashing stay by field
+    key = InstanceKey(Kind.WBA, 12)
+    twin = parse_key(str(key))
+    assert twin is not key and twin == key and hash(twin) == hash(key)
+    assert str(key) == str(key) == key.text == "wba/12"
+    others = (InstanceKey(Kind.RB, 12), InstanceKey(Kind.WBA, 13))
+    assert all(other != key for other in others)
+    assert len({key, twin, *others}) == 3
+    assert {str(k) for k in others} == {"rb/12", "wba/13"}
+
+
+def test_rb_and_wba_slots_of_a_round_stay_distinct():
+    table, machines = make_table(self_id=1)
+    rb, wba = InstanceKey(Kind.RB, 1), InstanceKey(Kind.WBA, 1)
+    assert table.slot(rb) is not table.slot(wba)
+    assert table.slot(rb) is table.slot(InstanceKey(Kind.RB, 1))
+    assert set(machines) == {rb, wba}
+    table.submit_input(wba, 1)
+    assert table.input_made(wba) and not table.input_made(rb)
+    assert table.record_output(wba, 1)
+    assert table.wba_output(1) == 1 and table.rb_output(1) is None
+    assert table.rb_rounds_with_output() == []
+    assert table.record_output(rb, ("v", 0))
+    assert table.rb_output(1) == ("v", 0) and table.wba_output(1) == 1
+    assert table.rb_output(0) is None and table.wba_output(2) is None
 
 
 def test_submit_input_once():
