@@ -1,19 +1,19 @@
-"""Direct-send broadcast backend with echo/ready amplification.
+"""Direct-send broadcast backend: Bracha's echo/ready amplifier.
 
-Both machines tally distinct validator senders per value.  Thresholds, for
-quorum size Q = quorum_min_size(n, f):
+RB and WBA are two front ends over one tally machine, which counts
+distinct validator senders per value.  Thresholds, for quorum size
+Q = quorum_min_size(n, f):
 
-  RB   echo(v)   own initial from the proposer, Q echoes, or f+1 readies
-       ready(v)  Q echoes or f+1 readies
-       output v  2f+1 readies
-  WBA  vote(b)   own input, Q votes, or f+1 readies
-       ready(b)  Q votes or f+1 readies
-       output b  2f+1 readies
+  echo(v)   the seed value v, Q echoes, or f+1 readies
+  ready(v)  Q echoes or f+1 readies
+  output v  2f+1 readies
 
-A correct node sends at most one echo (one vote) and one ready per instance,
-so the send flags are instance-global rather than per-value.  A Byzantine
-sender that backs two values is counted once in each value's tally; repeats
-for the same value are dropped.
+RB's seed is the first initial from the proposer; WBA's is the node's own
+0/1 input, and WBA names its echo a vote.  A correct node sends at most one
+echo (one vote) and one ready per instance, so the send flags are
+instance-global rather than per-value.  A Byzantine sender that backs two
+values is counted once in each value's tally; repeats for the same value
+are dropped.
 """
 
 from __future__ import annotations
@@ -38,21 +38,60 @@ class BrachaMsg:
     sender: int
 
 
-class BrachaRb:
-    """One reliable-broadcast instance at one node."""
+class _EchoReady:
+    """The echo/ready tally of one instance at one node.  `echo_kind` is the
+    echo message's kind, and so the trace's mkind."""
 
-    def __init__(self, key: InstanceKey, params: Params, proposer: int, self_id: int):
+    echo_kind = ECHO
+
+    def __init__(self, key: InstanceKey, params: Params, self_id: int):
         self.key = key
         self.params = params
-        self.proposer = proposer
         self.self_id = self_id
-        self.initial_seen: object = None
-        self.has_initial = False
+        self.voter = is_validator(self_id, params)
         self.sent_echo = False
         self.sent_ready = False
         self.delivered = False
         self.echoes: dict[object, set[int]] = {}
         self.readies: dict[object, set[int]] = {}
+        self._tallies = {self.echo_kind: self.echoes, READY: self.readies}
+
+    def _count(self, msg: BrachaMsg) -> list:
+        """Tally an echo or ready of this instance, once per sender and value."""
+        tally = self._tallies.get(msg.kind)
+        if tally is None or not is_validator(msg.sender, self.params):
+            return []
+        seen = tally.setdefault(msg.payload, set())
+        if msg.sender in seen:
+            return []
+        seen.add(msg.sender)
+        return self._fire(msg.payload)
+
+    def _fire(self, v: object, seed: bool = False) -> list:
+        q = self.params.quorum
+        f = self.params.f
+        readies = len(self.readies.get(v, ()))
+        amplify = len(self.echoes.get(v, ())) >= q or readies >= f + 1
+        out = []
+        if not self.sent_echo and self.voter and (seed or amplify):
+            self.sent_echo = True
+            out.append(SendAll(BrachaMsg(self.key, self.echo_kind, v, self.self_id)))
+        if not self.sent_ready and self.voter and amplify:
+            self.sent_ready = True
+            out.append(SendAll(BrachaMsg(self.key, READY, v, self.self_id)))
+        if not self.delivered and readies >= 2 * f + 1:
+            self.delivered = True
+            out.append(Output(v))
+        return out
+
+
+class BrachaRb(_EchoReady):
+    """One reliable-broadcast instance at one node."""
+
+    def __init__(self, key: InstanceKey, params: Params, proposer: int, self_id: int):
+        super().__init__(key, params, self_id)
+        self.proposer = proposer
+        self.has_initial = False
 
     def step(self, event: object) -> list:
         if isinstance(event, LocalInput):
@@ -63,93 +102,34 @@ class BrachaRb:
         msg = event.msg
         if not isinstance(msg, BrachaMsg) or msg.instance != self.key:
             return []
-        if msg.kind == INITIAL:
-            if msg.sender != self.proposer or self.has_initial:
-                return []
-            self.has_initial = True
-            self.initial_seen = msg.payload
-            return self._fire(msg.payload)
-        if msg.kind not in (ECHO, READY) or not is_validator(msg.sender, self.params):
+        if msg.kind != INITIAL:
+            return self._count(msg)
+        if msg.sender != self.proposer or self.has_initial:
             return []
-        tally = self.echoes if msg.kind == ECHO else self.readies
-        seen = tally.setdefault(msg.payload, set())
-        if msg.sender in seen:
-            return []
-        seen.add(msg.sender)
-        return self._fire(msg.payload)
-
-    def _fire(self, v: object) -> list:
-        q = self.params.quorum
-        f = self.params.f
-        echoes = len(self.echoes.get(v, ()))
-        readies = len(self.readies.get(v, ()))
-        out = []
-        if (not self.sent_echo and is_validator(self.self_id, self.params)
-                and ((self.has_initial and self.initial_seen == v)
-                     or echoes >= q or readies >= f + 1)):
-            self.sent_echo = True
-            out.append(SendAll(BrachaMsg(self.key, ECHO, v, self.self_id)))
-        if (not self.sent_ready and is_validator(self.self_id, self.params)
-                and (echoes >= q or readies >= f + 1)):
-            self.sent_ready = True
-            out.append(SendAll(BrachaMsg(self.key, READY, v, self.self_id)))
-        if not self.delivered and readies >= 2 * f + 1:
-            self.delivered = True
-            out.append(Output(v))
-        return out
+        self.has_initial = True
+        return self._fire(msg.payload, seed=True)
 
 
-class BrachaWba:
+class BrachaWba(_EchoReady):
     """One binary-agreement instance at one node; vote plays echo's role."""
 
-    def __init__(self, key: InstanceKey, params: Params, self_id: int):
-        self.key = key
-        self.params = params
-        self.self_id = self_id
-        self.sent_vote = False
-        self.sent_ready = False
-        self.delivered = False
-        self.votes: dict[int, set[int]] = {}
-        self.readies: dict[int, set[int]] = {}
+    echo_kind = VOTE
+
+    @property
+    def sent_vote(self) -> bool:
+        return self.sent_echo
 
     def step(self, event: object) -> list:
         if isinstance(event, LocalInput):
-            b = event.value
-            if b not in (0, 1) or not is_validator(self.self_id, self.params):
+            if event.value not in (0, 1):
                 return []
-            return self._fire(b, own_input=True)
+            return self._fire(event.value, seed=True)     # sends nothing from an observer
         assert isinstance(event, Recv)
         msg = event.msg
-        if not isinstance(msg, BrachaMsg) or msg.instance != self.key:
+        if (not isinstance(msg, BrachaMsg) or msg.instance != self.key
+                or msg.payload not in (0, 1)):
             return []
-        if (msg.kind not in (VOTE, READY) or msg.payload not in (0, 1)
-                or not is_validator(msg.sender, self.params)):
-            return []
-        tally = self.votes if msg.kind == VOTE else self.readies
-        seen = tally.setdefault(msg.payload, set())
-        if msg.sender in seen:
-            return []
-        seen.add(msg.sender)
-        return self._fire(msg.payload)
-
-    def _fire(self, b: int, own_input: bool = False) -> list:
-        q = self.params.quorum
-        f = self.params.f
-        votes = len(self.votes.get(b, ()))
-        readies = len(self.readies.get(b, ()))
-        out = []
-        if (not self.sent_vote and is_validator(self.self_id, self.params)
-                and (own_input or votes >= q or readies >= f + 1)):
-            self.sent_vote = True
-            out.append(SendAll(BrachaMsg(self.key, VOTE, b, self.self_id)))
-        if (not self.sent_ready and is_validator(self.self_id, self.params)
-                and (votes >= q or readies >= f + 1)):
-            self.sent_ready = True
-            out.append(SendAll(BrachaMsg(self.key, READY, b, self.self_id)))
-        if not self.delivered and readies >= 2 * f + 1:
-            self.delivered = True
-            out.append(Output(b))
-        return out
+        return self._count(msg)
 
 
 def machine_factory(params: Params, schedule: LeaderSchedule,

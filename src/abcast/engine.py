@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import InternalInvariantError, Params, LeaderSchedule
+from .core import ConfigError, InternalInvariantError, Params, LeaderSchedule
 from .subproto import InstanceKey, Kind
 
 
@@ -42,6 +42,13 @@ class Proposal:
     value: object
     parent: int | None
     ts: int | None = None
+
+
+def _chainable(prop: object) -> bool:
+    """A Byzantine proposer can make RB output anything; only a Proposal
+    whose parent and ts are ints or None can be accepted."""
+    return (isinstance(prop, Proposal) and isinstance(prop.parent, (int, type(None)))
+            and isinstance(prop.ts, (int, type(None))))
 
 
 # Actions handed back to the hosting node.
@@ -91,7 +98,7 @@ class EngineOptions:
 
     def __post_init__(self) -> None:
         if self.queue_discipline not in ("fifo", "lifo"):
-            raise ValueError(f"unknown queue discipline {self.queue_discipline!r}")
+            raise ConfigError(f"unknown queue discipline {self.queue_discipline!r}")
 
 
 class Engine:
@@ -210,7 +217,7 @@ class Engine:
         elif r in rejected:
             return None
         prop = self.view.rb_output(r)
-        if (prop is None or not self.fertile(r, prop.parent, rejected)
+        if (not _chainable(prop) or not self.fertile(r, prop.parent, rejected)
                 or (self.options.validity is not None
                     and not self.options.validity(prop, self._ancestors(prop)))):
             rejected.add(r)

@@ -108,37 +108,58 @@ def make_signed(scheme: SignatureScheme, signer: int, instance: InstanceKey,
     return msg
 
 
-class GossipRb:
+class _SignedMachine:
+    """The signer dedup both gossip machines share: a validator's first
+    payload of a kind counts; a different later one is kept in
+    `equivocations` as evidence but never tallied.  Each machine checks
+    signatures itself, at its own point, and counts failures."""
+
+    def __init__(self, key: InstanceKey, params: Params, self_id: int,
+                 scheme: SignatureScheme):
+        self.key = key
+        self.params = params
+        self.self_id = self_id
+        self.scheme = scheme
+        self.delivered = False
+        self._first: dict[int, object] = {}
+        self.equivocations: dict[int, list[object]] = {}
+        self.invalid_sigs = 0
+
+    def _signed(self, kind: str, payload: object) -> GossipSend:
+        return GossipSend(make_signed(self.scheme, self.self_id, self.key, kind, payload))
+
+    def _first_counts(self, msg: SignedMsg, tally: dict) -> bool:
+        """Add msg's signer to `tally` under its payload if this is the
+        signer's first payload; True if it was added."""
+        if not is_validator(msg.signer, self.params):
+            return False
+        prior = self._first.get(msg.signer)
+        if prior is not None:
+            if prior != msg.payload:
+                self.equivocations.setdefault(msg.signer, []).append(msg.payload)
+            return False
+        self._first[msg.signer] = msg.payload
+        tally.setdefault(msg.payload, set()).add(msg.signer)
+        return True
+
+
+class GossipRb(_SignedMachine):
     """One gossip-RB instance at one node."""
 
     def __init__(self, key: InstanceKey, params: Params, proposer: int,
                  self_id: int, scheme: SignatureScheme, digest_mode: bool = False):
-        self.key = key
-        self.params = params
+        super().__init__(key, params, self_id, scheme)
         self.proposer = proposer
-        self.self_id = self_id
-        self.scheme = scheme
         self.digest_mode = digest_mode
         self.initial_value: object = None
         self.has_initial = False
-        self.signed_echo = False
-        self.delivered = False
         self.echo_signers: dict[object, set[int]] = {}
-        # First echo per signer counts; later conflicting ones are kept as
-        # equivocation evidence but never tallied.
-        self._echoed_by: dict[int, object] = {}
-        self.equivocations: dict[int, list[object]] = {}
-        self.invalid_sigs = 0
-
-    def _key_of(self, value: object) -> object:
-        return digest(value) if self.digest_mode else value
 
     def step(self, event: object) -> list:
         if isinstance(event, LocalInput):
             if self.self_id != self.proposer:
                 return []
-            return [GossipSend(make_signed(self.scheme, self.self_id, self.key,
-                                           INITIAL, event.value))]
+            return [self._signed(INITIAL, event.value)]
         assert isinstance(event, Recv)
         msg = event.msg
         if not isinstance(msg, SignedMsg) or msg.instance != self.key:
@@ -146,39 +167,20 @@ class GossipRb:
         if not self.scheme.verify(msg.signer, msg.signed_bytes, msg.sig):
             self.invalid_sigs += 1
             return []
-        if msg.kind == INITIAL:
-            return self._on_initial(msg)
         if msg.kind == ECHO:
-            return self._on_echo(msg)
-        return []
-
-    def _on_initial(self, msg: SignedMsg) -> list:
-        if msg.signer != self.proposer:
+            return self._try_output() if self._first_counts(msg, self.echo_signers) else []
+        if msg.kind != INITIAL or msg.signer != self.proposer:
             return []
         out = []
         if not self.has_initial:
             self.has_initial = True
             self.initial_value = msg.payload
-            if is_validator(self.self_id, self.params) and not self.signed_echo:
-                self.signed_echo = True
-                out.append(GossipSend(make_signed(self.scheme, self.self_id, self.key,
-                                                  ECHO, self._key_of(msg.payload))))
+            if is_validator(self.self_id, self.params):
+                v = msg.payload
+                out.append(self._signed(ECHO, digest(v) if self.digest_mode else v))
         elif msg.payload != self.initial_value:
             self.equivocations.setdefault(msg.signer, []).append(msg.payload)
-        out.extend(self._try_output())
-        return out
-
-    def _on_echo(self, msg: SignedMsg) -> list:
-        if not is_validator(msg.signer, self.params):
-            return []
-        prior = self._echoed_by.get(msg.signer)
-        if prior is not None:
-            if prior != msg.payload:
-                self.equivocations.setdefault(msg.signer, []).append(msg.payload)
-            return []
-        self._echoed_by[msg.signer] = msg.payload
-        self.echo_signers.setdefault(msg.payload, set()).add(msg.signer)
-        return self._try_output()
+        return out + self._try_output()
 
     def _try_output(self) -> list:
         if self.delivered:
@@ -198,21 +200,14 @@ class GossipRb:
         return []
 
 
-class GossipWba:
+class GossipWba(_SignedMachine):
     """One gossip-WBA instance at one node: a single signed-vote round."""
 
     def __init__(self, key: InstanceKey, params: Params, self_id: int,
                  scheme: SignatureScheme):
-        self.key = key
-        self.params = params
-        self.self_id = self_id
-        self.scheme = scheme
+        super().__init__(key, params, self_id, scheme)
         self.signed_vote = False
-        self.delivered = False
         self.vote_signers: dict[int, set[int]] = {}
-        self._voted_by: dict[int, int] = {}
-        self.equivocations: dict[int, list[object]] = {}
-        self.invalid_sigs = 0
 
     def step(self, event: object) -> list:
         if isinstance(event, LocalInput):
@@ -221,26 +216,17 @@ class GossipWba:
                     or not is_validator(self.self_id, self.params)):
                 return []
             self.signed_vote = True
-            return [GossipSend(make_signed(self.scheme, self.self_id, self.key,
-                                           VOTE, b))]
+            return [self._signed(VOTE, b)]
         assert isinstance(event, Recv)
         msg = event.msg
-        if not isinstance(msg, SignedMsg) or msg.instance != self.key:
-            return []
-        if msg.kind != VOTE or msg.payload not in (0, 1):
+        if (not isinstance(msg, SignedMsg) or msg.instance != self.key
+                or msg.kind != VOTE or msg.payload not in (0, 1)):
             return []
         if not self.scheme.verify(msg.signer, msg.signed_bytes, msg.sig):
             self.invalid_sigs += 1
             return []
-        if not is_validator(msg.signer, self.params):
+        if not self._first_counts(msg, self.vote_signers):
             return []
-        prior = self._voted_by.get(msg.signer)
-        if prior is not None:
-            if prior != msg.payload:
-                self.equivocations.setdefault(msg.signer, []).append(msg.payload)
-            return []
-        self._voted_by[msg.signer] = msg.payload
-        self.vote_signers.setdefault(msg.payload, set()).add(msg.signer)
         if not self.delivered and len(self.vote_signers[msg.payload]) >= self.params.quorum:
             self.delivered = True
             return [Output(msg.payload)]

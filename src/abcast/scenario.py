@@ -18,12 +18,10 @@ from .core import ConfigError, LeaderSchedule, Params
 from .engine import EngineOptions
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
                      PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
-                     run)
+                     check_placement, run)
 from .subproto import InstanceKey, Kind, parse_key
 
 SCENARIO_VERSION = 1
-
-_BACKENDS = {"bracha": "bracha", "gossip": "gossip", "gossip_quorum": "gossip"}
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -82,13 +80,6 @@ def _instance_key(text) -> InstanceKey:
     _expect(key is not None and key.round >= 0,
             f"bad instance {text!r}: expected rb/<round> or wba/<round>")
     return key
-
-
-def _int_like(v, what: str) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {v!r}") from None
 
 
 def _check_entry(entry):
@@ -184,10 +175,6 @@ class Scenario:
             _expect(self.mode == "engine", "auto horizon needs engine mode")
             horizon = self.auto_horizon(params)
         _expect(horizon > params.gst, "horizon must exceed gst")
-        for t, node, _ in self.injections:
-            _expect(t < horizon, f"injection at t={t} is beyond the horizon")
-            _expect(node < params.n + self.extra_nodes,
-                    f"injection target {node} does not exist")
         return RunConfig(
             params=params, schedule=self.schedule, backend=self.backend,
             digest_mode=self.digest_mode, seed=seed, horizon=horizon,
@@ -215,8 +202,7 @@ class Scenario:
 def _parse_adversary(obj: dict, n_total: int, mode: str):
     _expect(isinstance(obj, dict), f"adversary entry must be an object: {obj!r}")
     kind = obj.get("kind")
-    node = _int_field(obj, "node", minimum=0)
-    _expect(node < n_total, f"adversary node {node} does not exist")
+    node = _int_field(obj, "node")
     if kind == "crash":
         return CrashSpec(node, _int_field(obj, "at", default=0, minimum=0))
     if kind == "silent_leader":
@@ -231,18 +217,19 @@ def _parse_adversary(obj: dict, n_total: int, mode: str):
             nodes = _node_list(p.get("nodes", []), n_total, "partition nodes")
             _expect(nodes != (), "partition needs nodes")
             parent = p.get("parent", "bot")
-            if parent not in ("bot", "prev", None):
-                _int_like(parent, "partition parent")
+            _expect(parent in ("bot", "prev", None) or _is_int(parent),
+                    f'partition parent must be "bot", "prev", null or a round: {parent!r}')
             built.append(PartitionValue(nodes, _scalar(p.get("value"), "partition value"),
                                         parent))
         return EquivocatingProposerSpec(node, tuple(built))
     if kind == "flip_voter":
-        bits_doc = obj.get("bits", {})
-        _expect(isinstance(bits_doc, dict), "flip_voter bits must be an object")
-        bits = {_int_like(k, "flip_voter round"): _int_like(v, "flip_voter bit")
-                for k, v in bits_doc.items()}
-        _expect(all(v in (0, 1) for v in bits.values()), "flip bits must be 0/1")
-        return FlipVoterSpec(node, bits, _bool_field(obj, "equivocate"))
+        bits = obj.get("bits", {})
+        _expect(isinstance(bits, dict) and all(
+                    isinstance(k, str) and k.isascii() and k.isdigit()
+                    and _is_int(v) and v in (0, 1) for k, v in bits.items()),
+                f"flip_voter bits must map round numbers to 0 or 1, got {bits!r}")
+        return FlipVoterSpec(node, {int(k): v for k, v in bits.items()},
+                             _bool_field(obj, "equivocate"))
     if kind == "scripted":
         script = _list_field(obj, "script")
         for entry in script:
@@ -259,9 +246,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     p = doc.get("params")
     _expect(isinstance(p, dict), "missing params object")
     params = Params(n=_int_field(p, "n"), f=_int_field(p, "f"),
-                    delta=_int_field(p, "delta", minimum=1),
-                    gst=_int_field(p, "gst", minimum=0),
-                    sub_delay=_int_field(p, "Delta", minimum=1))
+                    delta=_int_field(p, "delta"), gst=_int_field(p, "gst"),
+                    sub_delay=_int_field(p, "Delta"))
 
     backend_doc = doc.get("backend", "bracha")
     if isinstance(backend_doc, str):
@@ -270,8 +256,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _expect(isinstance(backend_doc, dict), "backend must be a string or object")
         kind = backend_doc.get("kind", "bracha")
         digest_mode = _bool_field(backend_doc, "digest_mode")
-    _expect(isinstance(kind, str) and kind in _BACKENDS, f"unknown backend {kind!r}")
-    backend = _BACKENDS[kind]
+    _expect(isinstance(kind, str), f"backend kind must be a string, got {kind!r}")
+    backend = "gossip" if kind == "gossip_quorum" else kind     # a v1 alias
     _expect(not (digest_mode and backend != "gossip"),
             "digest_mode only applies to the gossip backend")
 
@@ -288,45 +274,36 @@ def scenario_from_dict(doc: dict) -> Scenario:
     extra_nodes = _int_field(sim, "extra_nodes", default=0, minimum=0)
     n_total = params.n + extra_nodes
     mode = doc.get("mode", "engine")
-    _expect(mode in ("engine", "raw"), f"unknown mode {mode!r}")
     adversaries = tuple(_parse_adversary(a, n_total, mode)
                         for a in _list_field(doc, "adversaries"))
     crashed = {a.node for a in adversaries if isinstance(a, CrashSpec)}
     driven = {a.node for a in adversaries if not isinstance(a, CrashSpec)}
     _expect(not (crashed & driven),
             "a node cannot both crash and run an adversary driver")
-    faulty_validators = {a.node for a in adversaries if a.node < params.n}
-    _expect(len(faulty_validators) <= params.f,
-            f"{len(faulty_validators)} faulty validators exceeds f={params.f}")
 
     injections = []
     for inj in _list_field(doc, "injections"):
         _expect(isinstance(inj, dict) and "value" in inj,
                 f"bad injection entry: {inj!r}")
         injections.append((_int_field(inj, "time", default=0),
-                           _int_field(inj, "node", minimum=0),
+                           _int_field(inj, "node"),
                            _scalar(inj["value"], "injection value")))
 
     opts_doc = doc.get("engine_options", {})
     _expect(isinstance(opts_doc, dict), "engine_options must be an object")
-    discipline = opts_doc.get("queue_discipline", "fifo")
-    _expect(discipline in ("fifo", "lifo"),
-            f"unknown queue discipline {discipline!r}")
     options = EngineOptions(
-        queue_discipline=discipline,
+        queue_discipline=opts_doc.get("queue_discipline", "fifo"),
         spam_window=_int_field(opts_doc, "spam_window", default=100, minimum=0))
 
     horizon = sim.get("horizon", "auto")
     if horizon != "auto":
-        _expect(isinstance(horizon, int) and not isinstance(horizon, bool)
-                and horizon > 0, 'horizon must be a positive integer or "auto"')
-    delay_law = sim.get("delay_law", "fixed")
-    _expect(delay_law in ("fixed", "uniform"), f"unknown delay law {delay_law!r}")
+        _expect(_is_int(horizon) and horizon > 0,
+                'horizon must be a positive integer or "auto"')
     gst_draw = None
     if "gst_draw" in sim:
         draw = sim["gst_draw"]
         _expect(isinstance(draw, list) and len(draw) == 2
-                and all(isinstance(x, int) for x in draw) and 0 <= draw[0] <= draw[1],
+                and all(map(_is_int, draw)) and 0 <= draw[0] <= draw[1],
                 "gst_draw must be [lo, hi] with 0 <= lo <= hi")
         gst_draw = (draw[0], draw[1])
 
@@ -336,8 +313,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"bad raw input entry: {ri!r}")
         _instance_key(ri["instance"])
         raw_inputs.append((_int_field(ri, "time", default=0),
-                           _int_field(ri, "node", minimum=0),
-                           ri["instance"], ri["value"]))
+                           _int_field(ri, "node"), ri["instance"], ri["value"]))
+    # the injection times wait for config_for, which knows the horizon
+    check_placement(n_total, params.f, adversaries, injections, raw_inputs)
 
     checks = tuple(_check_entry(entry) for entry in _list_field(doc, "checks"))
     return Scenario(
@@ -345,10 +323,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         schedule=schedule, adversaries=adversaries, injections=tuple(injections),
         options=options, seed=_int_field(sim, "seed", default=0),
         horizon=horizon,
-        pre_gst_max_delay=_int_field(sim, "pre_gst_max_delay", default=5, minimum=1),
-        delay_law=delay_law,
-        gossip_relay_latency=_int_field(sim, "gossip_relay_latency", default=1,
-                                        minimum=1),
+        pre_gst_max_delay=_int_field(sim, "pre_gst_max_delay", default=5),
+        delay_law=sim.get("delay_law", "fixed"),
+        gossip_relay_latency=_int_field(sim, "gossip_relay_latency", default=1),
         gst_draw=gst_draw, extra_nodes=extra_nodes, mode=mode,
         raw_inputs=tuple(raw_inputs), checks=checks)
 

@@ -23,9 +23,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
-from .core import ConfigError, Params, LeaderSchedule, is_validator
-from .subproto import (InstanceKey, Kind, InstanceTable, LocalInput, Recv,
-                       SendAll, GossipSend, Output, parse_key)
+from .core import ConfigError, Params, LeaderSchedule
+from .subproto import (InstanceKey, Kind, InstanceTable, Recv, SendAll,
+                       GossipSend, Output, parse_key)
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
 from .engine import (Engine, EngineOptions, Proposal, RestartTimer, InputRb,
@@ -99,6 +99,38 @@ class RunConfig:
     options: EngineOptions = field(default_factory=EngineOptions)
     mode: str = "engine"                     # "raw" runs bare instances, no engine
     raw_inputs: tuple = ()                   # (time, node, "rb/0", value)
+
+    def __post_init__(self) -> None:
+        """The value rules of a run, checked wherever a config is built."""
+        for what, value, known in (("backend", self.backend, ("bracha", "gossip")),
+                                   ("delay law", self.delay_law, ("fixed", "uniform")),
+                                   ("mode", self.mode, ("engine", "raw"))):
+            if value not in known:
+                raise ConfigError(f"unknown {what} {value!r}")
+        # a bound of 0 would make the uniform law's rejection loop spin
+        if self.pre_gst_max_delay < 1 or self.gossip_relay_latency < 1:
+            raise ConfigError("pre_gst_max_delay and gossip_relay_latency must be >= 1")
+        check_placement(self.params.n + self.extra_nodes, self.params.f,
+                        self.adversaries, self.injections, self.raw_inputs)
+        for t, _, _ in self.injections:
+            # an injection at the horizon could never be delivered in time
+            if t >= self.horizon:
+                raise ConfigError(f"injection at t={t} is not before the horizon")
+
+
+def check_placement(total: int, f: int, adversaries, injections,
+                    raw_inputs) -> None:
+    """The node ranges and the fault bound, for RunConfig and for the
+    scenario loader, which checks a file before its horizon is known.  At
+    most f distinct nodes may be faulty, observers included."""
+    for what, nodes in (("adversary node", [spec.node for spec in adversaries]),
+                        ("input target", [inp[1] for inp in (*injections, *raw_inputs)])):
+        for node in nodes:
+            if not 0 <= node < total:
+                raise ConfigError(f"{what} {node} does not exist")
+    faulty = {spec.node for spec in adversaries}
+    if len(faulty) > f:
+        raise ConfigError(f"{len(faulty)} faulty nodes exceeds the bound f={f}")
 
 
 def _encode_value(v):
@@ -331,12 +363,9 @@ class EquivocatingProposerDriver(Driver):
         self.done.add(r)
         key = InstanceKey(Kind.RB, r)
         for part in self.spec.partitions:
-            if part.parent == "prev":
+            parent = None if part.parent in ("bot", None) else part.parent
+            if parent == "prev":
                 parent = r - 1 if r > 0 else None
-            elif part.parent in ("bot", None):
-                parent = None
-            else:
-                parent = int(part.parent)
             prop = Proposal(part.value, parent)
             if self.backend == "bracha":
                 for to in part.nodes:
@@ -430,29 +459,8 @@ def _build_driver(spec, backend: str) -> Driver | None:
 
 class Simulation:
     def __init__(self, cfg: RunConfig):
-        if cfg.backend not in ("bracha", "gossip"):
-            raise ConfigError(f"unknown backend {cfg.backend!r}")
-        if cfg.delay_law not in ("fixed", "uniform"):
-            raise ConfigError(f"unknown delay law {cfg.delay_law!r}")
-        if cfg.pre_gst_max_delay < 1:
-            raise ConfigError("pre_gst_max_delay must be >= 1 (and finite)")
-        if cfg.mode not in ("engine", "raw"):
-            raise ConfigError(f"unknown mode {cfg.mode!r}")
         self.cfg = cfg
         self.total = cfg.params.n + cfg.extra_nodes
-        faulty = [a.node for a in cfg.adversaries]
-        if len(set(faulty)) > cfg.params.f:
-            raise ConfigError(
-                f"{len(set(faulty))} faulty nodes exceeds the bound f={cfg.params.f}")
-        for node in faulty:
-            if not 0 <= node < self.total:
-                raise ConfigError(f"adversary node {node} out of range")
-        for t, node, _ in cfg.injections:
-            if not 0 <= node < self.total:
-                raise ConfigError(f"injection targets unknown node {node}")
-            if t > cfg.horizon:
-                raise ConfigError(f"injection at {t} lies beyond the horizon")
-
         self.rng = random.Random(cfg.seed)
         self.trace = Trace(cfg.seed, meta={
             "backend": cfg.backend, "mode": cfg.mode, "n": cfg.params.n,

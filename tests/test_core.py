@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import abcast
 from abcast.core import (
     ConfigError,
     LeaderSchedule,
@@ -102,3 +103,16 @@ def test_schedule_rejects_incomplete_order():
         LeaderSchedule(4, order=(0, 1, 2, 2))
     with pytest.raises(ConfigError):
         LeaderSchedule(4, order=(0, 1, 2, 4))
+
+
+def test_public_surface_is_pinned():
+    assert abcast.__all__ == [
+        "CheckContext", "CheckReport", "ConfigError", "CrashSpec", "Engine",
+        "EngineOptions", "EquivocatingProposerSpec", "FlipVoterSpec",
+        "InstanceKey", "InternalInvariantError", "Kind", "LeaderSchedule",
+        "Params", "PartitionValue", "Proposal", "RunConfig", "Scenario",
+        "ScriptedSpec", "SilentLeaderSpec", "Simulation", "Trace", "TraceEvent",
+        "is_quorum", "load_scenario", "parse_key", "quorum_min_size", "run",
+        "run_checks", "scenario_from_dict",
+    ]
+    assert all(hasattr(abcast, name) for name in abcast.__all__)

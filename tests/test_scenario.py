@@ -101,6 +101,19 @@ def test_distinct_faulty_validators_bounded_by_f():
         scenario_from_dict(doc)
 
 
+def test_faulty_observer_counts_against_f():
+    # the fault bound counts every faulty node, observers included, as the
+    # simulator does
+    doc = base_doc()
+    doc["sim"]["extra_nodes"] = 1
+    doc["adversaries"] = [{"kind": "crash", "node": 4},
+                          {"kind": "silent_leader", "node": 3}]
+    with pytest.raises(ConfigError, match="faulty nodes"):
+        scenario_from_dict(doc)
+    doc["adversaries"] = [{"kind": "crash", "node": 4}]
+    assert scenario_from_dict(doc).correct_nodes() == (0, 1, 2, 3)
+
+
 def test_crash_excludes_drivers_on_same_node():
     doc = base_doc()
     doc["adversaries"] = [{"kind": "crash", "node": 3},
@@ -122,6 +135,15 @@ def _scripted(**entry):
     return [{"kind": "scripted", "node": 3,
              "script": [{"time": 1, "op": "send", "mkind": "vote", "payload": 1,
                          **entry}]}]
+
+
+def _flip_bits(bits):
+    return {"adversaries": [{"kind": "flip_voter", "node": 3, "bits": bits}]}
+
+
+def _partition_parent(parent):
+    return {"adversaries": [{"kind": "equivocating_proposer", "node": 3, "partitions": [
+        {"nodes": [0, 1], "value": "a", "parent": parent}]}]}
 
 
 MALFORMED = {
@@ -158,6 +180,17 @@ MALFORMED = {
         instance="rb/3", mkind="initial", payload={"value": "v", "ts": "x"})},
     "bare rb payload in engine mode": {"adversaries": _scripted(
         instance="rb/3", mkind="initial", payload="v")},
+    "fractional flip_voter bit": _flip_bits({"1": 1.9}),
+    "boolean flip_voter bit": _flip_bits({"2": True}),
+    "string flip_voter bit": _flip_bits({"3": "0"}),
+    "signed flip_voter round": _flip_bits({"-1": 1}),
+    "padded flip_voter round": _flip_bits({" 1": 1}),
+    "underscored flip_voter round": _flip_bits({"1_0": 1}),
+    "non-ascii flip_voter round": _flip_bits({"\u0661": 1}),
+    "fractional partition parent": _partition_parent(2.7),
+    "boolean partition parent": _partition_parent(True),
+    "string partition parent": _partition_parent("2"),
+    "boolean gst_draw bound": {"sim": {"horizon": 200, "gst_draw": [True, 5]}},
 }
 
 
@@ -167,6 +200,14 @@ def test_malformed_input_is_config_error_at_parse(patch):
     doc.update(copy.deepcopy(patch))
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
+
+def test_integer_fields_still_load():
+    doc = base_doc()
+    doc.update(_partition_parent(2))
+    assert scenario_from_dict(doc).adversaries[0].partitions[0].parent == 2
+    doc.update(_flip_bits({"0": 0, "12": 1}))
+    assert scenario_from_dict(doc).adversaries[0].bits == {0: 0, 12: 1}
+
 
 def test_booleans_are_json_booleans():
     doc = base_doc()

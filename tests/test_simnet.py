@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcast.core import LeaderSchedule, Params
+from abcast.checks import CheckContext, run_checks
+from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.engine import EngineOptions
 from abcast.simnet import (
     CrashSpec,
@@ -267,3 +268,67 @@ def test_send_and_deliver_events_share_fields_not_dicts(backend):
         assert {f: ev.data[f] for f in MSG_FIELDS} == fields
     dicts = [sends[0].data] + [ev.data for ev in delivers]
     assert len({id(d) for d in dicts}) == len(dicts)
+
+
+# Each value rule of a run lives in RunConfig, so a config built in code is
+# refused where it is built, not when it runs.
+BAD_RUN_CONFIGS = {
+    "unknown backend": dict(backend="gossip_quorum"),
+    "unknown delay law": dict(delay_law="normal"),
+    "unknown mode": dict(mode="batch"),
+    "zero pre-GST delay": dict(pre_gst_max_delay=0),
+    # getrandbits(0) is always 0, so the uniform law's draw loop never ends
+    "zero relay latency": dict(backend="gossip", delay_law="uniform",
+                               gossip_relay_latency=0),
+    "two faulty validators": dict(adversaries=(CrashSpec(2), SilentLeaderSpec(3))),
+    "a faulty observer and a faulty validator": dict(
+        extra_nodes=1, adversaries=(CrashSpec(4), SilentLeaderSpec(3))),
+    "adversary beyond the nodes": dict(adversaries=(CrashSpec(4),)),
+    "negative adversary node": dict(adversaries=(SilentLeaderSpec(-1),)),
+    "injection beyond the nodes": dict(injections=((0, 4, "v"),)),
+    "injection at the horizon": dict(injections=((150, 0, "v"),)),
+    "raw input beyond the nodes": dict(mode="raw", injections=(),
+                                       raw_inputs=((0, 5, "wba/0", 1),)),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_RUN_CONFIGS.values(), ids=list(BAD_RUN_CONFIGS))
+def test_bad_run_config_is_refused_at_construction(fields):
+    with pytest.raises(ConfigError):
+        make_cfg(**fields)
+
+
+def test_observer_injection_and_last_tick_before_horizon_are_accepted():
+    cfg = make_cfg(extra_nodes=1, adversaries=(CrashSpec(4),),
+                   injections=((149, 4, "v"),))
+    assert cfg.extra_nodes == 1
+    with pytest.raises(ConfigError):
+        replace(cfg, horizon=149)
+
+
+# A Byzantine proposer whose RB output the engine cannot chain from: a bare
+# value, or a proposal whose parent is not a round.  Scenario files refuse
+# both, but a driver built in code can send them.
+UNCHAINABLE = {"bare value": "x",
+               "string parent": {"value": "orphan", "parent": "x"}}
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+@pytest.mark.parametrize("payload", UNCHAINABLE.values(), ids=list(UNCHAINABLE))
+def test_unchainable_rb_output_is_never_accepted(backend, payload):
+    script = ({"time": 5, "op": "send", "to": "all", "instance": "rb/3",
+               "mkind": "initial", "payload": payload},)
+    cfg = make_cfg(backend=backend, gst=10, horizon=200,
+                   adversaries=(ScriptedSpec(3, script),))
+    trace = run(cfg)
+    outputs = [ev for ev in trace.iter_kind("sub_output")
+               if ev.data["instance"] == "rb/3" and ev.node != 3]
+    assert sorted(ev.node for ev in outputs) == [0, 1, 2]
+    # the round timer keeps firing up to the horizon
+    assert max(ev.time for ev in trace.events) > cfg.horizon - 2 * cfg.params.sub_delay
+    ctx = CheckContext(params=cfg.params, horizon=cfg.horizon,
+                       correct_nodes=(0, 1, 2), injections=cfg.injections)
+    reports = run_checks(trace, ctx, ["safety", "liveness"])
+    assert [r.status for r in reports] == ["pass", "pass"]
+    for node in (0, 1, 2):
+        assert [ev.data["value"] for ev in trace.ab_outputs()[node]] == ["v0", "v1"]
