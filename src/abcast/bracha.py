@@ -13,7 +13,7 @@ RB's seed is the first initial from the proposer; WBA's is the node's own
 echo (one vote) and one ready per instance, so the send flags are
 instance-global rather than per-value.  A Byzantine sender that backs two
 values is counted once in each value's tally; repeats for the same value
-are dropped.
+are dropped, and so is a payload that cannot be a tally key.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Params, LeaderSchedule, is_validator
+from .core import Params, LeaderSchedule, hashable, is_validator
 from .subproto import InstanceKey, Kind, LocalInput, Recv, SendAll, Output
 
 INITIAL = "initial"
@@ -61,7 +61,10 @@ class _EchoReady:
         tally = self._tallies.get(msg.kind)
         if tally is None or not is_validator(msg.sender, self.params):
             return []
-        seen = tally.setdefault(msg.payload, set())
+        try:
+            seen = tally.setdefault(msg.payload, set())
+        except TypeError:                # unhashable: see core.hashable
+            return []
         if msg.sender in seen:
             return []
         seen.add(msg.sender)
@@ -104,7 +107,8 @@ class BrachaRb(_EchoReady):
             return []
         if msg.kind != INITIAL:
             return self._count(msg)
-        if msg.sender != self.proposer or self.has_initial:
+        if (msg.sender != self.proposer or self.has_initial
+                or not hashable(msg.payload)):
             return []
         self.has_initial = True
         return self._fire(msg.payload, seed=True)

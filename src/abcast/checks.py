@@ -56,14 +56,6 @@ class CheckReport:
                 "violation": self.violation, "measured": self.measured}
 
 
-def _round_of(instance: str) -> int:
-    return int(instance.split("/", 1)[1])
-
-
-def _kind_of(instance: str) -> str:
-    return instance.split("/", 1)[0]
-
-
 def _violation(ctx: CheckContext, event) -> dict:
     return {"seed": ctx.seed, "event_index": event.seq}
 
@@ -139,20 +131,18 @@ def check_wba_contract(trace, ctx: CheckContext, slack: int | None = None) -> Ch
     if slack is None:
         slack = 2 * p.sub_delay
     need = p.quorum - p.f           # "more than q - f" as a minimum count
+    correct = set(ctx.correct_nodes)
+    validators = set(ctx.correct_validators)
     outputs: dict[int, dict[int, tuple]] = {}
     for ev in trace.iter_kind("sub_output"):
-        if _kind_of(ev.data["instance"]) != "wba" or ev.node not in ctx.correct_nodes:
-            continue
-        outputs.setdefault(_round_of(ev.data["instance"]), {})[ev.node] = (
-            ev.data["value"], ev)
+        kind, _, rnd = ev.data["instance"].partition("/")
+        if kind == "wba" and ev.node in correct:
+            outputs.setdefault(int(rnd), {})[ev.node] = (ev.data["value"], ev)
     inputs: dict[int, dict[int, tuple]] = {}
     for ev in trace.iter_kind("sub_input"):
-        if _kind_of(ev.data["instance"]) != "wba":
-            continue
-        if ev.node not in ctx.correct_validators:
-            continue
-        inputs.setdefault(_round_of(ev.data["instance"]), {})[ev.node] = (
-            ev.data["value"], ev.time)
+        kind, _, rnd = ev.data["instance"].partition("/")
+        if kind == "wba" and ev.node in validators:
+            inputs.setdefault(int(rnd), {})[ev.node] = (ev.data["value"], ev.time)
     checked = 0
     for rnd, by_node in sorted(outputs.items()):
         checked += 1
@@ -198,12 +188,12 @@ def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> Che
     bound = 3 * p.delta if ctx.backend == "bracha" else 2 * ctx.gossip_relay_latency
     if slack is None:
         slack = max(bound, p.sub_delay)
+    correct = set(ctx.correct_nodes)
     outputs: dict[int, dict[int, tuple]] = {}
     for ev in trace.iter_kind("sub_output"):
-        if _kind_of(ev.data["instance"]) != "rb" or ev.node not in ctx.correct_nodes:
-            continue
-        outputs.setdefault(_round_of(ev.data["instance"]), {})[ev.node] = (
-            ev.data["value"], ev)
+        kind, _, rnd = ev.data["instance"].partition("/")
+        if kind == "rb" and ev.node in correct:
+            outputs.setdefault(int(rnd), {})[ev.node] = (ev.data["value"], ev)
     for rnd, by_node in sorted(outputs.items()):
         values = {repr(v) for v, _ in by_node.values()}
         if len(values) > 1:
@@ -213,9 +203,10 @@ def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> Che
                                _violation(ctx, ev))
     terminated = 0
     for ev in trace.iter_kind("sub_input"):
-        if _kind_of(ev.data["instance"]) != "rb" or ev.node not in ctx.correct_nodes:
+        kind, _, rnd = ev.data["instance"].partition("/")
+        if kind != "rb" or ev.node not in correct:
             continue
-        rnd, t = _round_of(ev.data["instance"]), ev.time
+        rnd, t = int(rnd), ev.time
         deadline = max(t, p.gst) + slack
         if deadline > ctx.horizon:
             continue
@@ -300,7 +291,7 @@ def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
         if base < p.gst:
             return CheckReport("subprotocol_delay", INCONCLUSIVE,
                                f"{instance}: input before gst")
-        kind = _kind_of(instance)
+        kind = instance.partition("/")[0]
         if kind == "wba" and len({e.data["value"] for e in evs}) > 1:
             continue                     # exactness needs unanimity
         expect = base + offsets[kind]

@@ -75,6 +75,16 @@ def is_validator(node: int, params: Params) -> bool:
     return 0 <= node < params.n
 
 
+def hashable(payload: object) -> bool:
+    """Tallies key on payloads; a Byzantine sender can send one that cannot
+    be a key, and correct nodes drop it."""
+    try:
+        hash(payload)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class LeaderSchedule:
     """Maps rounds to proposers.

@@ -350,15 +350,22 @@ def explore_wba(inputs, params: Params, byz_budget=None,
 
 
 def _witness(initial: int, target: int, moves_of, apply_move):
-    """Shortest delivery sequence from the initial state to the target."""
+    """Shortest delivery sequence from the initial state to the target.
+
+    A packed state only ever gains bits (tallies and latches are set, never
+    cleared), so every state on a path to `target` is a sub-state of it.
+    Any other state is skipped: it could only discover states that are not
+    sub-states either, so the parent links, and the path, are those of the
+    unpruned breadth-first walk."""
     parent: dict[int, tuple] = {initial: None}
     frontier = [initial]
+    outside = ~target
     while frontier:
         nxt_frontier = []
         for state in frontier:
             for move in moves_of(state):
                 nxt = apply_move(state, move)
-                if nxt in parent:
+                if nxt & outside or nxt in parent:
                     continue
                 parent[nxt] = (state, move)
                 if nxt == target:

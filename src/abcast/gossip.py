@@ -13,13 +13,13 @@ which gossip is already spreading at least as fast as the echoes.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .core import Params, LeaderSchedule, is_validator
+from .core import Params, LeaderSchedule, hashable, is_validator
 from .subproto import InstanceKey, Kind, LocalInput, Recv, GossipSend, Output
+from .trace import compact_encoder
 
 INITIAL = "initial"
 ECHO = "echo"
@@ -28,7 +28,7 @@ VOTE = "vote"
 
 def canonical(payload: object) -> bytes:
     """Stable byte encoding used for both digests and signatures."""
-    return _CANONICAL.encode(payload).encode()
+    return _canonical(payload).encode()
 
 
 def _encode_opaque(obj: object):
@@ -37,9 +37,7 @@ def _encode_opaque(obj: object):
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
-# Built once: json.dumps with these arguments builds an encoder per call.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                              default=_encode_opaque)
+_canonical = compact_encoder(_encode_opaque)
 
 
 def digest(value: object) -> str:
@@ -111,8 +109,9 @@ def make_signed(scheme: SignatureScheme, signer: int, instance: InstanceKey,
 class _SignedMachine:
     """The signer dedup both gossip machines share: a validator's first
     payload of a kind counts; a different later one is kept in
-    `equivocations` as evidence but never tallied.  Each machine checks
-    signatures itself, at its own point, and counts failures."""
+    `equivocations` as evidence but never tallied, and a payload that
+    cannot be a tally key is dropped.  Each machine checks signatures
+    itself, at its own point, and counts failures."""
 
     def __init__(self, key: InstanceKey, params: Params, self_id: int,
                  scheme: SignatureScheme):
@@ -138,8 +137,12 @@ class _SignedMachine:
             if prior != msg.payload:
                 self.equivocations.setdefault(msg.signer, []).append(msg.payload)
             return False
+        try:
+            signers = tally.setdefault(msg.payload, set())
+        except TypeError:                # unhashable: see core.hashable
+            return False
         self._first[msg.signer] = msg.payload
-        tally.setdefault(msg.payload, set()).add(msg.signer)
+        signers.add(msg.signer)
         return True
 
 
@@ -169,7 +172,8 @@ class GossipRb(_SignedMachine):
             return []
         if msg.kind == ECHO:
             return self._try_output() if self._first_counts(msg, self.echo_signers) else []
-        if msg.kind != INITIAL or msg.signer != self.proposer:
+        if (msg.kind != INITIAL or msg.signer != self.proposer
+                or not hashable(msg.payload)):
             return []
         out = []
         if not self.has_initial:

@@ -66,9 +66,10 @@ def _scalar(v, what: str):
     return v
 
 
-def _node_list(v, n_total: int, what: str) -> tuple:
-    _expect(isinstance(v, list) and all(_is_int(x) and 0 <= x < n_total for x in v),
-            f"{what} must be a list of existing node ids, got {v!r}")
+def _node_list(v, what: str) -> tuple:
+    """A list of integer node ids; check_placement checks that they exist."""
+    _expect(isinstance(v, list) and all(map(_is_int, v)),
+            f"{what} must be a list of node ids, got {v!r}")
     return tuple(v)
 
 
@@ -99,7 +100,7 @@ def _check_entry(entry):
     return entry
 
 
-def _check_script_entry(entry, n_total: int, mode: str) -> None:
+def _check_script_entry(entry, mode: str) -> None:
     _expect(isinstance(entry, dict) and "time" in entry and "op" in entry,
             f"bad script entry: {entry!r}")
     _int_field(entry, "time", minimum=0)
@@ -108,7 +109,7 @@ def _check_script_entry(entry, n_total: int, mode: str) -> None:
             f"script entry needs a string mkind: {entry!r}")
     to = entry.get("to", "all")
     if to != "all":
-        _node_list(to, n_total, "script entry 'to'")
+        _node_list(to, "script entry 'to'")
     forged = entry.get("forge_signer")
     _expect(forged is None or _is_int(forged), f"bad forge_signer {forged!r}")
     payload = entry.get("payload")
@@ -199,7 +200,7 @@ class Scenario:
         return trace, reports, cfg
 
 
-def _parse_adversary(obj: dict, n_total: int, mode: str):
+def _parse_adversary(obj: dict, mode: str):
     _expect(isinstance(obj, dict), f"adversary entry must be an object: {obj!r}")
     kind = obj.get("kind")
     node = _int_field(obj, "node")
@@ -214,7 +215,7 @@ def _parse_adversary(obj: dict, n_total: int, mode: str):
         built = []
         for p in parts:
             _expect(isinstance(p, dict), f"partition must be an object: {p!r}")
-            nodes = _node_list(p.get("nodes", []), n_total, "partition nodes")
+            nodes = _node_list(p.get("nodes", []), "partition nodes")
             _expect(nodes != (), "partition needs nodes")
             parent = p.get("parent", "bot")
             _expect(parent in ("bot", "prev", None) or _is_int(parent),
@@ -233,7 +234,7 @@ def _parse_adversary(obj: dict, n_total: int, mode: str):
     if kind == "scripted":
         script = _list_field(obj, "script")
         for entry in script:
-            _check_script_entry(entry, n_total, mode)
+            _check_script_entry(entry, mode)
         return ScriptedSpec(node, tuple(script))
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
@@ -274,12 +275,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     extra_nodes = _int_field(sim, "extra_nodes", default=0, minimum=0)
     n_total = params.n + extra_nodes
     mode = doc.get("mode", "engine")
-    adversaries = tuple(_parse_adversary(a, n_total, mode)
+    adversaries = tuple(_parse_adversary(a, mode)
                         for a in _list_field(doc, "adversaries"))
-    crashed = {a.node for a in adversaries if isinstance(a, CrashSpec)}
-    driven = {a.node for a in adversaries if not isinstance(a, CrashSpec)}
-    _expect(not (crashed & driven),
-            "a node cannot both crash and run an adversary driver")
 
     injections = []
     for inj in _list_field(doc, "injections"):

@@ -120,10 +120,21 @@ class RunConfig:
 
 def check_placement(total: int, f: int, adversaries, injections,
                     raw_inputs) -> None:
-    """The node ranges and the fault bound, for RunConfig and for the
-    scenario loader, which checks a file before its horizon is known.  At
-    most f distinct nodes may be faulty, observers included."""
+    """The node ranges, the fault bound and the crash rule, for RunConfig
+    and for the scenario loader, which checks a file before its horizon is
+    known.  Every node an adversary is, or sends to, exists; at most f
+    distinct nodes may be faulty, observers included; and a node that
+    crashes runs no driver, since a driven node has no correct stack to
+    stop."""
+    targets = []
+    for spec in adversaries:
+        if isinstance(spec, EquivocatingProposerSpec):
+            targets += [node for part in spec.partitions for node in part.nodes]
+        elif isinstance(spec, ScriptedSpec):
+            targets += [node for entry in spec.script
+                        if entry.get("to", "all") != "all" for node in entry["to"]]
     for what, nodes in (("adversary node", [spec.node for spec in adversaries]),
+                        ("adversary target", targets),
                         ("input target", [inp[1] for inp in (*injections, *raw_inputs)])):
         for node in nodes:
             if not 0 <= node < total:
@@ -131,6 +142,10 @@ def check_placement(total: int, f: int, adversaries, injections,
     faulty = {spec.node for spec in adversaries}
     if len(faulty) > f:
         raise ConfigError(f"{len(faulty)} faulty nodes exceeds the bound f={f}")
+    crashed = {spec.node for spec in adversaries if isinstance(spec, CrashSpec)}
+    if any(spec.node in crashed for spec in adversaries
+           if not isinstance(spec, CrashSpec)):
+        raise ConfigError("a node cannot both crash and run an adversary driver")
 
 
 def _encode_value(v):

@@ -2,21 +2,45 @@
 
 The first line of a trace file is a header record carrying the format
 version and the run's seed; every following line is one event with at least
-``time``, ``seq`` and ``kind``.  Event payloads are already JSON-shaped when
-recorded, so serialization is a straight dump.
+``time``, ``seq`` and ``kind``.  Each line holds exactly one JSON object and
+is byte-for-byte what ``json.dumps(rec, sort_keys=True, separators=(",",
+":"))`` gives for its record; the encoder behind it is built once, at
+import.  Event payloads are already JSON-shaped when recorded, so
+serialization is a straight dump.
+
+The derived views the checkers read (events by kind, per-node rounds) come
+from one index, built on the first view call and rebuilt only when the
+trace has grown since; recording an event never touches it.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 TRACE_VERSION = 1
 
-# Built once: json.dumps with these arguments builds an encoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
+
+
+def compact_encoder(default=None):
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+    default=default)`` as a one-argument function.  ``JSONEncoder.encode``
+    builds a C encoder on every call; this builds it once, or, without the
+    C accelerator, falls back to that same ``encode``."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=default)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    # circular-reference markers off: records are trees built by the program
+    c_encode = make(None, encoder.default, json.encoder.encode_basestring_ascii,
+                    None, ":", ",", True, False, True)
+    return lambda obj: "".join(c_encode(obj, 0))
+
+
+_encode = compact_encoder()
 
 
 @dataclass(slots=True)
@@ -32,7 +56,31 @@ class TraceEvent:
         if self.node is not None:
             rec["node"] = self.node
         rec.update(self.data)
-        return _ENCODER.encode(rec)
+        return _encode(rec)
+
+
+class _Index:
+    """The events of one trace by kind, plus per node its advance times,
+    ascending, and the highest round it had reached at each."""
+
+    __slots__ = ("by_kind", "rounds")
+
+    def __init__(self, events: list[TraceEvent]):
+        by_kind = defaultdict(list)
+        for ev in events:
+            by_kind[ev.kind].append(ev)
+        self.by_kind = by_kind
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for ev in by_kind.get("advance", ()):
+            pairs.setdefault(ev.node, []).append((ev.time, ev.data["round"]))
+        self.rounds: dict[int, tuple[list[int], list[int]]] = {}
+        for node, seen in pairs.items():
+            seen.sort()
+            best, highs = 0, []
+            for _, rnd in seen:
+                best = max(best, rnd)
+                highs.append(best)
+            self.rounds[node] = ([t for t, _ in seen], highs)
 
 
 class Trace:
@@ -41,8 +89,8 @@ class Trace:
         self.meta = meta or {}
         self.events: list[TraceEvent] = []
         self._seq = 0
-        self._advance_index: dict[int, tuple[list[int], list[int]]] = {}
-        self._advance_indexed = -1           # len(events) when last indexed
+        self._index: _Index | None = None
+        self._indexed = -1                   # len(events) when last indexed
 
     def append(self, time: int, kind: str, node: int | None = None, **data) -> TraceEvent:
         ev = TraceEvent(time, self._seq, kind, node, data)
@@ -50,10 +98,16 @@ class Trace:
         self.events.append(ev)
         return ev
 
-    def iter_kind(self, kind: str):
-        return (ev for ev in self.events if ev.kind == kind)
-
     # -- derived views used by the checkers ---------------------------------
+
+    def _views(self) -> _Index:
+        if self._indexed != len(self.events):
+            self._index = _Index(self.events)
+            self._indexed = len(self.events)
+        return self._index
+
+    def iter_kind(self, kind: str):
+        return iter(self._views().by_kind.get(kind, ()))
 
     def ab_outputs(self) -> dict[int, list[TraceEvent]]:
         """Per-node totally ordered delivery events, in trace order."""
@@ -75,25 +129,9 @@ class Trace:
             adv.setdefault(ev.node, []).append(ev)
         return adv
 
-    def _advances_by_node(self) -> dict[int, tuple[list[int], list[int]]]:
-        """Per node: its advance times, ascending, and the highest round it
-        had reached at each.  Built once and rebuilt only if the trace grew."""
-        if self._advance_indexed != len(self.events):
-            index = {}
-            for node, evs in self.advances().items():
-                pairs = sorted((ev.time, ev.data["round"]) for ev in evs)
-                best, highs = 0, []
-                for _, rnd in pairs:
-                    best = max(best, rnd)
-                    highs.append(best)
-                index[node] = ([t for t, _ in pairs], highs)
-            self._advance_index = index
-            self._advance_indexed = len(self.events)
-        return self._advance_index
-
     def current_round_at(self, node: int, when: int) -> int:
         """The node's round counter after all events at `when` are in."""
-        times, highs = self._advances_by_node().get(node, ((), ()))
+        times, highs = self._views().rounds.get(node, ((), ()))
         i = bisect_right(times, when)
         return highs[i - 1] if i else 0
 
@@ -107,9 +145,9 @@ class Trace:
     # -- (de)serialization ---------------------------------------------------
 
     def to_jsonl(self) -> str:
-        header = _ENCODER.encode({"kind": "trace_header", "version": TRACE_VERSION,
-                                  "seed": self.seed, **self.meta})
-        return "\n".join([header] + [ev.to_json() for ev in self.events]) + "\n"
+        header = _encode({"kind": "trace_header", "version": TRACE_VERSION,
+                          "seed": self.seed, **self.meta})
+        return "\n".join([header, *map(TraceEvent.to_json, self.events)]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
@@ -131,8 +169,17 @@ class Trace:
                 if k not in ("kind", "version", "seed")}
         trace = cls(seed=header.get("seed", 0), meta=meta)
         events = trace.events
+        # The decoder's own scanner; a line it cannot read whole, from its
+        # first character to its last, goes through `decode`, which accepts
+        # surrounding whitespace and raises on anything else.
+        scan = _DECODER.scan_once
         for i, ln in numbered:
-            rec = decode(ln)
+            try:
+                rec, end = scan(ln, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(ln):
+                rec = decode(ln)
             if type(rec) is not dict:
                 raise ValueError(f"trace line {i} is not a JSON object")
             time, seq = rec.pop("time", None), rec.pop("seq", None)

@@ -135,6 +135,45 @@ def test_distorted_quorum_breaks_validity():
     assert len(v["path"]) == 13
 
 
+def _unpruned_witness(initial, target, moves_of, apply_move):
+    """The breadth-first walk to `target` that visits every reachable state."""
+    parent = {initial: None}
+    frontier = [initial]
+    while frontier:
+        nxt_frontier = []
+        for state in frontier:
+            for move in moves_of(state):
+                nxt = apply_move(state, move)
+                if nxt in parent:
+                    continue
+                parent[nxt] = (state, move)
+                if nxt == target:
+                    path = []
+                    while parent[nxt] is not None:
+                        nxt, move = parent[nxt]
+                        path.append(move)
+                    return tuple(reversed(path))
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    return ()
+
+
+def test_pruned_witness_equals_the_unpruned_walk():
+    # The witness search skips states that are not sub-states of the
+    # target; on the 13-step case the path must be the full walk's.
+    weak = Thresholds(quorum=2, amplify=2, output=3)
+    inputs = (0, 1, 1)
+    budget = [(k, 0, r) for k in ("vote", "ready") for r in range(3)]
+    path = explore_wba(inputs, PARAMS, byz_budget=budget,
+                       thresholds=weak).violation["path"]
+    initial = state = _wba_initial(inputs, weak)
+    for move in path:
+        state = _wba_apply(state, move, inputs, weak)
+    assert path == _unpruned_witness(
+        initial, state, lambda s: _wba_moves(s, inputs, budget, len(inputs)),
+        lambda s, m: _wba_apply(s, m, inputs, weak))
+
+
 def test_distorted_rb_output_threshold_breaks_agreement():
     res = explore_rb(PARAMS, thresholds=Thresholds(quorum=3, amplify=2, output=1),
                      byz_budget=[("ready", 0, 0), ("ready", 1, 1)])

@@ -1,11 +1,13 @@
-"""The round engine's work per trace event must not grow with the run.
+"""Work per trace event must not grow with the run, nor with the checks.
 
-Timings would make this flaky, so it counts calls into the engine's view
-(the InstanceTable methods the engine reads) per trace event instead.  An
+Timings would make this flaky, so it counts work instead.  The engine's
+view calls (the InstanceTable methods the engine reads) per trace event: an
 engine that rescans every earlier round on each event makes that ratio
-grow with the horizon.
+grow with the horizon.  And the walks the checkers make over the event
+list: one index build per trace, not one walk per view.
 """
 
+from abcast.checks import CheckContext, run_checks
 from abcast.core import LeaderSchedule, Params
 from abcast.simnet import RunConfig, run
 from abcast.subproto import InstanceTable
@@ -40,3 +42,28 @@ def test_view_calls_per_event_flat_in_horizon(monkeypatch):
     long = _view_calls_per_event(monkeypatch, 2000)
     assert short > 0
     assert long <= 1.5 * short, (short, long)
+
+
+class _CountingList(list):
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+STREAM_CHECKS = ("safety", "liveness", "wba_contract", "rb_contract",
+                 "round_advance", "spread", "engine_invariants")
+
+
+def test_stream_checks_walk_the_events_once():
+    params = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
+    injections = tuple((t, i % 4, f"v{i}") for i, t in enumerate(range(0, 400, 10)))
+    trace = run(RunConfig(params=params, schedule=LeaderSchedule(4), seed=3,
+                          horizon=400, delay_law="uniform", injections=injections))
+    trace.events = _CountingList(trace.events)
+    ctx = CheckContext(params=params, horizon=400, correct_nodes=(0, 1, 2, 3),
+                       injections=injections)
+    reports = run_checks(trace, ctx, STREAM_CHECKS)
+    assert [r.status for r in reports] == ["pass"] * len(STREAM_CHECKS)
+    assert trace.events.walks == 1

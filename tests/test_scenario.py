@@ -191,6 +191,11 @@ MALFORMED = {
     "boolean partition parent": _partition_parent(True),
     "string partition parent": _partition_parent("2"),
     "boolean gst_draw bound": {"sim": {"horizon": 200, "gst_draw": [True, 5]}},
+    "script target beyond the nodes": {"adversaries": _scripted(instance="wba/0",
+                                                                to=[7])},
+    "partition node beyond the nodes": {"adversaries": [{
+        "kind": "equivocating_proposer", "node": 3,
+        "partitions": [{"nodes": [0, 4], "value": "a"}]}]},
 }
 
 

@@ -285,6 +285,14 @@ BAD_RUN_CONFIGS = {
         extra_nodes=1, adversaries=(CrashSpec(4), SilentLeaderSpec(3))),
     "adversary beyond the nodes": dict(adversaries=(CrashSpec(4),)),
     "negative adversary node": dict(adversaries=(SilentLeaderSpec(-1),)),
+    "script target beyond the nodes": dict(adversaries=(ScriptedSpec(3, (
+        {"time": 1, "op": "send", "to": [7], "instance": "wba/0",
+         "mkind": "vote", "payload": 1},)),)),
+    "partition node beyond the nodes": dict(adversaries=(
+        EquivocatingProposerSpec(3, (PartitionValue((0, 7), "x"),)),)),
+    # a driven node has no correct stack for the crash to stop
+    "a node that crashes and runs a driver": dict(
+        adversaries=(CrashSpec(3, 0), SilentLeaderSpec(3))),
     "injection beyond the nodes": dict(injections=((0, 4, "v"),)),
     "injection at the horizon": dict(injections=((150, 0, "v"),)),
     "raw input beyond the nodes": dict(mode="raw", injections=(),
@@ -326,6 +334,27 @@ def test_unchainable_rb_output_is_never_accepted(backend, payload):
     assert sorted(ev.node for ev in outputs) == [0, 1, 2]
     # the round timer keeps firing up to the horizon
     assert max(ev.time for ev in trace.events) > cfg.horizon - 2 * cfg.params.sub_delay
+    ctx = CheckContext(params=cfg.params, horizon=cfg.horizon,
+                       correct_nodes=(0, 1, 2), injections=cfg.injections)
+    reports = run_checks(trace, ctx, ["safety", "liveness"])
+    assert [r.status for r in reports] == ["pass", "pass"]
+    for node in (0, 1, 2):
+        assert [ev.data["value"] for ev in trace.ab_outputs()[node]] == ["v0", "v1"]
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_unhashable_rb_payload_is_dropped(backend):
+    # Tallies key on payloads, so a proposal holding a list cannot be
+    # counted; correct nodes drop it as they drop a non-validator sender.
+    payload = {"value": [1], "parent": None}
+    script = tuple({"time": 5, "op": "send", "to": "all", "instance": "rb/3",
+                    "mkind": mkind, "payload": payload}
+                   for mkind in ("initial", "echo", "ready"))
+    cfg = make_cfg(backend=backend, horizon=200,
+                   adversaries=(ScriptedSpec(3, script),))
+    trace = run(cfg)
+    assert not [ev for ev in trace.iter_kind("sub_output")
+                if ev.data["instance"] == "rb/3"]
     ctx = CheckContext(params=cfg.params, horizon=cfg.horizon,
                        correct_nodes=(0, 1, 2), injections=cfg.injections)
     reports = run_checks(trace, ctx, ["safety", "liveness"])

@@ -1,7 +1,11 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abcast import trace as trace_module
 from abcast.trace import Trace, TraceEvent
 
 
@@ -68,6 +72,8 @@ START = '{"kind":"start","node":0,"seq":0,"time":0}'
 @pytest.mark.parametrize("line", [
     "{}", "1", "[]", '"start"', "null",
     START + "," + START, START + " " + START, "[" + START + "]",
+    # one object split over two lines: each line alone is not JSON
+    '{"a":[{}\n{}]},{"b":1}',
     '{"seq":0,"kind":"start"}', '{"time":0,"kind":"start"}', '{"time":0,"seq":0}',
     '{"time":"0","seq":0,"kind":"start"}', '{"time":0,"seq":0.0,"kind":"start"}',
     '{"time":true,"seq":0,"kind":"start"}', '{"time":0,"seq":0,"kind":7}',
@@ -95,9 +101,70 @@ def test_current_round_at_matches_a_rescan():
                  round=rng.randint(1, 30))
     for node in range(4):
         for when in range(-1, 52):
-            expect = max((ev.data["round"] for ev in t.iter_kind("advance")
-                          if ev.node == node and ev.time <= when), default=0)
+            expect = max((ev.data["round"] for ev in t.events
+                          if ev.kind == "advance" and ev.node == node
+                          and ev.time <= when), default=0)
             assert t.current_round_at(node, when) == expect
     # The index follows a trace that grows after it was built.
     t.append(60, "advance", 0, round=99)
     assert t.current_round_at(0, 60) == 99
+
+
+def test_views_see_events_appended_after_an_earlier_call():
+    t = sample_trace()
+    views = (t.ab_outputs, t.sub_outputs, t.sub_inputs, t.advances)
+    before = [view() for view in views]
+    assert list(t.iter_kind("sub_input")) == []
+    t.append(12, "ab_output", 1, value="v", round=0, position=0)
+    t.append(12, "sub_output", 1, instance="rb/0", value="v")
+    t.append(12, "sub_input", 1, instance="wba/0", value=1)
+    t.append(12, "advance", 1, round=1)
+    after = [view() for view in views]
+    assert 1 not in before[0] and after[0][1][0].time == 12
+    assert (1, "rb/0") not in before[1] and after[1][(1, "rb/0")].time == 12
+    assert before[2] == {} and after[2][(1, "wba/0")].data["value"] == 1
+    assert 1 not in before[3] and after[3][1][0].data["round"] == 1
+    assert [ev.seq for ev in t.iter_kind("sub_input")] == [8]
+    assert t.current_round_at(1, 12) == 1
+
+
+# Strings that look like the JSON around them, plus any text at all.
+_TRICKY = st.one_of(st.text(), st.sampled_from(
+    ["},{", '"', "\\", '\\"', "\n", "{\"a\":[{}", "\u2028", "\x85", "\u00e9"]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _TRICKY,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TRICKY, inner, max_size=4),
+    max_leaves=12)
+_EVENT = st.tuples(
+    st.integers(0, 10**6), _TRICKY, st.none() | st.integers(0, 20),
+    st.dictionaries(_TRICKY.filter(lambda k: k not in ("time", "seq", "kind", "node")),
+                    _JSON, max_size=4))
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(events=st.lists(_EVENT, max_size=6))
+def test_lines_are_json_dumps_and_round_trip(c_encoder, events):
+    with pytest.MonkeyPatch.context() as mp:
+        if not c_encoder:
+            # no C accelerator: the encoder falls back to JSONEncoder.encode
+            mp.setattr(json.encoder, "c_make_encoder", None)
+            mp.setattr(trace_module, "_encode", trace_module.compact_encoder())
+        t = Trace(seed=3, meta={"backend": "bracha"})
+        for time, kind, node, data in events:
+            t.append(time, kind, node, **data)
+        text = t.to_jsonl()
+    expect = []
+    for ev in t.events:
+        rec = {"time": ev.time, "seq": ev.seq, "kind": ev.kind}
+        if ev.node is not None:
+            rec["node"] = ev.node
+        rec.update(ev.data)
+        expect.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    assert text.splitlines()[1:] == expect
+    back = Trace.from_jsonl(text)
+    assert [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in back.events] == [
+        (ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in t.events]
+    assert back.to_jsonl() == text
