@@ -34,6 +34,15 @@ class CheckContext:
     def correct_validators(self) -> list[int]:
         return [v for v in self.correct_nodes if v < self.params.n]
 
+    @property
+    def bounds(self) -> dict[str, int]:
+        """Post-GST completion bounds in ticks by instance kind: RB 3*delta
+        and WBA 2*delta on bracha, 2 and 1 relay times on gossip."""
+        if self.backend == "bracha":
+            return {"rb": 3 * self.params.delta, "wba": 2 * self.params.delta}
+        g = self.gossip_relay_latency
+        return {"rb": 2 * g, "wba": g}
+
 
 @dataclass
 class CheckReport:
@@ -185,7 +194,7 @@ def check_wba_contract(trace, ctx: CheckContext, slack: int | None = None) -> Ch
 def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> CheckReport:
     """Agreement plus weak termination and the post-GST delay bound."""
     p = ctx.params
-    bound = 3 * p.delta if ctx.backend == "bracha" else 2 * ctx.gossip_relay_latency
+    bound = ctx.bounds["rb"]
     if slack is None:
         slack = max(bound, p.sub_delay)
     correct = set(ctx.correct_nodes)
@@ -231,7 +240,7 @@ def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> Che
 def check_round_advance(trace, ctx: CheckContext, max_round: int | None = None) -> CheckReport:
     """After GST every node's round counter reaches r by gst + 3r*Delta."""
     p = ctx.params
-    bound = 3 * p.delta if ctx.backend == "bracha" else 2 * ctx.gossip_relay_latency
+    bound = ctx.bounds["rb"]
     if p.sub_delay < bound:
         return CheckReport("round_advance", INCONCLUSIVE,
                            f"configured subprotocol delay {p.sub_delay} is below the "
@@ -260,21 +269,16 @@ def check_round_advance(trace, ctx: CheckContext, max_round: int | None = None) 
 
 
 def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
-    """Exact output offsets for cleanly driven instances, in ticks.
-
-    Direct backend: broadcast completes input+3*delta, binary agreement
-    input+2*delta.  Gossip backend: 2 and 1 relay times respectively.  Only
-    meaningful for fixed-law runs whose inputs all land at or after GST.
+    """Exact output offsets for cleanly driven instances, in ticks: each
+    output lands at its input plus the backend's bound (`ctx.bounds`).
+    Only meaningful for fixed-law runs whose inputs all land at or after
+    GST.
     """
     p = ctx.params
     if ctx.delay_law != "fixed":
         return CheckReport("subprotocol_delay", INCONCLUSIVE,
                            "exact offsets only hold under the fixed delay law")
-    if ctx.backend == "bracha":
-        offsets = {"rb": 3 * p.delta, "wba": 2 * p.delta}
-    else:
-        g = ctx.gossip_relay_latency
-        offsets = {"rb": 2 * g, "wba": g}
+    offsets = ctx.bounds
     inputs: dict[str, list] = {}
     for ev in trace.iter_kind("sub_input"):
         if ev.node in ctx.correct_nodes:

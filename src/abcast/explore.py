@@ -1,14 +1,18 @@
 """Exhaustive interleaving search over small broadcast instances.
 
 This is a brute-force oracle, deliberately independent of the stateful
-machines in bracha.py.  Each correct validator is a packed integer: four
-4-bit sender tallies plus a latched output field.  The Byzantine validator
-is modelled as a fixed pool of messages it may inject, each deliverable at
-any point and at most once per recipient (tallies deduplicate senders), so
-the search over delivery orders covers every adversary behaviour within
-that budget.  A message is in flight exactly when its sender has sent it
-and it is absent from the recipient's tally, so the packed tuple of
-validator states is the whole configuration.
+machines in bracha.py.  As there, reliable broadcast and binary agreement
+are one echo/ready amplifier: each correct validator is one packed integer
+holding four 4-bit sender tallies, an output latch and a seed latch, and it
+echoes its seed value unprompted.  Binary agreement seeds a validator with
+its input in the initial state; reliable broadcast, with the first initial
+the Byzantine proposer delivers.  The Byzantine validator is modelled as a
+fixed pool of messages it may inject, each deliverable at any point and at
+most once per recipient (tallies deduplicate senders; a seed, once set,
+stays), so the search over delivery orders covers every adversary
+behaviour within that budget.  A message is in flight exactly when its
+sender has sent it and it is absent from the recipient's tally, so the
+packed tuple of validator states is the whole configuration.
 
 Correct validators with equal inputs are interchangeable when the
 Byzantine budget treats their ids alike (its message set is unchanged
@@ -24,14 +28,14 @@ unreduced one; a violation found under a larger G is searched for again
 under the identity, so the reported count and witness do not depend on G.
 
 The tallies are order-independent sets; all order dependence funnels
-through the latches (a validator backs one bit, outputs once), which the
-packed state records, so visiting every reachable state is equivalent to
-trying every delivery interleaving.
+through the latches (a validator echoes one value, readies one, outputs
+and is seeded once), which the packed state records, so visiting every
+reachable state is equivalent to trying every delivery interleaving.
 
-Layout per validator, low to high bits: tally of bit-0 votes (echoes),
-tally of bit-1 votes, tally of bit-0 readies, tally of bit-1 readies,
-2-bit output latch (0 none, 1+bit otherwise); reliable-broadcast states
-add a 2-bit first-initial latch.  Three validators pack into one int.
+Layout per validator, low to high bits: tallies of value-0 echoes
+(binary agreement's votes), value-1 echoes, value-0 readies and value-1
+readies, then the 2-bit output latch at bit 16 and the 2-bit seed latch at
+bit 18 (0 none, 1+value otherwise).  Three validators pack into one int.
 """
 
 from __future__ import annotations
@@ -43,6 +47,12 @@ from operator import getitem, xor
 from .core import Params
 
 _W = 4              # tally width: senders 0..2 correct, 3 Byzantine
+_OUT = 16           # output latch
+_SEED = 18          # seed latch
+_BITS = 20          # one validator's word
+_MASK = (1 << _BITS) - 1
+# Byzantine budget kinds, keyed by the protocol's name for an echo (WBA, RB)
+_BUDGET_KINDS = {"vote": ("vote", "ready"), "echo": ("echo", "ready", "initial")}
 
 
 @dataclass(frozen=True)
@@ -84,89 +94,96 @@ def default_wba_budget(correct: int = 3) -> list[tuple]:
             for rcpt in range(correct)]
 
 
-# -- packed binary-agreement machines ----------------------------------------
-# fields: votes0 | votes1<<4 | readies0<<8 | readies1<<12 | out<<16
+def default_rb_budget(correct: int = 3) -> list[tuple]:
+    """Equivocating initials plus ready amplification for both values."""
+    return [(kind, v, rcpt)
+            for kind in ("initial", "ready")
+            for v in (0, 1)
+            for rcpt in range(correct)]
 
-_OUT_SHIFT = 16
-_V_BITS = 18
+
+# -- the packed echo/ready machine --------------------------------------------
+# fields: echoes0 | echoes1<<4 | readies0<<8 | readies1<<12 | out<<16 | seed<<18
+
+def _tally_bit(kind: str, v: int, sender: int) -> int:
+    return 1 << ((8 if kind == "ready" else 0) + _W * v + sender)
 
 
-def _wba_fire(st: int, me: int, bit: int, inp, th: Thresholds) -> int:
-    both_votes = (st | (st >> _W)) & 0xF
+def _fire(st: int, me: int, v: int, th: Thresholds) -> int:
+    """Apply every rule the tallies for value `v` now enable."""
+    both_echoes = (st | (st >> _W)) & 0xF
     both_readies = ((st >> 8) | (st >> 12)) & 0xF
+    seeded = st >> _SEED == 1 + v
     while True:
-        votes = (st >> (_W * bit)) & 0xF
-        readies = (st >> (8 + _W * bit)) & 0xF
-        trigger = votes.bit_count() >= th.quorum or readies.bit_count() >= th.amplify
-        if not both_votes >> me & 1 and (inp == bit or trigger):
-            st |= 1 << (_W * bit + me)
-            both_votes |= 1 << me
+        echoes = (st >> (_W * v)) & 0xF
+        readies = (st >> (8 + _W * v)) & 0xF
+        trigger = (echoes.bit_count() >= th.quorum
+                   or readies.bit_count() >= th.amplify)
+        if not both_echoes >> me & 1 and (seeded or trigger):
+            st |= 1 << (_W * v + me)
+            both_echoes |= 1 << me
             continue
         if not both_readies >> me & 1 and trigger:
-            st |= 1 << (8 + _W * bit + me)
+            st |= 1 << (8 + _W * v + me)
             both_readies |= 1 << me
             continue
-        if not st >> _OUT_SHIFT and readies.bit_count() >= th.output:
-            st |= (1 + bit) << _OUT_SHIFT
+        if not st >> _OUT & 0x3 and readies.bit_count() >= th.output:
+            st |= (1 + v) << _OUT
             continue
         return st
 
 
-def _wba_deliver(st: int, me: int, kind: str, bit: int, sender: int, inp,
-                 th: Thresholds) -> int:
-    shift = (_W * bit) if kind == "vote" else (8 + _W * bit)
-    if st >> (shift + sender) & 1:
-        return st
-    return _wba_fire(st | 1 << (shift + sender), me, bit, inp, th)
-
-
-def _wba_moves(state: int, inputs, budget, byz: int):
-    """All deliverable messages, as (kind, bit, sender, recipient)."""
-    correct = len(inputs)
-    vals = [(state >> (_V_BITS * i)) & ((1 << _V_BITS) - 1) for i in range(correct)]
-    moves = []
-    for kind, bit, rcpt in budget:
-        shift = (_W * bit) if kind == "vote" else (8 + _W * bit)
-        if not vals[rcpt] >> (shift + byz) & 1:
-            moves.append((kind, bit, byz, rcpt))
-    for s in range(correct):
-        sv = vals[s]
-        for kind, base in (("vote", 0), ("ready", 8)):
-            for bit in (0, 1):
-                if not sv >> (base + _W * bit + s) & 1:
-                    continue
-                for rcpt in range(correct):
-                    if rcpt != s and not vals[rcpt] >> (base + _W * bit + s) & 1:
-                        moves.append((kind, bit, s, rcpt))
-    return moves
-
-
-def _wba_apply(state: int, move, inputs, th: Thresholds) -> int:
-    kind, bit, sender, rcpt = move
-    mask = (1 << _V_BITS) - 1
-    st = (state >> (_V_BITS * rcpt)) & mask
-    st = _wba_deliver(st, rcpt, kind, bit, sender, inputs[rcpt], th)
-    return (state & ~(mask << (_V_BITS * rcpt))) | (st << (_V_BITS * rcpt))
-
-
-def _wba_outputs(state: int, correct: int):
-    outs = []
-    for i in range(correct):
-        tag = (state >> (_V_BITS * i + _OUT_SHIFT)) & 0x3
-        outs.append(None if tag == 0 else tag - 1)
-    return outs
-
-
-def _wba_initial(inputs, th: Thresholds) -> int:
+def _initial(inputs, th: Thresholds) -> int:
     state = 0
-    for me, bit in enumerate(inputs):
-        st = 0 if bit is None else _wba_fire(0, me, bit, bit, th)
-        state |= st << (_V_BITS * me)
+    for me, v in enumerate(inputs):
+        if v is not None:
+            state |= _fire((1 + v) << _SEED, me, v, th) << (_BITS * me)
     return state
 
 
-def _wba_violation(state: int, inputs, need: int):
-    outs = [b for b in _wba_outputs(state, len(inputs)) if b is not None]
+def _moves(state: int, correct: int, budget, echo_kind: str):
+    """All deliverable messages, as (kind, value, sender, recipient)."""
+    words = [(state >> (_BITS * i)) & _MASK for i in range(correct)]
+    byz = correct
+    moves = []
+    for kind, v, rcpt in budget:
+        held = (words[rcpt] >> _SEED if kind == "initial"
+                else words[rcpt] & _tally_bit(kind, v, byz))
+        if not held:
+            moves.append((kind, v, byz, rcpt))
+    for s in range(correct):
+        sv = words[s]
+        for kind, base in ((echo_kind, 0), ("ready", 8)):
+            for v in (0, 1):
+                if not sv >> (base + _W * v + s) & 1:
+                    continue
+                for rcpt in range(correct):
+                    if rcpt != s and not words[rcpt] >> (base + _W * v + s) & 1:
+                        moves.append((kind, v, s, rcpt))
+    return moves
+
+
+def _apply(state: int, move, th: Thresholds) -> int:
+    kind, v, sender, rcpt = move
+    base = _BITS * rcpt
+    st = (state >> base) & _MASK
+    if kind == "initial":
+        if st >> _SEED:
+            return state                  # only the first initial counts
+        st = _fire(st | (1 + v) << _SEED, rcpt, v, th)
+    else:
+        bit = _tally_bit(kind, v, sender)
+        if st & bit:
+            return state
+        st = _fire(st | bit, rcpt, v, th)
+    return (state & ~(_MASK << base)) | (st << base)
+
+
+def _violation(state: int, inputs, need: int):
+    """Agreement, then validity: an output backed by fewer than `need`
+    correct inputs (reliable broadcast passes all-None inputs and need 0)."""
+    tags = [(state >> (_BITS * i + _OUT)) & 0x3 for i in range(len(inputs))]
+    outs = [tag - 1 for tag in tags if tag]
     if len(set(outs)) > 1:
         return {"kind": "agreement", "outputs": outs}
     for bit in set(outs):
@@ -209,9 +226,9 @@ class _Images(dict):
     """One slot's words, each mapped to its images under every group element
     (the relabeled word shifted into the slot it moves to)."""
 
-    def __init__(self, group, slot: int, width: int):
+    def __init__(self, group, slot: int):
         super().__init__()
-        self.shifts = [(perm, width * perm[slot]) for perm in group]
+        self.shifts = [(perm, _BITS * perm[slot]) for perm in group]
 
     def __missing__(self, word: int) -> tuple[int, ...]:
         ims = self[word] = tuple(_relabel_word(word, perm) << shift
@@ -219,26 +236,24 @@ class _Images(dict):
         return ims
 
 
-def _search(initial: int, width: int, byz_offer, successors, good, group,
-            max_states: int):
+def _search(initial: int, byz_offer, successors, good, group, max_states: int):
     """Depth-first search over one representative per orbit of `group`.
 
-    Each correct validator is a `width`-bit word; `byz_offer[r]` holds the
-    tally positions the Byzantine budget may deliver to r, and
-    `successors(r, word, avail)` lists r's new words, one per deliverable
-    message in `avail`.  `good(tags)` judges a tuple of output latches.
-    Returns (states, representatives, bad_state): the visited count with
-    every orbit expanded, the count stored, and the first visited state
-    that is not good (None if there is none).  A bad state found under a
+    `byz_offer[r]` holds the tally positions the Byzantine budget may
+    deliver to validator r, and `successors(r, word, avail)` lists r's new
+    words, one per deliverable message in `avail` (plus any initial r may
+    still take).  `good(tags)` judges a tuple of output latches.  Returns
+    (states, representatives, bad_state): the visited count with every
+    orbit expanded, the count stored, and the first visited state that is
+    not good (None if there is none).  A bad state found under a
     non-trivial group is searched for again under the identity alone, so
     the count and the state reported are those of the unreduced search.
     """
     ids = range(len(byz_offer))
-    bases = [width * i for i in ids]
-    word_mask = (1 << width) - 1
+    bases = [_BITS * i for i in ids]
     self_mask = [sum(1 << (_W * fld + s) for fld in range(4)) for s in ids]
-    out_mask = sum(3 << (b + _OUT_SHIFT) for b in bases)
-    ok_outs = {sum(t << (b + _OUT_SHIFT) for t, b in zip(tags, bases))
+    out_mask = sum(3 << (b + _OUT) for b in bases)
+    ok_outs = {sum(t << (b + _OUT) for t, b in zip(tags, bases))
                for tags in itertools.product(range(3), repeat=len(bases))
                if good(tags)}
     # A state's images are the sums of its slots' images (the slots land on
@@ -248,10 +263,10 @@ def _search(initial: int, width: int, byz_offer, successors, good, group,
     # of distinct images) come out the same, and pairs take an inline min.
     elements = group * 2 if len(group) == 1 else group
     pair = len(elements) == 2
-    images = [_Images(elements, i, width) for i in ids]
+    images = [_Images(elements, i) for i in ids]
     step_memo: list[dict] = [dict() for _ in ids]
 
-    words = [initial >> b & word_mask for b in bases]
+    words = [initial >> b & _MASK for b in bases]
     imgs = tuple(map(sum, zip(*map(getitem, images, words))))
     states = len(set(imgs))
     rep = min(imgs)
@@ -261,10 +276,10 @@ def _search(initial: int, width: int, byz_offer, successors, good, group,
         state = stack.pop()
         if state & out_mask not in ok_outs:
             if len(group) > 1:
-                return _search(initial, width, byz_offer, successors, good,
-                               group[:1], max_states)
+                return _search(initial, byz_offer, successors, good, group[:1],
+                               max_states)
             return states, len(seen), state
-        words = [state >> b & word_mask for b in bases]
+        words = [state >> b & _MASK for b in bases]
         imgs = tuple(map(sum, zip(*map(getitem, images, words))))
         im0, im1 = imgs[:2]
         offers = 0
@@ -294,59 +309,6 @@ def _search(initial: int, width: int, byz_offer, successors, good, group,
                     seen.add(nxt)
                     stack.append(nxt)
     return states, len(seen), None
-
-
-def explore_wba(inputs, params: Params, byz_budget=None,
-                thresholds: Thresholds | None = None,
-                max_states: int = 20_000_000) -> ExploreResult:
-    """Search every delivery order of correct and Byzantine messages.
-
-    `inputs` lists the correct validators' input bits (None for no input);
-    the remaining validator id is Byzantine and may inject the `byz_budget`
-    pool of (kind, bit, recipient) messages in any order and any subset.
-    Flags Agreement (two correct outputs differ) and Validity (an output
-    bit backed by fewer than quorum-f correct inputs) violations, with a
-    replayable delivery path as the witness when the searched space is
-    small enough to walk again.
-    """
-    th = thresholds or Thresholds.for_params(params)
-    correct = len(inputs)
-    byz = correct
-    if byz_budget is None:
-        byz_budget = default_wba_budget(correct)
-    need = params.quorum - params.f
-    initial = _wba_initial(inputs, th)
-    byz_offer = [0] * correct
-    for kind, bit, rcpt in byz_budget:
-        byz_offer[rcpt] |= 1 << (_W * bit + (0 if kind == "vote" else 8) + byz)
-    valid_bit = [True, sum(1 for x in inputs if x == 0) >= need,
-                 sum(1 for x in inputs if x == 1) >= need]
-
-    def successors(r: int, sr: int, avail: int) -> list[int]:
-        inp = inputs[r]
-        out = []
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            out.append(_wba_fire(sr | low, r, (low.bit_length() - 1) >> 2 & 1,
-                                 inp, th))
-        return out
-
-    def good(tags) -> bool:
-        nonzero = set(tags) - {0}
-        return len(nonzero) <= 1 and all(valid_bit[t] for t in nonzero)
-
-    states, reps, bad_state = _search(initial, _V_BITS, byz_offer, successors,
-                                      good, symmetry_group(inputs, byz_budget),
-                                      max_states)
-    if bad_state is None:
-        return ExploreResult(states, None, reps)
-    detail = _wba_violation(bad_state, inputs, need)
-    if states <= _WITNESS_LIMIT:
-        detail["path"] = _witness(initial, bad_state,
-                                  lambda s: _wba_moves(s, inputs, byz_budget, byz),
-                                  lambda s, m: _wba_apply(s, m, inputs, th))
-    return ExploreResult(states, detail, reps)
 
 
 def _witness(initial: int, target: int, moves_of, apply_move):
@@ -380,143 +342,83 @@ def _witness(initial: int, target: int, moves_of, apply_move):
     return ()       # unreachable if target came from the same transition system
 
 
-# -- packed reliable-broadcast machines ---------------------------------------
-# fields: echoes_a | echoes_b<<4 | readies_a<<8 | readies_b<<12 |
-#         out<<16 | first_initial<<18     (value domain: 0 and 1)
-
-_R_INIT_SHIFT = 18
-_R_BITS = 20
-
-
-def default_rb_budget(correct: int = 3) -> list[tuple]:
-    """Equivocating initials plus ready amplification for both values."""
-    return [(kind, v, rcpt)
-            for kind in ("initial", "ready")
-            for v in (0, 1)
-            for rcpt in range(correct)]
-
-
-def _rb_fire(st: int, me: int, v: int, th: Thresholds) -> int:
-    both_echoes = (st | (st >> _W)) & 0xF
-    both_readies = ((st >> 8) | (st >> 12)) & 0xF
-    while True:
-        echoes = (st >> (_W * v)) & 0xF
-        readies = (st >> (8 + _W * v)) & 0xF
-        seen_initial = (st >> _R_INIT_SHIFT) == 1 + v
-        trigger = (echoes.bit_count() >= th.quorum
-                   or readies.bit_count() >= th.amplify)
-        if not both_echoes >> me & 1 and (seen_initial or trigger):
-            st |= 1 << (_W * v + me)
-            both_echoes |= 1 << me
-            continue
-        if not both_readies >> me & 1 and trigger:
-            st |= 1 << (8 + _W * v + me)
-            both_readies |= 1 << me
-            continue
-        if not (st >> 16) & 0x3 and readies.bit_count() >= th.output:
-            st |= (1 + v) << 16
-            continue
-        return st
-
-
-def _rb_deliver(st: int, me: int, kind: str, v: int, sender: int,
-                th: Thresholds) -> int:
-    if kind == "initial":
-        if st >> _R_INIT_SHIFT:
-            return st                     # only the first initial counts
-        return _rb_fire(st | (1 + v) << _R_INIT_SHIFT, me, v, th)
-    shift = (_W * v) if kind == "echo" else (8 + _W * v)
-    if st >> (shift + sender) & 1:
-        return st
-    return _rb_fire(st | 1 << (shift + sender), me, v, th)
-
-
-def _rb_moves(state: int, correct: int, budget, byz: int):
-    mask = (1 << _R_BITS) - 1
-    vals = [(state >> (_R_BITS * i)) & mask for i in range(correct)]
-    moves = []
-    for kind, v, rcpt in budget:
-        st = vals[rcpt]
-        if kind == "initial":
-            if not st >> _R_INIT_SHIFT:
-                moves.append((kind, v, byz, rcpt))
-        else:
-            shift = (_W * v) if kind == "echo" else (8 + _W * v)
-            if not st >> (shift + byz) & 1:
-                moves.append((kind, v, byz, rcpt))
-    for s in range(correct):
-        sv = vals[s]
-        for kind, base in (("echo", 0), ("ready", 8)):
-            for v in (0, 1):
-                if not sv >> (base + _W * v + s) & 1:
-                    continue
-                for rcpt in range(correct):
-                    if rcpt != s and not vals[rcpt] >> (base + _W * v + s) & 1:
-                        moves.append((kind, v, s, rcpt))
-    return moves
-
-
-def _rb_apply(state: int, move, th: Thresholds) -> int:
-    kind, v, sender, rcpt = move
-    mask = (1 << _R_BITS) - 1
-    st = (state >> (_R_BITS * rcpt)) & mask
-    st = _rb_deliver(st, rcpt, kind, v, sender, th)
-    return (state & ~(mask << (_R_BITS * rcpt))) | (st << (_R_BITS * rcpt))
-
-
-def _rb_violation(state: int, correct: int):
-    outs = []
-    for i in range(correct):
-        tag = (state >> (_R_BITS * i + 16)) & 0x3
-        if tag:
-            outs.append(tag - 1)
-    if len(set(outs)) > 1:
-        return {"kind": "agreement", "outputs": outs}
-    return None
-
-
-def explore_rb(params: Params, correct: int = 3, byz_budget=None,
-               thresholds: Thresholds | None = None,
-               max_states: int = 20_000_000) -> ExploreResult:
-    """Byzantine proposer equivocates over two values; checks Agreement."""
-    th = thresholds or Thresholds.for_params(params)
-    byz = correct
-    if byz_budget is None:
-        byz_budget = default_rb_budget(correct)
-    byz_offer = [0] * correct           # tally positions, as in explore_wba
-    init_offer = [0] * correct          # value bits the budget lets byz propose
-    for kind, v, rcpt in byz_budget:
+def _explore(inputs, budget, echo_kind: str, need: int, th: Thresholds,
+             max_states: int) -> ExploreResult:
+    """Search one instance: `inputs` seeds the correct validators (None for
+    no seed), `budget` is the Byzantine pool of (kind, value, recipient)
+    messages, and an output needs `need` correct inputs behind it."""
+    correct = len(inputs)
+    if correct >= _W:
+        raise ValueError(f"{correct} correct validators and a Byzantine one "
+                         f"do not fit {_W}-bit tallies")
+    kinds = _BUDGET_KINDS[echo_kind]
+    byz_offer = [0] * correct           # tally positions the budget may fill
+    init_offer = [0] * correct          # values the budget may seed r with
+    for entry in budget:
+        kind, v, rcpt = entry
+        if kind not in kinds or v not in (0, 1) or rcpt not in range(correct):
+            raise ValueError(f"budget entry {entry!r} is not (kind, 0 or 1, "
+                             f"recipient below {correct}) with kind in {kinds}")
         if kind == "initial":
             init_offer[rcpt] |= 1 << v
         else:
-            byz_offer[rcpt] |= 1 << (_W * v + (0 if kind == "echo" else 8) + byz)
+            byz_offer[rcpt] |= _tally_bit(kind, v, correct)
+    valid = [True] + [sum(1 for x in inputs if x == v) >= need for v in (0, 1)]
 
     def successors(r: int, sr: int, avail: int) -> list[int]:
         out = []
         while avail:
             low = avail & -avail
             avail ^= low
-            out.append(_rb_fire(sr | low, r, (low.bit_length() - 1) >> 2 & 1, th))
-        if not sr >> _R_INIT_SHIFT:
-            inits = init_offer[r]
-            while inits:
-                low = inits & -inits
-                inits ^= low
-                v = low.bit_length() - 1
-                out.append(_rb_fire(sr | (1 + v) << _R_INIT_SHIFT, r, v, th))
+            out.append(_fire(sr | low, r, (low.bit_length() - 1) >> 2 & 1, th))
+        if not sr >> _SEED:             # the initials r may still take
+            out += [_fire(sr | (1 + v) << _SEED, r, v, th)
+                    for v in (0, 1) if init_offer[r] >> v & 1]
         return out
 
     def good(tags) -> bool:
-        return len(set(tags) - {0}) <= 1
+        nonzero = set(tags) - {0}
+        return len(nonzero) <= 1 and all(valid[t] for t in nonzero)
 
-    states, reps, bad_state = _search(0, _R_BITS, byz_offer, successors, good,
-                                      symmetry_group((None,) * correct, byz_budget),
-                                      max_states)
+    initial = _initial(inputs, th)
+    states, reps, bad_state = _search(initial, byz_offer, successors, good,
+                                      symmetry_group(inputs, budget), max_states)
     if bad_state is None:
         return ExploreResult(states, None, reps)
-    detail = _rb_violation(bad_state, correct)
+    detail = _violation(bad_state, inputs, need)
     if states <= _WITNESS_LIMIT:
-        detail["path"] = _witness(0, bad_state,
-                                  lambda s: _rb_moves(s, correct, byz_budget, byz),
-                                  lambda s, m: _rb_apply(s, m, th))
+        detail["path"] = _witness(initial, bad_state,
+                                  lambda s: _moves(s, correct, budget, echo_kind),
+                                  lambda s, m: _apply(s, m, th))
     return ExploreResult(states, detail, reps)
+
+
+def explore_wba(inputs, params: Params, byz_budget=None,
+                thresholds: Thresholds | None = None,
+                max_states: int = 20_000_000) -> ExploreResult:
+    """Search every delivery order of correct and Byzantine messages.
+
+    `inputs` lists the correct validators' input bits (None for no input);
+    the remaining validator id is Byzantine and may inject the `byz_budget`
+    pool of (kind, bit, recipient) messages, kind "vote" or "ready", in any
+    order and any subset.  Flags Agreement (two correct outputs differ) and
+    Validity (an output bit backed by fewer than quorum-f correct inputs)
+    violations, with a replayable delivery path as the witness when the
+    searched space is small enough to walk again.
+    """
+    if byz_budget is None:
+        byz_budget = default_wba_budget(len(inputs))
+    return _explore(inputs, byz_budget, "vote", params.quorum - params.f,
+                    thresholds or Thresholds.for_params(params), max_states)
+
+
+def explore_rb(params: Params, correct: int = 3, byz_budget=None,
+               thresholds: Thresholds | None = None,
+               max_states: int = 20_000_000) -> ExploreResult:
+    """Byzantine proposer equivocates over two values; checks Agreement.
+
+    Budget kinds are "initial", "echo" and "ready"."""
+    if byz_budget is None:
+        byz_budget = default_rb_budget(correct)
+    return _explore((None,) * correct, byz_budget, "echo", 0,
+                    thresholds or Thresholds.for_params(params), max_states)

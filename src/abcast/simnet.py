@@ -318,6 +318,7 @@ class AdversaryApi:
         self.now = now
         self.params = sim.cfg.params
         self.schedule = sim.cfg.schedule
+        self.backend = sim.cfg.backend
 
     def leader_of(self, rnd: int) -> int:
         return self.schedule.leader_of(rnd)
@@ -341,6 +342,28 @@ class AdversaryApi:
         # Drivers can only produce signatures for their own identity.
         return make_signed(self.sim.scheme, self.node, instance, kind, payload)
 
+    def message(self, instance: InstanceKey, kind: str, payload, forge_signer=None):
+        """This node's message in the run's backend.  On gossip it is signed
+        with this node's key; `forge_signer` then claims another signer
+        under that same signature."""
+        if self.backend == "bracha":
+            return BrachaMsg(instance, kind, payload, self.node)
+        msg = self.signed(instance, kind, payload)
+        if forge_signer is not None:
+            msg = SignedMsg(instance, kind, payload, forge_signer, msg.sig)
+        return msg
+
+    def send_to(self, msg, targets=None) -> None:
+        """Send `msg` to `targets`, or to every node when None: one direct
+        send per target on bracha, one gossip on gossip."""
+        if self.backend == "gossip":
+            self.gossip(msg, targets)
+        elif targets is None:
+            self.send_all(msg)
+        else:
+            for to in targets:
+                self.send(to, msg)
+
 
 class Driver:
     def __init__(self, node: int):
@@ -351,15 +374,10 @@ class Driver:
     def on_script(self, api: AdversaryApi, entry: dict) -> None: ...
 
 
-class SilentLeaderDriver(Driver):
-    pass
-
-
 class EquivocatingProposerDriver(Driver):
-    def __init__(self, spec: EquivocatingProposerSpec, backend: str):
+    def __init__(self, spec: EquivocatingProposerSpec):
         super().__init__(spec.node)
         self.spec = spec
-        self.backend = backend
         self.done: set[int] = set()
 
     def on_start(self, api: AdversaryApi) -> None:
@@ -382,19 +400,13 @@ class EquivocatingProposerDriver(Driver):
             if parent == "prev":
                 parent = r - 1 if r > 0 else None
             prop = Proposal(part.value, parent)
-            if self.backend == "bracha":
-                for to in part.nodes:
-                    api.send(to, BrachaMsg(key, bracha_mod.INITIAL, prop, self.node))
-            else:
-                api.gossip(api.signed(key, gossip_mod.INITIAL, prop),
-                           targets=tuple(part.nodes))
+            api.send_to(api.message(key, bracha_mod.INITIAL, prop), tuple(part.nodes))
 
 
 class FlipVoterDriver(Driver):
-    def __init__(self, spec: FlipVoterSpec, backend: str):
+    def __init__(self, spec: FlipVoterSpec):
         super().__init__(spec.node)
         self.spec = spec
-        self.backend = backend
         self.done: set[int] = set()
 
     def on_deliver(self, api: AdversaryApi, msg) -> None:
@@ -403,7 +415,7 @@ class FlipVoterDriver(Driver):
             return
         self.done.add(key.round)
         bit = self.spec.bits.get(key.round, key.round % 2)
-        if self.backend == "bracha":
+        if api.backend == "bracha":
             if self.spec.equivocate:
                 for to in range(api.params.n):
                     b = bit if to % 2 == 0 else 1 - bit
@@ -425,10 +437,9 @@ class ScriptedDriver(Driver):
     RB payloads are {"value": v, "parent": p} dicts; WBA payloads are bits.
     """
 
-    def __init__(self, spec: ScriptedSpec, backend: str):
+    def __init__(self, spec: ScriptedSpec):
         super().__init__(spec.node)
         self.spec = spec
-        self.backend = backend
 
     def on_script(self, api: AdversaryApi, entry: dict) -> None:
         key = parse_key(entry["instance"])
@@ -436,37 +447,22 @@ class ScriptedDriver(Driver):
         if key.kind is Kind.RB and isinstance(payload, dict):
             payload = Proposal(payload["value"], payload.get("parent"),
                                payload.get("ts"))
-        if self.backend == "bracha":
-            msg = BrachaMsg(key, entry["mkind"], payload, self.node)
-        else:
-            forged = entry.get("forge_signer")
-            if forged is not None:
-                honest = api.signed(key, entry["mkind"], payload)
-                msg = SignedMsg(key, entry["mkind"], payload, forged, honest.sig)
-            else:
-                msg = api.signed(key, entry["mkind"], payload)
+        msg = api.message(key, entry["mkind"], payload, entry.get("forge_signer"))
         to = entry.get("to", "all")
-        if self.backend == "gossip":
-            targets = None if to == "all" else tuple(to)
-            api.gossip(msg, targets)
-        elif to == "all":
-            api.send_all(msg)
-        else:
-            for t in to:
-                api.send(t, msg)
+        api.send_to(msg, None if to == "all" else tuple(to))
 
 
-def _build_driver(spec, backend: str) -> Driver | None:
+def _build_driver(spec) -> Driver | None:
     """Several specs may target one node; their drivers stack, which is how
     a single faulty validator combines behaviours."""
     if isinstance(spec, SilentLeaderSpec):
-        return SilentLeaderDriver(spec.node)
+        return Driver(spec.node)             # never sends anything
     if isinstance(spec, EquivocatingProposerSpec):
-        return EquivocatingProposerDriver(spec, backend)
+        return EquivocatingProposerDriver(spec)
     if isinstance(spec, FlipVoterSpec):
-        return FlipVoterDriver(spec, backend)
+        return FlipVoterDriver(spec)
     if isinstance(spec, ScriptedSpec):
-        return ScriptedDriver(spec, backend)
+        return ScriptedDriver(spec)
     if isinstance(spec, CrashSpec):
         return None                          # crash keeps the correct stack
     raise ConfigError(f"unknown adversary spec {spec!r}")
@@ -494,7 +490,7 @@ class Simulation:
             if isinstance(spec, CrashSpec):
                 self.crash_at[spec.node] = spec.at
             else:
-                drv = _build_driver(spec, cfg.backend)
+                drv = _build_driver(spec)
                 self.drivers.setdefault(spec.node, []).append(drv)
 
         preseed: dict[int, list] = {}

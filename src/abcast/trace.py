@@ -16,6 +16,7 @@ trace has grown since; recording an event never touches it.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,6 +24,20 @@ from dataclasses import dataclass
 TRACE_VERSION = 1
 
 _DECODER = json.JSONDecoder()
+
+_INSTANCE = re.compile(r"(?:rb|wba)/[0-9]+")
+_INT = (lambda x: type(x) is int, "an int")
+_ANY = (lambda x: True, "a")
+_KEY = (lambda x: type(x) is str and _INSTANCE.fullmatch(x) is not None,
+        "an rb/<round> or wba/<round>")
+_SUB = (("node", _INT), ("instance", _KEY), ("value", _ANY))
+# The event fields the checkers read, by kind: (field, (test, article)).
+_FIELDS = {
+    "ab_output": (("node", _INT), ("position", _INT), ("round", _INT), ("value", _ANY)),
+    "sub_output": _SUB,
+    "sub_input": _SUB,
+    "advance": (("node", _INT), ("round", _INT)),
+}
 
 
 def compact_encoder(default=None):
@@ -153,7 +168,8 @@ class Trace:
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse a trace file.  Each line must hold exactly one JSON object,
         and each event line an int ``time``, an int ``seq`` and a str
-        ``kind``; anything else raises ValueError."""
+        ``kind``.  An event of a kind the checkers read must carry the
+        fields they read (`_FIELDS`).  Anything else raises ValueError."""
         numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), 1)
                     if ln and not ln.isspace())
         first = next(numbered, None)
@@ -187,6 +203,9 @@ class Trace:
             if type(time) is not int or type(seq) is not int or type(kind) is not str:
                 raise ValueError(f"trace line {i} needs an int time, an int seq "
                                  f"and a str kind")
+            for name, (test, what) in _FIELDS.get(kind, ()):
+                if name not in rec or not test(rec[name]):
+                    raise ValueError(f"trace line {i}: {kind} needs {what} {name}")
             events.append(TraceEvent(time, seq, kind, rec.pop("node", None), rec))
         trace._seq = max((ev.seq for ev in events), default=-1) + 1
         return trace

@@ -94,8 +94,24 @@ def test_unknown_check_name_exits_2(tmp_path, capsys):
     assert "unknown check 'nope'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["{}", "1", '{"time":0,"seq":0,"kind":"start"},'
-                                  '{"time":0,"seq":1,"kind":"start"}'])
+def _event(**fields):
+    return json.dumps({"time": 1, "seq": 0, **fields})
+
+
+# The last nine lack a field a checker reads, or hold one of the wrong type.
+@pytest.mark.parametrize("line", [
+    "{}", "1",
+    '{"time":0,"seq":0,"kind":"start"},{"time":0,"seq":1,"kind":"start"}',
+    _event(kind="sub_output", node=0, value=1),
+    _event(kind="sub_output", node=0, value=1, instance="wba/x"),
+    _event(kind="sub_input", node=0, value=1, instance="vote/1"),
+    _event(kind="sub_input", node=0, instance="rb/1"),
+    _event(kind="ab_output", node=0, round=0, value="v"),
+    _event(kind="ab_output", node=0, round=0, position="0", value="v"),
+    _event(kind="ab_output", node="0", round=0, position=0, value="v"),
+    _event(kind="advance", node=0),
+    _event(kind="advance", round=1),
+])
 def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     trace_path = tmp_path / "t.jsonl"
     main(["run", HONEST, "--trace-out", str(trace_path)])

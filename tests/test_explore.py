@@ -6,13 +6,10 @@ from abcast.core import Params
 from abcast.explore import (
     BudgetExceeded,
     Thresholds,
-    _rb_apply,
-    _rb_moves,
-    _rb_violation,
-    _wba_apply,
-    _wba_initial,
-    _wba_moves,
-    _wba_violation,
+    _apply,
+    _initial,
+    _moves,
+    _violation,
     default_rb_budget,
     default_wba_budget,
     explore_rb,
@@ -37,14 +34,13 @@ def test_default_budgets():
 
 def slow_wba_states(inputs, budget, th):
     """Every reachable state, via the generic move/apply pair and no symmetry."""
-    init = _wba_initial(inputs, th)
+    init = _initial(inputs, th)
     seen = {init}
     stack = [init]
-    byz = len(inputs)
     while stack:
         st = stack.pop()
-        for mv in _wba_moves(st, inputs, budget, byz):
-            nxt = _wba_apply(st, mv, inputs, th)
+        for mv in _moves(st, len(inputs), budget, "vote"):
+            nxt = _apply(st, mv, th)
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -61,8 +57,8 @@ def slow_rb_states(correct, budget, th):
     stack = [0]
     while stack:
         st = stack.pop()
-        for mv in _rb_moves(st, correct, budget, correct):
-            nxt = _rb_apply(st, mv, th)
+        for mv in _moves(st, correct, budget, "echo"):
+            nxt = _apply(st, mv, th)
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -114,10 +110,13 @@ def test_distorted_output_threshold_breaks_agreement():
     assert res.violation["kind"] == "agreement"
     path = res.violation["path"]
     assert len(path) == 8
-    state = _wba_initial((1, 1, 1), bad)
+    assert path == (("ready", 0, 3, 0), ("ready", 1, 3, 1), ("vote", 1, 0, 1),
+                    ("vote", 1, 0, 2), ("vote", 1, 1, 2), ("vote", 1, 2, 1),
+                    ("ready", 1, 1, 2), ("ready", 1, 2, 1))
+    state = _initial((1, 1, 1), bad)
     for move in path:
-        state = _wba_apply(state, move, (1, 1, 1), bad)
-    replayed = _wba_violation(state, (1, 1, 1), PARAMS.quorum - PARAMS.f)
+        state = _apply(state, move, bad)
+    replayed = _violation(state, (1, 1, 1), PARAMS.quorum - PARAMS.f)
     assert replayed is not None and replayed["kind"] == "agreement"
 
 
@@ -133,6 +132,12 @@ def test_distorted_quorum_breaks_validity():
     assert v["bit"] == 0
     assert v["correct_inputs"] == 1
     assert len(v["path"]) == 13
+    assert v["path"] == (
+        ("vote", 0, 3, 1), ("vote", 0, 3, 2), ("ready", 0, 3, 0),
+        ("ready", 0, 3, 1), ("ready", 0, 3, 2), ("vote", 0, 0, 1),
+        ("vote", 1, 1, 2), ("vote", 0, 0, 2), ("ready", 0, 1, 0),
+        ("ready", 0, 1, 2), ("vote", 1, 2, 1), ("ready", 1, 2, 0),
+        ("ready", 1, 2, 1))
 
 
 def _unpruned_witness(initial, target, moves_of, apply_move):
@@ -166,12 +171,12 @@ def test_pruned_witness_equals_the_unpruned_walk():
     budget = [(k, 0, r) for k in ("vote", "ready") for r in range(3)]
     path = explore_wba(inputs, PARAMS, byz_budget=budget,
                        thresholds=weak).violation["path"]
-    initial = state = _wba_initial(inputs, weak)
+    initial = state = _initial(inputs, weak)
     for move in path:
-        state = _wba_apply(state, move, inputs, weak)
+        state = _apply(state, move, weak)
     assert path == _unpruned_witness(
-        initial, state, lambda s: _wba_moves(s, inputs, budget, len(inputs)),
-        lambda s, m: _wba_apply(s, m, inputs, weak))
+        initial, state, lambda s: _moves(s, len(inputs), budget, "vote"),
+        lambda s, m: _apply(s, m, weak))
 
 
 def test_distorted_rb_output_threshold_breaks_agreement():
@@ -181,6 +186,7 @@ def test_distorted_rb_output_threshold_breaks_agreement():
     assert res.states == 4
     assert res.violation["kind"] == "agreement"
     assert len(res.violation["path"]) == 2
+    assert res.violation["path"] == (("ready", 0, 3, 0), ("ready", 1, 3, 1))
 
 
 def test_rb_default_budget_exhaustive_and_safe():
@@ -189,6 +195,7 @@ def test_rb_default_budget_exhaustive_and_safe():
     assert res.states == 159264
     # All three correct validators are interchangeable under this budget.
     assert res.representatives < res.states
+    assert res.representatives == 27236
 
 
 def test_state_budget_is_enforced():
@@ -268,7 +275,7 @@ def test_reduced_wba_search_agrees_with_reference_walk(inputs, budget):
     res = explore_wba(inputs, PARAMS, byz_budget=budget)
     seen = slow_wba_states(inputs, budget, TH)
     need = PARAMS.quorum - PARAMS.f
-    ok = all(_wba_violation(s, inputs, need) is None for s in seen)
+    ok = all(_violation(s, inputs, need) is None for s in seen)
     assert res.ok == ok
     if ok:
         assert res.states == len(seen)
@@ -280,7 +287,7 @@ def test_reduced_wba_search_agrees_with_reference_walk(inputs, budget):
 def test_reduced_rb_search_agrees_with_reference_walk(budget):
     res = explore_rb(PARAMS, byz_budget=budget)
     seen = slow_rb_states(3, budget, TH)
-    ok = all(_rb_violation(s, 3) is None for s in seen)
+    ok = all(_violation(s, (None,) * 3, 0) is None for s in seen)
     assert res.ok == ok
     if ok:
         assert res.states == len(seen)
@@ -295,6 +302,37 @@ def test_violation_under_full_group_reports_the_unreduced_search():
     assert (wba.states, wba.representatives) == (269, 269)
     assert wba.violation["kind"] == "agreement"
     assert len(wba.violation["path"]) == 11
+    assert wba.violation["path"] == (
+        ("ready", 0, 3, 0), ("ready", 1, 3, 1), ("ready", 0, 3, 1),
+        ("ready", 1, 3, 2), ("ready", 0, 3, 2), ("vote", 1, 0, 1),
+        ("vote", 1, 0, 2), ("vote", 1, 1, 2), ("vote", 1, 2, 1),
+        ("ready", 1, 1, 2), ("ready", 1, 2, 1))
     rb = explore_rb(PARAMS, byz_budget=budget, thresholds=bad)
     assert (rb.states, rb.representatives) == (22, 22)
     assert len(rb.violation["path"]) == 5
+    assert rb.violation["path"] == (
+        ("ready", 0, 3, 0), ("ready", 1, 3, 1), ("ready", 0, 3, 1),
+        ("ready", 1, 3, 2), ("ready", 0, 3, 2))
+
+
+@pytest.mark.parametrize("search,entry", [
+    (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("echo", 0, 0)),
+    (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("initial", 0, 0)),
+    (lambda b: explore_rb(PARAMS, byz_budget=b), ("vote", 0, 0)),
+    (lambda b: explore_rb(PARAMS, byz_budget=b), ("Ready", 1, 2)),
+    (lambda b: explore_rb(PARAMS, byz_budget=b), ("ready", 2, 0)),
+    (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("ready", 0, 3)),
+])
+def test_budget_entry_the_protocol_cannot_send_is_refused(search, entry):
+    # A kind the protocol does not know used to be searched as a ready.
+    with pytest.raises(ValueError, match="budget entry"):
+        search([("ready", 1, 1), entry])
+
+
+def test_more_correct_validators_than_a_tally_holds_are_refused():
+    # A fifth sender's bit would land in the next tally.
+    params = Params(n=5, f=1, delta=2, gst=0, sub_delay=6)
+    with pytest.raises(ValueError, match="do not fit"):
+        explore_rb(params, correct=4, byz_budget=[("initial", 0, 0)])
+    with pytest.raises(ValueError, match="do not fit"):
+        explore_wba((1, 1, 1, 1), params, byz_budget=[("vote", 0, 0)])
