@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import InstanceKey, Kind, LocalInput, Recv, SendAll, Output
+from .subproto import InstanceKey, Kind, LocalInput, Recv, Send, Output
 
 INITIAL = "initial"
 ECHO = "echo"
@@ -78,10 +78,10 @@ class _EchoReady:
         out = []
         if not self.sent_echo and self.voter and (seed or amplify):
             self.sent_echo = True
-            out.append(SendAll(BrachaMsg(self.key, self.echo_kind, v, self.self_id)))
+            out.append(Send(BrachaMsg(self.key, self.echo_kind, v, self.self_id)))
         if not self.sent_ready and self.voter and amplify:
             self.sent_ready = True
-            out.append(SendAll(BrachaMsg(self.key, READY, v, self.self_id)))
+            out.append(Send(BrachaMsg(self.key, READY, v, self.self_id)))
         if not self.delivered and readies >= 2 * f + 1:
             self.delivered = True
             out.append(Output(v))
@@ -100,7 +100,7 @@ class BrachaRb(_EchoReady):
         if isinstance(event, LocalInput):
             if self.self_id != self.proposer:
                 return []
-            return [SendAll(BrachaMsg(self.key, INITIAL, event.value, self.self_id))]
+            return [Send(BrachaMsg(self.key, INITIAL, event.value, self.self_id))]
         assert isinstance(event, Recv)
         msg = event.msg
         if not isinstance(msg, BrachaMsg) or msg.instance != self.key:

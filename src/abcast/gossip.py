@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import InstanceKey, Kind, LocalInput, Recv, GossipSend, Output
+from .subproto import InstanceKey, Kind, LocalInput, Recv, Send, Output
 from .trace import compact_encoder
 
 INITIAL = "initial"
@@ -124,8 +124,8 @@ class _SignedMachine:
         self.equivocations: dict[int, list[object]] = {}
         self.invalid_sigs = 0
 
-    def _signed(self, kind: str, payload: object) -> GossipSend:
-        return GossipSend(make_signed(self.scheme, self.self_id, self.key, kind, payload))
+    def _signed(self, kind: str, payload: object) -> Send:
+        return Send(make_signed(self.scheme, self.self_id, self.key, kind, payload))
 
     def _first_counts(self, msg: SignedMsg, tally: dict) -> bool:
         """Add msg's signer to `tally` under its payload if this is the

@@ -310,7 +310,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"bad raw input entry: {ri!r}")
         _instance_key(ri["instance"])
         raw_inputs.append((_int_field(ri, "time", default=0),
-                           _int_field(ri, "node"), ri["instance"], ri["value"]))
+                           _int_field(ri, "node"), ri["instance"],
+                           _scalar(ri["value"], "raw input value")))
     # the injection times wait for config_for, which knows the horizon
     check_placement(n_total, params.f, adversaries, injections, raw_inputs)
 

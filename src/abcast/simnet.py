@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .core import ConfigError, Params, LeaderSchedule
-from .subproto import (InstanceKey, Kind, InstanceTable, Recv, SendAll,
-                       GossipSend, Output, parse_key)
+from .subproto import InstanceKey, Kind, InstanceTable, Recv, Send, Output, parse_key
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
 from .engine import (Engine, EngineOptions, Proposal, RestartTimer, InputRb,
@@ -183,7 +182,7 @@ class _NodeRuntime:
         self.work: deque = deque()
         self.engine_queued = False
         self.held: list = []                 # spam-window buffer, arrival order
-        self.delivered: list = []            # (value, time)
+        self.delivered = 0                   # ab_output values so far
 
     # -- entry points (each pumps to quiescence) -----------------------------
 
@@ -260,15 +259,8 @@ class _NodeRuntime:
 
     def _apply_backend(self, now: int, key: InstanceKey, acts: list) -> None:
         for a in acts:
-            if isinstance(a, SendAll):
-                enc = _encode_msg(a.msg)
-                self.sim.trace.append(now, "send", self.node, **enc, to="all")
-                self.sim.broadcast(self.node, a.msg, enc, now)
-                self.work.append(("recv", a.msg))
-            elif isinstance(a, GossipSend):
-                enc = _encode_msg(a.msg)
-                self.sim.trace.append(now, "gossip", self.node, **enc)
-                self.sim.gossip_from(self.node, a.msg, enc, now)
+            if isinstance(a, Send):
+                self.sim.send(self.node, a.msg, now)
                 self.work.append(("recv", a.msg))
             elif isinstance(a, Output):
                 if self.table.record_output(key, a.value):
@@ -286,8 +278,8 @@ class _NodeRuntime:
             elif note[0] == "ab_output":
                 self.sim.trace.append(now, "ab_output", self.node,
                                       value=_encode_value(note[1]), round=note[2],
-                                      position=len(self.delivered))
-                self.delivered.append((note[1], now))
+                                      position=self.delivered)
+                self.delivered += 1
             elif note[0] == "finalize":
                 self.sim.trace.append(now, "finalize", self.node, round=note[1])
         for a in acts:
@@ -323,46 +315,20 @@ class AdversaryApi:
     def leader_of(self, rnd: int) -> int:
         return self.schedule.leader_of(rnd)
 
-    def send(self, to: int, msg) -> None:
-        enc = _encode_msg(msg)
-        self.sim.trace.append(self.now, "send", self.node, **enc, to=[to])
-        self.sim.schedule_direct(to, msg, enc, self.now)
-
-    def send_all(self, msg) -> None:
-        enc = _encode_msg(msg)
-        self.sim.trace.append(self.now, "send", self.node, **enc, to="all")
-        self.sim.broadcast(self.node, msg, enc, self.now)
-
-    def gossip(self, msg, targets=None) -> None:
-        enc = _encode_msg(msg)
-        self.sim.trace.append(self.now, "gossip", self.node, **enc)
-        self.sim.gossip_from(self.node, msg, enc, self.now, targets)
-
-    def signed(self, instance: InstanceKey, kind: str, payload) -> SignedMsg:
-        # Drivers can only produce signatures for their own identity.
-        return make_signed(self.sim.scheme, self.node, instance, kind, payload)
-
     def message(self, instance: InstanceKey, kind: str, payload, forge_signer=None):
         """This node's message in the run's backend.  On gossip it is signed
-        with this node's key; `forge_signer` then claims another signer
-        under that same signature."""
+        with this node's key, the only key a driver holds; `forge_signer`
+        then claims another signer under that same signature."""
         if self.backend == "bracha":
             return BrachaMsg(instance, kind, payload, self.node)
-        msg = self.signed(instance, kind, payload)
+        msg = make_signed(self.sim.scheme, self.node, instance, kind, payload)
         if forge_signer is not None:
             msg = SignedMsg(instance, kind, payload, forge_signer, msg.sig)
         return msg
 
-    def send_to(self, msg, targets=None) -> None:
-        """Send `msg` to `targets`, or to every node when None: one direct
-        send per target on bracha, one gossip on gossip."""
-        if self.backend == "gossip":
-            self.gossip(msg, targets)
-        elif targets is None:
-            self.send_all(msg)
-        else:
-            for to in targets:
-                self.send(to, msg)
+    def send(self, msg, targets=None) -> None:
+        """Send `msg` to `targets`, or to every node when None."""
+        self.sim.send(self.node, msg, self.now, targets)
 
 
 class Driver:
@@ -371,7 +337,6 @@ class Driver:
 
     def on_start(self, api: AdversaryApi) -> None: ...
     def on_deliver(self, api: AdversaryApi, msg) -> None: ...
-    def on_script(self, api: AdversaryApi, entry: dict) -> None: ...
 
 
 class EquivocatingProposerDriver(Driver):
@@ -400,7 +365,7 @@ class EquivocatingProposerDriver(Driver):
             if parent == "prev":
                 parent = r - 1 if r > 0 else None
             prop = Proposal(part.value, parent)
-            api.send_to(api.message(key, bracha_mod.INITIAL, prop), tuple(part.nodes))
+            api.send(api.message(key, bracha_mod.INITIAL, prop), tuple(part.nodes))
 
 
 class FlipVoterDriver(Driver):
@@ -415,19 +380,20 @@ class FlipVoterDriver(Driver):
             return
         self.done.add(key.round)
         bit = self.spec.bits.get(key.round, key.round % 2)
-        if api.backend == "bracha":
-            if self.spec.equivocate:
-                for to in range(api.params.n):
-                    b = bit if to % 2 == 0 else 1 - bit
-                    api.send(to, BrachaMsg(key, bracha_mod.VOTE, b, self.node))
-                    api.send(to, BrachaMsg(key, bracha_mod.READY, b, self.node))
-            else:
-                api.send_all(BrachaMsg(key, bracha_mod.VOTE, bit, self.node))
-                api.send_all(BrachaMsg(key, bracha_mod.READY, bit, self.node))
+        # The protocols differ: on bracha a vote and a ready back the bit,
+        # split by recipient parity when equivocating; on gossip one signed
+        # vote floods per bit.
+        if api.backend == "gossip":
+            for b in (bit, 1 - bit) if self.spec.equivocate else (bit,):
+                api.send(api.message(key, gossip_mod.VOTE, b))
+        elif self.spec.equivocate:
+            for to in range(api.params.n):
+                b = bit if to % 2 == 0 else 1 - bit
+                for kind in (bracha_mod.VOTE, bracha_mod.READY):
+                    api.send(api.message(key, kind, b), (to,))
         else:
-            api.gossip(api.signed(key, gossip_mod.VOTE, bit))
-            if self.spec.equivocate:
-                api.gossip(api.signed(key, gossip_mod.VOTE, 1 - bit))
+            for kind in (bracha_mod.VOTE, bracha_mod.READY):
+                api.send(api.message(key, kind, bit))
 
 
 class ScriptedDriver(Driver):
@@ -435,6 +401,7 @@ class ScriptedDriver(Driver):
     "instance": "rb/1", "mkind": "initial", "payload": ..., "forge_signer": id?}.
 
     RB payloads are {"value": v, "parent": p} dicts; WBA payloads are bits.
+    `op` is read by nothing: the run's backend picks direct or gossip.
     """
 
     def __init__(self, spec: ScriptedSpec):
@@ -449,7 +416,7 @@ class ScriptedDriver(Driver):
                                payload.get("ts"))
         msg = api.message(key, entry["mkind"], payload, entry.get("forge_signer"))
         to = entry.get("to", "all")
-        api.send_to(msg, None if to == "all" else tuple(to))
+        api.send(msg, None if to == "all" else tuple(to))
 
 
 def _build_driver(spec) -> Driver | None:
@@ -479,6 +446,7 @@ class Simulation:
         self.queue: list = []
         self.seq = 0
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
+        self.gossip_backend = cfg.backend == "gossip"
         # gossip message -> per node: None, the earliest arrival still in
         # the queue, or _HAS once the node has the message
         self.gossip_state: dict = {}
@@ -539,12 +507,28 @@ class Simulation:
             times.append(min(early + d_pre, late + d_post))
         return times
 
-    def schedule_direct(self, to: int, msg, enc: dict, now: int) -> None:
-        self._send_direct(msg, enc, now, (to,))
-
-    def broadcast(self, sender: int, msg, enc: dict, now: int) -> None:
-        self._send_direct(msg, enc, now,
-                          [to for to in range(self.total) if to != sender])
+    def send(self, sender: int, msg, now: int, targets=None) -> None:
+        """The one way a message leaves a node: to `targets` in their order,
+        or to every node but `sender` when None.  Records one `gossip`
+        event on gossip; on bracha one `send` event to "all", or one per
+        target.  The trace fields are encoded once, here."""
+        enc = _encode_msg(msg)
+        if self.gossip_backend:
+            self.trace.append(now, "gossip", sender, **enc)
+            state = self.gossip_state.get(msg)
+            if state is None:
+                state = self.gossip_state[msg] = [None] * self.total
+            state[sender] = _HAS
+            self._send_gossip(sender, msg, enc, state, now,
+                              range(self.total) if targets is None else targets)
+        elif targets is None:
+            self.trace.append(now, "send", sender, **enc, to="all")
+            self._send_direct(msg, enc, now,
+                              [to for to in range(self.total) if to != sender])
+        else:
+            for to in targets:
+                self.trace.append(now, "send", sender, **enc, to=[to])
+            self._send_direct(msg, enc, now, targets)
 
     def _send_direct(self, msg, enc: dict, now: int, recipients) -> None:
         """Queue one copy of `msg` per recipient; `enc` is its trace fields,
@@ -577,15 +561,6 @@ class Simulation:
             heappush(queue, (at, seq, deliver, (to, msg, enc, state)))
             seq += 1
         self.seq = seq
-
-    def gossip_from(self, origin: int, msg, enc: dict, now: int,
-                    targets=None) -> None:
-        state = self.gossip_state.get(msg)
-        if state is None:
-            state = self.gossip_state[msg] = [None] * self.total
-        state[origin] = _HAS
-        self._send_gossip(origin, msg, enc, state, now,
-                          range(self.total) if targets is None else targets)
 
     def set_timer(self, node: int, gen: int, fire_at: int, now: int) -> None:
         self.trace.append(now, "timer_set", node, generation=gen, fire_at=fire_at)
@@ -621,11 +596,11 @@ class Simulation:
                 self._push(max(t, 0), self._on_inject, (node, value))
         for t, node, key_text, value in cfg.raw_inputs:
             self._push(t, self._on_raw_input, (node, parse_key(key_text), value))
-        for node, drivers in self.drivers.items():
+        for drivers in self.drivers.values():
             for drv in drivers:
                 if isinstance(drv, ScriptedDriver):
                     for entry in drv.spec.script:
-                        self._push(entry["time"], self._on_script, (node, entry))
+                        self._push(entry["time"], self._on_script, (drv, entry))
 
         queue, horizon = self.queue, cfg.horizon
         while queue:
@@ -692,11 +667,8 @@ class Simulation:
         if node in self.runtimes and not self._crashed(node, now):
             self.runtimes[node].on_raw_input(now, key, value)
 
-    def _on_script(self, now: int, node: int, entry: dict) -> None:
-        api = AdversaryApi(self, node, now)
-        for drv in self.drivers[node]:
-            if isinstance(drv, ScriptedDriver):
-                drv.on_script(api, entry)
+    def _on_script(self, now: int, drv: ScriptedDriver, entry: dict) -> None:
+        drv.on_script(AdversaryApi(self, drv.node, now), entry)
 
 
 def run(cfg: RunConfig) -> Trace:

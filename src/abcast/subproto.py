@@ -58,15 +58,9 @@ class Recv:
 # Actions a backend may emit.
 
 @dataclass(frozen=True)
-class SendAll:
-    """Direct-send `msg` to every node, the sender included."""
-
-    msg: object
-
-
-@dataclass(frozen=True)
-class GossipSend:
-    """Flood `msg` through the gossip layer."""
+class Send:
+    """Send `msg` to every node, the sender included; the run's backend
+    decides whether it goes direct or through the gossip flood."""
 
     msg: object
 

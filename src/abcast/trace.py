@@ -28,12 +28,15 @@ _DECODER = json.JSONDecoder()
 _INSTANCE = re.compile(r"(?:rb|wba)/[0-9]+")
 _INT = (lambda x: type(x) is int, "an int")
 _ANY = (lambda x: True, "a")
+# the checkers hash these values
+_SCALAR = (lambda x: x is None or type(x) in (bool, int, float, str), "a JSON scalar")
 _KEY = (lambda x: type(x) is str and _INSTANCE.fullmatch(x) is not None,
         "an rb/<round> or wba/<round>")
 _SUB = (("node", _INT), ("instance", _KEY), ("value", _ANY))
+_WBA_SUB = _SUB[:2] + (("value", _SCALAR),)     # RB values are encoded proposals
 # The event fields the checkers read, by kind: (field, (test, article)).
 _FIELDS = {
-    "ab_output": (("node", _INT), ("position", _INT), ("round", _INT), ("value", _ANY)),
+    "ab_output": (("node", _INT), ("position", _INT), ("round", _INT), ("value", _SCALAR)),
     "sub_output": _SUB,
     "sub_input": _SUB,
     "advance": (("node", _INT), ("round", _INT)),
@@ -203,7 +206,10 @@ class Trace:
             if type(time) is not int or type(seq) is not int or type(kind) is not str:
                 raise ValueError(f"trace line {i} needs an int time, an int seq "
                                  f"and a str kind")
-            for name, (test, what) in _FIELDS.get(kind, ()):
+            fields = _FIELDS.get(kind, ())
+            if fields is _SUB and str(rec.get("instance")).startswith("wba/"):
+                fields = _WBA_SUB
+            for name, (test, what) in fields:
                 if name not in rec or not test(rec[name]):
                     raise ValueError(f"trace line {i}: {kind} needs {what} {name}")
             events.append(TraceEvent(time, seq, kind, rec.pop("node", None), rec))

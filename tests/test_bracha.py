@@ -12,7 +12,7 @@ from abcast.bracha import (
     machine_factory,
 )
 from abcast.core import LeaderSchedule, Params
-from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Recv, SendAll
+from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Recv, Send
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -30,14 +30,14 @@ def recv(machine, kind, payload, sender, key=None):
 def test_proposer_input_sends_initial():
     m = rb_at(0)
     out = m.step(LocalInput("a"))
-    assert out == [SendAll(BrachaMsg(RB_KEY, INITIAL, "a", 0))]
+    assert out == [Send(BrachaMsg(RB_KEY, INITIAL, "a", 0))]
     assert rb_at(1).step(LocalInput("a")) == []
 
 
 def test_initial_from_proposer_triggers_echo():
     m = rb_at(1)
     out = recv(m, INITIAL, "a", 0)
-    assert out == [SendAll(BrachaMsg(RB_KEY, ECHO, "a", 1))]
+    assert out == [Send(BrachaMsg(RB_KEY, ECHO, "a", 1))]
     # A second initial changes nothing, even with a different value.
     assert recv(m, INITIAL, "b", 0) == []
 
@@ -56,8 +56,8 @@ def test_quorum_of_echoes_brings_ready():
     assert recv(m, ECHO, "a", 1) == []
     out = recv(m, ECHO, "a", 2)
     assert out == [
-        SendAll(BrachaMsg(RB_KEY, ECHO, "a", 3)),
-        SendAll(BrachaMsg(RB_KEY, READY, "a", 3)),
+        Send(BrachaMsg(RB_KEY, ECHO, "a", 3)),
+        Send(BrachaMsg(RB_KEY, READY, "a", 3)),
     ]
 
 
@@ -66,8 +66,8 @@ def test_ready_amplification_at_f_plus_one():
     assert recv(m, READY, "a", 0) == []
     out = recv(m, READY, "a", 1)
     assert out == [
-        SendAll(BrachaMsg(RB_KEY, ECHO, "a", 3)),
-        SendAll(BrachaMsg(RB_KEY, READY, "a", 3)),
+        Send(BrachaMsg(RB_KEY, ECHO, "a", 3)),
+        Send(BrachaMsg(RB_KEY, READY, "a", 3)),
     ]
 
 
@@ -107,7 +107,7 @@ def test_echo_sent_once_per_instance():
     # Readies for another value amplify a ready but cannot re-echo.
     recv(m, READY, "b", 2)
     out = recv(m, READY, "b", 3)
-    assert out == [SendAll(BrachaMsg(RB_KEY, READY, "b", 1))]
+    assert out == [Send(BrachaMsg(RB_KEY, READY, "b", 1))]
 
 
 def test_observer_delivers_but_never_sends():
@@ -123,7 +123,7 @@ def test_observer_delivers_but_never_sends():
 def test_wba_input_sends_vote():
     m = BrachaWba(WBA_KEY, PARAMS, 2)
     out = m.step(LocalInput(1))
-    assert out == [SendAll(BrachaMsg(WBA_KEY, VOTE, 1, 2))]
+    assert out == [Send(BrachaMsg(WBA_KEY, VOTE, 1, 2))]
     assert m.step(LocalInput(0)) == []
     assert BrachaWba(WBA_KEY, PARAMS, 2).step(LocalInput("x")) == []
     assert BrachaWba(WBA_KEY, PARAMS, 4).step(LocalInput(1)) == []
@@ -135,8 +135,8 @@ def test_wba_quorum_votes_then_output():
     recv(m, VOTE, 0, 1)
     out = recv(m, VOTE, 0, 2)
     assert out == [
-        SendAll(BrachaMsg(WBA_KEY, VOTE, 0, 3)),
-        SendAll(BrachaMsg(WBA_KEY, READY, 0, 3)),
+        Send(BrachaMsg(WBA_KEY, VOTE, 0, 3)),
+        Send(BrachaMsg(WBA_KEY, READY, 0, 3)),
     ]
     recv(m, READY, 0, 0)
     recv(m, READY, 0, 1)
@@ -149,8 +149,8 @@ def test_wba_ready_amplification():
     recv(m, READY, 1, 0)
     out = recv(m, READY, 1, 1)
     assert out == [
-        SendAll(BrachaMsg(WBA_KEY, VOTE, 1, 3)),
-        SendAll(BrachaMsg(WBA_KEY, READY, 1, 3)),
+        Send(BrachaMsg(WBA_KEY, VOTE, 1, 3)),
+        Send(BrachaMsg(WBA_KEY, READY, 1, 3)),
     ]
 
 
@@ -181,7 +181,7 @@ def test_rb_delivery_order_invariance():
         for msg in order:
             sent.extend(m.step(Recv(msg)))
         assert sent.count(Output("a")) == 1
-        kinds = [a.msg.kind for a in sent if isinstance(a, SendAll)]
+        kinds = [a.msg.kind for a in sent if isinstance(a, Send)]
         assert sorted(kinds) == [ECHO, READY]
 
 

@@ -98,7 +98,8 @@ def _event(**fields):
     return json.dumps({"time": 1, "seq": 0, **fields})
 
 
-# The last nine lack a field a checker reads, or hold one of the wrong type.
+# The last eleven lack a field a checker reads, or hold one of the wrong
+# type; the checkers hash output values, so those must be JSON scalars.
 @pytest.mark.parametrize("line", [
     "{}", "1",
     '{"time":0,"seq":0,"kind":"start"},{"time":0,"seq":1,"kind":"start"}',
@@ -111,6 +112,8 @@ def _event(**fields):
     _event(kind="ab_output", node="0", round=0, position=0, value="v"),
     _event(kind="advance", node=0),
     _event(kind="advance", round=1),
+    _event(kind="ab_output", node=0, round=0, position=0, value=[1]),
+    _event(kind="sub_output", node=0, value=[1], instance="wba/0"),
 ])
 def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     trace_path = tmp_path / "t.jsonl"

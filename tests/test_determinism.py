@@ -79,8 +79,9 @@ def _raw(backend: str):
                    raw_inputs=tuple(raw), adversaries=(CrashSpec(2, 12),))
 
 
-# A scripted gossip adversary: an RB initial and votes gossiped to subsets
-# of the nodes, each also as a copy whose signature names another signer.
+# A scripted adversary: an RB initial and votes sent to subsets of the
+# nodes and to all.  On gossip each is also sent as a copy whose signature
+# names another signer; on bracha that copy is a plain second send.
 _FORGE_SCRIPT = tuple(
     {"time": t, "op": "gossip", "to": to, "instance": inst, "mkind": mkind,
      "payload": payload, **extra}
@@ -120,6 +121,8 @@ def _stream_cases() -> dict:
             4, "bracha", 400, adversaries=(FlipVoterSpec(3, {1: 1, 2: 1}),)),
         "stream_n4_flip/gossip": _stream(
             4, "gossip", 400, adversaries=(FlipVoterSpec(3, {1: 1, 2: 1}),)),
+        "stream_n4_forge/bracha": _stream(
+            4, "bracha", 400, adversaries=(ScriptedSpec(3, _FORGE_SCRIPT),)),
         "stream_n4_forge/gossip": _stream(
             4, "gossip", 400, adversaries=(ScriptedSpec(3, _FORGE_SCRIPT),)),
     }

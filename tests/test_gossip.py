@@ -19,7 +19,7 @@ from abcast.gossip import (
 )
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import AdversaryApi, Driver, Simulation
-from abcast.subproto import GossipSend, InstanceKey, Kind, LocalInput, Output, Recv
+from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Recv, Send
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -64,11 +64,11 @@ def test_digest_is_stable():
 def test_initial_triggers_signed_echo():
     m = rb_at(1)
     out = m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a")))
-    assert out == [GossipSend(make_signed(SCHEME, 1, RB_KEY, ECHO, "a"))]
+    assert out == [Send(make_signed(SCHEME, 1, RB_KEY, ECHO, "a"))]
     assert rb_at(1).step(LocalInput("a")) == []
     proposer = rb_at(0)
     out = proposer.step(LocalInput("a"))
-    assert out == [GossipSend(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))]
+    assert out == [Send(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))]
 
 
 def test_forged_signature_rejected_and_counted():
@@ -149,7 +149,7 @@ def test_initial_equivocation_evidence():
 def test_wba_vote_once_and_quorum_output():
     m = wba_at(3)
     out = m.step(LocalInput(1))
-    assert out == [GossipSend(make_signed(SCHEME, 3, WBA_KEY, VOTE, 1))]
+    assert out == [Send(make_signed(SCHEME, 3, WBA_KEY, VOTE, 1))]
     assert m.step(LocalInput(1)) == []
     m.step(Recv(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1)))
     m.step(Recv(make_signed(SCHEME, 1, WBA_KEY, VOTE, 1)))
@@ -249,13 +249,13 @@ class _TamperDriver(Driver):
         self.tampered = None
 
     def on_start(self, api: AdversaryApi) -> None:
-        vote = api.signed(InstanceKey(Kind.WBA, 5), VOTE, 1)
-        api.gossip(vote)
+        vote = api.message(InstanceKey(Kind.WBA, 5), VOTE, 1)
+        api.send(vote)
         self.tampered = replace(vote, **self.change)
 
     def on_deliver(self, api: AdversaryApi, msg) -> None:
         if api.now >= 20 and self.tampered is not None:
-            api.gossip(self.tampered)
+            api.send(self.tampered)
             self.tampered = None
 
 

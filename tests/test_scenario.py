@@ -169,6 +169,10 @@ MALFORMED = {
     "object for adversaries": {"adversaries": {}},
     "object for injections": {"injections": {}},
     "object for raw_inputs": {"mode": "raw", "injections": [], "raw_inputs": {}},
+    "list-valued raw input": {
+        "mode": "raw", "injections": [], "checks": ["subprotocol_delay"],
+        "raw_inputs": [{"time": 1, "node": i, "instance": "wba/0", "value": [1]}
+                       for i in range(4)]},
     "string for a script": {
         "adversaries": [{"kind": "scripted", "node": 3, "script": "abc"}]},
     "list for the backend kind": {"backend": {"kind": ["bracha"]}},

@@ -361,3 +361,14 @@ def test_unhashable_rb_payload_is_dropped(backend):
     assert [r.status for r in reports] == ["pass", "pass"]
     for node in (0, 1, 2):
         assert [ev.data["value"] for ev in trace.ab_outputs()[node]] == ["v0", "v1"]
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_each_script_entry_runs_once_with_two_scripted_drivers(backend):
+    # Two scripts on one node stack: each entry is sent by its own driver
+    # only, so two entries give two sends, not one per driver each.
+    scripts = [({"time": t, "op": "send", "to": "all", "instance": "wba/0",
+                 "mkind": "vote", "payload": 1},) for t in (1, 2)]
+    cfg = make_cfg(backend=backend, mode="raw", injections=(), horizon=40,
+                   adversaries=tuple(ScriptedSpec(3, s) for s in scripts))
+    assert [ev.time for ev in sends_by(run(cfg), 3)] == [1, 2]
