@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:     # OSError: an output path
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 import inspect
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .checks import CHECKS, CheckContext, run_checks
 from .core import ConfigError, LeaderSchedule, Params
 from .engine import EngineOptions
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
-                     PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
-                     check_placement, run)
+                     PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec, run)
 from .subproto import InstanceKey, Kind, parse_key
 
 SCENARIO_VERSION = 1
@@ -67,7 +67,7 @@ def _scalar(v, what: str):
 
 
 def _node_list(v, what: str) -> tuple:
-    """A list of integer node ids; check_placement checks that they exist."""
+    """A list of integer node ids; RunConfig checks that they exist."""
     _expect(isinstance(v, list) and all(map(_is_int, v)),
             f"{what} must be a list of node ids, got {v!r}")
     return tuple(v)
@@ -101,8 +101,8 @@ def _check_entry(entry):
 
 
 def _check_script_entry(entry, mode: str) -> None:
-    _expect(isinstance(entry, dict) and "time" in entry and "op" in entry,
-            f"bad script entry: {entry!r}")
+    _expect(isinstance(entry, dict) and "time" in entry
+            and entry.get("op") in ("send", "gossip"), f"bad script entry: {entry!r}")
     _int_field(entry, "time", minimum=0)
     key = _instance_key(entry.get("instance"))
     _expect(isinstance(entry.get("mkind"), str),
@@ -127,68 +127,47 @@ def _check_script_entry(entry, mode: str) -> None:
         _scalar(payload, "script payload")
 
 
+def _auto_horizon(params: Params, injections: tuple) -> int:
+    """Liveness-safe horizon: pre-GST round burn, then enough leader
+    rotations to flush every queued injection, plus delivery slack."""
+    k = max(Counter(node for _, node, _ in injections).values(), default=1)
+    d = params.sub_delay
+    return params.gst + 3 * d * (params.gst + (k + 2) * params.n + 2) + 2 * d
+
+
 @dataclass
 class Scenario:
-    params: Params
-    backend: str
-    digest_mode: bool
-    schedule: LeaderSchedule
-    adversaries: tuple
-    injections: tuple
-    options: EngineOptions
-    seed: int
-    horizon: object                 # int, or "auto" for liveness sizing
-    pre_gst_max_delay: int
-    delay_law: str
-    gossip_relay_latency: int
-    gst_draw: tuple | None = None   # (lo, hi): per-seed gst override
-    extra_nodes: int = 0
-    mode: str = "engine"
-    raw_inputs: tuple = ()
+    """A file's run as the file writes it, plus what a file adds: checks, a
+    per-seed gst draw, and whether the horizon is sized per gst ("auto")."""
+    config: RunConfig
     checks: tuple = ()
+    gst_draw: tuple | None = None   # (lo, hi): per-seed gst override
+    auto_horizon: bool = False
 
     @property
-    def faulty_nodes(self) -> set:
-        return {spec.node for spec in self.adversaries}
+    def backend(self) -> str:
+        return self.config.backend
 
     def correct_nodes(self) -> tuple:
-        total = self.params.n + self.extra_nodes
-        return tuple(i for i in range(total) if i not in self.faulty_nodes)
-
-    def auto_horizon(self, params: Params) -> int:
-        """Liveness-safe horizon: pre-GST round burn, then enough leader
-        rotations to flush every queued injection, plus delivery slack."""
-        per_node: dict[int, int] = {}
-        for _, node, _ in self.injections:
-            per_node[node] = per_node.get(node, 0) + 1
-        k = max(per_node.values(), default=1)
-        d = params.sub_delay
-        return params.gst + 3 * d * (params.gst + (k + 2) * params.n + 2) + 2 * d
+        cfg = self.config
+        faulty = {spec.node for spec in cfg.adversaries}
+        return tuple(i for i in range(cfg.params.n + cfg.extra_nodes) if i not in faulty)
 
     def config_for(self, seed: int | None = None) -> RunConfig:
-        seed = self.seed if seed is None else seed
-        params = self.params
+        cfg = self.config
+        seed = cfg.seed if seed is None else seed
+        params, horizon = cfg.params, cfg.horizon
         if self.gst_draw is not None:
-            lo, hi = self.gst_draw
-            params = replace(params, gst=random.Random(seed).randint(lo, hi))
-        horizon = self.horizon
-        if horizon == "auto":
-            _expect(self.mode == "engine", "auto horizon needs engine mode")
-            horizon = self.auto_horizon(params)
+            params = replace(params, gst=random.Random(seed).randint(*self.gst_draw))
+        if self.auto_horizon:
+            horizon = _auto_horizon(params, cfg.injections)
         _expect(horizon > params.gst, "horizon must exceed gst")
-        return RunConfig(
-            params=params, schedule=self.schedule, backend=self.backend,
-            digest_mode=self.digest_mode, seed=seed, horizon=horizon,
-            pre_gst_max_delay=self.pre_gst_max_delay, delay_law=self.delay_law,
-            gossip_relay_latency=self.gossip_relay_latency,
-            extra_nodes=self.extra_nodes, adversaries=self.adversaries,
-            injections=self.injections, options=self.options, mode=self.mode,
-            raw_inputs=self.raw_inputs)
+        return replace(cfg, params=params, seed=seed, horizon=horizon)
 
     def context_for(self, cfg: RunConfig) -> CheckContext:
         return CheckContext(
             params=cfg.params, horizon=cfg.horizon,
-            correct_nodes=self.correct_nodes(), injections=self.injections,
+            correct_nodes=self.correct_nodes(), injections=cfg.injections,
             backend=cfg.backend, delay_law=cfg.delay_law,
             gossip_relay_latency=cfg.gossip_relay_latency, seed=cfg.seed)
 
@@ -272,8 +251,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     sim = doc.get("sim", {})
     _expect(isinstance(sim, dict), "sim must be an object")
-    extra_nodes = _int_field(sim, "extra_nodes", default=0, minimum=0)
-    n_total = params.n + extra_nodes
     mode = doc.get("mode", "engine")
     adversaries = tuple(_parse_adversary(a, mode)
                         for a in _list_field(doc, "adversaries"))
@@ -293,9 +270,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         spam_window=_int_field(opts_doc, "spam_window", default=100, minimum=0))
 
     horizon = sim.get("horizon", "auto")
-    if horizon != "auto":
-        _expect(_is_int(horizon) and horizon > 0,
-                'horizon must be a positive integer or "auto"')
+    auto_horizon = horizon == "auto"
+    if auto_horizon:
+        _expect(mode == "engine", "auto horizon needs engine mode")
+        horizon = _auto_horizon(params, injections)
+    _expect(_is_int(horizon) and horizon > 0,
+            'horizon must be a positive integer or "auto"')
     gst_draw = None
     if "gst_draw" in sim:
         draw = sim["gst_draw"]
@@ -312,28 +292,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raw_inputs.append((_int_field(ri, "time", default=0),
                            _int_field(ri, "node"), ri["instance"],
                            _scalar(ri["value"], "raw input value")))
-    # the injection times wait for config_for, which knows the horizon
-    check_placement(n_total, params.f, adversaries, injections, raw_inputs)
 
-    checks = tuple(_check_entry(entry) for entry in _list_field(doc, "checks"))
-    return Scenario(
-        params=params, backend=backend, digest_mode=digest_mode,
-        schedule=schedule, adversaries=adversaries, injections=tuple(injections),
-        options=options, seed=_int_field(sim, "seed", default=0),
-        horizon=horizon,
+    config = RunConfig(
+        params=params, schedule=schedule, backend=backend, digest_mode=digest_mode,
+        seed=_int_field(sim, "seed", default=0), horizon=horizon,
         pre_gst_max_delay=_int_field(sim, "pre_gst_max_delay", default=5),
         delay_law=sim.get("delay_law", "fixed"),
         gossip_relay_latency=_int_field(sim, "gossip_relay_latency", default=1),
-        gst_draw=gst_draw, extra_nodes=extra_nodes, mode=mode,
-        raw_inputs=tuple(raw_inputs), checks=checks)
+        extra_nodes=_int_field(sim, "extra_nodes", default=0, minimum=0),
+        adversaries=adversaries, injections=tuple(injections), options=options,
+        mode=mode, raw_inputs=tuple(raw_inputs))
+    checks = tuple(_check_entry(entry) for entry in _list_field(doc, "checks"))
+    return Scenario(config, checks, gst_draw, auto_horizon)
 
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a decode error, bytes that are not UTF-8, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)

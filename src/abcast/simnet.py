@@ -109,42 +109,35 @@ class RunConfig:
         # a bound of 0 would make the uniform law's rejection loop spin
         if self.pre_gst_max_delay < 1 or self.gossip_relay_latency < 1:
             raise ConfigError("pre_gst_max_delay and gossip_relay_latency must be >= 1")
-        check_placement(self.params.n + self.extra_nodes, self.params.f,
-                        self.adversaries, self.injections, self.raw_inputs)
+        # Every node an adversary is, or sends to, exists; at most f distinct
+        # nodes may be faulty, observers included; and a node that crashes
+        # runs no driver, since a driven node has no correct stack to stop.
+        adversaries, targets = self.adversaries, []
+        for spec in adversaries:
+            if isinstance(spec, EquivocatingProposerSpec):
+                targets += [node for part in spec.partitions for node in part.nodes]
+            elif isinstance(spec, ScriptedSpec):
+                targets += [node for entry in spec.script
+                            if entry.get("to", "all") != "all" for node in entry["to"]]
+        inputs = (*self.injections, *self.raw_inputs)
+        for what, nodes in (("adversary node", [spec.node for spec in adversaries]),
+                            ("adversary target", targets),
+                            ("input target", [inp[1] for inp in inputs])):
+            for node in nodes:
+                if not 0 <= node < self.params.n + self.extra_nodes:
+                    raise ConfigError(f"{what} {node} does not exist")
+        faulty = {spec.node for spec in adversaries}
+        if len(faulty) > self.params.f:
+            raise ConfigError(f"{len(faulty)} faulty nodes exceeds the bound "
+                              f"f={self.params.f}")
+        crashed = {spec.node for spec in adversaries if isinstance(spec, CrashSpec)}
+        if any(spec.node in crashed for spec in adversaries
+               if not isinstance(spec, CrashSpec)):
+            raise ConfigError("a node cannot both crash and run an adversary driver")
         for t, _, _ in self.injections:
             # an injection at the horizon could never be delivered in time
             if t >= self.horizon:
                 raise ConfigError(f"injection at t={t} is not before the horizon")
-
-
-def check_placement(total: int, f: int, adversaries, injections,
-                    raw_inputs) -> None:
-    """The node ranges, the fault bound and the crash rule, for RunConfig
-    and for the scenario loader, which checks a file before its horizon is
-    known.  Every node an adversary is, or sends to, exists; at most f
-    distinct nodes may be faulty, observers included; and a node that
-    crashes runs no driver, since a driven node has no correct stack to
-    stop."""
-    targets = []
-    for spec in adversaries:
-        if isinstance(spec, EquivocatingProposerSpec):
-            targets += [node for part in spec.partitions for node in part.nodes]
-        elif isinstance(spec, ScriptedSpec):
-            targets += [node for entry in spec.script
-                        if entry.get("to", "all") != "all" for node in entry["to"]]
-    for what, nodes in (("adversary node", [spec.node for spec in adversaries]),
-                        ("adversary target", targets),
-                        ("input target", [inp[1] for inp in (*injections, *raw_inputs)])):
-        for node in nodes:
-            if not 0 <= node < total:
-                raise ConfigError(f"{what} {node} does not exist")
-    faulty = {spec.node for spec in adversaries}
-    if len(faulty) > f:
-        raise ConfigError(f"{len(faulty)} faulty nodes exceeds the bound f={f}")
-    crashed = {spec.node for spec in adversaries if isinstance(spec, CrashSpec)}
-    if any(spec.node in crashed for spec in adversaries
-           if not isinstance(spec, CrashSpec)):
-        raise ConfigError("a node cannot both crash and run an adversary driver")
 
 
 def _encode_value(v):

@@ -61,6 +61,14 @@ def compact_encoder(default=None):
 _encode = compact_encoder()
 
 
+def _decode(i: int, line: str):
+    """Line `i`'s JSON value, or ValueError, nesting past the stack included."""
+    try:
+        return _DECODER.decode(line)
+    except RecursionError:
+        raise ValueError(f"trace line {i} is nested too deep") from None
+
+
 @dataclass(slots=True)
 class TraceEvent:
     time: int
@@ -178,27 +186,28 @@ class Trace:
         first = next(numbered, None)
         if first is None:
             raise ValueError("empty trace")
-        decode = _DECODER.decode
-        header = decode(first[1])
+        header = _decode(*first)
         if type(header) is not dict or header.get("kind") != "trace_header":
             raise ValueError("trace file lacks a header line")
         if header.get("version") != TRACE_VERSION:
             raise ValueError(f"unsupported trace version {header.get('version')}")
+        seed = header.get("seed", 0)
+        if type(seed) is not int:
+            raise ValueError(f"trace header seed must be an integer, got {seed!r}")
         meta = {k: v for k, v in header.items()
                 if k not in ("kind", "version", "seed")}
-        trace = cls(seed=header.get("seed", 0), meta=meta)
+        trace = cls(seed=seed, meta=meta)
         events = trace.events
-        # The decoder's own scanner; a line it cannot read whole, from its
-        # first character to its last, goes through `decode`, which accepts
-        # surrounding whitespace and raises on anything else.
+        # The decoder's own scanner; a line it cannot read whole goes through
+        # `_decode`, which accepts surrounding whitespace and raises on the rest.
         scan = _DECODER.scan_once
         for i, ln in numbered:
             try:
                 rec, end = scan(ln, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(ln):
-                rec = decode(ln)
+                rec = _decode(i, ln)
             if type(rec) is not dict:
                 raise ValueError(f"trace line {i} is not a JSON object")
             time, seq = rec.pop("time", None), rec.pop("seq", None)

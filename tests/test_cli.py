@@ -94,6 +94,11 @@ def test_unknown_check_name_exits_2(tmp_path, capsys):
     assert "unknown check 'nope'" in capsys.readouterr().err
 
 
+# nested past the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+NESTED = pytest.param(DEEP, id="nested too deep")
+
+
 def _event(**fields):
     return json.dumps({"time": 1, "seq": 0, **fields})
 
@@ -114,6 +119,7 @@ def _event(**fields):
     _event(kind="advance", round=1),
     _event(kind="ab_output", node=0, round=0, position=0, value=[1]),
     _event(kind="sub_output", node=0, value=[1], instance="wba/0"),
+    NESTED,
 ])
 def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     trace_path = tmp_path / "t.jsonl"
@@ -124,6 +130,56 @@ def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace_path), HONEST]) == 2
     assert "bad trace file" in capsys.readouterr().err
+
+
+# A header without a seed means seed 0; one that is there must be an int.
+@pytest.mark.parametrize("header", [
+    NESTED,
+    '{"kind":"trace_header","version":1,"seed":[1]}',
+    '{"kind":"trace_header","version":1,"seed":null}',
+    '{"kind":"trace_header","version":1,"seed":"abc"}',
+    '{"kind":"trace_header","version":1,"seed":true}',
+    pytest.param('{"kind":"trace_header","version":1,"seed":0,"x":' + DEEP + "}",
+                 id="nested meta"),
+])
+def test_check_rejects_a_malformed_header(tmp_path, capsys, header):
+    trace_path = tmp_path / "t.jsonl"
+    main(["run", HONEST, "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    trace_path.write_text("\n".join([header, *lines[1:]]) + "\n")
+    assert main(["check", str(trace_path), HONEST]) == 2
+    assert "configuration error: bad trace file" in capsys.readouterr().err
+
+
+def test_check_reads_a_header_without_seed_as_seed_0(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    main(["run", HONEST, "--seed", "0", "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["seed"]
+    trace_path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert main(["check", str(trace_path), HONEST]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "fuzz"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", DEEP.encode()],
+                         ids=["not utf-8", "nested too deep"])
+def test_unreadable_scenario_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    extra = ["--seeds", "0..1"] if command == "fuzz" else []
+    assert main([command, str(path), *extra]) == 2
+    assert "configuration error: scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--trace-out", "--report-out"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, option):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["run", HONEST, option, str(target)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_fuzz_reports_seed_tally(capsys):

@@ -31,7 +31,7 @@ def base_doc():
 
 def test_load_bundled_scenario():
     sc = load_scenario(str(SCENARIOS / "honest_n4.json"))
-    assert sc.params.n == 4 and sc.params.f == 1
+    assert sc.config.params.n == 4 and sc.config.params.f == 1
     assert sc.backend == "bracha"
     assert sc.checks
     assert sc.correct_nodes() == (0, 1, 2, 3)
@@ -44,10 +44,10 @@ def test_missing_file_is_config_error():
 
 def test_parse_round_trip_of_fields():
     sc = scenario_from_dict(base_doc())
-    assert sc.params.gst == 10
-    assert sc.params.sub_delay == 6
-    assert sc.horizon == 200
-    assert sc.injections == ((0, 0, "v0"), (0, 1, "v1"))
+    assert sc.config.params.gst == 10
+    assert sc.config.params.sub_delay == 6
+    assert sc.config.horizon == 200
+    assert sc.config.injections == ((0, 0, "v0"), (0, 1, "v1"))
     assert sc.checks == ("safety", "liveness")
 
 
@@ -72,13 +72,13 @@ def test_adversary_parsing_and_bounds():
     doc = base_doc()
     doc["adversaries"] = [{"kind": "crash", "node": 3, "at": 40}]
     sc = scenario_from_dict(doc)
-    assert sc.adversaries == (CrashSpec(3, 40),)
+    assert sc.config.adversaries == (CrashSpec(3, 40),)
     assert sc.correct_nodes() == (0, 1, 2)
 
     doc["adversaries"] = [{"kind": "flip_voter", "node": 3,
                            "bits": {"2": 1}, "equivocate": True}]
     sc = scenario_from_dict(doc)
-    assert sc.adversaries == (FlipVoterSpec(3, {2: 1}, True),)
+    assert sc.config.adversaries == (FlipVoterSpec(3, {2: 1}, True),)
 
     doc["adversaries"] = [{"kind": "crash", "node": 9}]
     with pytest.raises(ConfigError):
@@ -93,7 +93,7 @@ def test_distinct_faulty_validators_bounded_by_f():
     doc["adversaries"] = [{"kind": "silent_leader", "node": 3},
                           {"kind": "flip_voter", "node": 3, "bits": {}}]
     sc = scenario_from_dict(doc)
-    assert sc.faulty_nodes == {3}
+    assert sc.correct_nodes() == (0, 1, 2)
 
     doc["adversaries"] = [{"kind": "silent_leader", "node": 2},
                           {"kind": "flip_voter", "node": 3, "bits": {}}]
@@ -148,6 +148,8 @@ def _partition_parent(parent):
 
 MALFORMED = {
     "script entry without instance": {"adversaries": _scripted()},
+    "integer script op": {"adversaries": _scripted(instance="wba/0", op=42)},
+    "unknown script op": {"adversaries": _scripted(instance="wba/0", op="post")},
     "unknown instance kind": {"adversaries": _scripted(instance="zz/1")},
     "unknown raw instance kind": {
         "mode": "raw", "injections": [],
@@ -213,9 +215,9 @@ def test_malformed_input_is_config_error_at_parse(patch):
 def test_integer_fields_still_load():
     doc = base_doc()
     doc.update(_partition_parent(2))
-    assert scenario_from_dict(doc).adversaries[0].partitions[0].parent == 2
+    assert scenario_from_dict(doc).config.adversaries[0].partitions[0].parent == 2
     doc.update(_flip_bits({"0": 0, "12": 1}))
-    assert scenario_from_dict(doc).adversaries[0].bits == {0: 0, 12: 1}
+    assert scenario_from_dict(doc).config.adversaries[0].bits == {0: 0, 12: 1}
 
 
 def test_booleans_are_json_booleans():
@@ -224,8 +226,8 @@ def test_booleans_are_json_booleans():
                           {"kind": "flip_voter", "node": 3}]
     doc["backend"] = {"kind": "gossip", "digest_mode": False}
     sc = scenario_from_dict(doc)
-    assert [spec.equivocate for spec in sc.adversaries] == [True, False]
-    assert sc.digest_mode is False
+    assert [spec.equivocate for spec in sc.config.adversaries] == [True, False]
+    assert sc.config.digest_mode is False
 
 
 def test_bare_rb_payload_is_allowed_in_raw_mode():
@@ -245,7 +247,7 @@ def test_digest_mode_needs_gossip():
         scenario_from_dict(doc)
     doc["backend"] = {"kind": "gossip_quorum", "digest_mode": True}
     sc = scenario_from_dict(doc)
-    assert sc.backend == "gossip" and sc.digest_mode
+    assert sc.backend == "gossip" and sc.config.digest_mode
 
 
 def test_gst_draw_validation():
@@ -284,9 +286,8 @@ def test_auto_horizon_rejected_in_raw_mode():
     doc["sim"]["horizon"] = "auto"
     doc["mode"] = "raw"
     doc["injections"] = []
-    sc = scenario_from_dict(doc)
-    with pytest.raises(ConfigError):
-        sc.config_for()
+    with pytest.raises(ConfigError, match="auto horizon"):
+        scenario_from_dict(doc)
 
 
 def test_horizon_must_clear_gst():
@@ -294,6 +295,15 @@ def test_horizon_must_clear_gst():
     doc["sim"]["horizon"] = 10
     with pytest.raises(ConfigError):
         scenario_from_dict(doc).config_for()
+
+
+def test_injection_at_the_horizon_is_refused_at_parse():
+    doc = base_doc()
+    doc["injections"] = [{"time": 200, "node": 0, "value": "v"}]
+    with pytest.raises(ConfigError, match="horizon"):
+        scenario_from_dict(doc)
+    doc["injections"] = [{"time": 199, "node": 0, "value": "v"}]
+    assert scenario_from_dict(doc).config.injections == ((199, 0, "v"),)
 
 
 def test_injections_must_fit_horizon_and_nodes():
@@ -310,7 +320,7 @@ def test_schedule_list_parsed():
     doc = base_doc()
     doc["schedule"] = [3, 2, 1, 0]
     sc = scenario_from_dict(doc)
-    assert sc.schedule.leader_of(0) == 3
+    assert sc.config.schedule.leader_of(0) == 3
     doc["schedule"] = [0, 1]
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
@@ -364,8 +374,8 @@ def test_engine_options_parsed():
     doc = base_doc()
     doc["engine_options"] = {"queue_discipline": "lifo", "spam_window": 7}
     sc = scenario_from_dict(doc)
-    assert sc.options.queue_discipline == "lifo"
-    assert sc.options.spam_window == 7
+    assert sc.config.options.queue_discipline == "lifo"
+    assert sc.config.options.spam_window == 7
     doc["engine_options"] = {"queue_discipline": "stack"}
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
