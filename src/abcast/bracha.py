@@ -119,10 +119,6 @@ class BrachaWba(_EchoReady):
 
     echo_kind = VOTE
 
-    @property
-    def sent_vote(self) -> bool:
-        return self.sent_echo
-
     def step(self, event: object) -> list:
         if isinstance(event, LocalInput):
             if event.value not in (0, 1):

@@ -248,6 +248,12 @@ def _search(initial: int, byz_offer, successors, good, group, max_states: int):
     not good (None if there is none).  A bad state found under a
     non-trivial group is searched for again under the identity alone, so
     the count and the state reported are those of the unreduced search.
+
+    The stack holds each state's images as discovered, identity first, so
+    none is rebuilt at a pop.  A successor is first looked up under the
+    element that maps its parent to the parent's least image and skipped on
+    a hit, with no min over the group: `seen` holds least images only, so
+    any image found there means the successor's orbit is stored.
     """
     ids = range(len(byz_offer))
     bases = [_BITS * i for i in ids]
@@ -258,30 +264,26 @@ def _search(initial: int, byz_offer, successors, good, group, max_states: int):
                if good(tags)}
     # A state's images are the sums of its slots' images (the slots land on
     # disjoint bits).  Per recipient and (word, deliverable set), `changes`
-    # holds what each delivery XORs into every image.  The identity alone
-    # runs as a pair of identities: the min and the orbit size (the count
-    # of distinct images) come out the same, and pairs take an inline min.
-    elements = group * 2 if len(group) == 1 else group
-    pair = len(elements) == 2
-    images = [_Images(elements, i) for i in ids]
+    # holds what each delivery XORs into every image.
+    images = [_Images(group, i) for i in ids]
     step_memo: list[dict] = [dict() for _ in ids]
 
     words = [initial >> b & _MASK for b in bases]
     imgs = tuple(map(sum, zip(*map(getitem, images, words))))
     states = len(set(imgs))
-    rep = min(imgs)
-    seen = {rep}
-    stack = [rep]
+    seen = {min(imgs)}
+    stack = [imgs]
     while stack:
-        state = stack.pop()
+        imgs = stack.pop()
+        state = imgs[0]
         if state & out_mask not in ok_outs:
             if len(group) > 1:
                 return _search(initial, byz_offer, successors, good, group[:1],
                                max_states)
             return states, len(seen), state
+        j = imgs.index(min(imgs))
+        rep = imgs[j]
         words = [state >> b & _MASK for b in bases]
-        imgs = tuple(map(sum, zip(*map(getitem, images, words))))
-        im0, im1 = imgs[:2]
         offers = 0
         for i in ids:
             offers |= words[i] & self_mask[i]
@@ -295,18 +297,15 @@ def _search(initial: int, byz_offer, successors, good, group, max_states: int):
                                 for nv in successors(r, sr, key & 0xFFFF))
                 step_memo[r][key] = changes
             for change in changes:
-                if pair:
-                    a, b = change
-                    a ^= im0
-                    b ^= im1
-                    nxt = a if a < b else b
-                else:
-                    nxt = min(map(xor, imgs, change))
-                if nxt not in seen:
-                    states += len(set(map(xor, imgs, change)))
+                if rep ^ change[j] in seen:
+                    continue
+                nxt = tuple(map(xor, imgs, change))
+                least = min(nxt)
+                if least not in seen:
+                    states += len(set(nxt))
                     if states > max_states:
                         raise BudgetExceeded(f"over {max_states} states")
-                    seen.add(nxt)
+                    seen.add(least)
                     stack.append(nxt)
     return states, len(seen), None
 

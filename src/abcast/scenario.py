@@ -221,7 +221,7 @@ def _parse_adversary(obj: dict, mode: str):
 def scenario_from_dict(doc: dict) -> Scenario:
     _expect(isinstance(doc, dict), "scenario must be a JSON object")
     version = doc.get("version")
-    _expect(version == SCENARIO_VERSION,
+    _expect(_is_int(version) and version == SCENARIO_VERSION,
             f"unsupported scenario version {version!r}")
     p = doc.get("params")
     _expect(isinstance(p, dict), "missing params object")
@@ -289,7 +289,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _expect(isinstance(ri, dict) and "instance" in ri and "value" in ri,
                 f"bad raw input entry: {ri!r}")
         _instance_key(ri["instance"])
-        raw_inputs.append((_int_field(ri, "time", default=0),
+        raw_inputs.append((_int_field(ri, "time", default=0, minimum=0),
                            _int_field(ri, "node"), ri["instance"],
                            _scalar(ri["value"], "raw input value")))
 

@@ -189,8 +189,9 @@ class Trace:
         header = _decode(*first)
         if type(header) is not dict or header.get("kind") != "trace_header":
             raise ValueError("trace file lacks a header line")
-        if header.get("version") != TRACE_VERSION:
-            raise ValueError(f"unsupported trace version {header.get('version')}")
+        version = header.get("version")
+        if type(version) is not int or version != TRACE_VERSION:
+            raise ValueError(f"unsupported trace version {version!r}")
         seed = header.get("seed", 0)
         if type(seed) is not int:
             raise ValueError(f"trace header seed must be an integer, got {seed!r}")

@@ -162,7 +162,7 @@ def test_wba_split_votes_no_progress():
     # Own vote for 1 on input, but neither bit collects a vote quorum
     # among {0:{0,2}, 1:{1,3}} so no ready ever goes out.
     m.step(LocalInput(1))
-    assert m.sent_vote and not m.sent_ready
+    assert m.sent_echo and not m.sent_ready
 
 
 def test_rb_delivery_order_invariance():

@@ -85,6 +85,16 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     assert "injection value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_non_integer_scenario_version_exits_2(tmp_path, capsys, version):
+    doc = json.loads(Path(HONEST).read_text())
+    doc["version"] = version
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "unsupported scenario version" in capsys.readouterr().err
+
+
 def test_unknown_check_name_exits_2(tmp_path, capsys):
     doc = json.loads(Path(HONEST).read_text())
     doc["checks"] = ["safety", {"name": "nope"}]
@@ -139,6 +149,8 @@ def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     '{"kind":"trace_header","version":1,"seed":null}',
     '{"kind":"trace_header","version":1,"seed":"abc"}',
     '{"kind":"trace_header","version":1,"seed":true}',
+    '{"kind":"trace_header","version":true,"seed":0}',
+    '{"kind":"trace_header","version":1.0,"seed":0}',
     pytest.param('{"kind":"trace_header","version":1,"seed":0,"x":' + DEEP + "}",
                  id="nested meta"),
 ])

@@ -1,14 +1,19 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcast.core import Params
 from abcast.explore import (
+    _BITS,
+    _MASK,
     BudgetExceeded,
     Thresholds,
     _apply,
     _initial,
     _moves,
+    _relabel_word,
     _violation,
     default_rb_budget,
     default_wba_budget,
@@ -67,6 +72,21 @@ def slow_rb_states(correct, budget, th):
 
 def slow_rb_reach(correct, budget, th):
     return len(slow_rb_states(correct, budget, th))
+
+
+def orbit_count(states, inputs, budget):
+    """Orbits among `states`: distinct least images under the instance's
+    symmetry group, each image built by relabeling every slot's word."""
+    group = symmetry_group(inputs, budget)
+
+    @functools.cache
+    def slot_images(i, word):
+        return [_relabel_word(word, perm) << (_BITS * perm[i]) for perm in group]
+
+    def least(state):
+        return min(map(sum, zip(*(slot_images(i, state >> (_BITS * i) & _MASK)
+                                  for i in range(len(inputs))))))
+    return len(set(map(least, states)))
 
 
 def test_wba_explorer_matches_reference_walk():
@@ -233,8 +253,9 @@ def test_reduced_wba_search_matches_reference_walk(inputs, budget, group):
     res = explore_wba(inputs, PARAMS, byz_budget=budget)
     assert len(symmetry_group(inputs, budget)) == group
     assert res.ok
-    assert res.states == slow_wba_reach(inputs, budget, TH)
-    assert res.representatives < res.states
+    seen = slow_wba_states(inputs, budget, TH)
+    assert res.states == len(seen)
+    assert res.representatives == orbit_count(seen, inputs, budget) < res.states
 
 
 @pytest.mark.parametrize("budget,group", [
@@ -246,8 +267,9 @@ def test_reduced_rb_search_matches_reference_walk(budget, group):
     res = explore_rb(PARAMS, byz_budget=budget)
     assert len(symmetry_group((None,) * 3, budget)) == group
     assert res.ok
-    assert res.states == slow_rb_reach(3, budget, TH)
-    assert res.representatives < res.states
+    seen = slow_rb_states(3, budget, TH)
+    assert res.states == len(seen)
+    assert res.representatives == orbit_count(seen, (None,) * 3, budget) < res.states
 
 
 def test_state_budget_counts_every_orbit_member():
@@ -291,6 +313,25 @@ def test_reduced_rb_search_agrees_with_reference_walk(budget):
     assert res.ok == ok
     if ok:
         assert res.states == len(seen)
+
+
+# The explorer budgets of the benchmark's --tiny run, with their pinned counts.
+@pytest.mark.parametrize("inputs,budget,states,representatives", [
+    (None, [("initial", 0, 0), ("initial", 1, 1), ("ready", 0, 2)], 50, 50),
+    ((1, 1, 1), [("vote", 0, 0), ("ready", 1, 1)], 2380, 2380),
+    ((0, 1, 1), [("vote", 0, 0), ("ready", 1, 1)], 256, 256),
+])
+def test_tiny_bench_searches_are_pinned(inputs, budget, states, representatives):
+    if inputs is None:
+        res = explore_rb(PARAMS, byz_budget=budget)
+        seen = slow_rb_states(3, budget, TH)
+        inputs = (None,) * 3
+    else:
+        res = explore_wba(inputs, PARAMS, byz_budget=budget)
+        seen = slow_wba_states(inputs, budget, TH)
+    assert res.ok
+    assert (res.states, res.representatives) == (states, representatives)
+    assert representatives == orbit_count(seen, inputs, budget)
 
 
 def test_violation_under_full_group_reports_the_unreduced_search():

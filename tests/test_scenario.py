@@ -61,6 +61,16 @@ def test_version_gate():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_gate_refuses_a_non_integer_one(version):
+    # True == 1 and 1.0 == 1 in Python; the gate holds the version to the
+    # loader's integer rule.
+    doc = base_doc()
+    doc["version"] = version
+    with pytest.raises(ConfigError, match="unsupported scenario version"):
+        scenario_from_dict(doc)
+
+
 def test_fault_bound_enforced_at_parse():
     doc = base_doc()
     doc["params"]["n"] = 3
@@ -174,6 +184,10 @@ MALFORMED = {
     "list-valued raw input": {
         "mode": "raw", "injections": [], "checks": ["subprotocol_delay"],
         "raw_inputs": [{"time": 1, "node": i, "instance": "wba/0", "value": [1]}
+                       for i in range(4)]},
+    "negative raw input time": {
+        "mode": "raw", "injections": [], "checks": ["subprotocol_delay"],
+        "raw_inputs": [{"time": -5, "node": i, "instance": "wba/0", "value": 1}
                        for i in range(4)]},
     "string for a script": {
         "adversaries": [{"kind": "scripted", "node": 3, "script": "abc"}]},

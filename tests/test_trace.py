@@ -65,6 +65,13 @@ def test_rejects_malformed_input():
         Trace.from_jsonl(bad_version)
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"', "null"])
+def test_rejects_a_header_version_that_only_equals_1(version):
+    header = '{"kind":"trace_header","version":%s,"seed":0}\n' % version
+    with pytest.raises(ValueError, match="unsupported trace version"):
+        Trace.from_jsonl(header)
+
+
 HEADER = '{"kind":"trace_header","seed":0,"version":1}'
 START = '{"kind":"start","node":0,"seq":0,"time":0}'
 
