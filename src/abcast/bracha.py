@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import InstanceKey, Kind, LocalInput, Recv, Send, Output
+from .subproto import InstanceKey, Kind, LocalInput, Send, Output
 
 INITIAL = "initial"
 ECHO = "echo"
@@ -30,7 +30,7 @@ READY = "ready"
 VOTE = "vote"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BrachaMsg:
     instance: InstanceKey
     kind: str
@@ -101,17 +101,15 @@ class BrachaRb(_EchoReady):
             if self.self_id != self.proposer:
                 return []
             return [Send(BrachaMsg(self.key, INITIAL, event.value, self.self_id))]
-        assert isinstance(event, Recv)
-        msg = event.msg
-        if not isinstance(msg, BrachaMsg) or msg.instance != self.key:
+        if not isinstance(event, BrachaMsg) or event.instance != self.key:
             return []
-        if msg.kind != INITIAL:
-            return self._count(msg)
-        if (msg.sender != self.proposer or self.has_initial
-                or not hashable(msg.payload)):
+        if event.kind != INITIAL:
+            return self._count(event)
+        if (event.sender != self.proposer or self.has_initial
+                or not hashable(event.payload)):
             return []
         self.has_initial = True
-        return self._fire(msg.payload, seed=True)
+        return self._fire(event.payload, seed=True)
 
 
 class BrachaWba(_EchoReady):
@@ -124,12 +122,10 @@ class BrachaWba(_EchoReady):
             if event.value not in (0, 1):
                 return []
             return self._fire(event.value, seed=True)     # sends nothing from an observer
-        assert isinstance(event, Recv)
-        msg = event.msg
-        if (not isinstance(msg, BrachaMsg) or msg.instance != self.key
-                or msg.payload not in (0, 1)):
+        if (not isinstance(event, BrachaMsg) or event.instance != self.key
+                or event.payload not in (0, 1)):
             return []
-        return self._count(msg)
+        return self._count(event)
 
 
 def machine_factory(params: Params, schedule: LeaderSchedule,

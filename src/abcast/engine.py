@@ -53,24 +53,24 @@ def _chainable(prop: object) -> bool:
 
 # Actions handed back to the hosting node.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RestartTimer:
     delay: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InputRb:
     round: int
     proposal: Proposal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InputWba:
     round: int
     bit: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wake:
     """Ask to be poked at an absolute time; used only by the delay gates."""
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import InstanceKey, Kind, LocalInput, Recv, Send, Output
+from .subproto import InstanceKey, Kind, LocalInput, Send, Output
 from .trace import compact_encoder
 
 INITIAL = "initial"
@@ -163,27 +163,25 @@ class GossipRb(_SignedMachine):
             if self.self_id != self.proposer:
                 return []
             return [self._signed(INITIAL, event.value)]
-        assert isinstance(event, Recv)
-        msg = event.msg
-        if not isinstance(msg, SignedMsg) or msg.instance != self.key:
+        if not isinstance(event, SignedMsg) or event.instance != self.key:
             return []
-        if not self.scheme.verify(msg.signer, msg.signed_bytes, msg.sig):
+        if not self.scheme.verify(event.signer, event.signed_bytes, event.sig):
             self.invalid_sigs += 1
             return []
-        if msg.kind == ECHO:
-            return self._try_output() if self._first_counts(msg, self.echo_signers) else []
-        if (msg.kind != INITIAL or msg.signer != self.proposer
-                or not hashable(msg.payload)):
+        if event.kind == ECHO:
+            return self._try_output() if self._first_counts(event, self.echo_signers) else []
+        if (event.kind != INITIAL or event.signer != self.proposer
+                or not hashable(event.payload)):
             return []
         out = []
         if not self.has_initial:
             self.has_initial = True
-            self.initial_value = msg.payload
+            self.initial_value = event.payload
             if is_validator(self.self_id, self.params):
-                v = msg.payload
+                v = event.payload
                 out.append(self._signed(ECHO, digest(v) if self.digest_mode else v))
-        elif msg.payload != self.initial_value:
-            self.equivocations.setdefault(msg.signer, []).append(msg.payload)
+        elif event.payload != self.initial_value:
+            self.equivocations.setdefault(event.signer, []).append(event.payload)
         return out + self._try_output()
 
     def _try_output(self) -> list:
@@ -221,19 +219,17 @@ class GossipWba(_SignedMachine):
                 return []
             self.signed_vote = True
             return [self._signed(VOTE, b)]
-        assert isinstance(event, Recv)
-        msg = event.msg
-        if (not isinstance(msg, SignedMsg) or msg.instance != self.key
-                or msg.kind != VOTE or msg.payload not in (0, 1)):
+        if (not isinstance(event, SignedMsg) or event.instance != self.key
+                or event.kind != VOTE or event.payload not in (0, 1)):
             return []
-        if not self.scheme.verify(msg.signer, msg.signed_bytes, msg.sig):
+        if not self.scheme.verify(event.signer, event.signed_bytes, event.sig):
             self.invalid_sigs += 1
             return []
-        if not self._first_counts(msg, self.vote_signers):
+        if not self._first_counts(event, self.vote_signers):
             return []
-        if not self.delivered and len(self.vote_signers[msg.payload]) >= self.params.quorum:
+        if not self.delivered and len(self.vote_signers[event.payload]) >= self.params.quorum:
             self.delivered = True
-            return [Output(msg.payload)]
+            return [Output(event.payload)]
         return []
 
 

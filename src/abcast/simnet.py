@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .core import ConfigError, Params, LeaderSchedule
-from .subproto import InstanceKey, Kind, InstanceTable, Recv, Send, Output, parse_key
+from .subproto import InstanceKey, Kind, InstanceTable, Send, Output, parse_key
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
 from .engine import (Engine, EngineOptions, Proposal, RestartTimer, InputRb,
@@ -32,6 +32,11 @@ from .engine import (Engine, EngineOptions, Proposal, RestartTimer, InputRb,
 from .gossip import SignatureScheme, SignedMsg, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
+
+
+# A simulation builds every node's state before the first event, so a run
+# has at most this many nodes, validators and observers together.
+MAX_NODES = 256
 
 
 # -- adversary specifications -----------------------------------------------
@@ -106,6 +111,9 @@ class RunConfig:
                                    ("mode", self.mode, ("engine", "raw"))):
             if value not in known:
                 raise ConfigError(f"unknown {what} {value!r}")
+        total = self.params.n + self.extra_nodes
+        if total > MAX_NODES:
+            raise ConfigError(f"{total} nodes exceeds the cap of {MAX_NODES}")
         # a bound of 0 would make the uniform law's rejection loop spin
         if self.pre_gst_max_delay < 1 or self.gossip_relay_latency < 1:
             raise ConfigError("pre_gst_max_delay and gossip_relay_latency must be >= 1")
@@ -124,7 +132,7 @@ class RunConfig:
                             ("adversary target", targets),
                             ("input target", [inp[1] for inp in inputs])):
             for node in nodes:
-                if not 0 <= node < self.params.n + self.extra_nodes:
+                if not 0 <= node < total:
                     raise ConfigError(f"{what} {node} does not exist")
         faulty = {spec.node for spec in adversaries}
         if len(faulty) > self.params.f:
@@ -199,9 +207,9 @@ class _NodeRuntime:
 
     def on_timer(self, now: int, gen: int) -> None:
         if gen != self.timer_gen:
-            self.sim.trace.append(now, "timer_stale", self.node, generation=gen)
+            self.sim.trace.append(now, "timer_stale", self.node, {"generation": gen})
             return
-        self.sim.trace.append(now, "timer_fire", self.node, generation=gen)
+        self.sim.trace.append(now, "timer_fire", self.node, {"generation": gen})
         self.work.append(("timeout",))
         self._pump(now)
 
@@ -235,8 +243,8 @@ class _NodeRuntime:
                 before = self.table.input_made(key)
                 acts = self.table.submit_input(key, value)
                 if not before and self.table.input_made(key):
-                    self.sim.trace.append(now, "sub_input", self.node,
-                                          instance=str(key), value=_encode_value(value))
+                    self.sim.trace.append(now, "sub_input", self.node, {
+                        "instance": key.text, "value": _encode_value(value)})
                 self._apply_backend(now, key, acts)
             elif tag == "timeout":
                 acts, notes = self.engine.on_timeout(now)
@@ -248,7 +256,7 @@ class _NodeRuntime:
 
     def _recv(self, now: int, msg) -> None:
         key = msg.instance
-        self._apply_backend(now, key, self.table.slot(key).machine.step(Recv(msg)))
+        self._apply_backend(now, key, self.table.slot(key).machine.step(msg))
 
     def _apply_backend(self, now: int, key: InstanceKey, acts: list) -> None:
         for a in acts:
@@ -257,24 +265,24 @@ class _NodeRuntime:
                 self.work.append(("recv", a.msg))
             elif isinstance(a, Output):
                 if self.table.record_output(key, a.value):
-                    self.sim.trace.append(now, "sub_output", self.node,
-                                          instance=str(key), value=_encode_value(a.value))
+                    self.sim.trace.append(now, "sub_output", self.node, {
+                        "instance": key.text, "value": _encode_value(a.value)})
                     self._queue_engine_pass()
 
     def _apply_engine(self, now: int, acts: list, notes: list) -> None:
         for note in notes:
             if note[0] == "advance":
-                self.sim.trace.append(now, "advance", self.node, round=note[1])
+                self.sim.trace.append(now, "advance", self.node, {"round": note[1]})
             elif note[0] == "propose":
-                self.sim.trace.append(now, "propose", self.node, round=note[1],
-                                      payload=_encode_value(note[2]))
+                self.sim.trace.append(now, "propose", self.node, {
+                    "round": note[1], "payload": _encode_value(note[2])})
             elif note[0] == "ab_output":
-                self.sim.trace.append(now, "ab_output", self.node,
-                                      value=_encode_value(note[1]), round=note[2],
-                                      position=self.delivered)
+                self.sim.trace.append(now, "ab_output", self.node, {
+                    "value": _encode_value(note[1]), "round": note[2],
+                    "position": self.delivered})
                 self.delivered += 1
             elif note[0] == "finalize":
-                self.sim.trace.append(now, "finalize", self.node, round=note[1])
+                self.sim.trace.append(now, "finalize", self.node, {"round": note[1]})
         for a in acts:
             if isinstance(a, RestartTimer):
                 self.timer_gen += 1
@@ -433,6 +441,11 @@ class Simulation:
         self.cfg = cfg
         self.total = cfg.params.n + cfg.extra_nodes
         self.rng = random.Random(cfg.seed)
+        # the delay law's per-run constants, read at every send
+        self._fixed_law = cfg.delay_law == "fixed"
+        self._gst, self._pre = cfg.params.gst, cfg.pre_gst_max_delay
+        self._pre_bits = self._pre.bit_length()
+        self._getrandbits = self.rng.getrandbits
         self.trace = Trace(cfg.seed, meta={
             "backend": cfg.backend, "mode": cfg.mode, "n": cfg.params.n,
             "f": cfg.params.f, "gst": cfg.params.gst, "horizon": cfg.horizon})
@@ -481,13 +494,11 @@ class Simulation:
         of CPython's `Random._randbelow_with_getrandbits`, down to the 1-bit
         draws for a bound of 1, so it yields the values and consumes the
         stream of `randint(1, bound)`, without that call's three frames."""
-        cfg = self.cfg
-        gst = cfg.params.gst
-        pre = cfg.pre_gst_max_delay
-        if cfg.delay_law == "fixed":
+        gst, pre = self._gst, self._pre
+        if self._fixed_law:
             return [min(now + pre, max(now, gst) + post_bound)] * copies
-        getrandbits = self.rng.getrandbits
-        k_pre, k_post = pre.bit_length(), post_bound.bit_length()
+        getrandbits = self._getrandbits
+        k_pre, k_post = self._pre_bits, post_bound.bit_length()
         early, late = now + 1, max(now, gst) + 1
         times = []
         for _ in range(copies):
@@ -507,7 +518,7 @@ class Simulation:
         target.  The trace fields are encoded once, here."""
         enc = _encode_msg(msg)
         if self.gossip_backend:
-            self.trace.append(now, "gossip", sender, **enc)
+            self.trace.append(now, "gossip", sender, {**enc})
             state = self.gossip_state.get(msg)
             if state is None:
                 state = self.gossip_state[msg] = [None] * self.total
@@ -515,12 +526,12 @@ class Simulation:
             self._send_gossip(sender, msg, enc, state, now,
                               range(self.total) if targets is None else targets)
         elif targets is None:
-            self.trace.append(now, "send", sender, **enc, to="all")
+            self.trace.append(now, "send", sender, {**enc, "to": "all"})
             self._send_direct(msg, enc, now,
                               [to for to in range(self.total) if to != sender])
         else:
             for to in targets:
-                self.trace.append(now, "send", sender, **enc, to=[to])
+                self.trace.append(now, "send", sender, {**enc, "to": [to]})
             self._send_direct(msg, enc, now, targets)
 
     def _send_direct(self, msg, enc: dict, now: int, recipients) -> None:
@@ -556,7 +567,7 @@ class Simulation:
         self.seq = seq
 
     def set_timer(self, node: int, gen: int, fire_at: int, now: int) -> None:
-        self.trace.append(now, "timer_set", node, generation=gen, fire_at=fire_at)
+        self.trace.append(now, "timer_set", node, {"generation": gen, "fire_at": fire_at})
         self._push(fire_at, self._on_timer, (node, gen))
 
     def set_wake(self, node: int, at: int) -> None:
@@ -614,18 +625,18 @@ class Simulation:
             rt = self.runtimes[node]
             preseeded = list(rt.engine.inputs) if rt.engine else []
             for value in preseeded:
-                self.trace.append(now, "inject", node, value=_encode_value(value))
+                self.trace.append(now, "inject", node, {"value": _encode_value(value)})
             self.trace.append(now, "start", node)
             rt.on_start(now)
 
     def _on_deliver(self, now: int, to: int, msg, enc: dict) -> None:
         if to in self.drivers:
-            self.trace.append(now, "deliver", to, **enc)
+            self.trace.append(now, "deliver", to, {**enc})
             api = AdversaryApi(self, to, now)
             for drv in self.drivers[to]:
                 drv.on_deliver(api, msg)
         elif not self._crashed(to, now):
-            self.trace.append(now, "deliver", to, **enc)
+            self.trace.append(now, "deliver", to, {**enc})
             self.runtimes[to].on_deliver(now, msg)
 
     def _on_gossip_deliver(self, now: int, to: int, msg, enc: dict,
@@ -633,7 +644,7 @@ class Simulation:
         if state[to] == _HAS:
             return
         state[to] = _HAS
-        self.trace.append(now, "deliver", to, **enc, gossip=1)
+        self.trace.append(now, "deliver", to, {**enc, "gossip": 1})
         if to in self.drivers:
             api = AdversaryApi(self, to, now)
             for drv in self.drivers[to]:
@@ -648,7 +659,7 @@ class Simulation:
             self.runtimes[node].on_timer(now, gen)
 
     def _on_inject(self, now: int, node: int, value) -> None:
-        self.trace.append(now, "inject", node, value=_encode_value(value))
+        self.trace.append(now, "inject", node, {"value": _encode_value(value)})
         if node in self.runtimes and not self._crashed(node, now):
             self.runtimes[node].on_inject(now, value)
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .core import InternalInvariantError, Params, LeaderSchedule, is_validator
 
@@ -23,15 +22,16 @@ class Kind(str, Enum):
     WBA = "wba"
 
 
-@dataclass(frozen=True)
-class InstanceKey:
+class InstanceKey(NamedTuple):
+    """An instance's kind and round.  A tuple, so the instance check every
+    machine step makes is a tuple compare."""
+
     kind: Kind
     round: int
 
-    @cached_property
+    @property
     def text(self) -> str:
-        """The ``rb/3`` form, built once per key; it is in every trace
-        event about a message."""
+        """The ``rb/3`` form; it is in every trace event about a message."""
         return f"{self.kind.value}/{self.round}"
 
     def __str__(self) -> str:
@@ -43,21 +43,16 @@ def parse_key(text: str) -> InstanceKey:
     return InstanceKey(Kind(kind), int(rnd))
 
 
-# Events fed to a backend state machine.
+# A backend state machine steps on a LocalInput or on a received message.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocalInput:
     value: object
 
 
-@dataclass(frozen=True)
-class Recv:
-    msg: object
-
-
 # Actions a backend may emit.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     """Send `msg` to every node, the sender included; the run's backend
     decides whether it goes direct or through the gossip flood."""
@@ -65,13 +60,15 @@ class Send:
     msg: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Output:
     value: object
 
 
 class Machine(Protocol):
-    def step(self, event: object) -> list: ...
+    def step(self, event: object) -> list:
+        """Step on a LocalInput or a received message; the actions taken.
+        Anything else, or a message of another instance, gives []."""
 
 
 @dataclass

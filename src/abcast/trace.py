@@ -118,8 +118,11 @@ class Trace:
         self._index: _Index | None = None
         self._indexed = -1                   # len(events) when last indexed
 
-    def append(self, time: int, kind: str, node: int | None = None, **data) -> TraceEvent:
-        ev = TraceEvent(time, self._seq, kind, node, data)
+    def append(self, time: int, kind: str, node: int | None = None,
+               data: dict | None = None) -> TraceEvent:
+        """Record one event.  `data` becomes the event's own payload dict, not
+        a copy: pass each event a dict of its own."""
+        ev = TraceEvent(time, self._seq, kind, node, {} if data is None else data)
         self._seq += 1
         self.events.append(ev)
         return ev

@@ -241,7 +241,7 @@ def test_criterion_9_checkers_catch_crafted_violations():
     def trace_of(rows):
         t = Trace()
         for at, kind, node, data in rows:
-            t.append(at, kind, node, **data)
+            t.append(at, kind, node, {**data})
         return t
 
     cases = {

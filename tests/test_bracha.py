@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from abcast.bracha import (
     ECHO,
     INITIAL,
@@ -12,7 +14,8 @@ from abcast.bracha import (
     machine_factory,
 )
 from abcast.core import LeaderSchedule, Params
-from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Recv, Send
+from abcast.gossip import SignatureScheme, make_signed
+from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Send
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -24,7 +27,7 @@ def rb_at(self_id, proposer=0):
 
 
 def recv(machine, kind, payload, sender, key=None):
-    return machine.step(Recv(BrachaMsg(key or machine.key, kind, payload, sender)))
+    return machine.step(BrachaMsg(key or machine.key, kind, payload, sender))
 
 
 def test_proposer_input_sends_initial():
@@ -179,10 +182,37 @@ def test_rb_delivery_order_invariance():
         m = rb_at(3)
         sent = []
         for msg in order:
-            sent.extend(m.step(Recv(msg)))
+            sent.extend(m.step(msg))
         assert sent.count(Output("a")) == 1
         kinds = [a.msg.kind for a in sent if isinstance(a, Send)]
         assert sorted(kinds) == [ECHO, READY]
+
+
+NOT_STEPPABLE = {
+    "None": None, "int": 7, "str": "echo", "object": object(),
+    "wrapped message": Send(BrachaMsg(RB_KEY, INITIAL, "a", 0)),
+    "action": Output(1),
+    "gossip message": make_signed(SignatureScheme(0, 4), 0, RB_KEY, INITIAL, "a"),
+    "rb message of another round": BrachaMsg(InstanceKey(Kind.RB, 1), INITIAL, "a", 0),
+    "wba message of another round": BrachaMsg(InstanceKey(Kind.WBA, 1), VOTE, 1, 0),
+}
+
+
+@pytest.mark.parametrize("event", NOT_STEPPABLE.values(), ids=list(NOT_STEPPABLE))
+def test_step_ignores_what_it_cannot_handle(event):
+    # Neither a LocalInput nor a bracha message of the machine's instance.
+    assert rb_at(1).step(event) == []
+    assert BrachaWba(WBA_KEY, PARAMS, 1).step(event) == []
+
+
+def test_step_ignores_the_other_instance_of_its_round():
+    # Each message would count were its instance the machine's own.
+    rb, wba = rb_at(1), BrachaWba(WBA_KEY, PARAMS, 1)
+    assert rb.step(BrachaMsg(WBA_KEY, INITIAL, "a", 0)) == [] and not rb.has_initial
+    assert wba.step(BrachaMsg(RB_KEY, VOTE, 1, 0)) == [] and wba.echoes == {}
+    rb.step(BrachaMsg(RB_KEY, INITIAL, "a", 0))
+    wba.step(BrachaMsg(WBA_KEY, VOTE, 1, 0))
+    assert rb.has_initial and wba.echoes == {1: {0}}
 
 
 def test_factory_wires_proposer_from_schedule():

@@ -29,7 +29,7 @@ def ctx(horizon=1000, correct=(0, 1, 2), injections=(), **kw):
 
 
 def deliver(trace, node, value, pos, rnd=0, t=10):
-    trace.append(t, "ab_output", node, value=value, round=rnd, position=pos)
+    trace.append(t, "ab_output", node, {"value": value, "round": rnd, "position": pos})
 
 
 def test_report_line_and_ok():
@@ -86,8 +86,8 @@ def test_liveness_violation_points_at_missed_deadline():
     t = Trace()
     deliver(t, 0, "v", 0)
     deliver(t, 1, "v", 0)
-    t.append(150, "timer_fire", 2, generation=1)
-    t.append(200, "timer_fire", 2, generation=2)
+    t.append(150, "timer_fire", 2, {"generation": 1})
+    t.append(200, "timer_fire", 2, {"generation": 2})
     rep = check_liveness(t, ctx(horizon=1000, injections=inj))
     assert rep.status == FAIL
     assert rep.measured == {"node": 2, "deadline": 156}
@@ -105,9 +105,9 @@ def test_liveness_skips_faulty_targets():
 def wba_trace(inputs, outputs):
     t = Trace()
     for node, bit, at in inputs:
-        t.append(at, "sub_input", node, instance="wba/0", value=bit)
+        t.append(at, "sub_input", node, {"instance": "wba/0", "value": bit})
     for node, bit, at in outputs:
-        t.append(at, "sub_output", node, instance="wba/0", value=bit)
+        t.append(at, "sub_output", node, {"instance": "wba/0", "value": bit})
     return t
 
 
@@ -147,8 +147,8 @@ def test_wba_contract_weak_termination_violation():
 
 def test_wba_termination_violation_points_at_missed_deadline():
     t = wba_trace([(0, 1, 5), (1, 1, 5), (2, 1, 5)], [])   # due by 5 + 12
-    t.append(16, "timer_fire", 0, generation=1)
-    t.append(30, "timer_fire", 0, generation=2)
+    t.append(16, "timer_fire", 0, {"generation": 1})
+    t.append(30, "timer_fire", 0, {"generation": 2})
     rep = check_wba_contract(t, ctx(horizon=1000))
     assert rep.status == FAIL
     assert rep.measured == {"node": 0, "deadline": 17}
@@ -159,9 +159,9 @@ def test_wba_termination_violation_points_at_missed_deadline():
 def rb_trace(inputs, outputs):
     t = Trace()
     for node, value, at in inputs:
-        t.append(at, "sub_input", node, instance="rb/0", value=value)
+        t.append(at, "sub_input", node, {"instance": "rb/0", "value": value})
     for node, value, at in outputs:
-        t.append(at, "sub_output", node, instance="rb/0", value=value)
+        t.append(at, "sub_output", node, {"instance": "rb/0", "value": value})
     return t
 
 
@@ -186,7 +186,7 @@ def test_rb_contract_termination_violation():
 
 def test_rb_termination_violation_points_at_missed_deadline():
     t = rb_trace([(0, "x", 5)], [(0, "x", 11), (1, "x", 11)])   # due by 5 + 6
-    t.append(20, "timer_fire", 2, generation=1)
+    t.append(20, "timer_fire", 2, {"generation": 1})
     rep = check_rb_contract(t, ctx())
     assert rep.status == FAIL
     assert rep.measured == {"node": 2, "deadline": 11}
@@ -207,7 +207,7 @@ def test_rb_contract_delay_violation():
 def advance_trace(rows):
     t = Trace()
     for node, rnd, at in rows:
-        t.append(at, "advance", node, round=rnd)
+        t.append(at, "advance", node, {"round": rnd})
     return t
 
 
@@ -227,9 +227,9 @@ def test_round_advance_violation():
 
 def test_round_advance_violation_points_at_missed_deadline():
     t = advance_trace([(0, 1, 10), (1, 1, 10)])
-    t.append(17, "timer_fire", 2, generation=1)
-    t.append(18, "timer_set", 2, generation=2, fire_at=30)
-    t.append(25, "advance", 2, round=1)
+    t.append(17, "timer_fire", 2, {"generation": 1})
+    t.append(18, "timer_set", 2, {"generation": 2, "fire_at": 30})
+    t.append(25, "advance", 2, {"round": 1})
     rep = check_round_advance(t, ctx(horizon=40))
     assert rep.status == FAIL
     assert rep.measured == {"node": 2, "round": 1, "deadline": 18}
@@ -301,8 +301,8 @@ def test_spread_pass_fail_and_gate():
 
 def test_spread_violation_points_at_missed_deadline():
     t = rb_trace([], [(0, "x", 10)])     # due everywhere by 10 + 6
-    t.append(12, "timer_fire", 1, generation=1)
-    t.append(30, "timer_fire", 1, generation=2)
+    t.append(12, "timer_fire", 1, {"generation": 1})
+    t.append(30, "timer_fire", 1, {"generation": 2})
     rep = check_spread(t, ctx())
     assert rep.status == FAIL
     assert rep.measured == {"node": 1, "deadline": 16}
@@ -312,10 +312,10 @@ def test_spread_violation_points_at_missed_deadline():
 
 def test_engine_invariants_pass():
     t = Trace()
-    t.append(5, "sub_output", 0, instance="rb/0", value="x")
-    t.append(6, "sub_output", 0, instance="rb/0", value="x")
-    t.append(7, "advance", 0, round=1)
-    t.append(9, "advance", 0, round=2)
+    t.append(5, "sub_output", 0, {"instance": "rb/0", "value": "x"})
+    t.append(6, "sub_output", 0, {"instance": "rb/0", "value": "x"})
+    t.append(7, "advance", 0, {"round": 1})
+    t.append(9, "advance", 0, {"round": 2})
     deliver(t, 0, "a", 0, rnd=0)
     deliver(t, 0, "b", 1, rnd=2)
     assert check_engine_invariants(t, ctx()).status == PASS
@@ -323,8 +323,8 @@ def test_engine_invariants_pass():
 
 def test_engine_invariants_conflicting_output():
     t = Trace()
-    t.append(5, "sub_output", 0, instance="rb/0", value="x")
-    t.append(6, "sub_output", 0, instance="rb/0", value="y")
+    t.append(5, "sub_output", 0, {"instance": "rb/0", "value": "x"})
+    t.append(6, "sub_output", 0, {"instance": "rb/0", "value": "y"})
     rep = check_engine_invariants(t, ctx())
     assert rep.status == FAIL
     assert "twice" in rep.detail
@@ -332,8 +332,8 @@ def test_engine_invariants_conflicting_output():
 
 def test_engine_invariants_backwards_round():
     t = Trace()
-    t.append(5, "advance", 0, round=2)
-    t.append(6, "advance", 0, round=2)
+    t.append(5, "advance", 0, {"round": 2})
+    t.append(6, "advance", 0, {"round": 2})
     assert check_engine_invariants(t, ctx()).status == FAIL
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from abcast.cli import main
+from abcast.simnet import MAX_NODES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 HONEST = str(SCENARIOS / "honest_n4.json")
@@ -93,6 +94,16 @@ def test_non_integer_scenario_version_exits_2(tmp_path, capsys, version):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) == 2
     assert "unsupported scenario version" in capsys.readouterr().err
+
+
+def test_too_many_nodes_exits_2(tmp_path, capsys):
+    # Observers push the count past the cap: no run starts.
+    doc = json.loads(Path(HONEST).read_text())
+    doc["sim"]["extra_nodes"] = MAX_NODES + 1 - doc["params"]["n"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert f"exceeds the cap of {MAX_NODES}" in capsys.readouterr().err
 
 
 def test_unknown_check_name_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from abcast.bracha import BrachaMsg
 from abcast.core import LeaderSchedule, Params
 from abcast.engine import Proposal
 from abcast.gossip import (
@@ -19,7 +20,7 @@ from abcast.gossip import (
 )
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import AdversaryApi, Driver, Simulation
-from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Recv, Send
+from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Send
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -63,7 +64,7 @@ def test_digest_is_stable():
 
 def test_initial_triggers_signed_echo():
     m = rb_at(1)
-    out = m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a")))
+    out = m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))
     assert out == [Send(make_signed(SCHEME, 1, RB_KEY, ECHO, "a"))]
     assert rb_at(1).step(LocalInput("a")) == []
     proposer = rb_at(0)
@@ -75,73 +76,73 @@ def test_forged_signature_rejected_and_counted():
     m = rb_at(1)
     good = make_signed(SCHEME, 2, RB_KEY, ECHO, "a")
     forged = SignedMsg(RB_KEY, ECHO, "a", 3, good.sig)
-    assert m.step(Recv(forged)) == []
+    assert m.step(forged) == []
     assert m.invalid_sigs == 1
     assert m.echo_signers == {}
 
 
 def test_quorum_of_echo_signers_outputs():
     m = rb_at(3)
-    m.step(Recv(echo(0, "a")))
-    m.step(Recv(echo(1, "a")))
-    out = m.step(Recv(echo(2, "a")))
+    m.step(echo(0, "a"))
+    m.step(echo(1, "a"))
+    out = m.step(echo(2, "a"))
     assert out == [Output("a")]
-    assert m.step(Recv(echo(3, "a"))) == []
+    assert m.step(echo(3, "a")) == []
 
 
 def test_echo_equivocation_kept_as_evidence_not_tallied():
     m = rb_at(3)
-    m.step(Recv(echo(0, "a")))
-    m.step(Recv(echo(0, "b")))
+    m.step(echo(0, "a"))
+    m.step(echo(0, "b"))
     assert m.echo_signers["a"] == {0}
     assert "b" not in m.echo_signers
     assert m.equivocations == {0: ["b"]}
-    m.step(Recv(echo(1, "a")))
-    assert m.step(Recv(echo(0, "a"))) == []
+    m.step(echo(1, "a"))
+    assert m.step(echo(0, "a")) == []
     assert len(m.echo_signers["a"]) == 2
 
 
 def test_observer_echo_not_counted():
     m = rb_at(3)
-    m.step(Recv(echo(0, "a")))
-    m.step(Recv(echo(4, "a")))
+    m.step(echo(0, "a"))
+    m.step(echo(4, "a"))
     assert m.echo_signers["a"] == {0}
 
 
 def test_digest_mode_waits_for_initial():
     m = rb_at(3, digest_mode=True)
-    m.step(Recv(echo(0, "a", digest_mode=True)))
-    m.step(Recv(echo(1, "a", digest_mode=True)))
+    m.step(echo(0, "a", digest_mode=True))
+    m.step(echo(1, "a", digest_mode=True))
     # Quorum of digest echoes alone cannot reconstruct the value.
-    assert m.step(Recv(echo(2, "a", digest_mode=True))) == []
+    assert m.step(echo(2, "a", digest_mode=True)) == []
     assert not m.delivered
-    out = m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a")))
+    out = m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))
     assert Output("a") in out
     assert m.delivered
 
 
 def test_digest_mode_initial_first():
     m = rb_at(3, digest_mode=True)
-    m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a")))
-    m.step(Recv(echo(0, "a", digest_mode=True)))
-    m.step(Recv(echo(1, "a", digest_mode=True)))
-    out = m.step(Recv(echo(2, "a", digest_mode=True)))
+    m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))
+    m.step(echo(0, "a", digest_mode=True))
+    m.step(echo(1, "a", digest_mode=True))
+    out = m.step(echo(2, "a", digest_mode=True))
     assert out == [Output("a")]
 
 
 def test_digest_mode_mismatched_initial_never_outputs():
     m = rb_at(3, digest_mode=True)
-    m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "z")))
-    m.step(Recv(echo(0, "a", digest_mode=True)))
-    m.step(Recv(echo(1, "a", digest_mode=True)))
-    assert m.step(Recv(echo(2, "a", digest_mode=True))) == []
+    m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "z"))
+    m.step(echo(0, "a", digest_mode=True))
+    m.step(echo(1, "a", digest_mode=True))
+    assert m.step(echo(2, "a", digest_mode=True)) == []
     assert not m.delivered
 
 
 def test_initial_equivocation_evidence():
     m = rb_at(3)
-    m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a")))
-    m.step(Recv(make_signed(SCHEME, 0, RB_KEY, INITIAL, "b")))
+    m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))
+    m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "b"))
     assert m.equivocations == {0: ["b"]}
     assert m.initial_value == "a"
 
@@ -151,26 +152,26 @@ def test_wba_vote_once_and_quorum_output():
     out = m.step(LocalInput(1))
     assert out == [Send(make_signed(SCHEME, 3, WBA_KEY, VOTE, 1))]
     assert m.step(LocalInput(1)) == []
-    m.step(Recv(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1)))
-    m.step(Recv(make_signed(SCHEME, 1, WBA_KEY, VOTE, 1)))
-    out = m.step(Recv(make_signed(SCHEME, 2, WBA_KEY, VOTE, 1)))
+    m.step(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1))
+    m.step(make_signed(SCHEME, 1, WBA_KEY, VOTE, 1))
+    out = m.step(make_signed(SCHEME, 2, WBA_KEY, VOTE, 1))
     assert out == [Output(1)]
 
 
 def test_wba_split_votes_never_output():
     m = wba_at(3)
-    m.step(Recv(make_signed(SCHEME, 0, WBA_KEY, VOTE, 0)))
-    m.step(Recv(make_signed(SCHEME, 1, WBA_KEY, VOTE, 0)))
-    m.step(Recv(make_signed(SCHEME, 2, WBA_KEY, VOTE, 1)))
-    m.step(Recv(make_signed(SCHEME, 3, WBA_KEY, VOTE, 1)))
+    m.step(make_signed(SCHEME, 0, WBA_KEY, VOTE, 0))
+    m.step(make_signed(SCHEME, 1, WBA_KEY, VOTE, 0))
+    m.step(make_signed(SCHEME, 2, WBA_KEY, VOTE, 1))
+    m.step(make_signed(SCHEME, 3, WBA_KEY, VOTE, 1))
     assert not m.delivered
     assert m.vote_signers == {0: {0, 1}, 1: {2, 3}}
 
 
 def test_wba_vote_equivocation_first_counts():
     m = wba_at(3)
-    m.step(Recv(make_signed(SCHEME, 0, WBA_KEY, VOTE, 0)))
-    m.step(Recv(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1)))
+    m.step(make_signed(SCHEME, 0, WBA_KEY, VOTE, 0))
+    m.step(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1))
     assert m.vote_signers == {0: {0}}
     assert m.equivocations == {0: [1]}
 
@@ -178,9 +179,40 @@ def test_wba_vote_equivocation_first_counts():
 def test_wba_forged_vote_rejected():
     m = wba_at(3)
     good = make_signed(SCHEME, 0, WBA_KEY, VOTE, 1)
-    m.step(Recv(SignedMsg(WBA_KEY, VOTE, 1, 1, good.sig)))
+    m.step(SignedMsg(WBA_KEY, VOTE, 1, 1, good.sig))
     assert m.invalid_sigs == 1
     assert m.vote_signers == {}
+
+
+NOT_STEPPABLE = {
+    "None": None, "int": 7, "str": "vote", "object": object(),
+    "wrapped message": Send(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1)),
+    "action": Output(1),
+    "bracha message": BrachaMsg(WBA_KEY, VOTE, 1, 0),
+    "rb message of another round": make_signed(SCHEME, 0, InstanceKey(Kind.RB, 1),
+                                               INITIAL, "a"),
+    "wba message of another round": make_signed(SCHEME, 0, InstanceKey(Kind.WBA, 1),
+                                                VOTE, 1),
+}
+
+
+@pytest.mark.parametrize("event", NOT_STEPPABLE.values(), ids=list(NOT_STEPPABLE))
+def test_step_ignores_what_it_cannot_handle(event):
+    # Neither a LocalInput nor a signed message of the machine's instance.
+    for m in (rb_at(1), wba_at(1)):
+        assert m.step(event) == []
+        assert m.invalid_sigs == 0 and m.equivocations == {}
+
+
+def test_step_ignores_the_other_instance_of_its_round():
+    # Each message would count were its instance the machine's own.
+    rb, wba = rb_at(1), wba_at(1)
+    assert rb.step(make_signed(SCHEME, 0, WBA_KEY, INITIAL, "a")) == []
+    assert wba.step(make_signed(SCHEME, 0, RB_KEY, VOTE, 1)) == []
+    assert not rb.has_initial and wba.vote_signers == {}
+    rb.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))
+    wba.step(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1))
+    assert rb.has_initial and wba.vote_signers == {1: {0}}
 
 
 def test_factory_builds_both_kinds():

@@ -5,13 +5,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcast.checks import run_checks
 from abcast.core import ConfigError
 from abcast.scenario import load_scenario, scenario_from_dict
-from abcast.simnet import CrashSpec, FlipVoterSpec, run
+from abcast.simnet import MAX_NODES, CrashSpec, FlipVoterSpec, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -225,6 +225,26 @@ def test_malformed_input_is_config_error_at_parse(patch):
     doc.update(copy.deepcopy(patch))
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(4, MAX_NODES + 8) | st.just(10**9),
+       extra=st.integers(0, MAX_NODES + 8) | st.just(10**9))
+@example(n=MAX_NODES, extra=0)
+@example(n=MAX_NODES + 1, extra=0)
+@example(n=4, extra=MAX_NODES - 4)
+@example(n=4, extra=MAX_NODES - 3)
+@example(n=10**9, extra=0)
+def test_node_count_is_capped_at_parse(n, extra):
+    # Parsed only: a simulation builds every node's state up front.
+    doc = base_doc()
+    doc["params"]["n"] = n
+    doc["sim"]["extra_nodes"] = extra
+    if n + extra > MAX_NODES:
+        with pytest.raises(ConfigError, match="cap"):
+            scenario_from_dict(doc)
+    else:
+        assert scenario_from_dict(doc).config_for().extra_nodes == extra
+
 
 def test_integer_fields_still_load():
     doc = base_doc()

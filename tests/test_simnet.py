@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from abcast.checks import CheckContext, run_checks
 from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.engine import EngineOptions
 from abcast.simnet import (
+    MAX_NODES,
     CrashSpec,
     EquivocatingProposerSpec,
     FlipVoterSpec,
@@ -76,15 +78,20 @@ def test_uniform_delivery_law_bounds_and_replay():
 def _assert_draws_match_randint(seed, gst, plan):
     """Each (pre, post, now, copies) step must give the arrival times that
     `randint(1, pre)` and `randint(1, post)` per copy give, and leave the
-    RNG where they leave it."""
-    sim = Simulation(make_cfg(delay_law="uniform", seed=seed, gst=gst))
+    RNG where they leave it.  A simulation fixes its pre-GST bound when it
+    is built, so each step runs on a new one that takes over the RNG state
+    the step before left."""
     ref = random.Random(seed)
+    state = ref.getstate()
     for pre, post, now, copies in plan:
-        sim.cfg = replace(sim.cfg, pre_gst_max_delay=pre)
+        sim = Simulation(make_cfg(delay_law="uniform", seed=seed, gst=gst,
+                                  pre_gst_max_delay=pre))
+        sim.rng.setstate(state)
         want = [min(now + ref.randint(1, pre), max(now, gst) + ref.randint(1, post))
                 for _ in range(copies)]
         assert sim._delivery_times(now, post, copies) == want
-        assert sim.rng.getstate() == ref.getstate()
+        state = sim.rng.getstate()
+        assert state == ref.getstate()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
@@ -268,6 +275,12 @@ def test_send_and_deliver_events_share_fields_not_dicts(backend):
         assert {f: ev.data[f] for f in MSG_FIELDS} == fields
     dicts = [sends[0].data] + [ev.data for ev in delivers]
     assert len({id(d) for d in dicts}) == len(dicts)
+    # so changing one event's data changes no other event
+    before = [copy.deepcopy(ev.data) for ev in trace.events]
+    delivers[0].data["mkind"] = "changed"
+    delivers[0].data["extra"] = 1
+    assert all(ev.data == data for ev, data in zip(trace.events, before)
+               if ev is not delivers[0])
 
 
 # Each value rule of a run lives in RunConfig, so a config built in code is
@@ -297,6 +310,7 @@ BAD_RUN_CONFIGS = {
     "injection at the horizon": dict(injections=((150, 0, "v"),)),
     "raw input beyond the nodes": dict(mode="raw", injections=(),
                                        raw_inputs=((0, 5, "wba/0", 1),)),
+    "more nodes than the cap": dict(extra_nodes=MAX_NODES - 3),
 }
 
 

@@ -37,7 +37,7 @@ def test_key_string_round_trip():
     assert str(key) == "rb/3"
     assert parse_key("rb/3") == key
     assert parse_key("wba/0") == InstanceKey(Kind.WBA, 0)
-    # the text is cached per key; equality and hashing stay by field
+    # equality and hashing are by field
     key = InstanceKey(Kind.WBA, 12)
     twin = parse_key(str(key))
     assert twin is not key and twin == key and hash(twin) == hash(key)

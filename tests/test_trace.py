@@ -12,11 +12,11 @@ from abcast.trace import Trace, TraceEvent
 def sample_trace():
     t = Trace(seed=7, meta={"backend": "bracha", "n": 4})
     t.append(0, "start", 0)
-    t.append(0, "inject", 1, value="v")
-    t.append(3, "advance", 0, round=1)
-    t.append(5, "advance", 0, round=2)
-    t.append(5, "sub_output", 2, instance="rb/0", value="v")
-    t.append(9, "ab_output", 0, value="v", round=0, position=0)
+    t.append(0, "inject", 1, {"value": "v"})
+    t.append(3, "advance", 0, {"round": 1})
+    t.append(5, "advance", 0, {"round": 2})
+    t.append(5, "sub_output", 2, {"instance": "rb/0", "value": "v"})
+    t.append(9, "ab_output", 0, {"value": "v", "round": 0, "position": 0})
     return t
 
 
@@ -35,8 +35,15 @@ def test_sequence_numbers_are_dense_and_ordered():
     t = sample_trace()
     assert [ev.seq for ev in t.events] == list(range(6))
     back = Trace.from_jsonl(t.to_jsonl())
-    back.append(11, "finalize", 0, round=0)
+    back.append(11, "finalize", 0, {"round": 0})
     assert back.events[-1].seq == 6
+
+
+def test_an_event_without_data_gets_a_fresh_dict():
+    t = Trace()
+    first, second = t.append(0, "start", 0), t.append(0, "start", 1)
+    first.data["x"] = 1
+    assert second.data == {} and t.append(1, "start", 2).data == {}
 
 
 def test_views():
@@ -105,7 +112,7 @@ def test_current_round_at_matches_a_rescan():
     t = Trace()
     for _ in range(200):
         t.append(rng.randint(0, 50), "advance", rng.randint(0, 2),
-                 round=rng.randint(1, 30))
+                 {"round": rng.randint(1, 30)})
     for node in range(4):
         for when in range(-1, 52):
             expect = max((ev.data["round"] for ev in t.events
@@ -113,7 +120,7 @@ def test_current_round_at_matches_a_rescan():
                           and ev.time <= when), default=0)
             assert t.current_round_at(node, when) == expect
     # The index follows a trace that grows after it was built.
-    t.append(60, "advance", 0, round=99)
+    t.append(60, "advance", 0, {"round": 99})
     assert t.current_round_at(0, 60) == 99
 
 
@@ -122,10 +129,10 @@ def test_views_see_events_appended_after_an_earlier_call():
     views = (t.ab_outputs, t.sub_outputs, t.sub_inputs, t.advances)
     before = [view() for view in views]
     assert list(t.iter_kind("sub_input")) == []
-    t.append(12, "ab_output", 1, value="v", round=0, position=0)
-    t.append(12, "sub_output", 1, instance="rb/0", value="v")
-    t.append(12, "sub_input", 1, instance="wba/0", value=1)
-    t.append(12, "advance", 1, round=1)
+    t.append(12, "ab_output", 1, {"value": "v", "round": 0, "position": 0})
+    t.append(12, "sub_output", 1, {"instance": "rb/0", "value": "v"})
+    t.append(12, "sub_input", 1, {"instance": "wba/0", "value": 1})
+    t.append(12, "advance", 1, {"round": 1})
     after = [view() for view in views]
     assert 1 not in before[0] and after[0][1][0].time == 12
     assert (1, "rb/0") not in before[1] and after[1][(1, "rb/0")].time == 12
@@ -161,7 +168,7 @@ def test_lines_are_json_dumps_and_round_trip(c_encoder, events):
             mp.setattr(trace_module, "_encode", trace_module.compact_encoder())
         t = Trace(seed=3, meta={"backend": "bracha"})
         for time, kind, node, data in events:
-            t.append(time, kind, node, **data)
+            t.append(time, kind, node, {**data})
         text = t.to_jsonl()
     expect = []
     for ev in t.events:
