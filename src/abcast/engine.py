@@ -99,6 +99,8 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.queue_discipline not in ("fifo", "lifo"):
             raise ConfigError(f"unknown queue discipline {self.queue_discipline!r}")
+        if self.spam_window < 0:
+            raise ConfigError(f"spam_window must be >= 0, got {self.spam_window}")
 
 
 class Engine:
@@ -326,21 +328,16 @@ class Engine:
         if not self.inputs:
             return None
         ts = now if self.options.min_parent_delay is not None else None
-        parents = self._fertile_parents(r, rejected)
-        if self.options.validity is None:
-            for parent in parents:
-                return Proposal(self.inputs[0], parent, ts)
-            return None
-        for parent in parents:
-            if parent is None:
-                chain: tuple[Proposal, ...] = ()
-            else:
+        validity = self.options.validity
+        for parent in self._fertile_parents(r, rejected):
+            chain: tuple[Proposal, ...] = ()
+            if validity is not None and parent is not None:
                 parent_prop = self.accepted(parent, rejected)
                 assert parent_prop is not None
                 chain = (parent_prop,) + self._ancestors(parent_prop)
             for value in self.inputs:
                 cand = Proposal(value, parent, ts)
-                if self.options.validity(cand, chain):
+                if validity is None or validity(cand, chain):
                     return cand
         return None
 

@@ -18,8 +18,9 @@ from .checks import CHECKS, CheckContext, run_checks
 from .core import ConfigError, LeaderSchedule, Params
 from .engine import EngineOptions
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
-                     PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec, run)
-from .subproto import InstanceKey, Kind, parse_key
+                     PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
+                     instance_key, run)
+from .subproto import Kind
 
 SCENARIO_VERSION = 1
 
@@ -33,15 +34,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_field(obj: dict, key: str, default=None, minimum=None):
+def _int_field(obj: dict, key: str, default=None):
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing field {key!r}")
         return default
     v = obj[key]
     _expect(_is_int(v), f"field {key!r} must be an integer, got {v!r}")
-    if minimum is not None:
-        _expect(v >= minimum, f"field {key!r} must be >= {minimum}, got {v}")
     return v
 
 
@@ -73,29 +72,19 @@ def _node_list(v, what: str) -> tuple:
     return tuple(v)
 
 
-def _instance_key(text) -> InstanceKey:
-    try:
-        key = parse_key(text) if isinstance(text, str) else None
-    except ValueError:
-        key = None
-    _expect(key is not None and key.round >= 0,
-            f"bad instance {text!r}: expected rb/<round> or wba/<round>")
-    return key
-
-
 def _check_entry(entry):
-    """A check is a name, or an object with a ``name`` and integer (or null)
-    values for that check's keyword arguments."""
+    """A check is a name, or an object with a ``name`` and integer values for
+    that check's keyword arguments; null only where null is the default."""
     name = entry.get("name") if isinstance(entry, dict) else entry
     _expect(isinstance(name, str) and name in CHECKS,
             f"unknown check {name!r}, expected one of {', '.join(CHECKS)}")
     if isinstance(entry, dict):
         # every check takes (trace, ctx) and then its keyword arguments
-        known = list(inspect.signature(CHECKS[name]).parameters)[2:]
+        known = dict(list(inspect.signature(CHECKS[name]).parameters.items())[2:])
         for key, value in entry.items():
             if key != "name":
                 _expect(key in known, f"check {name!r} takes no argument {key!r}")
-                _expect(value is None or _is_int(value),
+                _expect(_is_int(value) or (value is None and known[key].default is None),
                         f"check {name!r} argument {key!r} must be an integer")
     return entry
 
@@ -103,8 +92,8 @@ def _check_entry(entry):
 def _check_script_entry(entry, mode: str) -> None:
     _expect(isinstance(entry, dict) and "time" in entry
             and entry.get("op") in ("send", "gossip"), f"bad script entry: {entry!r}")
-    _int_field(entry, "time", minimum=0)
-    key = _instance_key(entry.get("instance"))
+    _int_field(entry, "time")
+    key = instance_key(entry.get("instance"))
     _expect(isinstance(entry.get("mkind"), str),
             f"script entry needs a string mkind: {entry!r}")
     to = entry.get("to", "all")
@@ -184,7 +173,7 @@ def _parse_adversary(obj: dict, mode: str):
     kind = obj.get("kind")
     node = _int_field(obj, "node")
     if kind == "crash":
-        return CrashSpec(node, _int_field(obj, "at", default=0, minimum=0))
+        return CrashSpec(node, _int_field(obj, "at", default=0))
     if kind == "silent_leader":
         return SilentLeaderSpec(node)
     if kind == "equivocating_proposer":
@@ -238,8 +227,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         digest_mode = _bool_field(backend_doc, "digest_mode")
     _expect(isinstance(kind, str), f"backend kind must be a string, got {kind!r}")
     backend = "gossip" if kind == "gossip_quorum" else kind     # a v1 alias
-    _expect(not (digest_mode and backend != "gossip"),
-            "digest_mode only applies to the gossip backend")
 
     sched_doc = doc.get("schedule")
     if sched_doc is None or sched_doc == "round_robin":
@@ -267,7 +254,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _expect(isinstance(opts_doc, dict), "engine_options must be an object")
     options = EngineOptions(
         queue_discipline=opts_doc.get("queue_discipline", "fifo"),
-        spam_window=_int_field(opts_doc, "spam_window", default=100, minimum=0))
+        spam_window=_int_field(opts_doc, "spam_window", default=100))
 
     horizon = sim.get("horizon", "auto")
     auto_horizon = horizon == "auto"
@@ -288,8 +275,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for ri in _list_field(doc, "raw_inputs"):
         _expect(isinstance(ri, dict) and "instance" in ri and "value" in ri,
                 f"bad raw input entry: {ri!r}")
-        _instance_key(ri["instance"])
-        raw_inputs.append((_int_field(ri, "time", default=0, minimum=0),
+        raw_inputs.append((_int_field(ri, "time", default=0),
                            _int_field(ri, "node"), ri["instance"],
                            _scalar(ri["value"], "raw input value")))
 
@@ -299,7 +285,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         pre_gst_max_delay=_int_field(sim, "pre_gst_max_delay", default=5),
         delay_law=sim.get("delay_law", "fixed"),
         gossip_relay_latency=_int_field(sim, "gossip_relay_latency", default=1),
-        extra_nodes=_int_field(sim, "extra_nodes", default=0, minimum=0),
+        extra_nodes=_int_field(sim, "extra_nodes", default=0),
         adversaries=adversaries, injections=tuple(injections), options=options,
         mode=mode, raw_inputs=tuple(raw_inputs))
     checks = tuple(_check_entry(entry) for entry in _list_field(doc, "checks"))

@@ -111,22 +111,37 @@ class RunConfig:
                                    ("mode", self.mode, ("engine", "raw"))):
             if value not in known:
                 raise ConfigError(f"unknown {what} {value!r}")
+        if self.extra_nodes < 0:
+            raise ConfigError(f"extra_nodes must be >= 0, got {self.extra_nodes}")
         total = self.params.n + self.extra_nodes
         if total > MAX_NODES:
             raise ConfigError(f"{total} nodes exceeds the cap of {MAX_NODES}")
+        if self.schedule.n != self.params.n:
+            raise ConfigError(f"schedule for n={self.schedule.n}, params n={self.params.n}")
+        if self.digest_mode and self.backend != "gossip":
+            raise ConfigError("digest_mode only applies to the gossip backend")
         # a bound of 0 would make the uniform law's rejection loop spin
         if self.pre_gst_max_delay < 1 or self.gossip_relay_latency < 1:
             raise ConfigError("pre_gst_max_delay and gossip_relay_latency must be >= 1")
         # Every node an adversary is, or sends to, exists; at most f distinct
         # nodes may be faulty, observers included; and a node that crashes
         # runs no driver, since a driven node has no correct stack to stop.
-        adversaries, targets = self.adversaries, []
+        adversaries, targets, times = self.adversaries, [], []
+        for t, _, text, _ in self.raw_inputs:
+            instance_key(text)
+            times.append(t)
         for spec in adversaries:
             if isinstance(spec, EquivocatingProposerSpec):
                 targets += [node for part in spec.partitions for node in part.nodes]
             elif isinstance(spec, ScriptedSpec):
-                targets += [node for entry in spec.script
-                            if entry.get("to", "all") != "all" for node in entry["to"]]
+                for entry in spec.script:
+                    instance_key(entry["instance"])
+                    times.append(entry["time"])
+                    targets += () if entry.get("to", "all") == "all" else entry["to"]
+            elif isinstance(spec, CrashSpec):
+                times.append(spec.at)
+        if any(t < 0 for t in times):
+            raise ConfigError(f"an event at t={min(times)} is before the run starts")
         inputs = (*self.injections, *self.raw_inputs)
         for what, nodes in (("adversary node", [spec.node for spec in adversaries]),
                             ("adversary target", targets),
@@ -146,6 +161,17 @@ class RunConfig:
             # an injection at the horizon could never be delivered in time
             if t >= self.horizon:
                 raise ConfigError(f"injection at t={t} is not before the horizon")
+
+
+def instance_key(text) -> InstanceKey:
+    """`text` read as rb/<round> or wba/<round>, the round at least 0."""
+    try:
+        key = parse_key(text) if isinstance(text, str) else None
+    except ValueError:
+        key = None
+    if key is None or key.round < 0:
+        raise ConfigError(f"bad instance {text!r}: expected rb/<round> or wba/<round>")
+    return key
 
 
 def _encode_value(v):
@@ -174,11 +200,8 @@ class _NodeRuntime:
         self.node = node
         cfg = sim.cfg
         self.table = InstanceTable(cfg.params, cfg.schedule, node, sim.factory_for(node))
-        if cfg.mode == "engine":
-            self.engine = Engine(cfg.params, cfg.schedule, node, cfg.options,
-                                 self.table, initial_inputs)
-        else:
-            self.engine = None
+        self.engine = (Engine(cfg.params, cfg.schedule, node, cfg.options, self.table,
+                              initial_inputs) if cfg.mode == "engine" else None)
         self.timer_gen = 0
         self.work: deque = deque()
         self.engine_queued = False
@@ -186,13 +209,20 @@ class _NodeRuntime:
         self.delivered = 0                   # ab_output values so far
 
     # -- entry points (each pumps to quiescence) -----------------------------
+    # The simulation queues all but on_deliver as bound calls, and each checks
+    # for a crash itself; on_deliver runs after the simulation's check.  The
+    # work queue is empty whenever one starts, so its first step runs directly.
 
     def on_start(self, now: int) -> None:
-        if self.engine is None:
+        if self.sim._crashed(self.node, now):
             return
-        acts, notes = self.engine.start(now)
-        self._apply_engine(now, acts, notes)
-        self._pump(now)
+        trace, engine = self.sim.trace, self.engine
+        for value in engine.inputs if engine is not None else ():
+            trace.append(now, "inject", self.node, {"value": _encode_value(value)})
+        trace.append(now, "start", self.node)
+        if engine is not None:
+            self._apply_engine(now, *engine.start(now))
+            self._pump(now)
 
     def on_deliver(self, now: int, msg) -> None:
         if self.engine is not None:
@@ -200,59 +230,55 @@ class _NodeRuntime:
             if msg.instance.round > window:
                 self.held.append(msg)
                 return
-        # The work queue is empty between entry points, so the receipt is
-        # stepped first, as it would be if queued, and the pump follows.
         self._recv(now, msg)
         self._pump(now)
 
     def on_timer(self, now: int, gen: int) -> None:
+        if self.sim._crashed(self.node, now):
+            return
         if gen != self.timer_gen:
             self.sim.trace.append(now, "timer_stale", self.node, {"generation": gen})
             return
         self.sim.trace.append(now, "timer_fire", self.node, {"generation": gen})
-        self.work.append(("timeout",))
+        self._apply_engine(now, *self.engine.on_timeout(now))
         self._pump(now)
-
-    def on_inject(self, now: int, value) -> None:
-        if self.engine is not None:
-            self.engine.on_input(value)
 
     def on_wake(self, now: int) -> None:
-        self._queue_engine_pass()
-        self._pump(now)
+        if not self.sim._crashed(self.node, now):
+            self._queue_engine_pass()
+            self._pump(now)
 
     def on_raw_input(self, now: int, key: InstanceKey, value) -> None:
-        self.work.append(("subinput", key, value))
-        self._pump(now)
+        if not self.sim._crashed(self.node, now):
+            self._sub_input(now, (key, value))
+            self._pump(now)
 
-    # -- internals ------------------------------------------------------------
+    # -- internals: a work item is (method, arg), run as method(now, arg) ------
+    # (one argument each: unpacking `(method, *args)` costs more than a tag chain)
 
     def _queue_engine_pass(self) -> None:
         if self.engine is not None and not self.engine_queued:
             self.engine_queued = True
-            self.work.append(("engine",))
+            self.work.append((self._engine_pass, None))
 
     def _pump(self, now: int) -> None:
-        while self.work:
-            item = self.work.popleft()
-            tag = item[0]
-            if tag == "recv":
-                self._recv(now, item[1])
-            elif tag == "subinput":
-                _, key, value = item
-                before = self.table.input_made(key)
-                acts = self.table.submit_input(key, value)
-                if not before and self.table.input_made(key):
-                    self.sim.trace.append(now, "sub_input", self.node, {
-                        "instance": key.text, "value": _encode_value(value)})
-                self._apply_backend(now, key, acts)
-            elif tag == "timeout":
-                acts, notes = self.engine.on_timeout(now)
-                self._apply_engine(now, acts, notes)
-            elif tag == "engine":
-                self.engine_queued = False
-                acts, notes = self.engine.on_subproto_output(now)
-                self._apply_engine(now, acts, notes)
+        work = self.work
+        while work:
+            method, arg = work.popleft()
+            method(now, arg)
+
+    def _engine_pass(self, now: int, _) -> None:
+        self.engine_queued = False
+        self._apply_engine(now, *self.engine.on_subproto_output(now))
+
+    def _sub_input(self, now: int, key_value: tuple) -> None:
+        key, value = key_value
+        before = self.table.input_made(key)
+        acts = self.table.submit_input(key, value)
+        if not before and self.table.input_made(key):
+            self.sim.trace.append(now, "sub_input", self.node, {
+                "instance": key.text, "value": _encode_value(value)})
+        self._apply_backend(now, key, acts)
 
     def _recv(self, now: int, msg) -> None:
         key = msg.instance
@@ -262,7 +288,7 @@ class _NodeRuntime:
         for a in acts:
             if isinstance(a, Send):
                 self.sim.send(self.node, a.msg, now)
-                self.work.append(("recv", a.msg))
+                self.work.append((self._recv, a.msg))
             elif isinstance(a, Output):
                 if self.table.record_output(key, a.value):
                     self.sim.trace.append(now, "sub_output", self.node, {
@@ -270,51 +296,53 @@ class _NodeRuntime:
                     self._queue_engine_pass()
 
     def _apply_engine(self, now: int, acts: list, notes: list) -> None:
+        sim = self.sim
         for note in notes:
             if note[0] == "advance":
-                self.sim.trace.append(now, "advance", self.node, {"round": note[1]})
+                sim.trace.append(now, "advance", self.node, {"round": note[1]})
             elif note[0] == "propose":
-                self.sim.trace.append(now, "propose", self.node, {
+                sim.trace.append(now, "propose", self.node, {
                     "round": note[1], "payload": _encode_value(note[2])})
             elif note[0] == "ab_output":
-                self.sim.trace.append(now, "ab_output", self.node, {
+                sim.trace.append(now, "ab_output", self.node, {
                     "value": _encode_value(note[1]), "round": note[2],
                     "position": self.delivered})
                 self.delivered += 1
             elif note[0] == "finalize":
-                self.sim.trace.append(now, "finalize", self.node, {"round": note[1]})
+                sim.trace.append(now, "finalize", self.node, {"round": note[1]})
         for a in acts:
             if isinstance(a, RestartTimer):
-                self.timer_gen += 1
-                self.sim.set_timer(self.node, self.timer_gen, now + a.delay, now)
+                gen = self.timer_gen = self.timer_gen + 1
+                sim.trace.append(now, "timer_set", self.node, {
+                    "generation": gen, "fire_at": now + a.delay})
+                sim._push(now + a.delay, self.on_timer, (gen,))
             elif isinstance(a, InputRb):
-                self.work.append(("subinput", InstanceKey(Kind.RB, a.round), a.proposal))
+                self.work.append((self._sub_input, (InstanceKey(Kind.RB, a.round),
+                                                    a.proposal)))
             elif isinstance(a, InputWba):
-                self.work.append(("subinput", InstanceKey(Kind.WBA, a.round), a.bit))
+                self.work.append((self._sub_input, (InstanceKey(Kind.WBA, a.round),
+                                                    a.bit)))
             elif isinstance(a, Wake):
-                self.sim.set_wake(self.node, a.at)
+                sim._push(a.at, self.on_wake, ())
         if self.held and self.engine is not None:
-            window = self.engine.current + self.sim.cfg.options.spam_window
+            window = self.engine.current + sim.cfg.options.spam_window
             ready = [m for m in self.held if m.instance.round <= window]
             if ready:
                 self.held = [m for m in self.held if m.instance.round > window]
-                for m in ready:
-                    self.work.append(("recv", m))
+                self.work.extend((self._recv, m) for m in ready)
 
 
 class AdversaryApi:
-    """What a faulty node's driver may do at one dispatch."""
+    """What a faulty node's driver may do.  The simulation builds one per
+    driven node and moves `now` to each dispatch."""
 
-    def __init__(self, sim: "Simulation", node: int, now: int):
+    def __init__(self, sim: "Simulation", node: int):
         self.sim = sim
         self.node = node
-        self.now = now
+        self.now = 0
         self.params = sim.cfg.params
         self.schedule = sim.cfg.schedule
         self.backend = sim.cfg.backend
-
-    def leader_of(self, rnd: int) -> int:
-        return self.schedule.leader_of(rnd)
 
     def message(self, instance: InstanceKey, kind: str, payload, forge_signer=None):
         """This node's message in the run's backend.  On gossip it is signed
@@ -349,13 +377,13 @@ class EquivocatingProposerDriver(Driver):
     def on_start(self, api: AdversaryApi) -> None:
         period = len(api.schedule.order) if api.schedule.order else api.params.n
         for r in range(period):
-            if api.leader_of(r) == self.node:
+            if api.schedule.leader_of(r) == self.node:
                 self._equivocate(api, r)
                 break
 
     def on_deliver(self, api: AdversaryApi, msg) -> None:
         r = msg.instance.round
-        if api.leader_of(r) == self.node and r not in self.done:
+        if api.schedule.leader_of(r) == self.node and r not in self.done:
             self._equivocate(api, r)
 
     def _equivocate(self, api: AdversaryApi, r: int) -> None:
@@ -464,20 +492,16 @@ class Simulation:
             if isinstance(spec, CrashSpec):
                 self.crash_at[spec.node] = spec.at
             else:
-                drv = _build_driver(spec)
-                self.drivers.setdefault(spec.node, []).append(drv)
+                self.drivers.setdefault(spec.node, []).append(_build_driver(spec))
 
         preseed: dict[int, list] = {}
         for t, node, value in cfg.injections:
             if t <= 0 and node not in self.drivers:
                 preseed.setdefault(node, []).append(value)
 
-        self.runtimes: dict[int, _NodeRuntime] = {}
-        for node in range(self.total):
-            if node in self.drivers:
-                continue
-            self.runtimes[node] = _NodeRuntime(self, node,
-                                               tuple(preseed.get(node, ())))
+        self.runtimes = {node: _NodeRuntime(self, node, tuple(preseed.get(node, ())))
+                         for node in range(self.total) if node not in self.drivers}
+        self.apis = {node: AdversaryApi(self, node) for node in self.drivers}
 
     # -- scheduling primitives -------------------------------------------------
 
@@ -566,13 +590,6 @@ class Simulation:
             seq += 1
         self.seq = seq
 
-    def set_timer(self, node: int, gen: int, fire_at: int, now: int) -> None:
-        self.trace.append(now, "timer_set", node, {"generation": gen, "fire_at": fire_at})
-        self._push(fire_at, self._on_timer, (node, gen))
-
-    def set_wake(self, node: int, at: int) -> None:
-        self._push(at, self._on_wake, (node,))
-
     def factory_for(self, node: int):
         cfg = self.cfg
         if cfg.backend == "bracha":
@@ -592,14 +609,18 @@ class Simulation:
         return True
 
     def run(self) -> Trace:
-        cfg = self.cfg
+        cfg, runtimes = self.cfg, self.runtimes
         for node in range(self.total):
-            self._push(0, self._on_start, (node,))
+            if node in runtimes:
+                self._push(0, runtimes[node].on_start, ())
+            else:
+                self._push(0, self._drive, (node, "on_start"))
         for t, node, value in cfg.injections:
             if t > 0 or node in self.drivers:
                 self._push(max(t, 0), self._on_inject, (node, value))
         for t, node, key_text, value in cfg.raw_inputs:
-            self._push(t, self._on_raw_input, (node, parse_key(key_text), value))
+            if node in runtimes:
+                self._push(t, runtimes[node].on_raw_input, (parse_key(key_text), value))
         for drivers in self.drivers.values():
             for drv in drivers:
                 if isinstance(drv, ScriptedDriver):
@@ -614,27 +635,20 @@ class Simulation:
             handler(now, *args)
         return self.trace
 
-    # -- event handlers, one per kind of queued event ----------------------------
+    # -- queued events that are not a bound node entry point ---------------------
 
-    def _on_start(self, now: int, node: int) -> None:
-        if node in self.drivers:
-            api = AdversaryApi(self, node, now)
-            for drv in self.drivers[node]:
-                drv.on_start(api)
-        elif not self._crashed(node, now):
-            rt = self.runtimes[node]
-            preseeded = list(rt.engine.inputs) if rt.engine else []
-            for value in preseeded:
-                self.trace.append(now, "inject", node, {"value": _encode_value(value)})
-            self.trace.append(now, "start", node)
-            rt.on_start(now)
+    def _drive(self, now: int, node: int, event: str, *args) -> None:
+        """Hand `event` to each driver stacked on `node`, in order, through
+        the node's one api."""
+        api = self.apis[node]
+        api.now = now
+        for drv in self.drivers[node]:
+            getattr(drv, event)(api, *args)
 
     def _on_deliver(self, now: int, to: int, msg, enc: dict) -> None:
         if to in self.drivers:
             self.trace.append(now, "deliver", to, {**enc})
-            api = AdversaryApi(self, to, now)
-            for drv in self.drivers[to]:
-                drv.on_deliver(api, msg)
+            self._drive(now, to, "on_deliver", msg)
         elif not self._crashed(to, now):
             self.trace.append(now, "deliver", to, {**enc})
             self.runtimes[to].on_deliver(now, msg)
@@ -646,33 +660,22 @@ class Simulation:
         state[to] = _HAS
         self.trace.append(now, "deliver", to, {**enc, "gossip": 1})
         if to in self.drivers:
-            api = AdversaryApi(self, to, now)
-            for drv in self.drivers[to]:
-                drv.on_deliver(api, msg)
+            self._drive(now, to, "on_deliver", msg)
         elif not self._crashed(to, now):
             # first receipt at a live correct node: relay to everyone
             self._send_gossip(to, msg, enc, state, now, range(self.total))
             self.runtimes[to].on_deliver(now, msg)
 
-    def _on_timer(self, now: int, node: int, gen: int) -> None:
-        if node in self.runtimes and not self._crashed(node, now):
-            self.runtimes[node].on_timer(now, gen)
-
     def _on_inject(self, now: int, node: int, value) -> None:
         self.trace.append(now, "inject", node, {"value": _encode_value(value)})
-        if node in self.runtimes and not self._crashed(node, now):
-            self.runtimes[node].on_inject(now, value)
-
-    def _on_wake(self, now: int, node: int) -> None:
-        if node in self.runtimes and not self._crashed(node, now):
-            self.runtimes[node].on_wake(now)
-
-    def _on_raw_input(self, now: int, node: int, key: InstanceKey, value) -> None:
-        if node in self.runtimes and not self._crashed(node, now):
-            self.runtimes[node].on_raw_input(now, key, value)
+        rt = self.runtimes.get(node)
+        if rt is not None and not self._crashed(node, now) and rt.engine is not None:
+            rt.engine.on_input(value)
 
     def _on_script(self, now: int, drv: ScriptedDriver, entry: dict) -> None:
-        drv.on_script(AdversaryApi(self, drv.node, now), entry)
+        api = self.apis[drv.node]
+        api.now = now
+        drv.on_script(api, entry)
 
 
 def run(cfg: RunConfig) -> Trace:

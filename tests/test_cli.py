@@ -106,6 +106,17 @@ def test_too_many_nodes_exits_2(tmp_path, capsys):
     assert f"exceeds the cap of {MAX_NODES}" in capsys.readouterr().err
 
 
+def test_short_schedule_for_a_huge_n_exits_2(tmp_path, capsys):
+    # The schedule is checked before the node cap, without a set of size n.
+    doc = json.loads(Path(HONEST).read_text())
+    doc["params"]["n"] = 10**9
+    doc["schedule"] = [0, 1, 2, 3]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "leader order leaves out" in capsys.readouterr().err
+
+
 def test_unknown_check_name_exits_2(tmp_path, capsys):
     doc = json.loads(Path(HONEST).read_text())
     doc["checks"] = ["safety", {"name": "nope"}]

@@ -103,6 +103,9 @@ def test_schedule_rejects_incomplete_order():
         LeaderSchedule(4, order=(0, 1, 2, 2))
     with pytest.raises(ConfigError):
         LeaderSchedule(4, order=(0, 1, 2, 4))
+    # coverage is counted, not listed: no set of a billion validators
+    with pytest.raises(ConfigError):
+        LeaderSchedule(10**9, order=(0, 1, 2, 3))
 
 
 def test_public_surface_is_pinned():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abcast.checks import run_checks
+from abcast.checks import CHECKS, run_checks
 from abcast.core import ConfigError
 from abcast.scenario import load_scenario, scenario_from_dict
 from abcast.simnet import MAX_NODES, CrashSpec, FlipVoterSpec, run
@@ -469,6 +469,84 @@ def test_mutated_bundled_scenario_runs_or_is_config_error(site, value):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
+    try:
+        sc = scenario_from_dict(doc)
+        cfg = sc.config_for()
+        cfg = replace(cfg, horizon=min(cfg.horizon, HORIZON_CAP))
+        trace = run(cfg)
+        run_checks(trace, sc.context_for(cfg), sc.checks)
+    except ConfigError:
+        return
+    assert all(ev.time <= cfg.horizon for ev in trace.events)
+
+
+# -- property: a whole document drawn over the format's keys runs or is a
+# ConfigError, never another exception ---------------------------------------
+
+_TIME = st.integers(-1, 8)
+_NODE = st.integers(-1, 5)
+_VALUE = (st.none() | st.booleans() | st.integers(-1, 2) | st.sampled_from(["x", "y"])
+          | st.lists(st.integers(0, 1), max_size=1))
+_INSTANCE = st.sampled_from(["rb/0", "rb/1", "wba/0", "wba/2", "rb/-1", "zz/0", "rb"]) | _TIME
+_PAYLOAD = _VALUE | st.fixed_dictionaries({}, optional={
+    "value": _VALUE, "parent": st.none() | _TIME | st.just("x"), "ts": st.none() | _TIME})
+_SCRIPT_ENTRY = st.fixed_dictionaries(
+    {"time": _TIME, "op": st.sampled_from(["send", "gossip", "x"]), "instance": _INSTANCE,
+     "mkind": st.sampled_from(["initial", "echo", "ready", "vote", "x"])},
+    optional={"to": st.just("all") | st.lists(_NODE, max_size=3), "payload": _PAYLOAD,
+              "forge_signer": _NODE | st.just("x")})
+_PARTITION = st.fixed_dictionaries({"nodes": st.lists(_NODE, max_size=3)}, optional={
+    "value": _VALUE, "parent": st.sampled_from(["bot", "prev", None, 0, 1, -1, "x"])})
+_ADVERSARY = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["crash", "silent_leader", "equivocating_proposer",
+                              "flip_voter", "scripted", "x"]), "node": _NODE},
+    optional={"at": _TIME, "partitions": st.lists(_PARTITION, max_size=2),
+              "bits": st.dictionaries(st.sampled_from(["0", "1", "x"]), st.integers(0, 2),
+                                      max_size=2),
+              "equivocate": st.booleans(), "script": st.lists(_SCRIPT_ENTRY, max_size=3)})
+# a check is a name, or a name with at most one argument
+_CHECK = st.sampled_from(list(CHECKS)) | st.builds(
+    lambda name, args: {"name": name, **args}, st.sampled_from([*CHECKS, "x"]),
+    st.dictionaries(st.sampled_from(["rotations", "slack", "max_round", "x"]),
+                    st.none() | _TIME, max_size=1))
+_BACKEND = st.sampled_from(["bracha", "gossip", "gossip_quorum", "x"])
+# Mostly valid params, so that most documents get past them.
+_PARAMS = st.builds(
+    lambda nf, delta, gst, sub: {"n": nf[0], "f": nf[1], "delta": delta, "gst": gst,
+                                 "Delta": sub},
+    st.sampled_from([(4, 1)] * 5 + [(5, 1), (7, 2), (4, 0), (4, 2)]),
+    st.sampled_from([2] * 6 + [1, 3, 0]), st.sampled_from([0] * 5 + [10, 20, -1]),
+    st.sampled_from([6] * 6 + [3, 1, 0]))
+DOCUMENTS = st.fixed_dictionaries({"version": st.just(1), "params": _PARAMS}, optional={
+    "backend": _BACKEND | st.fixed_dictionaries({}, optional={
+        "kind": _BACKEND, "digest_mode": st.booleans()}),
+    "schedule": st.sampled_from([None, "round_robin", [3, 2, 1, 0, 0], "x"])
+    | st.lists(_NODE, max_size=5),
+    "mode": st.sampled_from(["engine", "raw", "x"]),
+    "raw_inputs": st.lists(st.fixed_dictionaries(
+        {"instance": _INSTANCE, "value": _VALUE, "node": _NODE}, optional={"time": _TIME}),
+        max_size=3),
+    "adversaries": st.lists(_ADVERSARY, max_size=2),
+    "injections": st.lists(st.fixed_dictionaries(
+        {"value": _VALUE, "node": _NODE}, optional={"time": _TIME}), max_size=3),
+    "engine_options": st.fixed_dictionaries({}, optional={
+        "queue_discipline": st.sampled_from(["fifo", "lifo", "x"]),
+        "spam_window": st.integers(-1, 3)}),
+    "sim": st.fixed_dictionaries({}, optional={
+        "horizon": st.integers(-1, HORIZON_CAP) | st.just("auto"), "seed": _TIME,
+        "pre_gst_max_delay": st.integers(0, 3),
+        "delay_law": st.sampled_from(["fixed", "uniform", "x"]),
+        "gossip_relay_latency": st.integers(0, 2), "extra_nodes": st.integers(-1, 2),
+        "gst_draw": st.lists(_TIME, max_size=3)}),
+    "checks": st.lists(_CHECK, max_size=3)})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=350)
+@given(doc=DOCUMENTS)
+# null is not a rotation count: liveness took it and died on `3 * None`
+@example(doc={"version": 1, "params": {"n": 4, "f": 1, "delta": 2, "gst": 0, "Delta": 6},
+              "checks": [{"name": "liveness", "rotations": None}]})
+def test_drawn_document_runs_or_is_config_error(doc):
     try:
         sc = scenario_from_dict(doc)
         cfg = sc.config_for()

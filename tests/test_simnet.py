@@ -25,6 +25,8 @@ from abcast.simnet import (
 def make_cfg(**kw):
     params = kw.pop("params", None) or Params(
         n=4, f=1, delta=2, gst=kw.pop("gst", 0), sub_delay=6)
+    if isinstance(kw.get("options"), dict):         # EngineOptions fields
+        kw["options"] = EngineOptions(**kw["options"])
     base = dict(params=params, schedule=LeaderSchedule(params.n),
                 horizon=150, injections=((0, 0, "v0"), (0, 1, "v1")))
     base.update(kw)
@@ -311,6 +313,24 @@ BAD_RUN_CONFIGS = {
     "raw input beyond the nodes": dict(mode="raw", injections=(),
                                        raw_inputs=((0, 5, "wba/0", 1),)),
     "more nodes than the cap": dict(extra_nodes=MAX_NODES - 3),
+    "negative extra nodes": dict(extra_nodes=-1),
+    "a schedule over another n": dict(schedule=LeaderSchedule(7)),
+    "digest mode on bracha": dict(digest_mode=True),
+    "raw input before the start": dict(mode="raw", injections=(),
+                                       raw_inputs=((-5, 0, "wba/0", 1),)),
+    "script entry before the start": dict(adversaries=(ScriptedSpec(3, (
+        {"time": -3, "op": "send", "instance": "wba/0", "mkind": "vote",
+         "payload": 1},)),)),
+    "crash before the start": dict(adversaries=(CrashSpec(3, -1),)),
+    "unknown raw instance kind": dict(mode="raw", injections=(),
+                                      raw_inputs=((0, 0, "zz/1", 1),)),
+    "negative raw instance round": dict(mode="raw", injections=(),
+                                        raw_inputs=((0, 0, "rb/-1", 1),)),
+    "unknown script instance kind": dict(adversaries=(ScriptedSpec(3, (
+        {"time": 1, "op": "send", "instance": "zz/0", "mkind": "vote",
+         "payload": 1},)),)),
+    # a negative window holds every message, so the run wedges
+    "negative spam window": dict(options={"spam_window": -1}),
 }
 
 
