@@ -20,7 +20,7 @@ import sys
 from .checks import FAIL, run_checks
 from .core import ConfigError
 from .scenario import load_scenario
-from .simnet import run as run_sim
+from .simnet import run as run_sim, trace_meta
 from .trace import Trace
 
 EXIT_OK = 0
@@ -69,6 +69,10 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad trace file {args.trace}: {exc}") from exc
     cfg = scenario.config_for(trace.seed)
+    for field, want in trace_meta(cfg).items():
+        if field in trace.meta and trace.meta[field] != want:
+            raise ConfigError(f"trace {args.trace} is from another run: its {field} is "
+                              f"{trace.meta[field]!r}, the scenario's is {want!r}")
     reports = run_checks(trace, scenario.context_for(cfg), scenario.checks)
     failed = _print_reports(reports)
     return EXIT_CHECK_FAILED if failed else EXIT_OK

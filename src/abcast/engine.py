@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import ConfigError, InternalInvariantError, Params, LeaderSchedule
 from .subproto import InstanceKey, Kind
@@ -51,6 +51,13 @@ def _chainable(prop: object) -> bool:
             and isinstance(prop.ts, (int, type(None))))
 
 
+def encode(v):
+    """A subprotocol value as trace fields: a Proposal becomes a dict."""
+    if isinstance(v, Proposal):
+        return {"value": encode(v.value), "parent": v.parent, "ts": v.ts}
+    return v
+
+
 # Actions handed back to the hosting node.
 
 @dataclass(slots=True)
@@ -58,16 +65,11 @@ class RestartTimer:
     delay: int
 
 
-@dataclass(slots=True)
-class InputRb:
-    round: int
-    proposal: Proposal
+class Input(NamedTuple):
+    """This node's input to one subprotocol instance."""
 
-
-@dataclass(slots=True)
-class InputWba:
-    round: int
-    bit: int
+    key: InstanceKey
+    value: object
 
 
 @dataclass(slots=True)
@@ -109,8 +111,9 @@ class Engine:
     `view` is anything exposing rb_output(r), wba_output(r),
     input_made(key) and rb_rounds_with_output() (ascending, read but never
     modified here), normally the node's InstanceTable.  Handlers return
-    (actions, notes); notes are trace breadcrumbs like ("advance", r) or
-    ("ab_output", value, r), and a delivery exists only as its note.
+    (actions, notes); each note is a trace event as (kind, fields), the
+    fields a fresh dict such as {"round": r} for "advance", and a delivery
+    exists only as its "ab_output" note.
 
     Incremental state.  RB and WBA outputs are write-once and a round's
     ancestor chain is fixed by those RB outputs, so with a pure validity
@@ -118,8 +121,6 @@ class Engine:
     skippable(r), fertile(r, s) or accepted(r) holds it keeps holding, with
     the same proposal.  The engine therefore keeps
 
-      _skip_prefix  every round below it is skippable, so fertile(r, None)
-                    is a comparison once the counter has caught up;
       _accepted     every non-None accepted(r), kept for good; only None
                     results are recomputed, and only once per handler call
                     because the view does not change during one;
@@ -148,8 +149,7 @@ class Engine:
         self.inputs: list = list(initial_inputs)
         self.output_log: list = []
         self._output_set: set = set()
-        self._proposed_rounds: set[int] = set()
-        self._skip_prefix = 0
+        self._last_proposed = -1
         self._accepted: dict[int, Proposal] = {}
         self._rb_seen: set[int] = set()
         self._pending: set[int] = set()
@@ -179,7 +179,7 @@ class Engine:
         actions = []
         key = InstanceKey(Kind.WBA, self.current)
         if not self.view.input_made(key):
-            actions.append(InputWba(self.current, 0))
+            actions.append(Input(key, 0))
         more, notes = self._conditions(now)
         return actions + more, notes
 
@@ -191,19 +191,21 @@ class Engine:
     def _skippable(self, r: int) -> bool:
         return self.view.wba_output(r) == 0
 
-    def _skipped_between(self, lo: int, hi: int) -> bool:
-        """Every round in [lo, hi) is skippable."""
-        while self._skip_prefix < hi and self._skippable(self._skip_prefix):
-            self._skip_prefix += 1
-        return all(self._skippable(u) for u in range(max(lo, self._skip_prefix), hi))
+    def _fertile_parents(self, r: int, rejected: set | None):
+        """Round r's fertile parents, highest first, genesis (None) last.
+
+        A parent s needs every round strictly between s and r skippable, so
+        the walk down from r - 1 ends at the first round that is not.
+        """
+        for s in range(r - 1, -1, -1):
+            if self.accepted(s, rejected) is not None:
+                yield s
+            if not self._skippable(s):
+                return
+        yield None
 
     def fertile(self, r: int, parent: int | None, rejected: set | None = None) -> bool:
-        if parent is None:
-            return self._skipped_between(0, r)
-        if not 0 <= parent < r:
-            return False
-        return (self._skipped_between(parent + 1, r)
-                and self.accepted(parent, rejected) is not None)
+        return parent in self._fertile_parents(r, rejected)
 
     def accepted(self, r: int, rejected: set | None = None) -> Proposal | None:
         """RB[r]'s output if it is fertile and valid in this view, else None.
@@ -219,9 +221,11 @@ class Engine:
         elif r in rejected:
             return None
         prop = self.view.rb_output(r)
-        if (not _chainable(prop) or not self.fertile(r, prop.parent, rejected)
+        # the walk itself, not fertile(): one frame less per round when
+        # acceptance recurses down a chain of rounds not yet looked at
+        if (not _chainable(prop) or prop.parent not in self._fertile_parents(r, rejected)
                 or (self.options.validity is not None
-                    and not self.options.validity(prop, self._ancestors(prop)))):
+                    and not self.options.validity(prop, self._ancestors(prop.parent)))):
             rejected.add(r)
             return None
         self._accepted[r] = prop
@@ -230,47 +234,45 @@ class Engine:
             self._newest_ts = prop.ts
         return prop
 
-    def _ancestors(self, prop: Proposal) -> tuple[Proposal, ...]:
+    def _chain(self, r: int | None, down_to: int) -> list[tuple[int, Proposal]]:
+        """(round, RB output) along the parent links from round r, highest
+        first, down to round `down_to` or genesis.  It is only walked from an
+        accepted round or a fertile parent, whose chain is accepted all the
+        way down, so a missing output is a bug."""
         chain = []
-        p = prop.parent
-        while p is not None:
-            ap = self.view.rb_output(p)
-            if ap is None:
-                raise InternalInvariantError(f"fertile parent {p} lacks an RB output")
-            chain.append(ap)
-            p = ap.parent
-        return tuple(chain)
+        while r is not None and r >= down_to:
+            prop = self.view.rb_output(r)
+            if prop is None:
+                raise InternalInvariantError(f"chained round {r} lacks an RB output")
+            chain.append((r, prop))
+            r = prop.parent
+        return chain
+
+    def _ancestors(self, r: int | None) -> tuple[Proposal, ...]:
+        """Round r's proposal and its ancestors', highest first; () for None."""
+        return tuple(p for _, p in self._chain(r, 0))
 
     # -- finalization --------------------------------------------------------
 
-    def _finalize_pairs(self, r: int) -> list[tuple[object, int]]:
-        """Deliver round r's value and any undecided ancestors, lowest first.
-
-        Returns the (value, round) pairs newly delivered, after appending
-        them to the output log and removing them from the input buffer; the
-        caller is responsible for bumping undecided_round.
-        """
-        pairs: list[tuple[object, int]] = []
-
-        def walk(rr: int) -> None:
-            prop = self.view.rb_output(rr)
-            if prop is None:
-                raise InternalInvariantError(f"finalizing round {rr} without an RB output")
-            if prop.parent is not None and prop.parent >= self.undecided_round:
-                walk(prop.parent)
-            pairs.append((prop.value, rr))
-
-        walk(r)
-        delivered: list[tuple[object, int]] = []
-        for value, rr in pairs:
+    def _finalize(self, r: int) -> list[tuple[str, dict]]:
+        """Deliver round r's value and its undecided ancestors, lowest first,
+        taking each out of the input buffer; a value already delivered is
+        skipped.  Returns the notes: one ab_output per delivery, then
+        finalize."""
+        notes = []
+        for rr, prop in reversed(self._chain(r, self.undecided_round)):
+            value = prop.value
             if value in self.inputs:
                 self.inputs.remove(value)
             if value in self._output_set:
                 continue
+            notes.append(("ab_output", {"value": encode(value), "round": rr,
+                                        "position": len(self.output_log)}))
             self.output_log.append(value)
             self._output_set.add(value)
-            delivered.append((value, rr))
-        return delivered
+        notes.append(("finalize", {"round": r}))
+        self.undecided_round = r + 1
+        return notes
 
     # -- the condition fixpoint ----------------------------------------------
 
@@ -304,19 +306,6 @@ class Engine:
                 wake = t if wake is None else max(wake, t)
         return wake is None, wake
 
-    def _fertile_parents(self, r: int, rejected: set):
-        """Round r's fertile parents, highest first, genesis (None) last.
-
-        A parent s needs every round strictly between s and r skippable, so
-        the walk down from r - 1 ends at the first round that is not.
-        """
-        for s in range(r - 1, -1, -1):
-            if self.accepted(s, rejected) is not None:
-                yield s
-            if not self._skippable(s):
-                return
-        yield None
-
     def _pick_proposal(self, r: int, now: int, rejected: set) -> Proposal | None:
         """Head of the buffer under the highest fertile parent.
 
@@ -330,11 +319,7 @@ class Engine:
         ts = now if self.options.min_parent_delay is not None else None
         validity = self.options.validity
         for parent in self._fertile_parents(r, rejected):
-            chain: tuple[Proposal, ...] = ()
-            if validity is not None and parent is not None:
-                parent_prop = self.accepted(parent, rejected)
-                assert parent_prop is not None
-                chain = (parent_prop,) + self._ancestors(parent_prop)
+            chain = self._ancestors(parent) if validity is not None else ()
             for value in self.inputs:
                 cand = Proposal(value, parent, ts)
                 if validity is None or validity(cand, chain):
@@ -360,38 +345,35 @@ class Engine:
                     break
                 self.current += 1
                 actions.append(RestartTimer(self.timer_delay))
-                notes.append(("advance", self.current))
+                notes.append(("advance", {"round": self.current}))
                 progress = True
 
             # 2. propose when leading the current round
             r = self.current
-            if (self.schedule.leader_of(r) == self.self_id
-                    and r not in self._proposed_rounds
-                    and not self.view.input_made(InstanceKey(Kind.RB, r))):
+            key = InstanceKey(Kind.RB, r)
+            if (r > self._last_proposed and self.schedule.leader_of(r) == self.self_id
+                    and not self.view.input_made(key)):
                 prop = self._pick_proposal(r, now, rejected)
                 if prop is not None:
-                    self._proposed_rounds.add(r)
-                    actions.append(InputRb(r, prop))
-                    notes.append(("propose", r, prop))
+                    self._last_proposed = r
+                    actions.append(Input(key, prop))
+                    notes.append(("propose", {"round": r, "payload": encode(prop)}))
 
             # 3. vote to commit every accepted round not yet voted on
             for s in sorted(self._pending):
-                if self.view.input_made(InstanceKey(Kind.WBA, s)):
+                key = InstanceKey(Kind.WBA, s)
+                if self.view.input_made(key):
                     self._pending.discard(s)
                 elif self.accepted(s, rejected) is not None:
                     self._pending.discard(s)
-                    actions.append(InputWba(s, 1))
+                    actions.append(Input(key, 1))
 
             # 4. finalize the lowest committed, accepted, undecided round
             for i in range(bisect_left(rounds, self.undecided_round), len(rounds)):
                 s = rounds[i]
-                if self.view.wba_output(s) != 1 or self.accepted(s, rejected) is None:
-                    continue
-                for value, rr in self._finalize_pairs(s):
-                    notes.append(("ab_output", value, rr))
-                notes.append(("finalize", s))
-                self.undecided_round = s + 1
-                progress = True
-                break
+                if self.view.wba_output(s) == 1 and self.accepted(s, rejected) is not None:
+                    notes += self._finalize(s)
+                    progress = True
+                    break
 
         return actions, notes

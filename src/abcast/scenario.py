@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -59,9 +60,12 @@ def _list_field(obj: dict, key: str) -> list:
 
 
 def _scalar(v, what: str):
-    """Values end up in sets and signatures, so they must be hashable."""
+    """Values end up in sets and signatures, so they must be hashable, and
+    in traces, so a float must be finite: NaN differs from itself, and
+    neither NaN nor an infinity is JSON."""
     _expect(v is None or isinstance(v, (str, int, float)),
             f"{what} must be a string, number, boolean or null, got {v!r}")
+    _expect(not isinstance(v, float) or math.isfinite(v), f"{what} must be finite, got {v!r}")
     return v
 
 

@@ -27,8 +27,7 @@ from .core import ConfigError, Params, LeaderSchedule
 from .subproto import InstanceKey, Kind, InstanceTable, Send, Output, parse_key
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
-from .engine import (Engine, EngineOptions, Proposal, RestartTimer, InputRb,
-                     InputWba, Wake)
+from .engine import Engine, EngineOptions, Input, Proposal, RestartTimer, Wake, encode
 from .gossip import SignatureScheme, SignedMsg, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
@@ -163,6 +162,12 @@ class RunConfig:
                 raise ConfigError(f"injection at t={t} is not before the horizon")
 
 
+def trace_meta(cfg: RunConfig) -> dict:
+    """The run parameters a trace's header records."""
+    return {"backend": cfg.backend, "mode": cfg.mode, "n": cfg.params.n,
+            "f": cfg.params.f, "gst": cfg.params.gst, "horizon": cfg.horizon}
+
+
 def instance_key(text) -> InstanceKey:
     """`text` read as rb/<round> or wba/<round>, the round at least 0."""
     try:
@@ -174,19 +179,13 @@ def instance_key(text) -> InstanceKey:
     return key
 
 
-def _encode_value(v):
-    if isinstance(v, Proposal):
-        return {"value": _encode_value(v.value), "parent": v.parent, "ts": v.ts}
-    return v
-
-
 def _encode_msg(msg) -> dict:
     """A message's trace fields.  Built once where the message is sent and
     carried with every queued copy; each event spreads it into a dict of
     its own."""
     author = msg.sender if isinstance(msg, BrachaMsg) else msg.signer
     return {"instance": msg.instance.text, "mkind": msg.kind,
-            "payload": _encode_value(msg.payload), "from": author}
+            "payload": encode(msg.payload), "from": author}
 
 
 _HAS = -1         # below every arrival time, so no later copy is queued
@@ -206,7 +205,6 @@ class _NodeRuntime:
         self.work: deque = deque()
         self.engine_queued = False
         self.held: list = []                 # spam-window buffer, arrival order
-        self.delivered = 0                   # ab_output values so far
 
     # -- entry points (each pumps to quiescence) -----------------------------
     # The simulation queues all but on_deliver as bound calls, and each checks
@@ -218,7 +216,7 @@ class _NodeRuntime:
             return
         trace, engine = self.sim.trace, self.engine
         for value in engine.inputs if engine is not None else ():
-            trace.append(now, "inject", self.node, {"value": _encode_value(value)})
+            trace.append(now, "inject", self.node, {"value": encode(value)})
         trace.append(now, "start", self.node)
         if engine is not None:
             self._apply_engine(now, *engine.start(now))
@@ -250,7 +248,7 @@ class _NodeRuntime:
 
     def on_raw_input(self, now: int, key: InstanceKey, value) -> None:
         if not self.sim._crashed(self.node, now):
-            self._sub_input(now, (key, value))
+            self._sub_input(now, Input(key, value))
             self._pump(now)
 
     # -- internals: a work item is (method, arg), run as method(now, arg) ------
@@ -271,13 +269,13 @@ class _NodeRuntime:
         self.engine_queued = False
         self._apply_engine(now, *self.engine.on_subproto_output(now))
 
-    def _sub_input(self, now: int, key_value: tuple) -> None:
-        key, value = key_value
+    def _sub_input(self, now: int, inp: Input) -> None:
+        key, value = inp
         before = self.table.input_made(key)
         acts = self.table.submit_input(key, value)
         if not before and self.table.input_made(key):
             self.sim.trace.append(now, "sub_input", self.node, {
-                "instance": key.text, "value": _encode_value(value)})
+                "instance": key.text, "value": encode(value)})
         self._apply_backend(now, key, acts)
 
     def _recv(self, now: int, msg) -> None:
@@ -292,36 +290,21 @@ class _NodeRuntime:
             elif isinstance(a, Output):
                 if self.table.record_output(key, a.value):
                     self.sim.trace.append(now, "sub_output", self.node, {
-                        "instance": key.text, "value": _encode_value(a.value)})
+                        "instance": key.text, "value": encode(a.value)})
                     self._queue_engine_pass()
 
     def _apply_engine(self, now: int, acts: list, notes: list) -> None:
         sim = self.sim
-        for note in notes:
-            if note[0] == "advance":
-                sim.trace.append(now, "advance", self.node, {"round": note[1]})
-            elif note[0] == "propose":
-                sim.trace.append(now, "propose", self.node, {
-                    "round": note[1], "payload": _encode_value(note[2])})
-            elif note[0] == "ab_output":
-                sim.trace.append(now, "ab_output", self.node, {
-                    "value": _encode_value(note[1]), "round": note[2],
-                    "position": self.delivered})
-                self.delivered += 1
-            elif note[0] == "finalize":
-                sim.trace.append(now, "finalize", self.node, {"round": note[1]})
+        for kind, data in notes:
+            sim.trace.append(now, kind, self.node, data)
         for a in acts:
             if isinstance(a, RestartTimer):
                 gen = self.timer_gen = self.timer_gen + 1
                 sim.trace.append(now, "timer_set", self.node, {
                     "generation": gen, "fire_at": now + a.delay})
                 sim._push(now + a.delay, self.on_timer, (gen,))
-            elif isinstance(a, InputRb):
-                self.work.append((self._sub_input, (InstanceKey(Kind.RB, a.round),
-                                                    a.proposal)))
-            elif isinstance(a, InputWba):
-                self.work.append((self._sub_input, (InstanceKey(Kind.WBA, a.round),
-                                                    a.bit)))
+            elif isinstance(a, Input):
+                self.work.append((self._sub_input, a))
             elif isinstance(a, Wake):
                 sim._push(a.at, self.on_wake, ())
         if self.held and self.engine is not None:
@@ -474,9 +457,7 @@ class Simulation:
         self._gst, self._pre = cfg.params.gst, cfg.pre_gst_max_delay
         self._pre_bits = self._pre.bit_length()
         self._getrandbits = self.rng.getrandbits
-        self.trace = Trace(cfg.seed, meta={
-            "backend": cfg.backend, "mode": cfg.mode, "n": cfg.params.n,
-            "f": cfg.params.f, "gst": cfg.params.gst, "horizon": cfg.horizon})
+        self.trace = Trace(cfg.seed, meta=trace_meta(cfg))
         self.queue: list = []
         self.seq = 0
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
@@ -667,7 +648,7 @@ class Simulation:
             self.runtimes[to].on_deliver(now, msg)
 
     def _on_inject(self, now: int, node: int, value) -> None:
-        self.trace.append(now, "inject", node, {"value": _encode_value(value)})
+        self.trace.append(now, "inject", node, {"value": encode(value)})
         rt = self.runtimes.get(node)
         if rt is not None and not self._crashed(node, now) and rt.engine is not None:
             rt.engine.on_input(value)

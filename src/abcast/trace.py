@@ -20,16 +20,18 @@ import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from math import isfinite
 
 TRACE_VERSION = 1
 
 _DECODER = json.JSONDecoder()
 
-_INSTANCE = re.compile(r"(?:rb|wba)/[0-9]+")
+_INSTANCE = re.compile(r"(?:rb|wba)/(?:0|[1-9][0-9]*)")
 _INT = (lambda x: type(x) is int, "an int")
 _ANY = (lambda x: True, "a")
-# the checkers hash these values
-_SCALAR = (lambda x: x is None or type(x) in (bool, int, float, str), "a JSON scalar")
+# the checkers hash these values and compare them for equality
+_SCALAR = (lambda x: x is None or type(x) in (bool, int, str)
+           or (type(x) is float and isfinite(x)), "a JSON scalar")
 _KEY = (lambda x: type(x) is str and _INSTANCE.fullmatch(x) is not None,
         "an rb/<round> or wba/<round>")
 _SUB = (("node", _INT), ("instance", _KEY), ("value", _ANY))
@@ -148,9 +150,6 @@ class Trace:
     def sub_outputs(self) -> dict[tuple[int, str], TraceEvent]:
         """(node, instance) -> output event; write-once by construction."""
         return {(ev.node, ev.data["instance"]): ev for ev in self.iter_kind("sub_output")}
-
-    def sub_inputs(self) -> dict[tuple[int, str], TraceEvent]:
-        return {(ev.node, ev.data["instance"]): ev for ev in self.iter_kind("sub_input")}
 
     def advances(self) -> dict[int, list[TraceEvent]]:
         adv: dict[int, list[TraceEvent]] = {}

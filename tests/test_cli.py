@@ -135,8 +135,9 @@ def _event(**fields):
     return json.dumps({"time": 1, "seq": 0, **fields})
 
 
-# The last eleven lack a field a checker reads, or hold one of the wrong
-# type; the checkers hash output values, so those must be JSON scalars.
+# The last fourteen lack a field a checker reads, or hold one of the wrong
+# type; the checkers hash output values and compare them, so those must be
+# JSON scalars, and a round number has one spelling.
 @pytest.mark.parametrize("line", [
     "{}", "1",
     '{"time":0,"seq":0,"kind":"start"},{"time":0,"seq":1,"kind":"start"}',
@@ -151,6 +152,9 @@ def _event(**fields):
     _event(kind="advance", round=1),
     _event(kind="ab_output", node=0, round=0, position=0, value=[1]),
     _event(kind="sub_output", node=0, value=[1], instance="wba/0"),
+    _event(kind="ab_output", node=0, round=0, position=0, value=float("nan")),
+    '{"time":1,"seq":0,"kind":"sub_output","node":0,"instance":"wba/0","value":1e400}',
+    _event(kind="sub_output", node=0, value=0, instance="wba/03"),
     NESTED,
 ])
 def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
@@ -162,6 +166,15 @@ def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace_path), HONEST]) == 2
     assert "bad trace file" in capsys.readouterr().err
+
+
+def test_check_refuses_a_trace_from_another_config(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    main(["run", HONEST, "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    assert main(["check", str(trace_path), str(SCENARIOS / "gossip_digest_n4.json")]) == 2
+    err = capsys.readouterr().err
+    assert "is from another run: its backend is 'bracha'" in err
 
 
 # A header without a seed means seed 0; one that is there must be an int.

@@ -4,8 +4,7 @@ from abcast.core import LeaderSchedule, Params
 from abcast.engine import (
     Engine,
     EngineOptions,
-    InputRb,
-    InputWba,
+    Input,
     Proposal,
     RestartTimer,
     Wake,
@@ -41,6 +40,18 @@ def make_engine(view=None, self_id=0, inputs=(), options=None):
                   view or ViewStub(), initial_inputs=tuple(inputs))
 
 
+def inputs_of(actions, kind):
+    return [a for a in actions if isinstance(a, Input) and a.key.kind is kind]
+
+
+def ab_output(value, r, position):
+    return ("ab_output", {"value": value, "round": r, "position": position})
+
+
+def rb_key(r):
+    return InstanceKey(Kind.RB, r)
+
+
 def wba_key(r):
     return InstanceKey(Kind.WBA, r)
 
@@ -55,8 +66,9 @@ def test_start_fresh_non_leader_only_arms_timer():
 def test_start_leader_with_buffered_value_proposes_genesis():
     eng = make_engine(self_id=0, inputs=("a",))
     actions, notes = eng.start(0)
-    assert actions == [RestartTimer(12), InputRb(0, Proposal("a", None))]
-    assert ("propose", 0, Proposal("a", None)) in notes
+    assert actions == [RestartTimer(12), Input(rb_key(0), Proposal("a", None))]
+    assert ("propose", {"round": 0,
+                        "payload": {"value": "a", "parent": None, "ts": None}}) in notes
 
 
 def test_start_leader_with_empty_buffer_waits():
@@ -66,7 +78,7 @@ def test_start_leader_with_empty_buffer_waits():
     # The slot is not burned: the round can still be proposed later.
     eng.on_input("a")
     actions, _ = eng.on_subproto_output(3)
-    assert actions == [InputRb(0, Proposal("a", None))]
+    assert actions == [Input(rb_key(0), Proposal("a", None))]
 
 
 def test_on_input_disciplines():
@@ -87,7 +99,7 @@ def test_on_timeout_votes_to_skip_current():
     eng = make_engine(self_id=1)
     eng.current = 3
     actions, _ = eng.on_timeout(40)
-    assert actions == [InputWba(3, 0)]
+    assert actions == [Input(wba_key(3), 0)]
 
 
 def test_on_timeout_after_own_input_is_silent():
@@ -129,10 +141,10 @@ def test_rb_output_advances_round_and_votes_commit():
     actions, notes = eng.on_subproto_output(5)
     assert actions == [
         RestartTimer(12),
-        InputRb(1, Proposal("x", 0)),
-        InputWba(0, 1),
+        Input(rb_key(1), Proposal("x", 0)),
+        Input(wba_key(0), 1),
     ]
-    assert ("advance", 1) in notes
+    assert ("advance", {"round": 1}) in notes
     assert eng.current == 1
 
 
@@ -140,14 +152,14 @@ def test_skip_output_advances_round():
     eng = make_engine(ViewStub(wba={0: 0}), self_id=2)
     actions, notes = eng.on_subproto_output(13)
     assert actions == [RestartTimer(12)]
-    assert notes == [("advance", 1)]
+    assert notes == [("advance", {"round": 1})]
     assert eng.current == 1
 
 
 def test_no_commit_vote_without_accepted_parent_chain():
     eng = make_engine(ViewStub(rb={1: Proposal("b", 0)}), self_id=3)
     actions, _ = eng.on_subproto_output(9)
-    assert not any(isinstance(a, InputWba) for a in actions)
+    assert not inputs_of(actions, Kind.WBA)
 
 
 def test_commit_vote_not_repeated_after_own_input():
@@ -166,8 +178,8 @@ def test_committed_chain_finalizes_lowest_first():
     timers = [a for a in actions if isinstance(a, RestartTimer)]
     assert len(timers) == 3
     assert [n for n in notes if n[0] == "ab_output"] == [
-        ("ab_output", "a", 0), ("ab_output", "b", 2)]
-    assert ("finalize", 2) in notes
+        ab_output("a", 0, 0), ab_output("b", 2, 1)]
+    assert ("finalize", {"round": 2}) in notes
     assert eng.current == 3
     assert eng.undecided_round == 3
     assert eng.output_log == ["a", "b"]
@@ -176,20 +188,36 @@ def test_committed_chain_finalizes_lowest_first():
 def test_finalize_chain_respects_undecided_floor():
     view = ViewStub(rb={0: Proposal("a", None), 2: Proposal("b", 0)})
     whole = make_engine(view)
-    assert whole._finalize_pairs(2) == [("a", 0), ("b", 2)]
+    assert whole._finalize(2) == [ab_output("a", 0, 0), ab_output("b", 2, 1),
+                                  ("finalize", {"round": 2})]
+    assert whole.undecided_round == 3
     upper = make_engine(view)
     upper.undecided_round = 1
-    assert upper._finalize_pairs(2) == [("b", 2)]
+    assert upper._finalize(2) == [ab_output("b", 2, 0), ("finalize", {"round": 2})]
     assert upper.output_log == ["b"]
     single = make_engine(view)
-    assert single._finalize_pairs(0) == [("a", 0)]
+    assert single._finalize(0) == [ab_output("a", 0, 0), ("finalize", {"round": 0})]
 
 
 def test_finalize_consumes_buffered_copies():
     view = ViewStub(rb={0: Proposal("a", None)})
     eng = make_engine(view, inputs=("a", "b"))
-    assert eng._finalize_pairs(0) == [("a", 0)]
+    assert eng._finalize(0)[:1] == [ab_output("a", 0, 0)]
     assert eng.inputs == ["b"]
+
+
+def test_deep_undecided_chain_finalizes_in_round_order():
+    # Only the top of 2,000 chained rounds commits; the walk down its
+    # ancestors must not recurse once per round.
+    depth = 2000
+    view = ViewStub(rb={r: Proposal(r, r - 1 if r else None) for r in range(depth)},
+                    wba={depth - 1: 1})
+    eng = make_engine(view, self_id=1)
+    _, notes = eng.on_subproto_output(100)
+    delivered = [n for n in notes if n[0] == "ab_output"]
+    assert delivered == [ab_output(r, r, r) for r in range(depth)]
+    assert eng.output_log == list(range(depth))
+    assert eng.undecided_round == depth
 
 
 def test_repeated_value_on_chain_delivered_once():
@@ -199,7 +227,7 @@ def test_repeated_value_on_chain_delivered_once():
                     inputs_made=[wba_key(0), wba_key(1)])
     eng = make_engine(view, self_id=3)
     _, notes = eng.on_subproto_output(25)
-    assert [n for n in notes if n[0] == "ab_output"] == [("ab_output", "a", 0)]
+    assert [n for n in notes if n[0] == "ab_output"] == [ab_output("a", 0, 0)]
     assert eng.output_log == ["a"]
     assert eng.undecided_round == 2
 
@@ -220,7 +248,7 @@ def test_leader_reproposes_value_stuck_on_undecided_ancestor():
     view = ViewStub(rb={0: Proposal("a", None)})
     eng = make_engine(view, self_id=1, inputs=("a",))
     actions, _ = eng.on_subproto_output(14)
-    assert InputRb(1, Proposal("a", 0)) in actions
+    assert Input(rb_key(1), Proposal("a", 0)) in actions
 
 
 def test_validity_predicate_blocks_duplicate_and_searches_alternatives():
@@ -228,10 +256,10 @@ def test_validity_predicate_blocks_duplicate_and_searches_alternatives():
     view = ViewStub(rb={0: Proposal("a", None)})
     stuck = make_engine(view, self_id=1, inputs=("a",), options=opts)
     actions, _ = stuck.on_subproto_output(14)
-    assert not any(isinstance(a, InputRb) for a in actions)
+    assert not inputs_of(actions, Kind.RB)
     fresh = make_engine(view, self_id=1, inputs=("a", "b"), options=opts)
     actions, _ = fresh.on_subproto_output(14)
-    assert InputRb(1, Proposal("b", 0)) in actions
+    assert Input(rb_key(1), Proposal("b", 0)) in actions
 
 
 def test_validity_predicate_gates_acceptance():
@@ -248,7 +276,7 @@ def test_highest_fertile_parent_preferred():
     eng = make_engine(view, self_id=0, inputs=("x",))
     eng.current = 4
     actions, _ = eng.on_subproto_output(60)
-    assert InputRb(4, Proposal("x", 2)) in actions
+    assert Input(rb_key(4), Proposal("x", 2)) in actions
 
 
 def test_start_time_gate_defers_advance():
@@ -277,10 +305,10 @@ def test_proposals_carry_timestamp_only_under_delay_gate():
     gated = make_engine(self_id=0, inputs=("a",),
                         options=EngineOptions(min_parent_delay=5))
     actions, _ = gated.start(7)
-    assert InputRb(0, Proposal("a", None, ts=7)) in actions
+    assert Input(rb_key(0), Proposal("a", None, ts=7)) in actions
     plain = make_engine(self_id=0, inputs=("a",))
     actions, _ = plain.start(7)
-    assert InputRb(0, Proposal("a", None)) in actions
+    assert Input(rb_key(0), Proposal("a", None)) in actions
 
 
 def test_rb_output_arriving_below_known_rounds_is_voted():
@@ -288,11 +316,10 @@ def test_rb_output_arriving_below_known_rounds_is_voted():
                     inputs_made=[wba_key(0)])
     eng = make_engine(view, self_id=3)
     actions, _ = eng.on_subproto_output(10)
-    assert not any(isinstance(a, InputWba) for a in actions)
+    assert not inputs_of(actions, Kind.WBA)
     view.rb[1] = Proposal("b", 0)
     actions, _ = eng.on_subproto_output(20)
-    assert [a for a in actions if isinstance(a, InputWba)] == [
-        InputWba(1, 1), InputWba(2, 1)]
+    assert inputs_of(actions, Kind.WBA) == [Input(wba_key(1), 1), Input(wba_key(2), 1)]
     assert eng.current == 3
 
 

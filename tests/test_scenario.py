@@ -171,6 +171,9 @@ MALFORMED = {
         "adversaries": [{"kind": "flip_voter", "node": 3, "bits": {"x": 1}}]},
     "list-valued injection": {
         "injections": [{"time": 0, "node": 0, "value": [1, 2]}]},
+    # JSON as Python reads it: NaN is unequal to itself, 1e400 is infinite
+    "NaN injection": {"injections": [{"time": 0, "node": 0, "value": json.loads("NaN")}]},
+    "1e400 injection": {"injections": [{"time": 0, "node": 0, "value": json.loads("1e400")}]},
     "string in schedule": {"schedule": ["a"]},
     "string for equivocate": {
         "adversaries": [{"kind": "flip_voter", "node": 3, "equivocate": "false"}]},

@@ -126,7 +126,7 @@ def test_current_round_at_matches_a_rescan():
 
 def test_views_see_events_appended_after_an_earlier_call():
     t = sample_trace()
-    views = (t.ab_outputs, t.sub_outputs, t.sub_inputs, t.advances)
+    views = (t.ab_outputs, t.sub_outputs, t.advances)
     before = [view() for view in views]
     assert list(t.iter_kind("sub_input")) == []
     t.append(12, "ab_output", 1, {"value": "v", "round": 0, "position": 0})
@@ -136,8 +136,8 @@ def test_views_see_events_appended_after_an_earlier_call():
     after = [view() for view in views]
     assert 1 not in before[0] and after[0][1][0].time == 12
     assert (1, "rb/0") not in before[1] and after[1][(1, "rb/0")].time == 12
-    assert before[2] == {} and after[2][(1, "wba/0")].data["value"] == 1
-    assert 1 not in before[3] and after[3][1][0].data["round"] == 1
+    assert [ev.data["value"] for ev in t.iter_kind("sub_input")] == [1]
+    assert 1 not in before[2] and after[2][1][0].data["round"] == 1
     assert [ev.seq for ev in t.iter_kind("sub_input")] == [8]
     assert t.current_round_at(1, 12) == 1
 
