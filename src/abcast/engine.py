@@ -191,18 +191,23 @@ class Engine:
     def _skippable(self, r: int) -> bool:
         return self.view.wba_output(r) == 0
 
-    def _fertile_parents(self, r: int, rejected: set | None):
-        """Round r's fertile parents, highest first, genesis (None) last.
-
-        A parent s needs every round strictly between s and r skippable, so
-        the walk down from r - 1 ends at the first round that is not.
-        """
+    def _parent_candidates(self, r: int):
+        """The rounds that may parent round r, highest first, genesis (None)
+        last.  A parent s needs every round strictly between s and r
+        skippable, so the walk down from r - 1 ends at the first round that
+        is not."""
         for s in range(r - 1, -1, -1):
-            if self.accepted(s, rejected) is not None:
-                yield s
+            yield s
             if not self._skippable(s):
                 return
         yield None
+
+    def _fertile_parents(self, r: int, rejected: set | None):
+        """Round r's fertile parents: its candidates that are genesis or
+        accepted, highest first."""
+        for s in self._parent_candidates(r):
+            if s is None or self.accepted(s, rejected) is not None:
+                yield s
 
     def fertile(self, r: int, parent: int | None, rejected: set | None = None) -> bool:
         return parent in self._fertile_parents(r, rejected)
@@ -210,6 +215,10 @@ class Engine:
     def accepted(self, r: int, rejected: set | None = None) -> Proposal | None:
         """RB[r]'s output if it is fertile and valid in this view, else None.
 
+        Beyond r's own proposal, acceptance rests on its parent's alone.  So
+        this follows parent links down to a round already accepted, or to
+        genesis, then accepts the rounds it passed, lowest first: acceptance
+        never recurses, however long the chain of rounds not yet looked at.
         `rejected` collects rounds found unaccepted in the current view; a
         handler call shares one set across its fixpoint.
         """
@@ -218,21 +227,27 @@ class Engine:
             return prop
         if rejected is None:
             rejected = set()
-        elif r in rejected:
-            return None
-        prop = self.view.rb_output(r)
-        # the walk itself, not fertile(): one frame less per round when
-        # acceptance recurses down a chain of rounds not yet looked at
-        if (not _chainable(prop) or prop.parent not in self._fertile_parents(r, rejected)
-                or (self.options.validity is not None
-                    and not self.options.validity(prop, self._ancestors(prop.parent)))):
-            rejected.add(r)
-            return None
-        self._accepted[r] = prop
-        self._unresolved.discard(r)
-        if prop.ts is not None and (self._newest_ts is None or prop.ts > self._newest_ts):
-            self._newest_ts = prop.ts
-        return prop
+        chain = []                   # (round, proposal) passed, highest first
+        s = r
+        while s is not None and s not in self._accepted:
+            prop = None if s in rejected else self.view.rb_output(s)
+            if not _chainable(prop) or prop.parent not in self._parent_candidates(s):
+                rejected.add(s)
+                rejected.update(t for t, _ in chain)
+                return None
+            chain.append((s, prop))
+            s = prop.parent
+        validity = self.options.validity
+        for i in range(len(chain) - 1, -1, -1):
+            s, prop = chain[i]
+            if validity is not None and not validity(prop, self._ancestors(prop.parent)):
+                rejected.update(t for t, _ in chain[:i + 1])
+                return None
+            self._accepted[s] = prop
+            self._unresolved.discard(s)
+            if prop.ts is not None and (self._newest_ts is None or prop.ts > self._newest_ts):
+                self._newest_ts = prop.ts
+        return self._accepted[r]
 
     def _chain(self, r: int | None, down_to: int) -> list[tuple[int, Proposal]]:
         """(round, RB output) along the parent links from round r, highest

@@ -169,14 +169,13 @@ def trace_meta(cfg: RunConfig) -> dict:
 
 
 def instance_key(text) -> InstanceKey:
-    """`text` read as rb/<round> or wba/<round>, the round at least 0."""
+    """`text` read as rb/<round> or wba/<round>, spelled as `parse_key`
+    reads it."""
     try:
-        key = parse_key(text) if isinstance(text, str) else None
-    except ValueError:
-        key = None
-    if key is None or key.round < 0:
-        raise ConfigError(f"bad instance {text!r}: expected rb/<round> or wba/<round>")
-    return key
+        return parse_key(text)
+    except (TypeError, ValueError):          # TypeError: not a str
+        raise ConfigError(
+            f"bad instance {text!r}: expected rb/<round> or wba/<round>") from None
 
 
 def _encode_msg(msg) -> dict:
@@ -616,6 +615,17 @@ class Simulation:
             handler(now, *args)
         return self.trace
 
+    def close(self) -> None:
+        """Drop what ties the run into reference cycles: the heap's queued
+        bound calls, each node's runtime (it points back at the simulation,
+        and its work queue at itself) and the adversary apis.  The trace and
+        the configuration stay; reference counting frees the rest."""
+        self.queue.clear()
+        for rt in self.runtimes.values():
+            rt.work.clear()
+        self.runtimes = {}
+        self.apis = {}
+
     # -- queued events that are not a bound node entry point ---------------------
 
     def _drive(self, now: int, node: int, event: str, *args) -> None:
@@ -660,4 +670,11 @@ class Simulation:
 
 
 def run(cfg: RunConfig) -> Trace:
-    return Simulation(cfg).run()
+    """Run `cfg` and return its trace, which is all of the run that outlives
+    the call, whether it returns or raises.  `Simulation(cfg).run()` keeps
+    the simulation's state for inspection instead."""
+    sim = Simulation(cfg)
+    try:
+        return sim.run()
+    finally:
+        sim.close()

@@ -9,6 +9,7 @@ immutable output per instance.
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +39,17 @@ class InstanceKey(NamedTuple):
         return self.text
 
 
+# The one spelling of an instance, in a trace as in a scenario: the kind, a
+# slash and the round in ASCII decimal, with no sign, padding, underscore or
+# leading zero.
+INSTANCE_TEXT = re.compile(r"(?:rb|wba)/(?:0|[1-9][0-9]*)")
+
+
 def parse_key(text: str) -> InstanceKey:
+    """The instance `text` spells; ValueError unless it is spelled as
+    `InstanceKey.text` writes it."""
+    if INSTANCE_TEXT.fullmatch(text) is None:
+        raise ValueError(f"bad instance {text!r}")
     kind, _, rnd = text.partition("/")
     return InstanceKey(Kind(kind), int(rnd))
 

@@ -16,23 +16,23 @@ trace has grown since; recording an event never touches it.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from math import isfinite
 
+from .subproto import INSTANCE_TEXT
+
 TRACE_VERSION = 1
 
 _DECODER = json.JSONDecoder()
 
-_INSTANCE = re.compile(r"(?:rb|wba)/(?:0|[1-9][0-9]*)")
 _INT = (lambda x: type(x) is int, "an int")
 _ANY = (lambda x: True, "a")
 # the checkers hash these values and compare them for equality
 _SCALAR = (lambda x: x is None or type(x) in (bool, int, str)
            or (type(x) is float and isfinite(x)), "a JSON scalar")
-_KEY = (lambda x: type(x) is str and _INSTANCE.fullmatch(x) is not None,
+_KEY = (lambda x: type(x) is str and INSTANCE_TEXT.fullmatch(x) is not None,
         "an rb/<round> or wba/<round>")
 _SUB = (("node", _INT), ("instance", _KEY), ("value", _ANY))
 _WBA_SUB = _SUB[:2] + (("value", _SCALAR),)     # RB values are encoded proposals

@@ -220,6 +220,19 @@ def test_deep_undecided_chain_finalizes_in_round_order():
     assert eng.undecided_round == depth
 
 
+def test_leader_accepts_a_long_new_chain_without_recursing():
+    # 600 chained rounds arrive in one handler call and none commits.  The
+    # leader of round 600 looks for the highest fertile parent first, which
+    # needs round 599 accepted, then 598, and so on down.
+    depth = 600
+    view = ViewStub(rb={r: Proposal(r, r - 1 if r else None) for r in range(depth)})
+    eng = make_engine(view, self_id=0, inputs=("a",))
+    actions, _ = eng.on_subproto_output(100)
+    assert eng.current == depth
+    assert Input(rb_key(depth), Proposal("a", depth - 1)) in actions
+    assert inputs_of(actions, Kind.WBA) == [Input(wba_key(r), 1) for r in range(depth)]
+
+
 def test_repeated_value_on_chain_delivered_once():
     # Round 0 undecided, round 1 re-proposes the same value and commits.
     view = ViewStub(rb={0: Proposal("a", None), 1: Proposal("a", 0)},

@@ -1,16 +1,30 @@
-"""Work per trace event must not grow with the run, nor with the checks.
+"""Work per trace event must not grow with the run, nor with the checks,
+and a finished run must not stay behind for the cyclic collector.
 
 Timings would make this flaky, so it counts work instead.  The engine's
 view calls (the InstanceTable methods the engine reads) per trace event: an
 engine that rescans every earlier round on each event makes that ratio
-grow with the horizon.  And the walks the checkers make over the event
-list: one index build per trace, not one walk per view.
+grow with the horizon.  The walks the checkers make over the event list:
+one index build per trace, not one walk per view.  And the objects the
+cyclic collector finds once a run's trace is dropped: none, so reference
+counting frees every run as soon as it ends.
 """
 
+import gc
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
 from abcast.checks import CheckContext, run_checks
-from abcast.core import LeaderSchedule, Params
-from abcast.simnet import RunConfig, run
+from abcast.core import ConfigError, LeaderSchedule, Params
+from abcast.engine import EngineOptions
+from abcast.scenario import load_scenario
+from abcast.simnet import CrashSpec, RunConfig, ScriptedSpec, _NodeRuntime, run
 from abcast.subproto import InstanceTable
+from abcast.trace import Trace
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 VIEW_METHODS = ("rb_output", "wba_output", "input_made", "rb_rounds_with_output")
 
@@ -67,3 +81,107 @@ def test_stream_checks_walk_the_events_once():
     reports = run_checks(trace, ctx, STREAM_CHECKS)
     assert [r.status for r in reports] == ["pass"] * len(STREAM_CHECKS)
     assert trace.events.walks == 1
+
+
+def _stream_cfg(**fields) -> RunConfig:
+    params = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
+    injections = tuple((t, i % 4, f"v{i}") for i, t in enumerate(range(0, 200, 10)))
+    return replace(RunConfig(params=params, schedule=LeaderSchedule(4), seed=3,
+                             horizon=200, delay_law="uniform",
+                             injections=injections), **fields)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(proposal, ancestors):
+    raise _Refused
+
+
+def _run_that_raises() -> None:
+    try:
+        run(_stream_cfg(options=EngineOptions(validity=_refuse)))
+    except _Refused:
+        return
+    raise AssertionError("the validity predicate was never asked")
+
+
+def _run_that_raises_with_work_queued() -> None:
+    """A node fails on a message while more of its own work is queued."""
+    recv = _NodeRuntime._recv
+
+    def failing(rt, now, msg):
+        if rt.work:
+            raise _Refused
+        recv(rt, now, msg)
+    _NodeRuntime._recv = failing
+    try:
+        run(_stream_cfg())
+    except _Refused:
+        return
+    finally:
+        _NodeRuntime._recv = recv
+    raise AssertionError("no message arrived with work queued")
+
+
+def _round_trip_and_check() -> None:
+    cfg = _stream_cfg()
+    text = run(cfg).to_jsonl()
+    ctx = CheckContext(params=cfg.params, horizon=cfg.horizon,
+                       correct_nodes=(0, 1, 2, 3), injections=cfg.injections)
+    reports = run_checks(Trace.from_jsonl(text), ctx, STREAM_CHECKS)
+    assert [r.status for r in reports] == ["pass"] * len(STREAM_CHECKS)
+
+
+_SCRIPT = tuple({"time": t, "op": "gossip", "to": to, "instance": inst,
+                 "mkind": mkind, "payload": payload, "forge_signer": 1}
+                for t, to, inst, mkind, payload in (
+                    (5, [1], "wba/2", "vote", 1),
+                    (9, [0, 2], "rb/7", "initial", {"value": "x", "parent": None}),
+                    (30, "all", "wba/3", "vote", 0)))
+
+
+def _dropped_runs() -> dict:
+    """Each case runs once and keeps nothing."""
+    cases = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        try:
+            sc = load_scenario(str(path))
+        except ConfigError:
+            continue                 # a scenario that exists to be refused
+        for backend in ("bracha", "gossip"):
+            cfg = replace(sc.config_for(), backend=backend,
+                          digest_mode=backend == "gossip" and sc.config.digest_mode)
+            cases[f"{path.stem}/{backend}"] = lambda cfg=cfg: run(cfg)
+    raw = tuple((3 * r + i, i, f"wba/{r}", 1) for r in range(5) for i in range(4))
+    raw += tuple((3 * r, r % 4, f"rb/{r}", f"r{r}") for r in range(5))
+    for backend in ("bracha", "gossip"):
+        for name, cfg in (
+                ("raw", _stream_cfg(mode="raw", injections=(), raw_inputs=raw)),
+                ("forge_signer", _stream_cfg(adversaries=(ScriptedSpec(3, _SCRIPT),))),
+                ("crash", _stream_cfg(adversaries=(CrashSpec(2, 40),)))):
+            cfg = replace(cfg, backend=backend)
+            cases[f"{name}/{backend}"] = lambda cfg=cfg: run(cfg)
+    byzantine = load_scenario(str(SCENARIOS / "byzantine_n4.json"))
+    cases["raises"] = _run_that_raises
+    cases["raises_with_work_queued"] = _run_that_raises_with_work_queued
+    cases["execute"] = lambda: byzantine.execute(7)
+    cases["round_trip_checks"] = _round_trip_and_check
+    return cases
+
+
+DROPPED_RUNS = _dropped_runs()
+
+
+@pytest.mark.parametrize("case", DROPPED_RUNS.values(), ids=list(DROPPED_RUNS))
+def test_a_finished_run_leaves_no_cyclic_garbage(case):
+    """With the collector off, a run whose results are dropped leaves
+    nothing that only the collector could free."""
+    gc.collect()
+    gc.disable()
+    try:
+        case()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

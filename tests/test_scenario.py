@@ -161,6 +161,16 @@ MALFORMED = {
     "integer script op": {"adversaries": _scripted(instance="wba/0", op=42)},
     "unknown script op": {"adversaries": _scripted(instance="wba/0", op="post")},
     "unknown instance kind": {"adversaries": _scripted(instance="zz/1")},
+    # an instance has one spelling, the one a trace writes
+    "underscored instance round": {"adversaries": _scripted(instance="wba/1_0")},
+    "padded instance round": {"adversaries": _scripted(instance="wba/ 3")},
+    "signed instance round": {"adversaries": _scripted(
+        instance="rb/+2", mkind="initial", payload={"value": "v"})},
+    "non-ascii instance round": {"adversaries": _scripted(instance="wba/\u0663")},
+    "zero-padded instance round": {"adversaries": _scripted(instance="wba/03")},
+    "zero-padded raw instance round": {
+        "mode": "raw", "injections": [],
+        "raw_inputs": [{"time": 1, "node": 0, "instance": "rb/01", "value": 1}]},
     "unknown raw instance kind": {
         "mode": "raw", "injections": [],
         "raw_inputs": [{"time": 1, "node": 0, "instance": "zz/1", "value": 1}]},
