@@ -51,6 +51,7 @@ class SignatureScheme:
     Correctness of the unforgeability assumption is enforced at the API
     boundary: adversary drivers only ever hold a handle that signs with
     their own id, so a signature naming another signer cannot verify.
+    `verify` keeps each verdict, so a flooded message is hashed once.
     """
 
     def __init__(self, seed: int, n: int):
@@ -58,6 +59,7 @@ class SignatureScheme:
             hashlib.sha256(f"key:{seed}:{i}".encode()).digest() for i in range(n)
         ]
         self.n = n
+        self._verdicts: dict = {}
 
     def sign(self, signer: int, payload: bytes) -> str:
         if not 0 <= signer < self.n:
@@ -65,9 +67,12 @@ class SignatureScheme:
         return hashlib.sha256(self._secrets[signer] + payload).hexdigest()[:16]
 
     def verify(self, signer: int, payload: bytes, sig: str) -> bool:
-        if not 0 <= signer < self.n:
-            return False
-        return self.sign(signer, payload) == sig
+        key = (signer, sig, payload)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = (0 <= signer < self.n
+                                             and self.sign(signer, payload) == sig)
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class SignedMsg:
     @cached_property
     def signed_bytes(self) -> bytes:
         """The bytes the signature covers, encoded once per message object
-        from its own fields; every receipt still verifies the signature."""
+        from its own fields; every receipt still asks `verify`."""
         return signed_payload(self.instance, self.kind, self.payload)
 
 

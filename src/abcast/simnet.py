@@ -7,7 +7,8 @@ Time is integer ticks.  A message sent at t to another node is delivered at
 where d_pre is bounded by pre_gst_max_delay and d_post by the post-GST hop
 bound (delta for direct sends, the relay latency for gossip hops).  Under
 the "fixed" law both take their bounds; under "uniform" both are drawn from
-the run's seeded RNG per (message, recipient).  A node's messages to itself
+the run's seeded RNG per (message, recipient), unless the arrival is known
+without a draw (see `Simulation._forced_time`).  A node's messages to itself
 are delivered with zero delay inside the same dispatch, which is what lets
 a validator count itself in its own quorum tallies.
 
@@ -462,7 +463,8 @@ class Simulation:
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
         self.gossip_backend = cfg.backend == "gossip"
         # gossip message -> per node: None, the earliest arrival still in
-        # the queue, or _HAS once the node has the message
+        # the queue, or _HAS once the node has the message; then one last
+        # slot, True once the message is covered (see _send_gossip)
         self.gossip_state: dict = {}
 
         self.crash_at: dict[int, int] = {}
@@ -491,16 +493,34 @@ class Simulation:
         heappush(self.queue, (time, self.seq, handler, args))
         self.seq += 1
 
+    def _forced_time(self, now: int, post_bound: int):
+        """A hop's arrival if it is known before any draw, else None: under
+        the fixed law, and under "uniform" (at `now + 1`) when the pre-GST
+        bound is 1 or, from GST on, the post-GST bound is 1.  It never
+        decreases as `now` grows."""
+        if self._fixed_law:
+            return min(now + self._pre, max(now, self._gst) + post_bound)
+        if self._pre == 1 or (post_bound == 1 and now >= self._gst):
+            return now + 1
+        return None
+
     def _delivery_times(self, now: int, post_bound: int, copies: int) -> list:
         """Arrival times of `copies` copies sent at `now`, drawn in order.
         Under "uniform" each delay is 1 plus a value below its bound, drawn
         by rejection on `getrandbits(bound.bit_length())`.  That is the loop
         of CPython's `Random._randbelow_with_getrandbits`, down to the 1-bit
         draws for a bound of 1, so it yields the values and consumes the
-        stream of `randint(1, bound)`, without that call's three frames."""
+        stream of `randint(1, bound)`, without that call's three frames.
+        A forced hop (`_forced_time`) draws nothing, and every trace stays
+        as if it drew: simulated time never goes backwards from one send to
+        the next, a run has one post-GST bound (its backend's), and nothing
+        else reads the RNG.  So once a post-GST hop is forced every later
+        hop is, and with a pre-GST bound of 1 every hop is; a skipped draw
+        only moves the RNG past the last value the run uses."""
+        forced = self._forced_time(now, post_bound)
+        if forced is not None:
+            return [forced] * copies
         gst, pre = self._gst, self._pre
-        if self._fixed_law:
-            return [min(now + pre, max(now, gst) + post_bound)] * copies
         getrandbits = self._getrandbits
         k_pre, k_post = self._pre_bits, post_bound.bit_length()
         early, late = now + 1, max(now, gst) + 1
@@ -525,10 +545,9 @@ class Simulation:
             self.trace.append(now, "gossip", sender, {**enc})
             state = self.gossip_state.get(msg)
             if state is None:
-                state = self.gossip_state[msg] = [None] * self.total
+                state = self.gossip_state[msg] = [None] * self.total + [False]
             state[sender] = _HAS
-            self._send_gossip(sender, msg, enc, state, now,
-                              range(self.total) if targets is None else targets)
+            self._send_gossip(sender, msg, enc, state, now, targets)
         elif targets is None:
             self.trace.append(now, "send", sender, {**enc, "to": "all"})
             self._send_direct(msg, enc, now,
@@ -549,17 +568,25 @@ class Simulation:
         self.seq = seq
 
     def _send_gossip(self, sender: int, msg, enc: dict, state: list, now: int,
-                     targets) -> None:
-        """Schedule a gossip copy of `msg` to each target but `sender`, with
-        one delay draw per copy in target order.  A node acts only on the
-        first copy of a message it receives, so a copy that would arrive
-        after the node has it, or no earlier than a copy already queued, is
-        not queued at all.  The delay is drawn either way, which keeps the
-        RNG stream and thus the trace unchanged.  `state` is the message's
-        slot list in `gossip_state`; each queued copy carries it."""
+                     targets=None) -> None:
+        """Schedule a gossip copy of `msg` to each target but `sender` (each
+        node when `targets` is None), one delay per copy in target order.
+        A node acts only on the first copy of a message it receives, so a
+        copy that would arrive after the node has it, or no earlier than a
+        copy already queued, is not queued at all.  `state` is the message's
+        slot list in `gossip_state`; each queued copy carries it.  A fan-out
+        to every node on forced hops covers the message, which is then not
+        fanned out again: a forced arrival never decreases as the send time
+        grows and a slot only falls or becomes _HAS, so no later send could
+        queue a copy."""
+        if state[-1]:
+            return
+        latency = self.cfg.gossip_relay_latency
+        if targets is None:
+            targets = range(self.total)
+            state[-1] = self._forced_time(now, latency) is not None
         recipients = [to for to in targets if to != sender]
-        times = self._delivery_times(now, self.cfg.gossip_relay_latency,
-                                     len(recipients))
+        times = self._delivery_times(now, latency, len(recipients))
         queue, seq, deliver = self.queue, self.seq, self._on_gossip_deliver
         for to, at in zip(recipients, times):
             known = state[to]
@@ -654,7 +681,7 @@ class Simulation:
             self._drive(now, to, "on_deliver", msg)
         elif not self._crashed(to, now):
             # first receipt at a live correct node: relay to everyone
-            self._send_gossip(to, msg, enc, state, now, range(self.total))
+            self._send_gossip(to, msg, enc, state, now)
             self.runtimes[to].on_deliver(now, msg)
 
     def _on_inject(self, now: int, node: int, value) -> None:

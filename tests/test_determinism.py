@@ -9,15 +9,21 @@ change that alters event order, delay draws or engine decisions shows up
 as a differing seed.
 
 Regenerate the pinned file only for a change that is meant to alter traces,
-and say why in the change description:
+and say why in the change description.  With no names the script prints
+every entry; with names it recomputes only those cases and copies every
+other entry from the pinned file as it stands.  The shell empties a file
+it redirects into before the script reads it, so write elsewhere first:
 
     PYTHONPATH=src python tests/test_determinism.py > tests/trace_hashes.json
+    PYTHONPATH=src python tests/test_determinism.py NAME... > new.json
+    mv new.json tests/trace_hashes.json
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,11 +61,12 @@ def _scenario_cases() -> dict:
     return cases
 
 
-def _stream(n: int, backend: str, horizon: int, **fields):
+def _stream(n: int, backend: str, horizon: int, delta: int = 2, gst: int = 0,
+            **fields):
     """One value every 10 ticks, round-robin over the validators; `fields`
     override other RunConfig fields."""
     base = RunConfig(
-        params=Params(n=n, f=(n - 1) // 3, delta=2, gst=0, sub_delay=6),
+        params=Params(n=n, f=(n - 1) // 3, delta=delta, gst=gst, sub_delay=6),
         schedule=LeaderSchedule(n), backend=backend, horizon=horizon,
         delay_law="uniform",
         injections=tuple((t, i % n, f"v{i}")
@@ -125,6 +132,17 @@ def _stream_cases() -> dict:
             4, "bracha", 400, adversaries=(ScriptedSpec(3, _FORGE_SCRIPT),)),
         "stream_n4_forge/gossip": _stream(
             4, "gossip", 400, adversaries=(ScriptedSpec(3, _FORGE_SCRIPT),)),
+        # Where a hop's arrival is known before any draw, and where it is
+        # not: every hop (a pre-GST bound of 1), only post-GST hops (a relay
+        # latency of 1, or delta 1 on bracha), and no hop (relay latency 2).
+        "stream_n4_pre1/bracha": _stream(
+            4, "bracha", 400, gst=60, pre_gst_max_delay=1),
+        "stream_n4_pre1/gossip": _stream(
+            4, "gossip", 400, gst=60, pre_gst_max_delay=1),
+        "stream_n4_gst60/gossip": _stream(4, "gossip", 400, gst=60),
+        "stream_n4_relay2/gossip": _stream(
+            4, "gossip", 400, gossip_relay_latency=2),
+        "stream_n4_delta1/bracha": _stream(4, "bracha", 400, delta=1, gst=60),
     }
 
 
@@ -157,7 +175,18 @@ def test_trace_is_byte_identical(name):
     assert len(got) == len(pinned)
 
 
+def regenerate(names) -> dict:
+    """Every case's digests when `names` is empty; else the named cases'
+    digests, with every other entry copied from the pinned file."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no such case: {', '.join(unknown)}")
+    pinned = json.loads(PINNED.read_text()) if names else {}
+    out = {name: digests for name, digests in pinned.items()
+           if name in CASES and name not in names}
+    out.update({name: trace_digests(*CASES[name]) for name in names or CASES})
+    return out
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: trace_digests(make, seeds)
-                      for name, (make, seeds) in sorted(CASES.items())},
-                     indent=1, sort_keys=True))
+    print(json.dumps(regenerate(sys.argv[1:]), indent=1, sort_keys=True))

@@ -1,13 +1,18 @@
 import functools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcast.bracha import BrachaMsg, BrachaRb, BrachaWba
 from abcast.core import Params
 from abcast.explore import (
     _BITS,
     _MASK,
+    _OUT,
+    _SEED,
+    _W,
     BudgetExceeded,
     Thresholds,
     _apply,
@@ -21,6 +26,7 @@ from abcast.explore import (
     explore_wba,
     symmetry_group,
 )
+from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Send
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 TH = Thresholds.for_params(PARAMS)
@@ -377,3 +383,91 @@ def test_more_correct_validators_than_a_tally_holds_are_refused():
         explore_rb(params, correct=4, byz_budget=[("initial", 0, 0)])
     with pytest.raises(ValueError, match="do not fit"):
         explore_wba((1, 1, 1, 1), params, byz_budget=[("vote", 0, 0)])
+
+
+# -- the packed model against the machines that run ----------------------------
+# The explorer's verdict is about its own packed model; these walks replay
+# its moves through bracha.py's machines, so a threshold or latch rule that
+# drifts on either side fails here.
+
+class _Replica:
+    """bracha.py's machines for the explorer's correct validators.  Each
+    validator's own sends loop back to it at once, in order, as the
+    simulator's node runtime loops them; sends to the others are left to
+    the explorer's moves."""
+
+    def __init__(self, inputs, echo_kind: str):
+        correct = len(inputs)
+        if echo_kind == "vote":
+            self.key = InstanceKey(Kind.WBA, 0)
+            self.machines = [BrachaWba(self.key, PARAMS, i) for i in range(correct)]
+        else:                    # the Byzantine validator proposes
+            self.key = InstanceKey(Kind.RB, 0)
+            self.machines = [BrachaRb(self.key, PARAMS, correct, i)
+                             for i in range(correct)]
+        self.outputs = [None] * correct
+        for i, v in enumerate(inputs):
+            if v is not None:
+                self.step(i, LocalInput(v))
+
+    def step(self, node: int, event) -> None:
+        work = deque([event])
+        while work:
+            for act in self.machines[node].step(work.popleft()):
+                if isinstance(act, Send):
+                    work.append(act.msg)
+                elif isinstance(act, Output):
+                    self.outputs[node] = act.value
+
+    def deliver(self, move) -> None:
+        kind, v, sender, rcpt = move
+        self.step(rcpt, BrachaMsg(self.key, kind, v, sender))
+
+    def word(self, node: int) -> int:
+        """Validator `node`'s echo and ready tallies and output latch,
+        packed as the explorer packs them."""
+        m = self.machines[node]
+        word = 0 if self.outputs[node] is None else (1 + self.outputs[node]) << _OUT
+        for base, tally in ((0, m.echoes), (8, m.readies)):
+            for v, senders in tally.items():
+                for sender in senders:
+                    word |= 1 << (base + _W * v + sender)
+        return word
+
+
+def _assert_conforms(state: int, replica: _Replica) -> None:
+    for i in range(len(replica.machines)):
+        packed = state >> (_BITS * i) & _MASK
+        assert replica.word(i) == packed & ((1 << _SEED) - 1), i
+        if isinstance(replica.machines[i], BrachaRb):
+            assert replica.machines[i].has_initial == bool(packed >> _SEED), i
+
+
+CONFORMANCE = {
+    **{"wba_" + "".join(map(str, inputs)): (inputs, default_wba_budget(3), "vote")
+       for inputs in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))},
+    "wba_x01": ((None, 0, 1), default_wba_budget(3), "vote"),
+    "rb": ((None,) * 3, default_rb_budget(3), "echo"),
+}
+
+
+@pytest.mark.parametrize("case", CONFORMANCE.values(), ids=list(CONFORMANCE))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(choices=st.lists(st.integers(0, 63), max_size=30))
+def test_bracha_machines_walk_the_explorer_model(case, choices):
+    """A walk picks explorer moves by `choices` (the first move once they
+    run out) until nothing is in flight; after every move the machines'
+    echo, ready and output state equals the packed state."""
+    inputs, budget, echo_kind = case
+    state = _initial(inputs, TH)
+    replica = _Replica(inputs, echo_kind)
+    _assert_conforms(state, replica)
+    for step in range(100):
+        moves = _moves(state, len(inputs), budget, echo_kind)
+        if not moves:
+            return
+        move = moves[choices[step] % len(moves) if step < len(choices) else 0]
+        state = _apply(state, move, TH)
+        replica.deliver(move)
+        _assert_conforms(state, replica)
+    raise AssertionError("a walk did not reach quiescence in 100 moves")

@@ -50,6 +50,34 @@ def test_sign_verify_round_trip():
     assert not SCHEME.verify(9, payload, sig)
 
 
+def test_verify_keeps_its_verdicts_apart(monkeypatch):
+    """A genuine message is hashed once however often it is verified, and a
+    verdict kept for it answers neither a forged signer nor a tampered
+    payload; a machine still counts each failing receipt."""
+    scheme = SignatureScheme(seed=3, n=4)
+    signed = []
+    sign = SignatureScheme.sign
+    monkeypatch.setattr(SignatureScheme, "sign",
+                        lambda self, *args: signed.append(args) or sign(self, *args))
+    payload = signed_payload(WBA_KEY, VOTE, 1)
+    sig = sign(scheme, 2, payload)
+    tampered = signed_payload(WBA_KEY, VOTE, 0)
+    for _ in range(3):
+        assert scheme.verify(2, payload, sig)
+        assert not scheme.verify(1, payload, sig)
+        assert not scheme.verify(2, tampered, sig)
+        assert not scheme.verify(7, payload, sig)
+    assert signed == [(2, payload), (1, payload), (2, tampered)]
+    m = GossipWba(WBA_KEY, PARAMS, 0, scheme)
+    good = make_signed(scheme, 2, WBA_KEY, VOTE, 1)
+    for _ in range(2):
+        assert m.step(SignedMsg(WBA_KEY, VOTE, 1, 1, good.sig)) == []
+        assert m.step(SignedMsg(WBA_KEY, VOTE, 0, 2, good.sig)) == []
+    assert m.invalid_sigs == 4
+    m.step(good)
+    assert m.vote_signers == {1: {2}}
+
+
 def test_signature_binds_instance_and_kind():
     vote_sig = SCHEME.sign(1, signed_payload(WBA_KEY, VOTE, 1))
     other_round = InstanceKey(Kind.WBA, 3)

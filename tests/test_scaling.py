@@ -1,10 +1,14 @@
 """Work per trace event must not grow with the run, nor with the checks,
-and a finished run must not stay behind for the cyclic collector.
+nor with the number of nodes, and a finished run must not stay behind for
+the cyclic collector.
 
 Timings would make this flaky, so it counts work instead.  The engine's
 view calls (the InstanceTable methods the engine reads) per trace event: an
 engine that rescans every earlier round on each event makes that ratio
-grow with the horizon.  The walks the checkers make over the event list:
+grow with the horizon.  The delay copies the network computes per message
+delivered: a gossip flood that fans every message out again at each node
+that receives it makes that ratio grow with n.  The walks the checkers make
+over the event list:
 one index build per trace, not one walk per view.  And the objects the
 cyclic collector finds once a run's trace is dropped: none, so reference
 counting frees every run as soon as it ends.
@@ -20,7 +24,8 @@ from abcast.checks import CheckContext, run_checks
 from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.engine import EngineOptions
 from abcast.scenario import load_scenario
-from abcast.simnet import CrashSpec, RunConfig, ScriptedSpec, _NodeRuntime, run
+from abcast.simnet import (CrashSpec, RunConfig, ScriptedSpec, Simulation,
+                           _NodeRuntime, run)
 from abcast.subproto import InstanceTable
 from abcast.trace import Trace
 
@@ -56,6 +61,33 @@ def test_view_calls_per_event_flat_in_horizon(monkeypatch):
     long = _view_calls_per_event(monkeypatch, 2000)
     assert short > 0
     assert long <= 1.5 * short, (short, long)
+
+
+def _copies_per_delivery(monkeypatch, n: int) -> float:
+    copies = [0]
+    delivery_times = Simulation._delivery_times
+
+    def counted(sim, now, post_bound, count):
+        copies[0] += count
+        return delivery_times(sim, now, post_bound, count)
+    monkeypatch.setattr(Simulation, "_delivery_times", counted)
+    cfg = RunConfig(
+        params=Params(n=n, f=(n - 1) // 3, delta=2, gst=0, sub_delay=6),
+        schedule=LeaderSchedule(n), backend="gossip", seed=3, horizon=300,
+        delay_law="uniform",
+        injections=tuple((t, i % n, f"v{i}")
+                         for i, t in enumerate(range(0, 300, 10))))
+    trace = run(cfg)
+    monkeypatch.undo()
+    assert len(trace.ab_outputs()[0]) >= 20, "too little delivered"
+    return copies[0] / sum(1 for _ in trace.iter_kind("deliver"))
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_gossip_delay_copies_per_delivery_flat_in_n(monkeypatch, n):
+    """After GST a gossip message is fanned out to every node once, not
+    once more at each node it reaches: about one copy per delivery."""
+    assert _copies_per_delivery(monkeypatch, n) <= 1.5
 
 
 class _CountingList(list):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from abcast.checks import CheckContext, run_checks
 from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.engine import EngineOptions
+from abcast.gossip import make_signed
 from abcast.simnet import (
+    _HAS,
     MAX_NODES,
     CrashSpec,
     EquivocatingProposerSpec,
@@ -20,6 +22,7 @@ from abcast.simnet import (
     SilentLeaderSpec,
     Simulation,
 )
+from abcast.subproto import InstanceKey, Kind
 
 
 def make_cfg(**kw):
@@ -80,17 +83,23 @@ def test_uniform_delivery_law_bounds_and_replay():
 def _assert_draws_match_randint(seed, gst, plan):
     """Each (pre, post, now, copies) step must give the arrival times that
     `randint(1, pre)` and `randint(1, post)` per copy give, and leave the
-    RNG where they leave it.  A simulation fixes its pre-GST bound when it
-    is built, so each step runs on a new one that takes over the RNG state
-    the step before left."""
+    RNG where they leave it.  A forced step, one whose arrival is now + 1
+    whatever is drawn (a pre-GST bound of 1, or a post-GST bound of 1 from
+    GST on), must give that and draw nothing.  A simulation fixes its
+    pre-GST bound when it is built, so each step runs on a new one that
+    takes over the RNG state the step before left."""
     ref = random.Random(seed)
     state = ref.getstate()
     for pre, post, now, copies in plan:
         sim = Simulation(make_cfg(delay_law="uniform", seed=seed, gst=gst,
                                   pre_gst_max_delay=pre))
         sim.rng.setstate(state)
-        want = [min(now + ref.randint(1, pre), max(now, gst) + ref.randint(1, post))
-                for _ in range(copies)]
+        if pre == 1 or (post == 1 and now >= gst):
+            want = [now + 1] * copies
+        else:
+            want = [min(now + ref.randint(1, pre),
+                        max(now, gst) + ref.randint(1, post))
+                    for _ in range(copies)]
         assert sim._delivery_times(now, post, copies) == want
         state = sim.rng.getstate()
         assert state == ref.getstate()
@@ -112,6 +121,64 @@ def test_delay_draws_are_the_randint_stream_for_every_bound(seed, gst):
                      min_size=1, max_size=25))
 def test_interleaved_delay_draws_are_the_randint_stream(seed, gst, plan):
     _assert_draws_match_randint(seed, gst, plan)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(backend="gossip"),                       # relay latency 1 from GST = 0
+    dict(backend="bracha", pre_gst_max_delay=1, gst=20),
+    dict(backend="bracha", params=Params(n=4, f=1, delta=1, gst=0, sub_delay=6)),
+], ids=["gossip", "bracha_pre1", "bracha_delta1"])
+def test_a_run_of_forced_hops_draws_nothing(fields):
+    cfg = make_cfg(delay_law="uniform", seed=11, **fields)
+    sim = Simulation(cfg)
+    trace = sim.run()
+    assert len(trace.ab_outputs()[0]) == 2
+    assert sim.rng.getstate() == random.Random(11).getstate()
+
+
+class _CopyCounting(Simulation):
+    """Counts the delay copies each gossip message requests."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.copies, self._msg = {}, None
+
+    def _send_gossip(self, sender, msg, *args):
+        self._msg = msg
+        super()._send_gossip(sender, msg, *args)
+
+    def _delivery_times(self, now, post_bound, copies):
+        self.copies[self._msg] = self.copies.get(self._msg, 0) + copies
+        return super()._delivery_times(now, post_bound, copies)
+
+
+def test_a_covered_message_is_fanned_out_once():
+    """After GST with relay latency 1, each message's first send to every
+    node covers it: n - 1 copies in all, however many nodes relay it."""
+    sim = _CopyCounting(make_cfg(backend="gossip", delay_law="uniform", seed=5))
+    trace = sim.run()
+    assert len(trace.ab_outputs()[0]) == 2
+    assert sim.copies and set(sim.copies.values()) == {3}
+    assert all(state[-1] is True for state in sim.gossip_state.values())
+    delivered = sum(1 for ev in trace.iter_kind("deliver"))
+    assert delivered == 3 * len(sim.gossip_state)
+
+
+def test_a_targeted_or_pre_gst_send_leaves_a_message_uncovered():
+    sim = Simulation(make_cfg(backend="gossip", delay_law="uniform", gst=20,
+                              mode="raw", injections=()))
+    msg = make_signed(sim.scheme, 3, InstanceKey(Kind.WBA, 0), "vote", 1)
+    sim.send(3, msg, 25, (0, 1))                  # a driver's chosen targets
+    state = sim.gossip_state[msg]
+    assert state == [26, 26, None, _HAS, False]
+    sim.send(3, msg, 26)                          # to every node: covered
+    assert state == [26, 26, 27, _HAS, True]
+    queued = len(sim.queue)
+    sim.send(0, msg, 30)
+    assert len(sim.queue) == queued and state[0] == _HAS
+    early = make_signed(sim.scheme, 3, InstanceKey(Kind.WBA, 1), "vote", 1)
+    sim.send(3, early, 5)                         # before GST: random hops
+    assert sim.gossip_state[early][-1] is False
 
 
 def test_all_injections_delivered_in_same_order():
