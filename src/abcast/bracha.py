@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import InstanceKey, Kind, LocalInput, Send, Output
+from .subproto import RB, InstanceKey, LocalInput, Send, Output
 
 INITIAL = "initial"
 ECHO = "echo"
@@ -59,7 +59,7 @@ class _EchoReady:
     def _count(self, msg: BrachaMsg) -> list:
         """Tally an echo or ready of this instance, once per sender and value."""
         tally = self._tallies.get(msg.kind)
-        if tally is None or not is_validator(msg.sender, self.params):
+        if tally is None or not 0 <= msg.sender < self.params.n:   # not a validator
             return []
         try:
             seen = tally.setdefault(msg.payload, set())
@@ -131,7 +131,7 @@ class BrachaWba(_EchoReady):
 def machine_factory(params: Params, schedule: LeaderSchedule,
                     self_id: int) -> Callable[[InstanceKey], object]:
     def make(key: InstanceKey):
-        if key.kind is Kind.RB:
+        if key.kind is RB:
             return BrachaRb(key, params, schedule.leader_of(key.round), self_id)
         return BrachaWba(key, params, self_id)
     return make

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .core import ConfigError, InternalInvariantError, Params, LeaderSchedule
-from .subproto import InstanceKey, Kind
+from .subproto import RB, WBA, InstanceKey
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class Engine:
 
     def on_timeout(self, now: int):
         actions = []
-        key = InstanceKey(Kind.WBA, self.current)
+        key = InstanceKey(WBA, self.current)
         if not self.view.input_made(key):
             actions.append(Input(key, 0))
         more, notes = self._conditions(now)
@@ -365,9 +365,8 @@ class Engine:
 
             # 2. propose when leading the current round
             r = self.current
-            key = InstanceKey(Kind.RB, r)
             if (r > self._last_proposed and self.schedule.leader_of(r) == self.self_id
-                    and not self.view.input_made(key)):
+                    and not self.view.input_made(key := InstanceKey(RB, r))):
                 prop = self._pick_proposal(r, now, rejected)
                 if prop is not None:
                     self._last_proposed = r
@@ -376,7 +375,7 @@ class Engine:
 
             # 3. vote to commit every accepted round not yet voted on
             for s in sorted(self._pending):
-                key = InstanceKey(Kind.WBA, s)
+                key = InstanceKey(WBA, s)
                 if self.view.input_made(key):
                     self._pending.discard(s)
                 elif self.accepted(s, rejected) is not None:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import InstanceKey, Kind, LocalInput, Send, Output
+from .subproto import RB, InstanceKey, LocalInput, Send, Output
 from .trace import compact_encoder
 
 INITIAL = "initial"
@@ -51,7 +51,8 @@ class SignatureScheme:
     Correctness of the unforgeability assumption is enforced at the API
     boundary: adversary drivers only ever hold a handle that signs with
     their own id, so a signature naming another signer cannot verify.
-    `verify` keeps each verdict, so a flooded message is hashed once.
+    Each signature made and each verdict given is kept, so a flooded
+    message is hashed once, where it is signed.
     """
 
     def __init__(self, seed: int, n: int):
@@ -64,7 +65,9 @@ class SignatureScheme:
     def sign(self, signer: int, payload: bytes) -> str:
         if not 0 <= signer < self.n:
             raise ValueError(f"no key for signer {signer}")
-        return hashlib.sha256(self._secrets[signer] + payload).hexdigest()[:16]
+        sig = hashlib.sha256(self._secrets[signer] + payload).hexdigest()[:16]
+        self._verdicts[signer, sig, payload] = True
+        return sig
 
     def verify(self, signer: int, payload: bytes, sig: str) -> bool:
         key = (signer, sig, payload)
@@ -100,7 +103,7 @@ class SignedMsg:
 def signed_payload(instance: InstanceKey, kind: str, payload: object) -> bytes:
     # The signature binds the instance and message kind, not just the value,
     # so a vote for one round cannot be replayed into another.
-    return canonical([instance.kind.value, instance.round, kind, payload])
+    return canonical([instance.kind, instance.round, kind, payload])
 
 
 def make_signed(scheme: SignatureScheme, signer: int, instance: InstanceKey,
@@ -135,7 +138,7 @@ class _SignedMachine:
     def _first_counts(self, msg: SignedMsg, tally: dict) -> bool:
         """Add msg's signer to `tally` under its payload if this is the
         signer's first payload; True if it was added."""
-        if not is_validator(msg.signer, self.params):
+        if not 0 <= msg.signer < self.params.n:          # not a validator
             return False
         prior = self._first.get(msg.signer)
         if prior is not None:
@@ -242,7 +245,7 @@ def machine_factory(params: Params, schedule: LeaderSchedule, self_id: int,
                     scheme: SignatureScheme,
                     digest_mode: bool = False) -> Callable[[InstanceKey], object]:
     def make(key: InstanceKey):
-        if key.kind is Kind.RB:
+        if key.kind is RB:
             return GossipRb(key, params, schedule.leader_of(key.round), self_id,
                             scheme, digest_mode)
         return GossipWba(key, params, self_id, scheme)

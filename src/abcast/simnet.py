@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .core import ConfigError, Params, LeaderSchedule
-from .subproto import InstanceKey, Kind, InstanceTable, Send, Output, parse_key
+from .subproto import RB, WBA, InstanceKey, InstanceTable, Send, Output, parse_key
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
 from .engine import Engine, EngineOptions, Input, Proposal, RestartTimer, Wake, encode
@@ -208,8 +208,8 @@ class _NodeRuntime:
 
     # -- entry points (each pumps to quiescence) -----------------------------
     # The simulation queues all but on_deliver as bound calls, and each checks
-    # for a crash itself; on_deliver runs after the simulation's check.  The
-    # work queue is empty whenever one starts, so its first step runs directly.
+    # for a crash itself; on_deliver runs after the simulation's check.  Each
+    # starts on an empty work queue, so its first step runs directly.
 
     def on_start(self, now: int) -> None:
         if self.sim._crashed(self.node, now):
@@ -228,11 +228,14 @@ class _NodeRuntime:
             if msg.instance.round > window:
                 self.held.append(msg)
                 return
-        self._recv(now, msg)
-        self._pump(now)
+        acts = self.table.slot(msg.instance).machine.step(msg)
+        if acts:
+            self._apply_backend(now, msg.instance, acts)
+            if self.work:
+                self._pump(now)
 
     def on_timer(self, now: int, gen: int) -> None:
-        if self.sim._crashed(self.node, now):
+        if self.sim.crash_at and self.sim._crashed(self.node, now):
             return
         if gen != self.timer_gen:
             self.sim.trace.append(now, "timer_stale", self.node, {"generation": gen})
@@ -371,7 +374,7 @@ class EquivocatingProposerDriver(Driver):
 
     def _equivocate(self, api: AdversaryApi, r: int) -> None:
         self.done.add(r)
-        key = InstanceKey(Kind.RB, r)
+        key = InstanceKey(RB, r)
         for part in self.spec.partitions:
             parent = None if part.parent in ("bot", None) else part.parent
             if parent == "prev":
@@ -388,7 +391,7 @@ class FlipVoterDriver(Driver):
 
     def on_deliver(self, api: AdversaryApi, msg) -> None:
         key = msg.instance
-        if key.kind is not Kind.WBA or key.round in self.done:
+        if key.kind is not WBA or key.round in self.done:
             return
         self.done.add(key.round)
         bit = self.spec.bits.get(key.round, key.round % 2)
@@ -423,7 +426,7 @@ class ScriptedDriver(Driver):
     def on_script(self, api: AdversaryApi, entry: dict) -> None:
         key = parse_key(entry["instance"])
         payload = entry.get("payload")
-        if key.kind is Kind.RB and isinstance(payload, dict):
+        if key.kind is RB and isinstance(payload, dict):
             payload = Proposal(payload["value"], payload.get("parent"),
                                payload.get("ts"))
         msg = api.message(key, entry["mkind"], payload, entry.get("forge_signer"))
@@ -458,6 +461,9 @@ class Simulation:
         self._pre_bits = self._pre.bit_length()
         self._getrandbits = self.rng.getrandbits
         self.trace = Trace(cfg.seed, meta=trace_meta(cfg))
+        # each node's recipients of a send to all: the other nodes, in order
+        self._others = [tuple(to for to in range(self.total) if to != node)
+                        for node in range(self.total)]
         self.queue: list = []
         self.seq = 0
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
@@ -467,7 +473,7 @@ class Simulation:
         # slot, True once the message is covered (see _send_gossip)
         self.gossip_state: dict = {}
 
-        self.crash_at: dict[int, int] = {}
+        self.crash_at: dict[int, int] = {}      # per-event paths test it before _crashed
         self.crashed_noted: set[int] = set()
         self.drivers: dict[int, list[Driver]] = {}
         for spec in cfg.adversaries:
@@ -543,15 +549,13 @@ class Simulation:
         enc = _encode_msg(msg)
         if self.gossip_backend:
             self.trace.append(now, "gossip", sender, {**enc})
-            state = self.gossip_state.get(msg)
-            if state is None:
-                state = self.gossip_state[msg] = [None] * self.total + [False]
+            state = self.gossip_state.setdefault(msg, [None] * self.total + [False])
             state[sender] = _HAS
-            self._send_gossip(sender, msg, enc, state, now, targets)
+            if not state[-1]:
+                self._send_gossip(sender, msg, enc, state, now, targets)
         elif targets is None:
             self.trace.append(now, "send", sender, {**enc, "to": "all"})
-            self._send_direct(msg, enc, now,
-                              [to for to in range(self.total) if to != sender])
+            self._send_direct(msg, enc, now, self._others[sender])
         else:
             for to in targets:
                 self.trace.append(now, "send", sender, {**enc, "to": [to]})
@@ -575,17 +579,16 @@ class Simulation:
         copy that would arrive after the node has it, or no earlier than a
         copy already queued, is not queued at all.  `state` is the message's
         slot list in `gossip_state`; each queued copy carries it.  A fan-out
-        to every node on forced hops covers the message, which is then not
-        fanned out again: a forced arrival never decreases as the send time
-        grows and a slot only falls or becomes _HAS, so no later send could
-        queue a copy."""
-        if state[-1]:
-            return
+        to every node on forced hops covers the message, which its callers
+        then do not fan out again: a forced arrival never decreases as the
+        send time grows and a slot only falls or becomes _HAS, so no later
+        send could queue a copy."""
         latency = self.cfg.gossip_relay_latency
         if targets is None:
-            targets = range(self.total)
+            recipients = self._others[sender]
             state[-1] = self._forced_time(now, latency) is not None
-        recipients = [to for to in targets if to != sender]
+        else:
+            recipients = [to for to in targets if to != sender]
         times = self._delivery_times(now, latency, len(recipients))
         queue, seq, deliver = self.queue, self.seq, self._on_gossip_deliver
         for to, at in zip(recipients, times):
@@ -667,7 +670,7 @@ class Simulation:
         if to in self.drivers:
             self.trace.append(now, "deliver", to, {**enc})
             self._drive(now, to, "on_deliver", msg)
-        elif not self._crashed(to, now):
+        elif not (self.crash_at and self._crashed(to, now)):
             self.trace.append(now, "deliver", to, {**enc})
             self.runtimes[to].on_deliver(now, msg)
 
@@ -679,9 +682,10 @@ class Simulation:
         self.trace.append(now, "deliver", to, {**enc, "gossip": 1})
         if to in self.drivers:
             self._drive(now, to, "on_deliver", msg)
-        elif not self._crashed(to, now):
+        elif not (self.crash_at and self._crashed(to, now)):
             # first receipt at a live correct node: relay to everyone
-            self._send_gossip(to, msg, enc, state, now)
+            if not state[-1]:
+                self._send_gossip(to, msg, enc, state, now)
             self.runtimes[to].on_deliver(now, msg)
 
     def _on_inject(self, now: int, node: int, value) -> None:

@@ -13,6 +13,7 @@ from abcast.gossip import (
     GossipWba,
     SignatureScheme,
     SignedMsg,
+    canonical,
     digest,
     machine_factory,
     make_signed,
@@ -51,19 +52,21 @@ def test_sign_verify_round_trip():
 
 
 def test_verify_keeps_its_verdicts_apart(monkeypatch):
-    """A genuine message is hashed once however often it is verified, and a
-    verdict kept for it answers neither a forged signer nor a tampered
-    payload; a machine still counts each failing receipt."""
+    """A genuine message is hashed once however often it is verified, and
+    not again by the scheme that signed it; a verdict kept for it answers
+    neither a forged signer nor a tampered payload; a machine still counts
+    each failing receipt."""
     scheme = SignatureScheme(seed=3, n=4)
+    signer = SignatureScheme(seed=3, n=4)          # the same keys, its own verdicts
     signed = []
     sign = SignatureScheme.sign
     monkeypatch.setattr(SignatureScheme, "sign",
                         lambda self, *args: signed.append(args) or sign(self, *args))
     payload = signed_payload(WBA_KEY, VOTE, 1)
-    sig = sign(scheme, 2, payload)
+    sig = sign(signer, 2, payload)
     tampered = signed_payload(WBA_KEY, VOTE, 0)
     for _ in range(3):
-        assert scheme.verify(2, payload, sig)
+        assert scheme.verify(2, payload, sig) and signer.verify(2, payload, sig)
         assert not scheme.verify(1, payload, sig)
         assert not scheme.verify(2, tampered, sig)
         assert not scheme.verify(7, payload, sig)
@@ -342,3 +345,13 @@ def test_tampered_copy_fails_verify_at_every_correct_node(change, fields):
         machine = sim.runtimes[node].table.slot(InstanceKey(Kind.WBA, 5)).machine
         assert machine.invalid_sigs == 1
         assert machine.vote_signers == {1: {3}}
+
+
+@pytest.mark.parametrize("key", [RB_KEY, InstanceKey(Kind.WBA, 7)], ids=str)
+@pytest.mark.parametrize("kind, payload", [(INITIAL, Proposal("v", None, 3)),
+                                           (ECHO, "v"), (VOTE, 1)])
+def test_signed_bytes_spell_the_kind_by_its_value(key, kind, payload):
+    """No trace holds a signature, so the determinism pins would miss a
+    change in the signed bytes; the kind is signed as its value."""
+    assert (signed_payload(key, kind, payload)
+            == canonical([key.kind.value, key.round, kind, payload]))

@@ -1,11 +1,12 @@
 """Work per trace event must not grow with the run, nor with the checks,
-nor with the number of nodes, and a finished run must not stay behind for
-the cyclic collector.
+nor with the number of nodes, nor creep up on the message path, and a
+finished run must not stay behind for the cyclic collector.
 
 Timings would make this flaky, so it counts work instead.  The engine's
 view calls (the InstanceTable methods the engine reads) per trace event: an
 engine that rescans every earlier round on each event makes that ratio
-grow with the horizon.  The delay copies the network computes per message
+grow with the horizon or with n.  The Python frames the package runs per
+trace event of a fuzz run.  The delay copies the network computes per message
 delivered: a gossip flood that fans every message out again at each node
 that receives it makes that ratio grow with n.  The walks the checkers make
 over the event list:
@@ -15,11 +16,14 @@ counting frees every run as soon as it ends.
 """
 
 import gc
+import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import abcast
 from abcast.checks import CheckContext, run_checks
 from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.engine import EngineOptions
@@ -34,7 +38,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 VIEW_METHODS = ("rb_output", "wba_output", "input_made", "rb_rounds_with_output")
 
 
-def _view_calls_per_event(monkeypatch, horizon: int) -> float:
+def _view_calls_per_event(monkeypatch, horizon: int, n: int = 4,
+                          backend: str = "bracha") -> float:
     calls = [0]
     for name in VIEW_METHODS:
         method = getattr(InstanceTable, name)
@@ -44,10 +49,10 @@ def _view_calls_per_event(monkeypatch, horizon: int) -> float:
             return _method(*args, **kwargs)
         monkeypatch.setattr(InstanceTable, name, counted)
     cfg = RunConfig(
-        params=Params(n=4, f=1, delta=2, gst=0, sub_delay=6),
-        schedule=LeaderSchedule(4), backend="bracha", seed=3, horizon=horizon,
+        params=Params(n=n, f=(n - 1) // 3, delta=2, gst=0, sub_delay=6),
+        schedule=LeaderSchedule(n), backend=backend, seed=3, horizon=horizon,
         delay_law="uniform",
-        injections=tuple((t, i % 4, f"v{i}")
+        injections=tuple((t, i % n, f"v{i}")
                          for i, t in enumerate(range(0, horizon, 10))))
     trace = run(cfg)
     monkeypatch.undo()
@@ -61,6 +66,48 @@ def test_view_calls_per_event_flat_in_horizon(monkeypatch):
     long = _view_calls_per_event(monkeypatch, 2000)
     assert short > 0
     assert long <= 1.5 * short, (short, long)
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_view_calls_per_event_flat_in_n(monkeypatch, backend):
+    """Four nodes against sixteen, honest, horizon 300: at most 1.5x per
+    event."""
+    small = _view_calls_per_event(monkeypatch, 300, 4, backend)
+    large = _view_calls_per_event(monkeypatch, 300, 16, backend)
+    assert small > 0
+    assert large <= 1.5 * small, (small, large)
+
+
+PACKAGE = os.path.dirname(abcast.__file__) + os.sep
+
+# Frames per event, about 5% above what the message path runs: 9.60 on
+# bracha and 11.82 on gossip.  Enum reads, keys formatted per event and calls
+# that do nothing per delivery give 11.32 and 14.40, and fail.
+FRAME_BOUNDS = {"bracha": 10.0, "gossip": 12.4}
+
+
+@pytest.mark.parametrize("backend", sorted(FRAME_BOUNDS))
+def test_frames_per_event_on_the_message_path(backend):
+    """The calls into the package per trace event of byzantine_n4, seeds
+    0..4, counted as `call` events under `sys.setprofile`.  A bound is a
+    budget, not a measurement to track: a later change may raise one only
+    with a stated reason."""
+    sc = load_scenario(str(SCENARIOS / "byzantine_n4.json"))
+    frames = events = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            frames += 1
+    for seed in range(5):
+        cfg = replace(sc.config_for(seed), backend=backend)
+        sys.setprofile(profile)
+        try:
+            trace = run(cfg)
+        finally:
+            sys.setprofile(None)
+        events += len(trace.events)
+    assert frames / events <= FRAME_BOUNDS[backend], frames / events
 
 
 def _copies_per_delivery(monkeypatch, n: int) -> float:

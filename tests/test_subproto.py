@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcast.core import InternalInvariantError, LeaderSchedule, Params
 from abcast.subproto import (
@@ -46,6 +48,17 @@ def test_key_string_round_trip():
     assert all(other != key for other in others)
     assert len({key, twin, *others}) == 3
     assert {str(k) for k in others} == {"rb/12", "wba/13"}
+    _key_spelled_as_kind_slash_round()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(list(Kind)), st.integers(min_value=0, max_value=10**12))
+def _key_spelled_as_kind_slash_round(kind, rnd):
+    """`text` reads its prefix from a table; it must still spell what the
+    enum's value and the round spell, and parse back to the key."""
+    key = InstanceKey(kind, rnd)
+    assert key.text == f"{key.kind.value}/{key.round}"
+    assert parse_key(key.text) == key
 
 
 def test_rb_and_wba_slots_of_a_round_stay_distinct():
