@@ -235,7 +235,7 @@ class _NodeRuntime:
                 self._pump(now)
 
     def on_timer(self, now: int, gen: int) -> None:
-        if self.sim.crash_at and self.sim._crashed(self.node, now):
+        if self.node in self.sim.crash_at and self.sim._crashed(self.node, now):
             return
         if gen != self.timer_gen:
             self.sim.trace.append(now, "timer_stale", self.node, {"generation": gen})
@@ -574,31 +574,52 @@ class Simulation:
     def _send_gossip(self, sender: int, msg, enc: dict, state: list, now: int,
                      targets=None) -> None:
         """Schedule a gossip copy of `msg` to each target but `sender` (each
-        node when `targets` is None), one delay per copy in target order.
-        A node acts only on the first copy of a message it receives, so a
-        copy that would arrive after the node has it, or no earlier than a
-        copy already queued, is not queued at all.  `state` is the message's
-        slot list in `gossip_state`; each queued copy carries it.  A fan-out
-        to every node on forced hops covers the message, which its callers
-        then do not fan out again: a forced arrival never decreases as the
-        send time grows and a slot only falls or becomes _HAS, so no later
-        send could queue a copy."""
+        node when `targets` is None), in target order.  A node acts only on
+        the first copy of a message it receives, so a copy that would arrive
+        after the node has it, or no earlier than a copy already queued, is
+        not queued at all.  `state` is the message's slot list in
+        `gossip_state`; each queued entry carries it.
+
+        A random hop queues one entry per copy, with its own drawn delay.  A
+        forced hop queues one entry for the whole fan-out, which
+        `_on_gossip_deliver` hands to its recipients in order.  The trace is
+        the one a copy per entry gives: the copies would share their time
+        and take consecutive seqs, so no other entry would run between them;
+        no handler queues anything at its own time, since every delay, timer
+        and wake is at least one tick later; and the run stops at the
+        horizon by time, so a fan-out is delivered whole or not at all.
+
+        A fan-out to every node on forced hops covers the message, which its
+        callers then do not fan out again: a forced arrival never decreases
+        as the send time grows and a slot only falls or becomes _HAS, so no
+        later send could queue a copy."""
         latency = self.cfg.gossip_relay_latency
-        if targets is None:
-            recipients = self._others[sender]
-            state[-1] = self._forced_time(now, latency) is not None
-        else:
-            recipients = [to for to in targets if to != sender]
-        times = self._delivery_times(now, latency, len(recipients))
-        queue, seq, deliver = self.queue, self.seq, self._on_gossip_deliver
-        for to, at in zip(recipients, times):
+        recipients = (self._others[sender] if targets is None
+                      else [to for to in targets if to != sender])
+        at = self._forced_time(now, latency)
+        if at is None:
+            times = self._delivery_times(now, latency, len(recipients))
+            queue, seq, deliver = self.queue, self.seq, self._on_gossip_deliver
+            for to, at in zip(recipients, times):
+                known = state[to]
+                if known is not None and known <= at:
+                    continue
+                state[to] = at
+                heappush(queue, (at, seq, deliver, ((to,), msg, enc, state)))
+                seq += 1
+            self.seq = seq
+            return
+        state[-1] = targets is None
+        batch = []
+        for to in recipients:
             known = state[to]
-            if known is not None and known <= at:
-                continue
-            state[to] = at
-            heappush(queue, (at, seq, deliver, (to, msg, enc, state)))
-            seq += 1
-        self.seq = seq
+            if known is None or known > at:
+                state[to] = at
+                batch.append(to)
+        if batch:
+            heappush(self.queue, (at, self.seq, self._on_gossip_deliver,
+                                  (batch, msg, enc, state)))
+            self.seq += 1
 
     def factory_for(self, node: int):
         cfg = self.cfg
@@ -670,23 +691,26 @@ class Simulation:
         if to in self.drivers:
             self.trace.append(now, "deliver", to, {**enc})
             self._drive(now, to, "on_deliver", msg)
-        elif not (self.crash_at and self._crashed(to, now)):
+        elif not (to in self.crash_at and self._crashed(to, now)):
             self.trace.append(now, "deliver", to, {**enc})
             self.runtimes[to].on_deliver(now, msg)
 
-    def _on_gossip_deliver(self, now: int, to: int, msg, enc: dict,
+    def _on_gossip_deliver(self, now: int, recipients, msg, enc: dict,
                            state: list) -> None:
-        if state[to] == _HAS:
-            return
-        state[to] = _HAS
-        self.trace.append(now, "deliver", to, {**enc, "gossip": 1})
-        if to in self.drivers:
-            self._drive(now, to, "on_deliver", msg)
-        elif not (self.crash_at and self._crashed(to, now)):
-            # first receipt at a live correct node: relay to everyone
-            if not state[-1]:
-                self._send_gossip(to, msg, enc, state, now)
-            self.runtimes[to].on_deliver(now, msg)
+        """Each recipient's copy of `msg`, in order; see `_send_gossip`."""
+        trace, drivers, crash_at = self.trace, self.drivers, self.crash_at
+        for to in recipients:
+            if state[to] == _HAS:
+                continue
+            state[to] = _HAS
+            trace.append(now, "deliver", to, {**enc, "gossip": 1})
+            if to in drivers:
+                self._drive(now, to, "on_deliver", msg)
+            elif not (to in crash_at and self._crashed(to, now)):
+                # first receipt at a live correct node: relay to everyone
+                if not state[-1]:
+                    self._send_gossip(to, msg, enc, state, now)
+                self.runtimes[to].on_deliver(now, msg)
 
     def _on_inject(self, now: int, node: int, value) -> None:
         self.trace.append(now, "inject", node, {"value": encode(value)})

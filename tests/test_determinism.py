@@ -118,6 +118,11 @@ def _stream_cases() -> dict:
             4, "gossip", 600, adversaries=(CrashSpec(1, 0),)),
         "stream_n10_crash/gossip": _stream(
             10, "gossip", 200, adversaries=(CrashSpec(9, 0),)),
+        # fan-outs that reach a driver and a node crashed mid-run, and
+        # leave out the nodes that already hold the message
+        "stream_n7_flip_crash/gossip": _stream(
+            7, "gossip", 300,
+            adversaries=(FlipVoterSpec(5, {1: 1, 2: 1}), CrashSpec(6, 120))),
         "raw_n4/bracha": _raw("bracha"),
         "raw_n4/gossip": _raw("gossip"),
         "stream_n4_silent/bracha": _stream(

@@ -137,19 +137,18 @@ def test_a_run_of_forced_hops_draws_nothing(fields):
 
 
 class _CopyCounting(Simulation):
-    """Counts the delay copies each gossip message requests."""
+    """Counts the copies each gossip message's fan-outs address, queued or
+    not: a copy the slot test drops still costs a fan-out its look."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.copies, self._msg = {}, None
+        self.copies = {}
 
-    def _send_gossip(self, sender, msg, *args):
-        self._msg = msg
-        super()._send_gossip(sender, msg, *args)
-
-    def _delivery_times(self, now, post_bound, copies):
-        self.copies[self._msg] = self.copies.get(self._msg, 0) + copies
-        return super()._delivery_times(now, post_bound, copies)
+    def _send_gossip(self, sender, msg, enc, state, now, targets=None):
+        addressed = (self._others[sender] if targets is None
+                     else [to for to in targets if to != sender])
+        self.copies[msg] = self.copies.get(msg, 0) + len(addressed)
+        super()._send_gossip(sender, msg, enc, state, now, targets)
 
 
 def test_a_covered_message_is_fanned_out_once():
