@@ -342,7 +342,8 @@ class AdversaryApi:
         return msg
 
     def send(self, msg, targets=None) -> None:
-        """Send `msg` to `targets`, or to every node when None."""
+        """Send `msg` to `targets`, or to every node but this one when
+        None."""
         self.sim.send(self.node, msg, self.now, targets)
 
 
@@ -450,27 +451,45 @@ def _build_driver(spec) -> Driver | None:
     raise ConfigError(f"unknown adversary spec {spec!r}")
 
 
+class _RunQueue(dict):
+    """The queued calls: per tick, a list of `(handler, args)` in the order
+    they were queued, and `ticks`, a heap of the ticks that have a list.
+    Running the lowest tick's list in order is the order of one heap keyed
+    on (time, order queued)."""
+
+    def __init__(self):
+        super().__init__()
+        self.ticks: list = []
+
+    def __missing__(self, tick: int) -> list:
+        heappush(self.ticks, tick)
+        entries = self[tick] = []
+        return entries
+
+
 class Simulation:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.total = cfg.params.n + cfg.extra_nodes
         self.rng = random.Random(cfg.seed)
-        # the delay law's per-run constants, read at every send
+        # the delay law's per-run constants, read at every send; the post-GST
+        # hop bound is the relay latency on gossip and delta direct
         self._fixed_law = cfg.delay_law == "fixed"
         self._gst, self._pre = cfg.params.gst, cfg.pre_gst_max_delay
         self._pre_bits = self._pre.bit_length()
+        self._post = (cfg.gossip_relay_latency if cfg.backend == "gossip"
+                      else cfg.params.delta)
         self._getrandbits = self.rng.getrandbits
         self.trace = Trace(cfg.seed, meta=trace_meta(cfg))
         # each node's recipients of a send to all: the other nodes, in order
         self._others = [tuple(to for to in range(self.total) if to != node)
                         for node in range(self.total)]
-        self.queue: list = []
-        self.seq = 0
+        self.run_queue = _RunQueue()
         self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
         self.gossip_backend = cfg.backend == "gossip"
         # gossip message -> per node: None, the earliest arrival still in
         # the queue, or _HAS once the node has the message; then one last
-        # slot, True once the message is covered (see _send_gossip)
+        # slot, True once the message is covered (see _fan_out)
         self.gossip_state: dict = {}
 
         self.crash_at: dict[int, int] = {}      # per-event paths test it before _crashed
@@ -494,16 +513,19 @@ class Simulation:
     # -- scheduling primitives -------------------------------------------------
 
     def _push(self, time: int, handler, args: tuple) -> None:
-        """Queue `handler(time, *args)`.  Entries are (time, seq, handler,
-        args); seq is unique, so the heap never compares handlers."""
-        heappush(self.queue, (time, self.seq, handler, args))
-        self.seq += 1
+        """Queue `handler(time, *args)` after everything queued for `time`."""
+        self.run_queue[time].append((handler, args))
 
     def _forced_time(self, now: int, post_bound: int):
         """A hop's arrival if it is known before any draw, else None: under
         the fixed law, and under "uniform" (at `now + 1`) when the pre-GST
         bound is 1 or, from GST on, the post-GST bound is 1.  It never
-        decreases as `now` grows."""
+        decreases as `now` grows.  A forced hop draws nothing, and every
+        trace stays as if it drew: simulated time never goes backwards from
+        one send to the next, a run has one post-GST bound (its backend's),
+        and nothing else reads the RNG.  So once a post-GST hop is forced
+        every later hop is, and with a pre-GST bound of 1 every hop is; a
+        skipped draw only moves the RNG past the last value the run uses."""
         if self._fixed_law:
             return min(now + self._pre, max(now, self._gst) + post_bound)
         if self._pre == 1 or (post_bound == 1 and now >= self._gst):
@@ -511,21 +533,13 @@ class Simulation:
         return None
 
     def _delivery_times(self, now: int, post_bound: int, copies: int) -> list:
-        """Arrival times of `copies` copies sent at `now`, drawn in order.
-        Under "uniform" each delay is 1 plus a value below its bound, drawn
-        by rejection on `getrandbits(bound.bit_length())`.  That is the loop
-        of CPython's `Random._randbelow_with_getrandbits`, down to the 1-bit
-        draws for a bound of 1, so it yields the values and consumes the
-        stream of `randint(1, bound)`, without that call's three frames.
-        A forced hop (`_forced_time`) draws nothing, and every trace stays
-        as if it drew: simulated time never goes backwards from one send to
-        the next, a run has one post-GST bound (its backend's), and nothing
-        else reads the RNG.  So once a post-GST hop is forced every later
-        hop is, and with a pre-GST bound of 1 every hop is; a skipped draw
-        only moves the RNG past the last value the run uses."""
-        forced = self._forced_time(now, post_bound)
-        if forced is not None:
-            return [forced] * copies
+        """Arrival times of `copies` copies sent at `now` on a hop that is
+        not forced, drawn in order.  Each delay is 1 plus a value below its
+        bound, drawn by rejection on `getrandbits(bound.bit_length())`.
+        That is the loop of CPython's `Random._randbelow_with_getrandbits`,
+        down to the 1-bit draws for a bound of 1, so it yields the values
+        and consumes the stream of `randint(1, bound)`, without that call's
+        three frames."""
         gst, pre = self._gst, self._pre
         getrandbits = self._getrandbits
         k_pre, k_post = self._pre_bits, post_bound.bit_length()
@@ -545,81 +559,71 @@ class Simulation:
         """The one way a message leaves a node: to `targets` in their order,
         or to every node but `sender` when None.  Records one `gossip`
         event on gossip; on bracha one `send` event to "all", or one per
-        target.  The trace fields are encoded once, here."""
+        target.  The trace fields are encoded once, here, and on gossip the
+        fields its `deliver` events copy are built once, here."""
         enc = _encode_msg(msg)
-        if self.gossip_backend:
-            self.trace.append(now, "gossip", sender, {**enc})
-            state = self.gossip_state.setdefault(msg, [None] * self.total + [False])
-            state[sender] = _HAS
-            if not state[-1]:
-                self._send_gossip(sender, msg, enc, state, now, targets)
-        elif targets is None:
-            self.trace.append(now, "send", sender, {**enc, "to": "all"})
-            self._send_direct(msg, enc, now, self._others[sender])
-        else:
-            for to in targets:
-                self.trace.append(now, "send", sender, {**enc, "to": [to]})
-            self._send_direct(msg, enc, now, targets)
-
-    def _send_direct(self, msg, enc: dict, now: int, recipients) -> None:
-        """Queue one copy of `msg` per recipient; `enc` is its trace fields,
-        encoded once at the send."""
-        times = self._delivery_times(now, self.cfg.params.delta, len(recipients))
-        queue, seq, deliver = self.queue, self.seq, self._on_deliver
-        for to, at in zip(recipients, times):
-            heappush(queue, (at, seq, deliver, (to, msg, enc)))
-            seq += 1
-        self.seq = seq
-
-    def _send_gossip(self, sender: int, msg, enc: dict, state: list, now: int,
-                     targets=None) -> None:
-        """Schedule a gossip copy of `msg` to each target but `sender` (each
-        node when `targets` is None), in target order.  A node acts only on
-        the first copy of a message it receives, so a copy that would arrive
-        after the node has it, or no earlier than a copy already queued, is
-        not queued at all.  `state` is the message's slot list in
-        `gossip_state`; each queued entry carries it.
-
-        A random hop queues one entry per copy, with its own drawn delay.  A
-        forced hop queues one entry for the whole fan-out, which
-        `_on_gossip_deliver` hands to its recipients in order.  The trace is
-        the one a copy per entry gives: the copies would share their time
-        and take consecutive seqs, so no other entry would run between them;
-        no handler queues anything at its own time, since every delay, timer
-        and wake is at least one tick later; and the run stops at the
-        horizon by time, so a fan-out is delivered whole or not at all.
-
-        A fan-out to every node on forced hops covers the message, which its
-        callers then do not fan out again: a forced arrival never decreases
-        as the send time grows and a slot only falls or becomes _HAS, so no
-        later send could queue a copy."""
-        latency = self.cfg.gossip_relay_latency
-        recipients = (self._others[sender] if targets is None
-                      else [to for to in targets if to != sender])
-        at = self._forced_time(now, latency)
-        if at is None:
-            times = self._delivery_times(now, latency, len(recipients))
-            queue, seq, deliver = self.queue, self.seq, self._on_gossip_deliver
-            for to, at in zip(recipients, times):
-                known = state[to]
-                if known is not None and known <= at:
-                    continue
-                state[to] = at
-                heappush(queue, (at, seq, deliver, ((to,), msg, enc, state)))
-                seq += 1
-            self.seq = seq
+        if not self.gossip_backend:
+            if targets is None:
+                self.trace.append(now, "send", sender, {**enc, "to": "all"})
+            else:
+                for to in targets:
+                    self.trace.append(now, "send", sender, {**enc, "to": [to]})
+            self._fan_out(sender, msg, enc, None, now, targets)
             return
-        state[-1] = targets is None
-        batch = []
-        for to in recipients:
-            known = state[to]
-            if known is None or known > at:
-                state[to] = at
-                batch.append(to)
-        if batch:
-            heappush(self.queue, (at, self.seq, self._on_gossip_deliver,
-                                  (batch, msg, enc, state)))
-            self.seq += 1
+        self.trace.append(now, "gossip", sender, enc)
+        state = self.gossip_state.setdefault(msg, [None] * self.total + [False])
+        state[sender] = _HAS
+        if not state[-1]:
+            self._fan_out(sender, msg, {**enc, "gossip": 1}, state, now,
+                          None if targets is None
+                          else [to for to in targets if to != sender])
+
+    def _fan_out(self, sender: int, msg, enc: dict, state, now: int,
+                 recipients=None) -> None:
+        """Queue a copy of `msg` for each of `recipients`, in order, or for
+        every node but `sender` when None.  `enc` is the trace fields each
+        `deliver` event copies.  `state` is the message's slot list in
+        `gossip_state` on gossip, and None on a direct send.
+
+        A forced hop queues one entry for all the copies it keeps, which
+        `_on_deliver` hands over in order; a random hop queues one entry per
+        copy, with its own drawn delay.  A batch is trace-identical because
+        its copies would have been adjacent in the same tick's list.
+
+        On gossip a node acts only on the first copy of a message it
+        receives, so a copy that would arrive after the node has it, or no
+        earlier than a copy already queued, is not queued at all.  A gossip
+        fan-out to every node on forced hops covers the message, which is
+        then not fanned out again: a forced arrival never decreases as the
+        send time grows and a slot only falls or becomes _HAS, so no later
+        send could queue a copy."""
+        at = self._forced_time(now, self._post)
+        if state is not None and at is not None:
+            state[-1] = recipients is None
+        if recipients is None:
+            recipients = self._others[sender]
+        if at is None:
+            queue, deliver = self.run_queue, self._on_deliver
+            times = self._delivery_times(now, self._post, len(recipients))
+            for to, at in zip(recipients, times):
+                if state is not None:
+                    known = state[to]
+                    if known is not None and known <= at:
+                        continue
+                    state[to] = at
+                queue[at].append((deliver, ((to,), msg, enc, state)))
+            return
+        if state is not None:
+            kept = []
+            for to in recipients:
+                known = state[to]
+                if known is None or known > at:
+                    state[to] = at
+                    kept.append(to)
+            recipients = kept
+        if recipients:
+            self.run_queue[at].append(
+                (self._on_deliver, (recipients, msg, enc, state)))
 
     def factory_for(self, node: int):
         cfg = self.cfg
@@ -658,20 +662,22 @@ class Simulation:
                     for entry in drv.spec.script:
                         self._push(entry["time"], self._on_script, (drv, entry))
 
-        queue, horizon = self.queue, cfg.horizon
-        while queue:
-            now, _, handler, args = heappop(queue)
+        queue, horizon = self.run_queue, cfg.horizon
+        ticks = queue.ticks
+        while ticks:
+            now = heappop(ticks)
             if now > horizon:
                 break
-            handler(now, *args)
+            for handler, args in queue.pop(now):
+                handler(now, *args)
         return self.trace
 
     def close(self) -> None:
-        """Drop what ties the run into reference cycles: the heap's queued
+        """Drop what ties the run into reference cycles: the run queue's
         bound calls, each node's runtime (it points back at the simulation,
         and its work queue at itself) and the adversary apis.  The trace and
         the configuration stay; reference counting frees the rest."""
-        self.queue.clear()
+        self.run_queue.clear()
         for rt in self.runtimes.values():
             rt.work.clear()
         self.runtimes = {}
@@ -687,29 +693,22 @@ class Simulation:
         for drv in self.drivers[node]:
             getattr(drv, event)(api, *args)
 
-    def _on_deliver(self, now: int, to: int, msg, enc: dict) -> None:
-        if to in self.drivers:
-            self.trace.append(now, "deliver", to, {**enc})
-            self._drive(now, to, "on_deliver", msg)
-        elif not (to in self.crash_at and self._crashed(to, now)):
-            self.trace.append(now, "deliver", to, {**enc})
-            self.runtimes[to].on_deliver(now, msg)
-
-    def _on_gossip_deliver(self, now: int, recipients, msg, enc: dict,
-                           state: list) -> None:
-        """Each recipient's copy of `msg`, in order; see `_send_gossip`."""
+    def _on_deliver(self, now: int, recipients, msg, enc: dict, state) -> None:
+        """Each recipient's copy of `msg`, in order; see `_fan_out`.  On
+        gossip a node takes only its first copy, and a live correct node
+        relays it."""
         trace, drivers, crash_at = self.trace, self.drivers, self.crash_at
         for to in recipients:
-            if state[to] == _HAS:
-                continue
-            state[to] = _HAS
-            trace.append(now, "deliver", to, {**enc, "gossip": 1})
+            if state is not None:
+                if state[to] == _HAS:
+                    continue
+                state[to] = _HAS
+            trace.append(now, "deliver", to, {**enc})
             if to in drivers:
                 self._drive(now, to, "on_deliver", msg)
             elif not (to in crash_at and self._crashed(to, now)):
-                # first receipt at a live correct node: relay to everyone
-                if not state[-1]:
-                    self._send_gossip(to, msg, enc, state, now)
+                if state is not None and not state[-1]:
+                    self._fan_out(to, msg, enc, state, now)
                 self.runtimes[to].on_deliver(now, msg)
 
     def _on_inject(self, now: int, node: int, value) -> None:

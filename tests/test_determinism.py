@@ -10,8 +10,9 @@ as a differing seed.
 
 Regenerate the pinned file only for a change that is meant to alter traces,
 and say why in the change description.  With no names the script prints
-every entry; with names it recomputes only those cases and copies every
-other entry from the pinned file as it stands.  The shell empties a file
+every entry; with names it recomputes only those cases, copies every
+other entry from the pinned file as it stands, and prints to stderr the
+seeds at which each named case changed.  The shell empties a file
 it redirects into before the script reads it, so write elsewhere first:
 
     PYTHONPATH=src python tests/test_determinism.py > tests/trace_hashes.json
@@ -123,6 +124,11 @@ def _stream_cases() -> dict:
         "stream_n7_flip_crash/gossip": _stream(
             7, "gossip", 300,
             adversaries=(FlipVoterSpec(5, {1: 1, 2: 1}), CrashSpec(6, 120))),
+        # the same on bracha, where delta 1 forces every hop from GST on, so
+        # one direct fan-out entry reaches the driver and the crashed node
+        "stream_n7_flip_crash/bracha": _stream(
+            7, "bracha", 300, delta=1, gst=60,
+            adversaries=(FlipVoterSpec(5, {1: 1, 2: 1}), CrashSpec(6, 120))),
         "raw_n4/bracha": _raw("bracha"),
         "raw_n4/gossip": _raw("gossip"),
         "stream_n4_silent/bracha": _stream(
@@ -163,6 +169,10 @@ def trace_digests(make, seeds) -> list[str]:
             for s in seeds]
 
 
+def changed_seeds(seeds, got, pinned) -> list:
+    return [s for s, a, b in zip(seeds, got, pinned) if a != b]
+
+
 CASES = all_cases()
 
 
@@ -175,14 +185,15 @@ def test_trace_is_byte_identical(name):
     make, seeds = CASES[name]
     pinned = json.loads(PINNED.read_text())[name]
     got = trace_digests(make, seeds)
-    diff = [s for s, a, b in zip(seeds, got, pinned) if a != b]
+    diff = changed_seeds(seeds, got, pinned)
     assert not diff, f"{name}: traces changed for seeds {diff}"
     assert len(got) == len(pinned)
 
 
 def regenerate(names) -> dict:
     """Every case's digests when `names` is empty; else the named cases'
-    digests, with every other entry copied from the pinned file."""
+    digests, with every other entry copied from the pinned file, and on
+    stderr each named case's seeds whose digest changed."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"no such case: {', '.join(unknown)}")
@@ -190,6 +201,11 @@ def regenerate(names) -> dict:
     out = {name: digests for name, digests in pinned.items()
            if name in CASES and name not in names}
     out.update({name: trace_digests(*CASES[name]) for name in names or CASES})
+    for name in names:
+        seeds = CASES[name][1]
+        change = ("new case" if name not in pinned else
+                  f"changed at seeds {changed_seeds(seeds, out[name], pinned[name])}")
+        print(f"{name}: {change}", file=sys.stderr)
     return out
 
 

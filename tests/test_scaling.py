@@ -20,7 +20,6 @@ import gc
 import os
 import sys
 from dataclasses import replace
-from heapq import heappush
 from pathlib import Path
 
 import pytest
@@ -83,8 +82,8 @@ def test_view_calls_per_event_flat_in_n(monkeypatch, backend):
 
 PACKAGE = os.path.dirname(abcast.__file__) + os.sep
 
-# Frames per event, about 4% above what the message path runs: 9.60 on
-# bracha and 11.28 on gossip.  Enum reads, keys formatted per event and calls
+# Frames per event, 3-4% above what the message path runs: 9.70 on bracha
+# and 11.32 on gossip.  Enum reads, keys formatted per event and calls
 # that do nothing per delivery give 11.32 and 14.40, and fail; so does a
 # queue entry and a handler call per copy of a forced gossip fan-out, 11.82.
 FRAME_BOUNDS = {"bracha": 10.0, "gossip": 11.8}
@@ -114,57 +113,67 @@ def test_frames_per_event_on_the_message_path(backend):
     assert frames / events <= FRAME_BOUNDS[backend], frames / events
 
 
-class _QueueCounts:
-    """Counts the gossip copies fan-outs address, queued or not (a copy the
-    slot test drops still costs a fan-out its look), and the entries pushed
-    on the run queue, where one entry may carry a whole fan-out."""
+class _CountedQueue(simnet._RunQueue):
+    """A run queue that counts the entries its ticks hand to the run loop."""
+    ran = 0
 
-    def __init__(self, monkeypatch):
-        self.copies = self.entries = 0
-        send_gossip = Simulation._send_gossip
-
-        def addressed(sim, sender, msg, enc, state, now, targets=None):
-            self.copies += (len(sim._others[sender]) if targets is None
-                            else sum(to != sender for to in targets))
-            send_gossip(sim, sender, msg, enc, state, now, targets)
-        monkeypatch.setattr(Simulation, "_send_gossip", addressed)
-        monkeypatch.setattr(simnet, "heappush", self.push)
-
-    def push(self, queue, entry):
-        self.entries += 1
-        heappush(queue, entry)
+    def pop(self, tick):
+        entries = super().pop(tick)
+        self.ran += len(entries)
+        return entries
 
 
-def _gossip_deliveries(monkeypatch, n: int, adversaries=()) -> tuple:
-    """An honest-injection gossip stream of horizon 300 on `n` nodes: its
-    queue counts and its `deliver` events."""
-    counts = _QueueCounts(monkeypatch)
-    cfg = RunConfig(
+def _queue_counts(monkeypatch, n: int, backend: str = "gossip",
+                  delay_law: str = "uniform", adversaries=()) -> tuple:
+    """An honest-injection stream of horizon 300 on `n` nodes: the copies
+    its fan-outs address, queued or not (a copy the slot test drops still
+    costs a fan-out its look); the entries put on its run queue, where one
+    entry may carry a whole fan-out; and its `deliver` events."""
+    copies = 0
+    fan_out = Simulation._fan_out
+
+    def addressed(sim, sender, msg, enc, state, now, recipients=None):
+        nonlocal copies
+        copies += len(sim._others[sender] if recipients is None else recipients)
+        fan_out(sim, sender, msg, enc, state, now, recipients)
+    monkeypatch.setattr(Simulation, "_fan_out", addressed)
+    sim = Simulation(RunConfig(
         params=Params(n=n, f=(n - 1) // 3, delta=2, gst=0, sub_delay=6),
-        schedule=LeaderSchedule(n), backend="gossip", seed=3, horizon=300,
-        delay_law="uniform", adversaries=adversaries,
+        schedule=LeaderSchedule(n), backend=backend, seed=3, horizon=300,
+        delay_law=delay_law, adversaries=adversaries,
         injections=tuple((t, i % n, f"v{i}")
-                         for i, t in enumerate(range(0, 300, 10))))
-    trace = run(cfg)
+                         for i, t in enumerate(range(0, 300, 10)))))
+    queue = sim.run_queue = _CountedQueue()
+    trace = sim.run()
     monkeypatch.undo()
+    entries = queue.ran + sum(map(len, queue.values()))     # ran + left over
+    sim.close()
     assert len(trace.ab_outputs()[0]) >= 20, "too little delivered"
-    return counts, sum(1 for _ in trace.iter_kind("deliver"))
+    return copies, entries, sum(1 for _ in trace.iter_kind("deliver"))
 
 
 @pytest.mark.parametrize("n", [4, 16])
 def test_gossip_delay_copies_per_delivery_flat_in_n(monkeypatch, n):
     """After GST a gossip message is fanned out to every node once, not
     once more at each node it reaches: about one copy per delivery."""
-    counts, delivered = _gossip_deliveries(monkeypatch, n)
-    assert counts.copies / delivered <= 1.5
+    copies, _, delivered = _queue_counts(monkeypatch, n)
+    assert copies / delivered <= 1.5
 
 
 def test_gossip_queue_pushes_per_delivery(monkeypatch):
     """A forced fan-out is one queue entry, not one per recipient: 0.18
-    pushes per delivery at n = 10 with a crashed validator, against 1.07
+    entries per delivery at n = 10 with a crashed validator, against 1.07
     with an entry per copy."""
-    counts, delivered = _gossip_deliveries(monkeypatch, 10, (CrashSpec(9, 0),))
-    assert counts.entries / delivered <= 0.25, counts.entries / delivered
+    _, entries, delivered = _queue_counts(monkeypatch, 10, adversaries=(CrashSpec(9, 0),))
+    assert entries / delivered <= 0.25, entries / delivered
+
+
+def test_forced_direct_fan_out_is_one_queue_entry(monkeypatch):
+    """Bracha's direct sends take the same path: under the fixed law every
+    hop is forced, and a send to all is one queue entry, 0.14 entries per
+    delivery at n = 10 against 1.03 with an entry per copy."""
+    _, entries, delivered = _queue_counts(monkeypatch, 10, "bracha", "fixed")
+    assert entries / delivered <= 0.25, entries / delivered
 
 
 class _CountingList(list):

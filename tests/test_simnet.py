@@ -59,11 +59,11 @@ def test_seed_changes_uniform_schedule():
 def test_fixed_delivery_law():
     params = Params(n=4, f=1, delta=2, gst=10, sub_delay=6)
     sim = Simulation(make_cfg(params=params, pre_gst_max_delay=5))
-    assert sim._delivery_times(0, 2, 1) == [5]
-    assert sim._delivery_times(9, 2, 2) == [12, 12]
-    assert sim._delivery_times(50, 2, 1) == [52]
+    assert sim._forced_time(0, 2) == 5
+    assert sim._forced_time(9, 2) == 12
+    assert sim._forced_time(50, 2) == 52
     tight = Simulation(make_cfg(params=params, pre_gst_max_delay=1))
-    assert tight._delivery_times(0, 2, 1) == [1]
+    assert tight._forced_time(0, 2) == 1
 
 
 def test_uniform_delivery_law_bounds_and_replay():
@@ -85,9 +85,10 @@ def _assert_draws_match_randint(seed, gst, plan):
     `randint(1, pre)` and `randint(1, post)` per copy give, and leave the
     RNG where they leave it.  A forced step, one whose arrival is now + 1
     whatever is drawn (a pre-GST bound of 1, or a post-GST bound of 1 from
-    GST on), must give that and draw nothing.  A simulation fixes its
-    pre-GST bound when it is built, so each step runs on a new one that
-    takes over the RNG state the step before left."""
+    GST on), must give that from `_forced_time` and draw nothing; any other
+    step's `_forced_time` is None.  A simulation fixes its pre-GST bound
+    when it is built, so each step runs on a new one that takes over the
+    RNG state the step before left."""
     ref = random.Random(seed)
     state = ref.getstate()
     for pre, post, now, copies in plan:
@@ -95,12 +96,13 @@ def _assert_draws_match_randint(seed, gst, plan):
                                   pre_gst_max_delay=pre))
         sim.rng.setstate(state)
         if pre == 1 or (post == 1 and now >= gst):
-            want = [now + 1] * copies
+            assert sim._forced_time(now, post) == now + 1
         else:
+            assert sim._forced_time(now, post) is None
             want = [min(now + ref.randint(1, pre),
                         max(now, gst) + ref.randint(1, post))
                     for _ in range(copies)]
-        assert sim._delivery_times(now, post, copies) == want
+            assert sim._delivery_times(now, post, copies) == want
         state = sim.rng.getstate()
         assert state == ref.getstate()
 
@@ -144,11 +146,10 @@ class _CopyCounting(Simulation):
         super().__init__(cfg)
         self.copies = {}
 
-    def _send_gossip(self, sender, msg, enc, state, now, targets=None):
-        addressed = (self._others[sender] if targets is None
-                     else [to for to in targets if to != sender])
+    def _fan_out(self, sender, msg, enc, state, now, recipients=None):
+        addressed = self._others[sender] if recipients is None else recipients
         self.copies[msg] = self.copies.get(msg, 0) + len(addressed)
-        super()._send_gossip(sender, msg, enc, state, now, targets)
+        super()._fan_out(sender, msg, enc, state, now, recipients)
 
 
 def test_a_covered_message_is_fanned_out_once():
@@ -172,9 +173,9 @@ def test_a_targeted_or_pre_gst_send_leaves_a_message_uncovered():
     assert state == [26, 26, None, _HAS, False]
     sim.send(3, msg, 26)                          # to every node: covered
     assert state == [26, 26, 27, _HAS, True]
-    queued = len(sim.queue)
+    queued = sum(map(len, sim.run_queue.values()))
     sim.send(0, msg, 30)
-    assert len(sim.queue) == queued and state[0] == _HAS
+    assert sum(map(len, sim.run_queue.values())) == queued and state[0] == _HAS
     early = make_signed(sim.scheme, 3, InstanceKey(Kind.WBA, 1), "vote", 1)
     sim.send(3, early, 5)                         # before GST: random hops
     assert sim.gossip_state[early][-1] is False
@@ -214,6 +215,24 @@ def test_crashed_node_goes_quiet():
     outs = trace.ab_outputs()
     assert [e.data["value"] for e in outs[0]] == [e.data["value"] for e in outs[1]]
     assert len(outs[0]) == 2
+
+
+ACTIONS = ("send", "gossip", "sub_input", "sub_output", "timer_set",
+           "timer_fire", "timer_stale", "advance")
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_a_crashed_node_records_its_receipts_and_does_nothing(backend):
+    """Both backends trace the copies the network hands a crashed node, and
+    the node acts on none of them.  The stream of tests/test_scaling.py's
+    `_stream_cfg`, seed 1, with node 3 crashing at t=40."""
+    cfg = make_cfg(backend=backend, seed=1, horizon=200, delay_law="uniform",
+                   adversaries=(CrashSpec(3, 40),),
+                   injections=tuple((t, i % 4, f"v{i}")
+                                    for i, t in enumerate(range(0, 200, 10))))
+    after = [ev.kind for ev in run(cfg).events if ev.node == 3 and ev.time >= 40]
+    assert after.count("deliver") > 0
+    assert not [kind for kind in after if kind in ACTIONS]
 
 
 def test_silent_leader_round_gets_skipped():
