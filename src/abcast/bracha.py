@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import RB, InstanceKey, LocalInput, Send, Output
-
-INITIAL = "initial"
-ECHO = "echo"
-READY = "ready"
-VOTE = "vote"
+from .subproto import RB, ECHO, INITIAL, READY, VOTE, Input, InstanceKey, Output
 
 
 @dataclass(slots=True)
@@ -78,10 +73,10 @@ class _EchoReady:
         out = []
         if not self.sent_echo and self.voter and (seed or amplify):
             self.sent_echo = True
-            out.append(Send(BrachaMsg(self.key, self.echo_kind, v, self.self_id)))
+            out.append(BrachaMsg(self.key, self.echo_kind, v, self.self_id))
         if not self.sent_ready and self.voter and amplify:
             self.sent_ready = True
-            out.append(Send(BrachaMsg(self.key, READY, v, self.self_id)))
+            out.append(BrachaMsg(self.key, READY, v, self.self_id))
         if not self.delivered and readies >= 2 * f + 1:
             self.delivered = True
             out.append(Output(v))
@@ -97,10 +92,8 @@ class BrachaRb(_EchoReady):
         self.has_initial = False
 
     def step(self, event: object) -> list:
-        if isinstance(event, LocalInput):
-            if self.self_id != self.proposer:
-                return []
-            return [Send(BrachaMsg(self.key, INITIAL, event.value, self.self_id))]
+        if isinstance(event, Input):
+            return [BrachaMsg(self.key, INITIAL, event.value, self.self_id)]
         if not isinstance(event, BrachaMsg) or event.instance != self.key:
             return []
         if event.kind != INITIAL:
@@ -118,7 +111,7 @@ class BrachaWba(_EchoReady):
     echo_kind = VOTE
 
     def step(self, event: object) -> list:
-        if isinstance(event, LocalInput):
+        if isinstance(event, Input):
             if event.value not in (0, 1):
                 return []
             return self._fire(event.value, seed=True)     # sends nothing from an observer

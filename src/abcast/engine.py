@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .core import ConfigError, InternalInvariantError, Params, LeaderSchedule
-from .subproto import RB, WBA, InstanceKey
+from .subproto import RB, WBA, Input, InstanceKey
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,11 @@ def encode(v):
     return v
 
 
-# Actions handed back to the hosting node.
+# Actions handed back to the hosting node, besides a subprotocol Input.
 
 @dataclass(slots=True)
 class RestartTimer:
     delay: int
-
-
-class Input(NamedTuple):
-    """This node's input to one subprotocol instance."""
-
-    key: InstanceKey
-    value: object
 
 
 @dataclass(slots=True)
@@ -365,12 +358,11 @@ class Engine:
 
             # 2. propose when leading the current round
             r = self.current
-            if (r > self._last_proposed and self.schedule.leader_of(r) == self.self_id
-                    and not self.view.input_made(key := InstanceKey(RB, r))):
+            if r > self._last_proposed and self.schedule.leader_of(r) == self.self_id:
                 prop = self._pick_proposal(r, now, rejected)
                 if prop is not None:
                     self._last_proposed = r
-                    actions.append(Input(key, prop))
+                    actions.append(Input(InstanceKey(RB, r), prop))
                     notes.append(("propose", {"round": r, "payload": encode(prop)}))
 
             # 3. vote to commit every accepted round not yet voted on

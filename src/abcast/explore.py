@@ -236,18 +236,20 @@ class _Images(dict):
         return ims
 
 
-def _search(initial: int, byz_offer, successors, good, group, max_states: int):
+def _search(initial: int, byz_offer, successors, inputs, need: int, group,
+            max_states: int):
     """Depth-first search over one representative per orbit of `group`.
 
     `byz_offer[r]` holds the tally positions the Byzantine budget may
     deliver to validator r, and `successors(r, word, avail)` lists r's new
     words, one per deliverable message in `avail` (plus any initial r may
-    still take).  `good(tags)` judges a tuple of output latches.  Returns
-    (states, representatives, bad_state): the visited count with every
-    orbit expanded, the count stored, and the first visited state that is
-    not good (None if there is none).  A bad state found under a
-    non-trivial group is searched for again under the identity alone, so
-    the count and the state reported are those of the unreduced search.
+    still take).  A state is bad when `_violation` finds one in it, given
+    `inputs` and `need`.  Returns (states, representatives, bad_state):
+    the visited count with every orbit expanded, the count stored, and the
+    first visited state that is bad (None if there is none).  A bad state
+    found under a non-trivial group is searched for again under the
+    identity alone, so the count and the state reported are those of the
+    unreduced search.
 
     The stack holds each state's images as discovered, identity first, so
     none is rebuilt at a pop.  A successor is first looked up under the
@@ -259,9 +261,9 @@ def _search(initial: int, byz_offer, successors, good, group, max_states: int):
     bases = [_BITS * i for i in ids]
     self_mask = [sum(1 << (_W * fld + s) for fld in range(4)) for s in ids]
     out_mask = sum(3 << (b + _OUT) for b in bases)
-    ok_outs = {sum(t << (b + _OUT) for t, b in zip(tags, bases))
-               for tags in itertools.product(range(3), repeat=len(bases))
-               if good(tags)}
+    latches = (sum(t << (b + _OUT) for t, b in zip(tags, bases))
+               for tags in itertools.product(range(3), repeat=len(bases)))
+    ok_outs = {s for s in latches if _violation(s, inputs, need) is None}
     # A state's images are the sums of its slots' images (the slots land on
     # disjoint bits).  Per recipient and (word, deliverable set), `changes`
     # holds what each delivery XORs into every image.
@@ -278,8 +280,8 @@ def _search(initial: int, byz_offer, successors, good, group, max_states: int):
         state = imgs[0]
         if state & out_mask not in ok_outs:
             if len(group) > 1:
-                return _search(initial, byz_offer, successors, good, group[:1],
-                               max_states)
+                return _search(initial, byz_offer, successors, inputs, need,
+                               group[:1], max_states)
             return states, len(seen), state
         j = imgs.index(min(imgs))
         rep = imgs[j]
@@ -362,7 +364,6 @@ def _explore(inputs, budget, echo_kind: str, need: int, th: Thresholds,
             init_offer[rcpt] |= 1 << v
         else:
             byz_offer[rcpt] |= _tally_bit(kind, v, correct)
-    valid = [True] + [sum(1 for x in inputs if x == v) >= need for v in (0, 1)]
 
     def successors(r: int, sr: int, avail: int) -> list[int]:
         out = []
@@ -375,12 +376,8 @@ def _explore(inputs, budget, echo_kind: str, need: int, th: Thresholds,
                     for v in (0, 1) if init_offer[r] >> v & 1]
         return out
 
-    def good(tags) -> bool:
-        nonzero = set(tags) - {0}
-        return len(nonzero) <= 1 and all(valid[t] for t in nonzero)
-
     initial = _initial(inputs, th)
-    states, reps, bad_state = _search(initial, byz_offer, successors, good,
+    states, reps, bad_state = _search(initial, byz_offer, successors, inputs, need,
                                       symmetry_group(inputs, budget), max_states)
     if bad_state is None:
         return ExploreResult(states, None, reps)

@@ -18,12 +18,8 @@ from functools import cached_property
 from typing import Callable
 
 from .core import Params, LeaderSchedule, hashable, is_validator
-from .subproto import RB, InstanceKey, LocalInput, Send, Output
+from .subproto import RB, ECHO, INITIAL, VOTE, Input, InstanceKey, Output
 from .trace import compact_encoder
-
-INITIAL = "initial"
-ECHO = "echo"
-VOTE = "vote"
 
 
 def canonical(payload: object) -> bytes:
@@ -132,8 +128,8 @@ class _SignedMachine:
         self.equivocations: dict[int, list[object]] = {}
         self.invalid_sigs = 0
 
-    def _signed(self, kind: str, payload: object) -> Send:
-        return Send(make_signed(self.scheme, self.self_id, self.key, kind, payload))
+    def _signed(self, kind: str, payload: object) -> SignedMsg:
+        return make_signed(self.scheme, self.self_id, self.key, kind, payload)
 
     def _first_counts(self, msg: SignedMsg, tally: dict) -> bool:
         """Add msg's signer to `tally` under its payload if this is the
@@ -167,9 +163,7 @@ class GossipRb(_SignedMachine):
         self.echo_signers: dict[object, set[int]] = {}
 
     def step(self, event: object) -> list:
-        if isinstance(event, LocalInput):
-            if self.self_id != self.proposer:
-                return []
+        if isinstance(event, Input):
             return [self._signed(INITIAL, event.value)]
         if not isinstance(event, SignedMsg) or event.instance != self.key:
             return []
@@ -216,17 +210,11 @@ class GossipWba(_SignedMachine):
     def __init__(self, key: InstanceKey, params: Params, self_id: int,
                  scheme: SignatureScheme):
         super().__init__(key, params, self_id, scheme)
-        self.signed_vote = False
         self.vote_signers: dict[int, set[int]] = {}
 
     def step(self, event: object) -> list:
-        if isinstance(event, LocalInput):
-            b = event.value
-            if (b not in (0, 1) or self.signed_vote
-                    or not is_validator(self.self_id, self.params)):
-                return []
-            self.signed_vote = True
-            return [self._signed(VOTE, b)]
+        if isinstance(event, Input):
+            return [self._signed(VOTE, event.value)] if event.value in (0, 1) else []
         if (not isinstance(event, SignedMsg) or event.instance != self.key
                 or event.kind != VOTE or event.payload not in (0, 1)):
             return []

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .core import ConfigError, Params, LeaderSchedule
-from .subproto import RB, WBA, InstanceKey, InstanceTable, Send, Output, parse_key
+from .subproto import (RB, WBA, INITIAL, READY, VOTE, Input, InstanceKey,
+                       InstanceTable, Output, parse_key)
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
-from .engine import Engine, EngineOptions, Input, Proposal, RestartTimer, Wake, encode
+from .engine import Engine, EngineOptions, Proposal, RestartTimer, Wake, encode
 from .gossip import SignatureScheme, SignedMsg, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
@@ -273,13 +274,12 @@ class _NodeRuntime:
         self._apply_engine(now, *self.engine.on_subproto_output(now))
 
     def _sub_input(self, now: int, inp: Input) -> None:
-        key, value = inp
-        before = self.table.input_made(key)
-        acts = self.table.submit_input(key, value)
-        if not before and self.table.input_made(key):
+        acts = self.table.submit_input(inp)
+        if acts is not None:
+            key = inp.key
             self.sim.trace.append(now, "sub_input", self.node, {
-                "instance": key.text, "value": encode(value)})
-        self._apply_backend(now, key, acts)
+                "instance": key.text, "value": encode(inp.value)})
+            self._apply_backend(now, key, acts)
 
     def _recv(self, now: int, msg) -> None:
         key = msg.instance
@@ -287,14 +287,14 @@ class _NodeRuntime:
 
     def _apply_backend(self, now: int, key: InstanceKey, acts: list) -> None:
         for a in acts:
-            if isinstance(a, Send):
-                self.sim.send(self.node, a.msg, now)
-                self.work.append((self._recv, a.msg))
-            elif isinstance(a, Output):
+            if isinstance(a, Output):
                 if self.table.record_output(key, a.value):
                     self.sim.trace.append(now, "sub_output", self.node, {
                         "instance": key.text, "value": encode(a.value)})
                     self._queue_engine_pass()
+            else:                            # a message, to every node
+                self.sim.send(self.node, a, now)
+                self.work.append((self._recv, a))
 
     def _apply_engine(self, now: int, acts: list, notes: list) -> None:
         sim = self.sim
@@ -381,7 +381,7 @@ class EquivocatingProposerDriver(Driver):
             if parent == "prev":
                 parent = r - 1 if r > 0 else None
             prop = Proposal(part.value, parent)
-            api.send(api.message(key, bracha_mod.INITIAL, prop), tuple(part.nodes))
+            api.send(api.message(key, INITIAL, prop), tuple(part.nodes))
 
 
 class FlipVoterDriver(Driver):
@@ -401,14 +401,14 @@ class FlipVoterDriver(Driver):
         # vote floods per bit.
         if api.backend == "gossip":
             for b in (bit, 1 - bit) if self.spec.equivocate else (bit,):
-                api.send(api.message(key, gossip_mod.VOTE, b))
+                api.send(api.message(key, VOTE, b))
         elif self.spec.equivocate:
             for to in range(api.params.n):
                 b = bit if to % 2 == 0 else 1 - bit
-                for kind in (bracha_mod.VOTE, bracha_mod.READY):
+                for kind in (VOTE, READY):
                     api.send(api.message(key, kind, b), (to,))
         else:
-            for kind in (bracha_mod.VOTE, bracha_mod.READY):
+            for kind in (VOTE, READY):
                 api.send(api.message(key, kind, bit))
 
 

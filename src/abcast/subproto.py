@@ -1,10 +1,12 @@
 """Subprotocol instance plumbing shared by both broadcast backends.
 
 A node runs one reliable-broadcast (RB) and one binary-agreement (WBA)
-instance per round, created lazily.  The InstanceTable enforces the
-write-once rules: at most one local input per instance, RB inputs only from
-the designated proposer, WBA inputs only from validators, and a single
-immutable output per instance.
+instance per round, created lazily.  The InstanceTable is the one gate for
+a node's inputs and enforces the write-once rules: at most one local input
+per instance, RB inputs only from the designated proposer, WBA inputs only
+from validators, and a single immutable output per instance.  A machine
+steps on the one `Input` its table admitted, or on a received message, and
+returns the messages it sends and its `Output`.
 
 `Kind` stays the public enum; the per-message code reads the aliases `RB`
 and `WBA`, and `InstanceKey.text` a prefix table, since on CPython 3.11 a
@@ -62,21 +64,18 @@ def parse_key(text: str) -> InstanceKey:
     return InstanceKey(Kind(kind), int(rnd))
 
 
-# A backend state machine steps on a LocalInput or on a received message.
+# The kinds of message the backends send; a WBA's vote is its echo.
+INITIAL = "initial"
+ECHO = "echo"
+READY = "ready"
+VOTE = "vote"
 
-@dataclass(slots=True)
-class LocalInput:
+
+class Input(NamedTuple):
+    """This node's input to one subprotocol instance."""
+
+    key: InstanceKey
     value: object
-
-
-# Actions a backend may emit.
-
-@dataclass(slots=True)
-class Send:
-    """Send `msg` to every node, the sender included; the run's backend
-    decides whether it goes direct or through the gossip flood."""
-
-    msg: object
 
 
 @dataclass(slots=True)
@@ -86,8 +85,10 @@ class Output:
 
 class Machine(Protocol):
     def step(self, event: object) -> list:
-        """Step on a LocalInput or a received message; the actions taken.
-        Anything else, or a message of another instance, gives []."""
+        """Step on the one Input the table admitted, or on a received
+        message; return the messages to send to every node, the sender
+        included, and at most one Output.  Anything else, or a message of
+        another instance, gives []."""
 
 
 @dataclass
@@ -125,21 +126,24 @@ class InstanceTable:
         s = (self._rb if key.kind is RB else self._wba).get(key.round)
         return s.input_made if s else False
 
-    def submit_input(self, key: InstanceKey, value: object) -> list:
-        """Feed a local input to an instance, once.
+    def submit_input(self, inp: Input) -> list | None:
+        """Feed a local input to its instance, once; the machine's actions,
+        or None when the input is refused.
 
         Repeat inputs, RB inputs from anyone but the round's proposer, and
-        WBA inputs from non-validators are ignored without side effects.
+        WBA inputs from non-validators are refused: the machine does not
+        step and the input is not recorded.
         """
+        key = inp.key
         s = self.slot(key)
         if s.input_made:
-            return []
+            return None
         if key.kind is RB and self.schedule.leader_of(key.round) != self.self_id:
-            return []
+            return None
         if key.kind is WBA and not is_validator(self.self_id, self.params):
-            return []
+            return None
         s.input_made = True
-        return s.machine.step(LocalInput(value))
+        return s.machine.step(inp)
 
     def record_output(self, key: InstanceKey, value: object) -> bool:
         """Store an instance's output; True only the first time.

@@ -15,7 +15,7 @@ from abcast.bracha import (
 )
 from abcast.core import LeaderSchedule, Params
 from abcast.gossip import SignatureScheme, make_signed
-from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Send
+from abcast.subproto import Input, InstanceKey, Kind, Output
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -32,15 +32,14 @@ def recv(machine, kind, payload, sender, key=None):
 
 def test_proposer_input_sends_initial():
     m = rb_at(0)
-    out = m.step(LocalInput("a"))
-    assert out == [Send(BrachaMsg(RB_KEY, INITIAL, "a", 0))]
-    assert rb_at(1).step(LocalInput("a")) == []
+    out = m.step(Input(RB_KEY, "a"))
+    assert out == [BrachaMsg(RB_KEY, INITIAL, "a", 0)]
 
 
 def test_initial_from_proposer_triggers_echo():
     m = rb_at(1)
     out = recv(m, INITIAL, "a", 0)
-    assert out == [Send(BrachaMsg(RB_KEY, ECHO, "a", 1))]
+    assert out == [BrachaMsg(RB_KEY, ECHO, "a", 1)]
     # A second initial changes nothing, even with a different value.
     assert recv(m, INITIAL, "b", 0) == []
 
@@ -59,8 +58,8 @@ def test_quorum_of_echoes_brings_ready():
     assert recv(m, ECHO, "a", 1) == []
     out = recv(m, ECHO, "a", 2)
     assert out == [
-        Send(BrachaMsg(RB_KEY, ECHO, "a", 3)),
-        Send(BrachaMsg(RB_KEY, READY, "a", 3)),
+        BrachaMsg(RB_KEY, ECHO, "a", 3),
+        BrachaMsg(RB_KEY, READY, "a", 3),
     ]
 
 
@@ -69,8 +68,8 @@ def test_ready_amplification_at_f_plus_one():
     assert recv(m, READY, "a", 0) == []
     out = recv(m, READY, "a", 1)
     assert out == [
-        Send(BrachaMsg(RB_KEY, ECHO, "a", 3)),
-        Send(BrachaMsg(RB_KEY, READY, "a", 3)),
+        BrachaMsg(RB_KEY, ECHO, "a", 3),
+        BrachaMsg(RB_KEY, READY, "a", 3),
     ]
 
 
@@ -110,7 +109,7 @@ def test_echo_sent_once_per_instance():
     # Readies for another value amplify a ready but cannot re-echo.
     recv(m, READY, "b", 2)
     out = recv(m, READY, "b", 3)
-    assert out == [Send(BrachaMsg(RB_KEY, READY, "b", 1))]
+    assert out == [BrachaMsg(RB_KEY, READY, "b", 1)]
 
 
 def test_observer_delivers_but_never_sends():
@@ -125,11 +124,11 @@ def test_observer_delivers_but_never_sends():
 
 def test_wba_input_sends_vote():
     m = BrachaWba(WBA_KEY, PARAMS, 2)
-    out = m.step(LocalInput(1))
-    assert out == [Send(BrachaMsg(WBA_KEY, VOTE, 1, 2))]
-    assert m.step(LocalInput(0)) == []
-    assert BrachaWba(WBA_KEY, PARAMS, 2).step(LocalInput("x")) == []
-    assert BrachaWba(WBA_KEY, PARAMS, 4).step(LocalInput(1)) == []
+    out = m.step(Input(WBA_KEY, 1))
+    assert out == [BrachaMsg(WBA_KEY, VOTE, 1, 2)]
+    assert m.step(Input(WBA_KEY, 0)) == []
+    assert BrachaWba(WBA_KEY, PARAMS, 2).step(Input(WBA_KEY, "x")) == []
+    assert BrachaWba(WBA_KEY, PARAMS, 4).step(Input(WBA_KEY, 1)) == []
 
 
 def test_wba_quorum_votes_then_output():
@@ -138,8 +137,8 @@ def test_wba_quorum_votes_then_output():
     recv(m, VOTE, 0, 1)
     out = recv(m, VOTE, 0, 2)
     assert out == [
-        Send(BrachaMsg(WBA_KEY, VOTE, 0, 3)),
-        Send(BrachaMsg(WBA_KEY, READY, 0, 3)),
+        BrachaMsg(WBA_KEY, VOTE, 0, 3),
+        BrachaMsg(WBA_KEY, READY, 0, 3),
     ]
     recv(m, READY, 0, 0)
     recv(m, READY, 0, 1)
@@ -152,8 +151,8 @@ def test_wba_ready_amplification():
     recv(m, READY, 1, 0)
     out = recv(m, READY, 1, 1)
     assert out == [
-        Send(BrachaMsg(WBA_KEY, VOTE, 1, 3)),
-        Send(BrachaMsg(WBA_KEY, READY, 1, 3)),
+        BrachaMsg(WBA_KEY, VOTE, 1, 3),
+        BrachaMsg(WBA_KEY, READY, 1, 3),
     ]
 
 
@@ -164,7 +163,7 @@ def test_wba_split_votes_no_progress():
     recv(m, VOTE, 0, 2)
     # Own vote for 1 on input, but neither bit collects a vote quorum
     # among {0:{0,2}, 1:{1,3}} so no ready ever goes out.
-    m.step(LocalInput(1))
+    m.step(Input(WBA_KEY, 1))
     assert m.sent_echo and not m.sent_ready
 
 
@@ -184,13 +183,12 @@ def test_rb_delivery_order_invariance():
         for msg in order:
             sent.extend(m.step(msg))
         assert sent.count(Output("a")) == 1
-        kinds = [a.msg.kind for a in sent if isinstance(a, Send)]
+        kinds = [a.kind for a in sent if isinstance(a, BrachaMsg)]
         assert sorted(kinds) == [ECHO, READY]
 
 
 NOT_STEPPABLE = {
     "None": None, "int": 7, "str": "echo", "object": object(),
-    "wrapped message": Send(BrachaMsg(RB_KEY, INITIAL, "a", 0)),
     "action": Output(1),
     "gossip message": make_signed(SignatureScheme(0, 4), 0, RB_KEY, INITIAL, "a"),
     "rb message of another round": BrachaMsg(InstanceKey(Kind.RB, 1), INITIAL, "a", 0),
@@ -200,7 +198,7 @@ NOT_STEPPABLE = {
 
 @pytest.mark.parametrize("event", NOT_STEPPABLE.values(), ids=list(NOT_STEPPABLE))
 def test_step_ignores_what_it_cannot_handle(event):
-    # Neither a LocalInput nor a bracha message of the machine's instance.
+    # Neither an Input nor a bracha message of the machine's instance.
     assert rb_at(1).step(event) == []
     assert BrachaWba(WBA_KEY, PARAMS, 1).step(event) == []
 

@@ -26,7 +26,7 @@ from abcast.explore import (
     explore_wba,
     symmetry_group,
 )
-from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Send
+from abcast.subproto import Input, InstanceKey, Kind, Output
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 TH = Thresholds.for_params(PARAMS)
@@ -408,16 +408,16 @@ class _Replica:
         self.outputs = [None] * correct
         for i, v in enumerate(inputs):
             if v is not None:
-                self.step(i, LocalInput(v))
+                self.step(i, Input(self.key, v))
 
     def step(self, node: int, event) -> None:
         work = deque([event])
         while work:
             for act in self.machines[node].step(work.popleft()):
-                if isinstance(act, Send):
-                    work.append(act.msg)
-                elif isinstance(act, Output):
+                if isinstance(act, Output):
                     self.outputs[node] = act.value
+                else:
+                    work.append(act)
 
     def deliver(self, move) -> None:
         kind, v, sender, rcpt = move

@@ -21,7 +21,7 @@ from abcast.gossip import (
 )
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import AdversaryApi, Driver, Simulation
-from abcast.subproto import InstanceKey, Kind, LocalInput, Output, Send
+from abcast.subproto import Input, InstanceKey, Kind, Output
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -96,11 +96,10 @@ def test_digest_is_stable():
 def test_initial_triggers_signed_echo():
     m = rb_at(1)
     out = m.step(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))
-    assert out == [Send(make_signed(SCHEME, 1, RB_KEY, ECHO, "a"))]
-    assert rb_at(1).step(LocalInput("a")) == []
+    assert out == [make_signed(SCHEME, 1, RB_KEY, ECHO, "a")]
     proposer = rb_at(0)
-    out = proposer.step(LocalInput("a"))
-    assert out == [Send(make_signed(SCHEME, 0, RB_KEY, INITIAL, "a"))]
+    out = proposer.step(Input(RB_KEY, "a"))
+    assert out == [make_signed(SCHEME, 0, RB_KEY, INITIAL, "a")]
 
 
 def test_forged_signature_rejected_and_counted():
@@ -180,9 +179,8 @@ def test_initial_equivocation_evidence():
 
 def test_wba_vote_once_and_quorum_output():
     m = wba_at(3)
-    out = m.step(LocalInput(1))
-    assert out == [Send(make_signed(SCHEME, 3, WBA_KEY, VOTE, 1))]
-    assert m.step(LocalInput(1)) == []
+    out = m.step(Input(WBA_KEY, 1))
+    assert out == [make_signed(SCHEME, 3, WBA_KEY, VOTE, 1)]
     m.step(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1))
     m.step(make_signed(SCHEME, 1, WBA_KEY, VOTE, 1))
     out = m.step(make_signed(SCHEME, 2, WBA_KEY, VOTE, 1))
@@ -217,7 +215,6 @@ def test_wba_forged_vote_rejected():
 
 NOT_STEPPABLE = {
     "None": None, "int": 7, "str": "vote", "object": object(),
-    "wrapped message": Send(make_signed(SCHEME, 0, WBA_KEY, VOTE, 1)),
     "action": Output(1),
     "bracha message": BrachaMsg(WBA_KEY, VOTE, 1, 0),
     "rb message of another round": make_signed(SCHEME, 0, InstanceKey(Kind.RB, 1),
@@ -229,7 +226,7 @@ NOT_STEPPABLE = {
 
 @pytest.mark.parametrize("event", NOT_STEPPABLE.values(), ids=list(NOT_STEPPABLE))
 def test_step_ignores_what_it_cannot_handle(event):
-    # Neither a LocalInput nor a signed message of the machine's instance.
+    # Neither an Input nor a signed message of the machine's instance.
     for m in (rb_at(1), wba_at(1)):
         assert m.step(event) == []
         assert m.invalid_sigs == 0 and m.equivocations == {}

@@ -342,6 +342,31 @@ def test_raw_gossip_completes_at_exact_bounds():
         assert subs[(n, "wba/0")].time == 10 + 1
 
 
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_the_table_admits_each_input_once(backend):
+    """A node's instance table is the one gate for its inputs: an RB input
+    only from the round's proposer, a WBA input only from a validator, and
+    one input per instance.  The machines behind it do not check again."""
+    raw = (
+        (0, 1, "rb/0", "x"),                         # node 1 does not lead round 0
+        (0, 0, "rb/0", "a"), (2, 0, "rb/0", "b"),    # a repeat
+        (0, 4, "wba/0", 1),                          # node 4 is the observer
+        (0, 0, "wba/0", 1), (3, 0, "wba/0", 0),      # a repeat
+        (0, 1, "wba/0", 1), (0, 2, "wba/0", 1),
+    )
+    cfg = make_cfg(backend=backend, mode="raw", raw_inputs=raw, injections=(),
+                   extra_nodes=1, horizon=60)
+    trace = run(cfg)
+    admitted = [(ev.node, ev.data["instance"], ev.data["value"])
+                for ev in trace.iter_kind("sub_input")]
+    assert admitted == [(0, "rb/0", "a"), (0, "wba/0", 1), (1, "wba/0", 1),
+                        (2, "wba/0", 1)]
+    kinds = [ev.data["mkind"] for ev in sends_by(trace, 0)]
+    assert kinds.count("initial") == 1 and kinds.count("vote") == 1
+    assert "initial" not in [ev.data["mkind"] for ev in sends_by(trace, 1)]
+    assert sends_by(trace, 4) == []
+
+
 MSG_FIELDS = ("instance", "mkind", "payload", "from")
 
 

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from abcast.core import InternalInvariantError, LeaderSchedule, Params
 from abcast.subproto import (
+    Input,
     InstanceKey,
     InstanceTable,
     Kind,
-    LocalInput,
     parse_key,
 )
 
@@ -67,7 +67,7 @@ def test_rb_and_wba_slots_of_a_round_stay_distinct():
     assert table.slot(rb) is not table.slot(wba)
     assert table.slot(rb) is table.slot(InstanceKey(Kind.RB, 1))
     assert set(machines) == {rb, wba}
-    table.submit_input(wba, 1)
+    table.submit_input(Input(wba, 1))
     assert table.input_made(wba) and not table.input_made(rb)
     assert table.record_output(wba, 1)
     assert table.wba_output(1) == 1 and table.rb_output(1) is None
@@ -80,17 +80,17 @@ def test_rb_and_wba_slots_of_a_round_stay_distinct():
 def test_submit_input_once():
     table, machines = make_table(self_id=0)
     key = InstanceKey(Kind.RB, 0)
-    out = table.submit_input(key, "a")
-    assert out == [("stepped", LocalInput("a"))]
+    out = table.submit_input(Input(key, "a"))
+    assert out == [("stepped", Input(key, "a"))]
     assert table.input_made(key)
-    assert table.submit_input(key, "b") == []
-    assert machines[key].events == [LocalInput("a")]
+    assert table.submit_input(Input(key, "b")) is None
+    assert machines[key].events == [Input(key, "a")]
 
 
 def test_rb_input_requires_proposer():
     table, machines = make_table(self_id=0)
     key = InstanceKey(Kind.RB, 1)
-    assert table.submit_input(key, "a") == []
+    assert table.submit_input(Input(key, "a")) is None
     assert machines[key].events == []
     assert not table.input_made(key)
 
@@ -98,7 +98,7 @@ def test_rb_input_requires_proposer():
 def test_wba_input_requires_validator():
     table, machines = make_table(self_id=4)
     key = InstanceKey(Kind.WBA, 0)
-    assert table.submit_input(key, 1) == []
+    assert table.submit_input(Input(key, 1)) is None
     assert machines[key].events == []
 
 
