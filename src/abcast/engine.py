@@ -102,7 +102,7 @@ class Engine:
     """Per-node round engine.
 
     `view` is anything exposing rb_output(r), wba_output(r),
-    input_made(key) and rb_rounds_with_output() (ascending, read but never
+    accepts_input(key) and rb_rounds_with_output() (ascending, read but never
     modified here), normally the node's InstanceTable.  Handlers return
     (actions, notes); each note is a trace event as (kind, fields), the
     fields a fresh dict such as {"round": r} for "advance", and a delivery
@@ -117,8 +117,9 @@ class Engine:
       _accepted     every non-None accepted(r), kept for good; only None
                     results are recomputed, and only once per handler call
                     because the view does not change during one;
-      _pending      rounds with an RB output and no WBA vote of this node
-                    yet, the only candidates for step 3 of the fixpoint;
+      _pending      rounds with an RB output whose WBA instance still
+                    accepts this node's vote, the only candidates for step
+                    3 of the fixpoint (an observer's leave at once);
       _unresolved   rounds with an RB output that are not yet accepted,
                     which with _newest_ts feeds the min_parent_delay gate.
 
@@ -171,7 +172,7 @@ class Engine:
     def on_timeout(self, now: int):
         actions = []
         key = InstanceKey(WBA, self.current)
-        if not self.view.input_made(key):
+        if self.view.accepts_input(key):
             actions.append(Input(key, 0))
         more, notes = self._conditions(now)
         return actions + more, notes
@@ -368,7 +369,7 @@ class Engine:
             # 3. vote to commit every accepted round not yet voted on
             for s in sorted(self._pending):
                 key = InstanceKey(WBA, s)
-                if self.view.input_made(key):
+                if not self.view.accepts_input(key):
                     self._pending.discard(s)
                 elif self.accepted(s, rejected) is not None:
                     self._pending.discard(s)

@@ -181,12 +181,13 @@ def instance_key(text) -> InstanceKey:
 
 
 def _encode_msg(msg) -> dict:
-    """A message's trace fields.  Built once where the message is sent and
-    carried with every queued copy; each event spreads it into a dict of
-    its own."""
-    author = msg.sender if isinstance(msg, BrachaMsg) else msg.signer
+    """A message's trace fields, for its `send` or `gossip` event; a signed
+    message's include its signature."""
+    if isinstance(msg, BrachaMsg):
+        return {"instance": msg.instance.text, "mkind": msg.kind,
+                "payload": encode(msg.payload), "from": msg.sender}
     return {"instance": msg.instance.text, "mkind": msg.kind,
-            "payload": encode(msg.payload), "from": author}
+            "payload": encode(msg.payload), "from": msg.signer, "sig": msg.sig}
 
 
 _HAS = -1         # below every arrival time, so no later copy is queued
@@ -559,31 +560,34 @@ class Simulation:
         """The one way a message leaves a node: to `targets` in their order,
         or to every node but `sender` when None.  Records one `gossip`
         event on gossip; on bracha one `send` event to "all", or one per
-        target.  The trace fields are encoded once, here, and on gossip the
-        fields its `deliver` events copy are built once, here."""
-        enc = _encode_msg(msg)
+        target.  Each copy's `deliver` event names the event of its send by
+        seq: a target's copy names that target's own `send`."""
+        enc, append = _encode_msg(msg), self.trace.append
         if not self.gossip_backend:
             if targets is None:
-                self.trace.append(now, "send", sender, {**enc, "to": "all"})
+                enc["to"] = "all"
+                ev = append(now, "send", sender, enc)
+                self._fan_out(sender, msg, {"msg": ev.seq}, None, now)
             else:
                 for to in targets:
-                    self.trace.append(now, "send", sender, {**enc, "to": [to]})
-            self._fan_out(sender, msg, enc, None, now, targets)
+                    ev = append(now, "send", sender, {**enc, "to": [to]})
+                    self._fan_out(sender, msg, {"msg": ev.seq}, None, now, (to,))
             return
-        self.trace.append(now, "gossip", sender, enc)
+        ev = append(now, "gossip", sender, enc)
         state = self.gossip_state.setdefault(msg, [None] * self.total + [False])
         state[sender] = _HAS
         if not state[-1]:
-            self._fan_out(sender, msg, {**enc, "gossip": 1}, state, now,
+            self._fan_out(sender, msg, {"msg": ev.seq, "gossip": 1}, state, now,
                           None if targets is None
                           else [to for to in targets if to != sender])
 
-    def _fan_out(self, sender: int, msg, enc: dict, state, now: int,
+    def _fan_out(self, sender: int, msg, deliver: dict, state, now: int,
                  recipients=None) -> None:
         """Queue a copy of `msg` for each of `recipients`, in order, or for
-        every node but `sender` when None.  `enc` is the trace fields each
-        `deliver` event copies.  `state` is the message's slot list in
-        `gossip_state` on gossip, and None on a direct send.
+        every node but `sender` when None.  `deliver` is the data each
+        copy's `deliver` event copies: the seq of the event that sent it.
+        `state` is the message's slot list in `gossip_state` on gossip, and
+        None on a direct send.
 
         A forced hop queues one entry for all the copies it keeps, which
         `_on_deliver` hands over in order; a random hop queues one entry per
@@ -603,7 +607,7 @@ class Simulation:
         if recipients is None:
             recipients = self._others[sender]
         if at is None:
-            queue, deliver = self.run_queue, self._on_deliver
+            queue, on_deliver = self.run_queue, self._on_deliver
             times = self._delivery_times(now, self._post, len(recipients))
             for to, at in zip(recipients, times):
                 if state is not None:
@@ -611,7 +615,7 @@ class Simulation:
                     if known is not None and known <= at:
                         continue
                     state[to] = at
-                queue[at].append((deliver, ((to,), msg, enc, state)))
+                queue[at].append((on_deliver, ((to,), msg, deliver, state)))
             return
         if state is not None:
             kept = []
@@ -623,7 +627,7 @@ class Simulation:
             recipients = kept
         if recipients:
             self.run_queue[at].append(
-                (self._on_deliver, (recipients, msg, enc, state)))
+                (self._on_deliver, (recipients, msg, deliver, state)))
 
     def factory_for(self, node: int):
         cfg = self.cfg
@@ -693,7 +697,7 @@ class Simulation:
         for drv in self.drivers[node]:
             getattr(drv, event)(api, *args)
 
-    def _on_deliver(self, now: int, recipients, msg, enc: dict, state) -> None:
+    def _on_deliver(self, now: int, recipients, msg, deliver: dict, state) -> None:
         """Each recipient's copy of `msg`, in order; see `_fan_out`.  On
         gossip a node takes only its first copy, and a live correct node
         relays it."""
@@ -703,12 +707,12 @@ class Simulation:
                 if state[to] == _HAS:
                     continue
                 state[to] = _HAS
-            trace.append(now, "deliver", to, {**enc})
+            trace.append(now, "deliver", to, {**deliver})
             if to in drivers:
                 self._drive(now, to, "on_deliver", msg)
             elif not (to in crash_at and self._crashed(to, now)):
                 if state is not None and not state[-1]:
-                    self._fan_out(to, msg, enc, state, now)
+                    self._fan_out(to, msg, deliver, state, now)
                 self.runtimes[to].on_deliver(now, msg)
 
     def _on_inject(self, now: int, node: int, value) -> None:

@@ -110,6 +110,7 @@ class InstanceTable:
         self.params = params
         self.schedule = schedule
         self.self_id = self_id
+        self._validator = is_validator(self_id, params)
         self._factory = factory
         self._rb: dict[int, _Slot] = {}
         self._wba: dict[int, _Slot] = {}
@@ -126,21 +127,28 @@ class InstanceTable:
         s = (self._rb if key.kind is RB else self._wba).get(key.round)
         return s.input_made if s else False
 
+    def accepts_input(self, key: InstanceKey) -> bool:
+        """Whether `submit_input` would admit a local input to `key` now:
+        none has been made, and this node is the round's proposer for RB,
+        a validator for WBA."""
+        s = (self._rb if key.kind is RB else self._wba).get(key.round)
+        if s is not None and s.input_made:
+            return False
+        if key.kind is RB:
+            return self.schedule.leader_of(key.round) == self.self_id
+        return self._validator
+
     def submit_input(self, inp: Input) -> list | None:
         """Feed a local input to its instance, once; the machine's actions,
         or None when the input is refused.
 
         Repeat inputs, RB inputs from anyone but the round's proposer, and
-        WBA inputs from non-validators are refused: the machine does not
-        step and the input is not recorded.
+        WBA inputs from non-validators are refused (`accepts_input`): the
+        machine does not step and the input is not recorded.
         """
         key = inp.key
         s = self.slot(key)
-        if s.input_made:
-            return None
-        if key.kind is RB and self.schedule.leader_of(key.round) != self.self_id:
-            return None
-        if key.kind is WBA and not is_validator(self.self_id, self.params):
+        if not self.accepts_input(key):
             return None
         s.input_made = True
         return s.machine.step(inp)

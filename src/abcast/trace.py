@@ -4,9 +4,15 @@ The first line of a trace file is a header record carrying the format
 version and the run's seed; every following line is one event with at least
 ``time``, ``seq`` and ``kind``.  Each line holds exactly one JSON object and
 is byte-for-byte what ``json.dumps(rec, sort_keys=True, separators=(",",
-":"))`` gives for its record; the encoder behind it is built once, at
-import.  Event payloads are already JSON-shaped when recorded, so
-serialization is a straight dump.
+":"))`` gives for its record.  Event payloads are already JSON-shaped when
+recorded, so serialization is a straight dump: each line is written from a
+template of its shape, and a value the template cannot take goes through
+the encoder built once, at import.
+
+In format v2 a ``deliver`` event names the ``send`` or ``gossip`` event of
+its message by seq (``msg``) instead of repeating the message's fields, and
+a ``gossip`` event carries its signature.  `Trace.from_jsonl` reads v1 and
+v2; `Trace.to_v1` writes any trace as v1 text.
 
 The derived views the checkers read (events by kind, per-node rounds) come
 from one index, built on the first view call and rebuilt only when the
@@ -20,10 +26,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from math import isfinite
+from operator import itemgetter
 
 from .subproto import INSTANCE_TEXT
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
+_READABLE = (1, 2)
+_SENDS = ("send", "gossip")
 
 _DECODER = json.JSONDecoder()
 
@@ -61,6 +70,74 @@ def compact_encoder(default=None):
 
 
 _encode = compact_encoder()
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NONE = type(None)
+_RESERVED = ("time", "seq", "kind", "node")
+
+
+def _template(kind, keys: tuple, types: tuple, nested):
+    """How to write an event line of one shape: its `kind`, its data's
+    `keys` and the exact types of ``(time, seq, node, *values)``.  A
+    %-format holding the sorted key literals, `kind` and each null; a
+    getter of the other values from that row, in key order; and their
+    converters, or None when every one is an int.  None for a shape the
+    template cannot take."""
+    convert = {int: str, str: _ESCAPE, dict: nested, list: nested}
+    if (type(kind) is not str or any(type(k) is not str or k in _RESERVED for k in keys)
+            or any(t not in convert and t is not _NONE for t in types)):
+        return None
+    named = [("kind", -1), ("seq", 1), ("time", 0)]
+    if types[2] is not _NONE:
+        named.append(("node", 2))
+    named += [(k, i) for i, k in enumerate(keys, 3)]
+    named.sort()
+    fmt, at, convs = "{", [], []
+    for name, i in named:
+        fmt += _ESCAPE(name).replace("%", "%%") + ":"
+        if i < 0:
+            fmt += _ESCAPE(kind).replace("%", "%%")
+        elif types[i] is _NONE:
+            fmt += "null"
+        else:
+            fmt += "%s"
+            at.append(i)
+            convs.append(convert[types[i]])
+        fmt += ","
+    if len(at) < 2:                  # an itemgetter of one gives no tuple
+        return None
+    return (fmt[:-1] + "}", itemgetter(*at),
+            None if all(c is str for c in convs) else tuple(convs))
+
+
+def _event_lines(events) -> list[str]:
+    """Each event's line, as `TraceEvent.to_json` writes it.  A nested dict
+    or list is encoded once per call, by identity: the events hold every
+    one of them alive until the call returns."""
+    memo, templates, lines = {}, {}, []
+    append = lines.append
+
+    def nested(value) -> str:
+        text = memo.get(id(value))
+        if text is None:
+            text = memo[id(value)] = _encode(value)
+        return text
+
+    for ev in events:
+        data = ev.data
+        row = (ev.time, ev.seq, ev.node, *data.values())
+        shape = (ev.kind, *data, *map(type, row))
+        tmpl = templates.get(shape, 0)
+        if tmpl == 0:
+            tmpl = templates[shape] = _template(ev.kind, tuple(data),
+                                                tuple(map(type, row)), nested)
+        if tmpl is None:
+            append(ev.to_json())
+            continue
+        fmt, values, convs = tmpl
+        append(fmt % (values(row) if convs is None
+                      else tuple([c(v) for c, v in zip(convs, values(row))])))
+    return lines
 
 
 def _decode(i: int, line: str):
@@ -112,9 +189,15 @@ class _Index:
 
 
 class Trace:
-    def __init__(self, seed: int = 0, meta: dict | None = None):
+    """The events of one run.  `version` is the format its events follow:
+    a simulation records v2, and a trace read from a file keeps the file's
+    version, which `to_jsonl` writes back."""
+
+    def __init__(self, seed: int = 0, meta: dict | None = None,
+                 version: int = TRACE_VERSION):
         self.seed = seed
         self.meta = meta or {}
+        self.version = version
         self.events: list[TraceEvent] = []
         self._seq = 0
         self._index: _Index | None = None
@@ -173,16 +256,45 @@ class Trace:
     # -- (de)serialization ---------------------------------------------------
 
     def to_jsonl(self) -> str:
-        header = _encode({"kind": "trace_header", "version": TRACE_VERSION,
+        return self._text(self.version, self.events)
+
+    def to_v1(self) -> str:
+        """The trace as format v1 text.  A `deliver` that names its send
+        carries that send's fields instead, but `to` and `sig`, and no
+        `send` or `gossip` event carries `sig`."""
+        sent, events = {}, []
+        for ev in self.events:
+            data = ev.data
+            if ev.kind in _SENDS:
+                sent[ev.seq] = data
+                if "sig" in data:
+                    data = {k: v for k, v in data.items() if k != "sig"}
+            elif ev.kind == "deliver" and "msg" in data:
+                fields = sent.get(data["msg"])
+                if fields is None:
+                    raise ValueError(f"deliver event {ev.seq} names no earlier send")
+                data = {k: v for k, v in fields.items() if k not in ("to", "sig")}
+                data.update((k, v) for k, v in ev.data.items() if k != "msg")
+            if data is not ev.data:
+                ev = TraceEvent(ev.time, ev.seq, ev.kind, ev.node, data)
+            events.append(ev)
+        return self._text(1, events)
+
+    def _text(self, version: int, events: list) -> str:
+        header = _encode({"kind": "trace_header", "version": version,
                           "seed": self.seed, **self.meta})
-        return "\n".join([header, *map(TraceEvent.to_json, self.events)]) + "\n"
+        return "\n".join([header, *_event_lines(events)]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """Parse a trace file.  Each line must hold exactly one JSON object,
-        and each event line an int ``time``, an int ``seq`` and a str
-        ``kind``.  An event of a kind the checkers read must carry the
-        fields they read (`_FIELDS`).  Anything else raises ValueError."""
+        """Parse a trace file of format v1 or v2.  Each line must hold
+        exactly one JSON object, and each event line an int ``time``, an int
+        ``seq`` and a str ``kind``.  An event of a kind the checkers read
+        must carry the fields they read (`_FIELDS`).  In v2 a `deliver`
+        must name by its int ``msg`` an earlier `send` or `gossip` event
+        that could reach its node: one whose ``to`` list holds the node,
+        or, with no list, one sent by another node.  Anything else raises
+        ValueError."""
         numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), 1)
                     if ln and not ln.isspace())
         first = next(numbered, None)
@@ -192,15 +304,16 @@ class Trace:
         if type(header) is not dict or header.get("kind") != "trace_header":
             raise ValueError("trace file lacks a header line")
         version = header.get("version")
-        if type(version) is not int or version != TRACE_VERSION:
+        if type(version) is not int or version not in _READABLE:
             raise ValueError(f"unsupported trace version {version!r}")
         seed = header.get("seed", 0)
         if type(seed) is not int:
             raise ValueError(f"trace header seed must be an integer, got {seed!r}")
         meta = {k: v for k, v in header.items()
                 if k not in ("kind", "version", "seed")}
-        trace = cls(seed=seed, meta=meta)
+        trace = cls(seed=seed, meta=meta, version=version)
         events = trace.events
+        sent = None if version == 1 else {}      # seq -> send or gossip event
         # The decoder's own scanner; a line it cannot read whole goes through
         # `_decode`, which accepts surrounding whitespace and raises on the rest.
         scan = _DECODER.scan_once
@@ -218,12 +331,30 @@ class Trace:
             if type(time) is not int or type(seq) is not int or type(kind) is not str:
                 raise ValueError(f"trace line {i} needs an int time, an int seq "
                                  f"and a str kind")
+            if kind == "deliver" and sent is not None:
+                node, msg = rec.pop("node", None), rec.get("msg")
+                if type(node) is not int or type(msg) is not int:
+                    raise ValueError(f"trace line {i}: deliver needs an int node "
+                                     f"and an int msg")
+                send = sent.get(msg)
+                if send is None:
+                    raise ValueError(f"trace line {i}: deliver names no earlier send "
+                                     f"or gossip event with seq {msg}")
+                to = send.data.get("to")
+                if node not in to if type(to) is list else node == send.node:
+                    raise ValueError(f"trace line {i}: deliver at node {node} names "
+                                     f"event {msg}, which does not send to it")
+                events.append(TraceEvent(time, seq, kind, node, rec))
+                continue
             fields = _FIELDS.get(kind, ())
             if fields is _SUB and str(rec.get("instance")).startswith("wba/"):
                 fields = _WBA_SUB
             for name, (test, what) in fields:
                 if name not in rec or not test(rec[name]):
                     raise ValueError(f"trace line {i}: {kind} needs {what} {name}")
-            events.append(TraceEvent(time, seq, kind, rec.pop("node", None), rec))
+            ev = TraceEvent(time, seq, kind, rec.pop("node", None), rec)
+            events.append(ev)
+            if sent is not None and kind in _SENDS:
+                sent[seq] = ev
         trace._seq = max((ev.seq for ev in events), default=-1) + 1
         return trace

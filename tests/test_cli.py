@@ -1,13 +1,17 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from abcast.cli import main
-from abcast.simnet import MAX_NODES
+from abcast.scenario import load_scenario
+from abcast.simnet import MAX_NODES, run
+from abcast.trace import Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 HONEST = str(SCENARIOS / "honest_n4.json")
+GOSSIP = str(SCENARIOS / "gossip_digest_n4.json")
 BAD = str(SCENARIOS / "bad_fault_bound.json")
 
 
@@ -166,6 +170,82 @@ def test_check_rejects_a_malformed_event_line(tmp_path, capsys, line):
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace_path), HONEST]) == 2
     assert "bad trace file" in capsys.readouterr().err
+
+
+def _first_deliver(recs):
+    """The first `deliver` record and the record of the send it names."""
+    deliver = next(r for r in recs if r.get("kind") == "deliver")
+    return deliver, next(r for r in recs if r.get("seq") == deliver["msg"])
+
+
+def _names_a_missing_seq(recs):
+    _first_deliver(recs)[0]["msg"] = 10**9
+
+
+def _names_a_later_send(recs):
+    deliver, _ = _first_deliver(recs)
+    deliver["msg"] = next(r["seq"] for r in recs if r.get("kind") in ("send", "gossip")
+                          and r["seq"] > deliver["seq"])
+
+
+def _names_a_start(recs):
+    _first_deliver(recs)[0]["msg"] = next(r["seq"] for r in recs if r.get("kind") == "start")
+
+
+def _is_outside_the_list(recs):
+    deliver, send = _first_deliver(recs)
+    send["to"] = [node for node in range(4) if node != deliver["node"]]
+
+
+def _is_at_the_gossip_sender(recs):
+    deliver, send = _first_deliver(recs)
+    deliver["node"] = send["node"]
+
+
+# A v2 `deliver` names an earlier send or gossip event that reaches its node.
+@pytest.mark.parametrize("scenario, doctor", [
+    (HONEST, _names_a_missing_seq), (HONEST, _names_a_later_send),
+    (HONEST, _names_a_start), (HONEST, _is_outside_the_list),
+    (GOSSIP, _names_a_missing_seq), (GOSSIP, _is_at_the_gossip_sender),
+], ids=lambda x: getattr(x, "__name__", Path(str(x)).stem))
+def test_check_rejects_a_deliver_that_names_no_send_reaching_it(
+        tmp_path, capsys, scenario, doctor):
+    trace_path = tmp_path / "t.jsonl"
+    main(["run", scenario, "--trace-out", str(trace_path)])
+    capsys.readouterr()
+    recs = [json.loads(ln) for ln in trace_path.read_text().splitlines()]
+    Trace.from_jsonl(trace_path.read_text())          # sound before doctoring
+    doctor(recs)
+    text = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                     for r in recs) + "\n"
+    with pytest.raises(ValueError, match="deliver"):
+        Trace.from_jsonl(text)
+    trace_path.write_text(text)
+    assert main(["check", str(trace_path), scenario]) == 2
+    assert "bad trace file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["byzantine_n4", "gossip_digest_n4"])
+def test_check_reads_a_v1_trace_as_its_v2_form(tmp_path, capsys, name):
+    """A v1 trace, as the v1 writer saved it for a pinned config, gives the
+    same check reports as the v2 trace of the same run."""
+    path = str(SCENARIOS / f"{name}.json")
+    scenario = load_scenario(path)
+    pinned = json.loads((Path(__file__).with_name("trace_hashes.json")).read_text())
+    backend = scenario.config_for(0).backend
+    trace = run(scenario.config_for(0))
+    v1, v2 = trace.to_v1(), trace.to_jsonl()
+    assert hashlib.sha256(v1.encode()).hexdigest() == pinned[f"{name}/{backend}"][0]
+    assert json.loads(v1.partition("\n")[0])["version"] == 1
+    assert Trace.from_jsonl(v1).to_jsonl() == v1
+    outputs = []
+    for text in (v1, v2):
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_text(text)
+        code = main(["check", str(trace_path), path])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert "PASS" in outputs[0][1]
 
 
 def test_check_refuses_a_trace_from_another_config(tmp_path, capsys):

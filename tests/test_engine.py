@@ -28,8 +28,8 @@ class ViewStub:
     def wba_output(self, r):
         return self.wba.get(r)
 
-    def input_made(self, key):
-        return key in self.inputs_made
+    def accepts_input(self, key):
+        return key not in self.inputs_made
 
     def rb_rounds_with_output(self):
         return sorted(self.rb)

@@ -20,8 +20,8 @@ from abcast.gossip import (
     signed_payload,
 )
 from abcast.scenario import scenario_from_dict
-from abcast.simnet import AdversaryApi, Driver, Simulation
-from abcast.subproto import Input, InstanceKey, Kind, Output
+from abcast.simnet import AdversaryApi, Driver, Simulation, run
+from abcast.subproto import Input, InstanceKey, Kind, Output, parse_key
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 RB_KEY = InstanceKey(Kind.RB, 0)
@@ -260,6 +260,11 @@ def test_equal_signed_messages_hash_equal_and_forgeries_stay_distinct():
     assert len({a, b, forged}) == 2
 
 
+def _deliveries(trace):
+    """Each `deliver` event with the fields of the send event it names."""
+    return [(ev, trace.events[ev.data["msg"]].data) for ev in trace.iter_kind("deliver")]
+
+
 def test_forged_copy_is_gossiped_as_its_own_message():
     """Node 3 gossips its vote to node 1 and, once every node has it, a copy
     with the same sig naming signer 2.  Sharing a hash must not make the
@@ -277,8 +282,8 @@ def test_forged_copy_is_gossiped_as_its_own_message():
     }
     sim = Simulation(scenario_from_dict(doc).config_for())
     trace = sim.run()
-    delivered = {(ev.node, ev.data["from"]) for ev in trace.iter_kind("deliver")
-                 if ev.data["instance"] == "wba/5"}
+    delivered = {(ev.node, msg["from"]) for ev, msg in _deliveries(trace)
+                 if msg["instance"] == "wba/5"}
     assert delivered == {(node, signer) for node in (0, 1, 2) for signer in (3, 2)}
     for node in (0, 1, 2):
         machine = sim.runtimes[node].table.slot(InstanceKey(Kind.WBA, 5)).machine
@@ -333,9 +338,8 @@ def test_tampered_copy_fails_verify_at_every_correct_node(change, fields):
     sim = Simulation(scenario_from_dict(doc).config_for())
     sim.drivers[3] = [_TamperDriver(3, change)]
     trace = sim.run()
-    got = [(ev.node, (ev.data["payload"], ev.data["from"]))
-           for ev in trace.iter_kind("deliver")
-           if ev.data["instance"] == "wba/5" and ev.node != 3]
+    got = [(ev.node, (msg["payload"], msg["from"])) for ev, msg in _deliveries(trace)
+           if msg["instance"] == "wba/5" and ev.node != 3]
     assert sorted(got) == sorted((node, msg) for node in (0, 1, 2)
                                  for msg in ((1, 3), fields))
     for node in (0, 1, 2):
@@ -348,7 +352,35 @@ def test_tampered_copy_fails_verify_at_every_correct_node(change, fields):
 @pytest.mark.parametrize("kind, payload", [(INITIAL, Proposal("v", None, 3)),
                                            (ECHO, "v"), (VOTE, 1)])
 def test_signed_bytes_spell_the_kind_by_its_value(key, kind, payload):
-    """No trace holds a signature, so the determinism pins would miss a
-    change in the signed bytes; the kind is signed as its value."""
+    """The kind is signed as its value, which is also how a trace spells
+    it, so a reader can check a recorded signature from the trace alone."""
     assert (signed_payload(key, kind, payload)
             == canonical([key.kind.value, key.round, kind, payload]))
+
+
+def test_gossip_events_carry_their_signature():
+    """A forged copy names another signer under the genuine copy's
+    signature.  A v2 `gossip` event records the signature, so the two differ
+    in the trace, and a reader can verify each from the trace alone: only
+    the forged copy fails.  The v1 text carries no signature."""
+    from test_determinism import CASES
+    make, seeds = CASES["stream_n4_forge/gossip"]
+    cfg = make(seeds[0])
+    trace = run(cfg)
+    scheme = SignatureScheme(cfg.seed, cfg.params.n)
+
+    def verifies(data):
+        key = parse_key(data["instance"])
+        signed = canonical([key.kind.value, key.round, data["mkind"], data["payload"]])
+        return scheme.verify(data["from"], signed, data["sig"])
+
+    gossips = list(trace.iter_kind("gossip"))
+    assert gossips and all(type(ev.data["sig"]) is str for ev in gossips)
+    driven = [ev.data for ev in gossips if ev.node == 3]
+    assert len(driven) == 8                  # four script entries, each also forged
+    for genuine, forged in zip(driven[::2], driven[1::2]):
+        assert (genuine["from"], forged["from"]) == (3, 1)
+        assert forged["sig"] == genuine["sig"]
+        assert verifies(genuine) and not verifies(forged)
+    assert all(verifies(ev.data) for ev in gossips if ev.node != 3)
+    assert '"sig":' in trace.to_jsonl() and '"sig":' not in trace.to_v1()

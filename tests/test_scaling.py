@@ -11,9 +11,9 @@ delivered: a gossip flood that fans every message out again at each node
 that receives it makes that ratio grow with n.  The queue entries per
 delivery: an entry per copy of a forced fan-out makes it about one.  The
 walks the checkers make over the event list: one index build per trace,
-not one walk per view.  And the objects the
-cyclic collector finds once a run's trace is dropped: none, so reference
-counting frees every run as soon as it ends.
+not one walk per view.  The bytes a saved trace takes per event.  And the
+objects the cyclic collector finds once a run's trace is dropped: none, so
+reference counting frees every run as soon as it ends.
 """
 
 import gc
@@ -37,7 +37,7 @@ from abcast.trace import Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-VIEW_METHODS = ("rb_output", "wba_output", "input_made", "rb_rounds_with_output")
+VIEW_METHODS = ("rb_output", "wba_output", "accepts_input", "rb_rounds_with_output")
 
 
 def _view_calls_per_event(monkeypatch, horizon: int, n: int = 4,
@@ -132,10 +132,10 @@ def _queue_counts(monkeypatch, n: int, backend: str = "gossip",
     copies = 0
     fan_out = Simulation._fan_out
 
-    def addressed(sim, sender, msg, enc, state, now, recipients=None):
+    def addressed(sim, sender, msg, deliver, state, now, recipients=None):
         nonlocal copies
         copies += len(sim._others[sender] if recipients is None else recipients)
-        fan_out(sim, sender, msg, enc, state, now, recipients)
+        fan_out(sim, sender, msg, deliver, state, now, recipients)
     monkeypatch.setattr(Simulation, "_fan_out", addressed)
     sim = Simulation(RunConfig(
         params=Params(n=n, f=(n - 1) // 3, delta=2, gst=0, sub_delay=6),
@@ -174,6 +174,27 @@ def test_forced_direct_fan_out_is_one_queue_entry(monkeypatch):
     delivery at n = 10 against 1.03 with an entry per copy."""
     _, entries, delivered = _queue_counts(monkeypatch, 10, "bracha", "fixed")
     assert entries / delivered <= 0.25, entries / delivered
+
+
+# The n=4 bracha stream and the n=10 gossip stream with validator 9 crashed.
+BYTES_CASES = {"bracha_n4": (4, "bracha", ()),
+               "gossip_n10_crash": (10, "gossip", (CrashSpec(9, 0),))}
+
+
+@pytest.mark.parametrize("n, backend, adversaries", BYTES_CASES.values(),
+                         ids=list(BYTES_CASES))
+def test_trace_bytes_per_event(n, backend, adversaries):
+    """The saved trace's size per event, horizon 600: about 80 bytes, where
+    v1 text, with each `deliver` repeating its message, takes 112 (bracha)
+    and 118 (gossip)."""
+    trace = run(RunConfig(
+        params=Params(n=n, f=(n - 1) // 3, delta=2, gst=0, sub_delay=6),
+        schedule=LeaderSchedule(n), backend=backend, seed=3, horizon=600,
+        delay_law="uniform", adversaries=adversaries,
+        injections=tuple((t, i % n, f"v{i}") for i, t in enumerate(range(0, 600, 10)))))
+    assert len(trace.ab_outputs()[0]) >= 40, "too little delivered"
+    per_event = len(trace.to_jsonl().encode()) / len(trace.events)
+    assert per_event <= 85, per_event
 
 
 class _CountingList(list):

@@ -22,7 +22,8 @@ from abcast.simnet import (
     SilentLeaderSpec,
     Simulation,
 )
-from abcast.subproto import InstanceKey, Kind
+from abcast.subproto import InstanceKey, InstanceTable, Kind
+from abcast.trace import Trace
 
 
 def make_cfg(**kw):
@@ -279,11 +280,49 @@ def test_gossip_floods_from_a_single_target():
     trace = run(cfg)
     got = {}
     for ev in trace.iter_kind("deliver"):
-        if ev.data.get("gossip") == 1 and ev.data["instance"] == "wba/0":
+        sent = trace.events[ev.data["msg"]]
+        if ev.data.get("gossip") == 1 and sent.data["instance"] == "wba/0":
             got[ev.node] = got.get(ev.node, 0) + 1
     # Relayed beyond the single addressee, yet delivered once per node.
     assert got[0] == 1 and got[1] == 1 and got[2] == 1
     assert got.get(3) is None
+
+
+def test_each_target_of_a_send_gets_the_copy_its_own_send_event_names():
+    script = ({"time": 5, "op": "send", "to": [2, 0], "instance": "wba/0",
+               "mkind": "vote", "payload": 1},)
+    trace = run(make_cfg(adversaries=(ScriptedSpec(3, script),), horizon=40))
+    sends = [ev for ev in trace.iter_kind("send") if ev.node == 3]
+    assert [ev.data["to"] for ev in sends] == [[2], [0]]
+    named = {ev.node: ev.data for ev in trace.iter_kind("deliver")
+             if ev.data["msg"] in (sends[0].seq, sends[1].seq)}
+    assert named == {2: {"msg": sends[0].seq}, 0: {"msg": sends[1].seq}}
+    assert Trace.from_jsonl(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_no_node_makes_an_input_its_table_refuses(monkeypatch, backend):
+    """The engine asks the table whether an input can still be made before
+    it makes one, so an observer, which may make no WBA input, makes none:
+    the table refuses no input at any node."""
+    refused = []
+    submit = InstanceTable.submit_input
+
+    def counted(table, inp):
+        acts = submit(table, inp)
+        if acts is None:
+            refused.append((table.self_id, inp.key))
+        return acts
+    monkeypatch.setattr(InstanceTable, "submit_input", counted)
+    injections = tuple((t, i % 4, f"v{i}") for i, t in enumerate(range(0, 1000, 10)))
+    trace = run(make_cfg(backend=backend, extra_nodes=2, horizon=1000,
+                         delay_law="uniform", injections=injections))
+    assert refused == []
+    outs = trace.ab_outputs()
+    for observer in (4, 5):
+        assert len(outs[observer]) > 50
+        assert [e.data["value"] for e in outs[observer]] == [
+            e.data["value"] for e in outs[0]][:len(outs[observer])]
 
 
 def test_spam_window_quarantines_far_rounds():
@@ -372,8 +411,9 @@ MSG_FIELDS = ("instance", "mkind", "payload", "from")
 
 @pytest.mark.parametrize("backend", ["bracha", "gossip"])
 def test_send_and_deliver_events_share_fields_not_dicts(backend):
-    """A message's trace fields are encoded once at its send; every event
-    about it still gets a data dict of its own."""
+    """A message's trace fields are encoded once, in its send event, which
+    each of its `deliver` events names by seq; every event about it still
+    gets a data dict of its own."""
     trace = run(make_cfg(backend=backend, delay_law="uniform", seed=4))
     sends = [ev for ev in trace.events if ev.kind in ("send", "gossip")
              and ev.data["instance"] == "rb/0" and ev.data["mkind"] == "initial"]
@@ -381,15 +421,18 @@ def test_send_and_deliver_events_share_fields_not_dicts(backend):
     fields = {f: sends[0].data[f] for f in MSG_FIELDS}
     assert fields["payload"]["value"] == "v0"
     delivers = [ev for ev in trace.iter_kind("deliver")
-                if ev.data["instance"] == "rb/0" and ev.data["mkind"] == "initial"]
+                if trace.events[ev.data["msg"]].data["instance"] == "rb/0"
+                and trace.events[ev.data["msg"]].data["mkind"] == "initial"]
     assert sorted(ev.node for ev in delivers) == [1, 2, 3]
+    named = {"msg": sends[0].seq, **({"gossip": 1} if backend == "gossip" else {})}
     for ev in delivers:
-        assert {f: ev.data[f] for f in MSG_FIELDS} == fields
+        assert ev.data == named
+        assert {f: trace.events[ev.data["msg"]].data[f] for f in MSG_FIELDS} == fields
     dicts = [sends[0].data] + [ev.data for ev in delivers]
     assert len({id(d) for d in dicts}) == len(dicts)
     # so changing one event's data changes no other event
     before = [copy.deepcopy(ev.data) for ev in trace.events]
-    delivers[0].data["mkind"] = "changed"
+    delivers[0].data["msg"] = -1
     delivers[0].data["extra"] = 1
     assert all(ev.data == data for ev, data in zip(trace.events, before)
                if ev is not delivers[0])

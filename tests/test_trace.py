@@ -1,11 +1,13 @@
 import json
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcast import trace as trace_module
+from abcast.subproto import Kind
 from abcast.trace import Trace, TraceEvent
 
 
@@ -107,6 +109,48 @@ def test_event_lines_may_carry_surrounding_whitespace():
     assert back.to_jsonl() == HEADER + "\n" + START + "\n"
 
 
+def message_trace():
+    """A send to all, a send to node 2 alone, a gossip from node 1, and a
+    delivery of each."""
+    t = Trace(seed=1)
+    vote = {"instance": "wba/0", "mkind": "vote", "payload": {"bit": 1}}
+    t.append(0, "send", 0, {**vote, "from": 0, "to": "all"})
+    t.append(0, "send", 0, {**vote, "from": 0, "to": [2]})
+    t.append(0, "gossip", 1, {**vote, "from": 1, "sig": "00ff"})
+    t.append(1, "deliver", 1, {"msg": 0})
+    t.append(1, "deliver", 2, {"msg": 1})
+    t.append(2, "deliver", 3, {"msg": 2, "gossip": 1})
+    return t
+
+
+def test_v2_round_trips_and_to_v1_spells_out_each_message():
+    t = message_trace()
+    text = t.to_jsonl()
+    assert json.loads(text.splitlines()[0])["version"] == 2
+    back = Trace.from_jsonl(text)
+    assert back.version == 2 and back.to_jsonl() == text
+    vote = {"instance": "wba/0", "mkind": "vote", "payload": {"bit": 1}}
+    v1 = [json.loads(ln) for ln in t.to_v1().splitlines()]
+    assert v1[0]["version"] == 1
+    assert "sig" not in v1[3]
+    assert [ln for ln in v1 if ln["kind"] == "deliver"] == [
+        {"kind": "deliver", "time": 1, "seq": 3, "node": 1, **vote, "from": 0},
+        {"kind": "deliver", "time": 1, "seq": 4, "node": 2, **vote, "from": 0},
+        {"kind": "deliver", "time": 2, "seq": 5, "node": 3, **vote, "from": 1,
+         "gossip": 1}]
+    # a v1 file loads as v1, writes back as it was, and to_v1 keeps it
+    old = Trace.from_jsonl(t.to_v1())
+    assert old.version == 1 and old.to_jsonl() == t.to_v1() == old.to_v1()
+
+
+@pytest.mark.parametrize("data", [{}, {"msg": True}, {"msg": "0"}, {"msg": 0.0}])
+def test_a_v2_deliver_needs_an_int_msg(data):
+    t = message_trace()
+    t.events[3].data = data
+    with pytest.raises(ValueError, match="deliver needs an int node and an int msg"):
+        Trace.from_jsonl(t.to_jsonl())
+
+
 def test_current_round_at_matches_a_rescan():
     rng = random.Random(7)
     t = Trace()
@@ -142,33 +186,51 @@ def test_views_see_events_appended_after_an_earlier_call():
     assert t.current_round_at(1, 12) == 1
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
+
+
 # Strings that look like the JSON around them, plus any text at all.
 _TRICKY = st.one_of(st.text(), st.sampled_from(
-    ["},{", '"', "\\", '\\"', "\n", "{\"a\":[{}", "\u2028", "\x85", "\u00e9"]))
+    ["},{", '"', "\\", '\\"', "\n", "{\"a\":[{}", "\u2028", "\x85", "\u00e9", "%s", "%"]))
+# Values the line templates do not take: they go through the encoder.
+_ODD = st.one_of(st.sampled_from([_Level.LOW, _Level.HIGH, Kind.RB]),
+                 _TRICKY.map(_Text))
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | _TRICKY,
+    | st.floats(allow_nan=False, allow_infinity=False) | _TRICKY | _ODD,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_TRICKY, inner, max_size=4),
     max_leaves=12)
+_KEYS = _TRICKY.filter(lambda k: k not in ("time", "seq", "kind", "node"))
+# An event's own fields, and the keys under which it holds a shared value.
 _EVENT = st.tuples(
     st.integers(0, 10**6), _TRICKY, st.none() | st.integers(0, 20),
-    st.dictionaries(_TRICKY.filter(lambda k: k not in ("time", "seq", "kind", "node")),
-                    _JSON, max_size=4))
+    st.dictionaries(_KEYS, _JSON, max_size=4),
+    st.dictionaries(_KEYS, st.integers(0, 2), max_size=2))
+# Dicts and lists that several events hold, as the simulation's events share
+# a message's payload.
+_SHARED = st.lists(st.lists(_JSON, max_size=3) | st.dictionaries(_TRICKY, _JSON, max_size=3),
+                   min_size=3, max_size=3)
 
 
 @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(events=st.lists(_EVENT, max_size=6))
-def test_lines_are_json_dumps_and_round_trip(c_encoder, events):
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(events=st.lists(_EVENT, max_size=8), shared=_SHARED)
+def test_lines_are_json_dumps_and_round_trip(c_encoder, events, shared):
     with pytest.MonkeyPatch.context() as mp:
         if not c_encoder:
             # no C accelerator: the encoder falls back to JSONEncoder.encode
             mp.setattr(json.encoder, "c_make_encoder", None)
             mp.setattr(trace_module, "_encode", trace_module.compact_encoder())
         t = Trace(seed=3, meta={"backend": "bracha"})
-        for time, kind, node, data in events:
-            t.append(time, kind, node, {**data})
+        for time, kind, node, data, refs in events:
+            t.append(time, kind, node, {**data, **{k: shared[i] for k, i in refs.items()}})
         text = t.to_jsonl()
     expect = []
     for ev in t.events:
