@@ -16,8 +16,6 @@ Definitions used throughout, all evaluated against this node's current view:
                     every round strictly between is skippable, and s has an
                     accepted value
   accepted(r)       RB[r]'s output (v, s) such that fertile(r, s) holds
-                    (and, when a validity predicate is configured, it passes
-                    over the ancestor chain)
 
 A value may appear twice on one chain: a leader whose only buffered value
 already rides an undecided ancestor re-proposes it to drag that ancestor to
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .core import ConfigError, InternalInvariantError, Params, LeaderSchedule
 from .subproto import RB, WBA, Input, InstanceKey
@@ -37,7 +34,12 @@ from .subproto import RB, WBA, Input, InstanceKey
 
 @dataclass(frozen=True)
 class Proposal:
-    """An RB payload: a value and the round it chains from (None = genesis)."""
+    """An RB payload: a value and the round it chains from (None = genesis).
+
+    Correct nodes leave `ts` None.  The field stays because every RB payload
+    in the pinned traces carries `"ts": null`, and a scripted Byzantine
+    payload may still set it.
+    """
 
     value: object
     parent: int | None
@@ -58,38 +60,17 @@ def encode(v):
     return v
 
 
-# Actions handed back to the hosting node, besides a subprotocol Input.
+# The one action handed back to the hosting node besides a subprotocol Input.
 
 @dataclass(slots=True)
 class RestartTimer:
     delay: int
 
 
-@dataclass(slots=True)
-class Wake:
-    """Ask to be poked at an absolute time; used only by the delay gates."""
-
-    at: int
-
-
-ValidityPredicate = Callable[[Proposal, tuple[Proposal, ...]], bool]
-
-
-def no_duplicate_ancestor(proposal: Proposal, ancestors: tuple[Proposal, ...]) -> bool:
-    return all(proposal.value != a.value for a in ancestors)
-
-
 @dataclass
 class EngineOptions:
     queue_discipline: str = "fifo"          # or "lifo"
     spam_window: int = 100
-    # Extra acceptance gate.  Off by default: a predicate that rejects
-    # re-proposals can wedge the whole network once an undecided round pins
-    # the fertile frontier above a value it carries.  It must be a pure
-    # function of its arguments, since the engine keeps acceptance for good.
-    validity: Optional[ValidityPredicate] = None
-    start_time: int | None = None           # gates, both disabled by default
-    min_parent_delay: int | None = None
 
     def __post_init__(self) -> None:
         if self.queue_discipline not in ("fifo", "lifo"):
@@ -103,25 +84,24 @@ class Engine:
 
     `view` is anything exposing rb_output(r), wba_output(r),
     accepts_input(key) and rb_rounds_with_output() (ascending, read but never
-    modified here), normally the node's InstanceTable.  Handlers return
-    (actions, notes); each note is a trace event as (kind, fields), the
-    fields a fresh dict such as {"round": r} for "advance", and a delivery
-    exists only as its "ab_output" note.
+    modified here), normally the node's InstanceTable.  Handlers take the
+    time of the call, which no rule reads, and return (actions, notes); each
+    note is a trace event as (kind, fields), the fields a fresh dict such as
+    {"round": r} for "advance", and a delivery exists only as its
+    "ab_output" note.
 
     Incremental state.  RB and WBA outputs are write-once and a round's
-    ancestor chain is fixed by those RB outputs, so with a pure validity
-    predicate every definition above is monotone in the view: once
-    skippable(r), fertile(r, s) or accepted(r) holds it keeps holding, with
-    the same proposal.  The engine therefore keeps
+    ancestor chain is fixed by those RB outputs, so every definition above
+    is monotone in the view: once skippable(r), fertile(r, s) or accepted(r)
+    holds it keeps holding, with the same proposal.  The engine therefore
+    keeps
 
       _accepted     every non-None accepted(r), kept for good; only None
                     results are recomputed, and only once per handler call
                     because the view does not change during one;
       _pending      rounds with an RB output whose WBA instance still
                     accepts this node's vote, the only candidates for step
-                    3 of the fixpoint (an observer's leave at once);
-      _unresolved   rounds with an RB output that are not yet accepted,
-                    which with _newest_ts feeds the min_parent_delay gate.
+                    3 of the fixpoint (an observer's leave at once).
 
     New RB outputs are picked up from rb_rounds_with_output() at the start
     of each handler call, scanning from the highest round down, where new
@@ -147,8 +127,6 @@ class Engine:
         self._accepted: dict[int, Proposal] = {}
         self._rb_seen: set[int] = set()
         self._pending: set[int] = set()
-        self._unresolved: set[int] = set()
-        self._newest_ts: int | None = None
 
     @property
     def timer_delay(self) -> int:
@@ -157,7 +135,7 @@ class Engine:
     # -- handlers ----------------------------------------------------------
 
     def start(self, now: int):
-        actions, notes = self._conditions(now)
+        actions, notes = self._conditions()
         return [RestartTimer(self.timer_delay)] + actions, notes
 
     def on_input(self, value: object) -> None:
@@ -174,11 +152,11 @@ class Engine:
         key = InstanceKey(WBA, self.current)
         if self.view.accepts_input(key):
             actions.append(Input(key, 0))
-        more, notes = self._conditions(now)
+        more, notes = self._conditions()
         return actions + more, notes
 
     def on_subproto_output(self, now: int):
-        return self._conditions(now)
+        return self._conditions()
 
     # -- derived predicates -------------------------------------------------
 
@@ -207,12 +185,12 @@ class Engine:
         return parent in self._fertile_parents(r, rejected)
 
     def accepted(self, r: int, rejected: set | None = None) -> Proposal | None:
-        """RB[r]'s output if it is fertile and valid in this view, else None.
+        """RB[r]'s output if it is fertile in this view, else None.
 
         Beyond r's own proposal, acceptance rests on its parent's alone.  So
         this follows parent links down to a round already accepted, or to
-        genesis, then accepts the rounds it passed, lowest first: acceptance
-        never recurses, however long the chain of rounds not yet looked at.
+        genesis, then accepts every round it passed: acceptance never
+        recurses, however long the chain of rounds not yet looked at.
         `rejected` collects rounds found unaccepted in the current view; a
         handler call shares one set across its fixpoint.
         """
@@ -221,33 +199,24 @@ class Engine:
             return prop
         if rejected is None:
             rejected = set()
-        chain = []                   # (round, proposal) passed, highest first
+        chain = {}                   # round -> proposal, for rounds passed
         s = r
         while s is not None and s not in self._accepted:
             prop = None if s in rejected else self.view.rb_output(s)
             if not _chainable(prop) or prop.parent not in self._parent_candidates(s):
                 rejected.add(s)
-                rejected.update(t for t, _ in chain)
+                rejected.update(chain)
                 return None
-            chain.append((s, prop))
+            chain[s] = prop
             s = prop.parent
-        validity = self.options.validity
-        for i in range(len(chain) - 1, -1, -1):
-            s, prop = chain[i]
-            if validity is not None and not validity(prop, self._ancestors(prop.parent)):
-                rejected.update(t for t, _ in chain[:i + 1])
-                return None
-            self._accepted[s] = prop
-            self._unresolved.discard(s)
-            if prop.ts is not None and (self._newest_ts is None or prop.ts > self._newest_ts):
-                self._newest_ts = prop.ts
+        self._accepted.update(chain)
         return self._accepted[r]
 
     def _chain(self, r: int | None, down_to: int) -> list[tuple[int, Proposal]]:
         """(round, RB output) along the parent links from round r, highest
-        first, down to round `down_to` or genesis.  It is only walked from an
-        accepted round or a fertile parent, whose chain is accepted all the
-        way down, so a missing output is a bug."""
+        first, down to round `down_to` or genesis.  Finalization walks it
+        from an accepted round, whose chain is accepted all the way down, so
+        a missing output is a bug."""
         chain = []
         while r is not None and r >= down_to:
             prop = self.view.rb_output(r)
@@ -256,10 +225,6 @@ class Engine:
             chain.append((r, prop))
             r = prop.parent
         return chain
-
-    def _ancestors(self, r: int | None) -> tuple[Proposal, ...]:
-        """Round r's proposal and its ancestors', highest first; () for None."""
-        return tuple(p for _, p in self._chain(r, 0))
 
     # -- finalization --------------------------------------------------------
 
@@ -295,47 +260,18 @@ class Engine:
             if r not in self._rb_seen:
                 self._rb_seen.add(r)
                 self._pending.add(r)
-                self._unresolved.add(r)
                 missing -= 1
             i -= 1
         return rounds
 
-    def _advance_gate(self, now: int, rejected: set) -> tuple[bool, int | None]:
-        """Optional minimum-delay gates; open unless configured."""
-        wake = None
-        opts = self.options
-        if opts.start_time is not None and now < opts.start_time:
-            wake = opts.start_time
-        if opts.min_parent_delay is not None:
-            for r in list(self._unresolved):
-                self.accepted(r, rejected)
-            newest = self._newest_ts
-            if newest is not None and now < newest + opts.min_parent_delay:
-                t = newest + opts.min_parent_delay
-                wake = t if wake is None else max(wake, t)
-        return wake is None, wake
-
-    def _pick_proposal(self, r: int, now: int, rejected: set) -> Proposal | None:
-        """Head of the buffer under the highest fertile parent.
-
-        A configured validity predicate narrows the search: acceptance would
-        reject anything it fails, so the leader walks lower fertile rounds and
-        later buffer entries looking for a pair the predicate admits rather
-        than burn its slot on a doomed proposal.
-        """
-        if not self.inputs:
-            return None
-        ts = now if self.options.min_parent_delay is not None else None
-        validity = self.options.validity
-        for parent in self._fertile_parents(r, rejected):
-            chain = self._ancestors(parent) if validity is not None else ()
-            for value in self.inputs:
-                cand = Proposal(value, parent, ts)
-                if validity is None or validity(cand, chain):
-                    return cand
+    def _pick_proposal(self, r: int, rejected: set) -> Proposal | None:
+        """Head of the buffer under the highest fertile parent, if any."""
+        if self.inputs:
+            for parent in self._fertile_parents(r, rejected):
+                return Proposal(self.inputs[0], parent)
         return None
 
-    def _conditions(self, now: int):
+    def _conditions(self):
         actions: list = []
         notes: list = []
         rejected: set[int] = set()
@@ -347,11 +283,6 @@ class Engine:
             # 1. move past rounds that have an RB output or were skipped
             while (self.view.rb_output(self.current) is not None
                    or self._skippable(self.current)):
-                ok, wake = self._advance_gate(now, rejected)
-                if not ok:
-                    if wake is not None and Wake(wake) not in actions:
-                        actions.append(Wake(wake))
-                    break
                 self.current += 1
                 actions.append(RestartTimer(self.timer_delay))
                 notes.append(("advance", {"round": self.current}))
@@ -360,7 +291,7 @@ class Engine:
             # 2. propose when leading the current round
             r = self.current
             if r > self._last_proposed and self.schedule.leader_of(r) == self.self_id:
-                prop = self._pick_proposal(r, now, rejected)
+                prop = self._pick_proposal(r, rejected)
                 if prop is not None:
                     self._last_proposed = r
                     actions.append(Input(InstanceKey(RB, r), prop))

@@ -29,7 +29,7 @@ from .subproto import (RB, WBA, INITIAL, READY, VOTE, Input, InstanceKey,
                        InstanceTable, Output, parse_key)
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
-from .engine import Engine, EngineOptions, Proposal, RestartTimer, Wake, encode
+from .engine import Engine, EngineOptions, Proposal, RestartTimer, encode
 from .gossip import SignatureScheme, SignedMsg, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
@@ -246,11 +246,6 @@ class _NodeRuntime:
         self._apply_engine(now, *self.engine.on_timeout(now))
         self._pump(now)
 
-    def on_wake(self, now: int) -> None:
-        if not self.sim._crashed(self.node, now):
-            self._queue_engine_pass()
-            self._pump(now)
-
     def on_raw_input(self, now: int, key: InstanceKey, value) -> None:
         if not self.sim._crashed(self.node, now):
             self._sub_input(now, Input(key, value))
@@ -258,11 +253,6 @@ class _NodeRuntime:
 
     # -- internals: a work item is (method, arg), run as method(now, arg) ------
     # (one argument each: unpacking `(method, *args)` costs more than a tag chain)
-
-    def _queue_engine_pass(self) -> None:
-        if self.engine is not None and not self.engine_queued:
-            self.engine_queued = True
-            self.work.append((self._engine_pass, None))
 
     def _pump(self, now: int) -> None:
         work = self.work
@@ -292,7 +282,9 @@ class _NodeRuntime:
                 if self.table.record_output(key, a.value):
                     self.sim.trace.append(now, "sub_output", self.node, {
                         "instance": key.text, "value": encode(a.value)})
-                    self._queue_engine_pass()
+                    if self.engine is not None and not self.engine_queued:
+                        self.engine_queued = True        # one pass per batch
+                        self.work.append((self._engine_pass, None))
             else:                            # a message, to every node
                 self.sim.send(self.node, a, now)
                 self.work.append((self._recv, a))
@@ -307,10 +299,8 @@ class _NodeRuntime:
                 sim.trace.append(now, "timer_set", self.node, {
                     "generation": gen, "fire_at": now + a.delay})
                 sim._push(now + a.delay, self.on_timer, (gen,))
-            elif isinstance(a, Input):
+            else:                            # a subprotocol Input
                 self.work.append((self._sub_input, a))
-            elif isinstance(a, Wake):
-                sim._push(a.at, self.on_wake, ())
         if self.held and self.engine is not None:
             window = self.engine.current + sim.cfg.options.spam_window
             ready = [m for m in self.held if m.instance.round <= window]

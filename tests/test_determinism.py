@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from abcast.core import ConfigError, LeaderSchedule, Params
-from abcast.engine import EngineOptions, no_duplicate_ancestor
+from abcast.engine import EngineOptions
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import (CrashSpec, FlipVoterSpec, RunConfig, ScriptedSpec,
                            SilentLeaderSpec, run)
@@ -114,11 +114,6 @@ def _stream_cases() -> dict:
         "stream_n4/bracha": _stream(4, "bracha", 1200),
         "stream_n4_lifo/bracha": _stream(
             4, "bracha", 600, options=EngineOptions(queue_discipline="lifo")),
-        "stream_n4_gates/bracha": _stream(
-            4, "bracha", 600,
-            options=EngineOptions(start_time=30, min_parent_delay=4)),
-        "stream_n4_validity/bracha": _stream(
-            4, "bracha", 600, options=EngineOptions(validity=no_duplicate_ancestor)),
         # observers, a mid-run crash and a spam window that holds messages
         "stream_n4_observers/bracha": _stream(
             4, "bracha", 400, extra_nodes=2, adversaries=(CrashSpec(2, 150),),

@@ -28,7 +28,7 @@ import abcast
 from abcast import simnet
 from abcast.checks import CheckContext, run_checks
 from abcast.core import ConfigError, LeaderSchedule, Params
-from abcast.engine import EngineOptions
+from abcast.engine import Engine
 from abcast.scenario import load_scenario
 from abcast.simnet import (CrashSpec, RunConfig, ScriptedSpec, Simulation,
                            _NodeRuntime, run)
@@ -82,8 +82,8 @@ def test_view_calls_per_event_flat_in_n(monkeypatch, backend):
 
 PACKAGE = os.path.dirname(abcast.__file__) + os.sep
 
-# Frames per event, 3-4% above what the message path runs: 9.57 on bracha
-# and 11.04 on gossip.  Enum reads, keys formatted per event and calls
+# Frames per event, 4-5% above what the message path runs: 9.49 on bracha
+# and 10.86 on gossip.  Enum reads, keys formatted per event and calls
 # that do nothing per delivery give 11.32 and 14.40, and fail; so does a
 # queue entry and a handler call per copy of a forced gossip fan-out, 11.82.
 FRAME_BOUNDS = {"bracha": 9.9, "gossip": 11.4}
@@ -234,16 +234,22 @@ class _Refused(Exception):
     pass
 
 
-def _refuse(proposal, ancestors):
-    raise _Refused
-
-
 def _run_that_raises() -> None:
+    """An engine handler fails part way through the run."""
+    handler = Engine.on_subproto_output
+
+    def failing(engine, now):
+        if engine.current >= 3:
+            raise _Refused
+        return handler(engine, now)
+    Engine.on_subproto_output = failing
     try:
-        run(_stream_cfg(options=EngineOptions(validity=_refuse)))
+        run(_stream_cfg())
     except _Refused:
         return
-    raise AssertionError("the validity predicate was never asked")
+    finally:
+        Engine.on_subproto_output = handler
+    raise AssertionError("the engine never reached round 3")
 
 
 def _run_that_raises_with_work_queued() -> None:
