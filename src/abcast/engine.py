@@ -84,11 +84,10 @@ class Engine:
 
     `view` is anything exposing rb_output(r), wba_output(r),
     accepts_input(key) and rb_rounds_with_output() (ascending, read but never
-    modified here), normally the node's InstanceTable.  Handlers take the
-    time of the call, which no rule reads, and return (actions, notes); each
-    note is a trace event as (kind, fields), the fields a fresh dict such as
-    {"round": r} for "advance", and a delivery exists only as its
-    "ab_output" note.
+    modified here), normally the node's InstanceTable.  Handlers return
+    (actions, notes); each note is a trace event as (kind, fields), the
+    fields a fresh dict such as {"round": r} for "advance", and a delivery
+    exists only as its "ab_output" note.
 
     Incremental state.  RB and WBA outputs are write-once and a round's
     ancestor chain is fixed by those RB outputs, so every definition above
@@ -134,7 +133,7 @@ class Engine:
 
     # -- handlers ----------------------------------------------------------
 
-    def start(self, now: int):
+    def start(self):
         actions, notes = self._conditions()
         return [RestartTimer(self.timer_delay)] + actions, notes
 
@@ -147,7 +146,7 @@ class Engine:
         else:
             self.inputs.append(value)
 
-    def on_timeout(self, now: int):
+    def on_timeout(self):
         actions = []
         key = InstanceKey(WBA, self.current)
         if self.view.accepts_input(key):
@@ -155,7 +154,7 @@ class Engine:
         more, notes = self._conditions()
         return actions + more, notes
 
-    def on_subproto_output(self, now: int):
+    def on_subproto_output(self):
         return self._conditions()
 
     # -- derived predicates -------------------------------------------------

@@ -221,7 +221,7 @@ class _NodeRuntime:
             trace.append(now, "inject", self.node, {"value": encode(value)})
         trace.append(now, "start", self.node)
         if engine is not None:
-            self._apply_engine(now, *engine.start(now))
+            self._apply_engine(now, *engine.start())
             self._pump(now)
 
     def on_deliver(self, now: int, msg) -> None:
@@ -243,7 +243,7 @@ class _NodeRuntime:
             self.sim.trace.append(now, "timer_stale", self.node, {"generation": gen})
             return
         self.sim.trace.append(now, "timer_fire", self.node, {"generation": gen})
-        self._apply_engine(now, *self.engine.on_timeout(now))
+        self._apply_engine(now, *self.engine.on_timeout())
         self._pump(now)
 
     def on_raw_input(self, now: int, key: InstanceKey, value) -> None:
@@ -262,7 +262,7 @@ class _NodeRuntime:
 
     def _engine_pass(self, now: int, _) -> None:
         self.engine_queued = False
-        self._apply_engine(now, *self.engine.on_subproto_output(now))
+        self._apply_engine(now, *self.engine.on_subproto_output())
 
     def _sub_input(self, now: int, inp: Input) -> None:
         acts = self.table.submit_input(inp)

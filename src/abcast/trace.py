@@ -22,6 +22,7 @@ trace has grown since; recording an event never touches it.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -35,6 +36,11 @@ _READABLE = (1, 2)
 _SENDS = ("send", "gossip")
 
 _DECODER = json.JSONDecoder()
+# `from_jsonl` decodes the event lines this many characters at a time, each
+# chunk running on to the next newline.
+_CHUNK = 1 << 16
+# Two JSON objects side by side: the line that `_records` cannot read in a chunk.
+_JOINED = re.compile(r"\}[ \t]*,[ \t]*\{")
 
 _INT = (lambda x: type(x) is int, "an int")
 _ANY = (lambda x: True, "a")
@@ -110,11 +116,12 @@ def _template(kind, keys: tuple, types: tuple, nested):
             None if all(c is str for c in convs) else tuple(convs))
 
 
-def _event_lines(events) -> list[str]:
-    """Each event's line, as `TraceEvent.to_json` writes it.  A nested dict
-    or list is encoded once per call, by identity: the events hold every
-    one of them alive until the call returns."""
-    memo, templates, lines = {}, {}, []
+def _text_lines(header: str, events) -> list[str]:
+    """The lines of a trace text: `header`, each event's line as
+    `TraceEvent.to_json` writes it, and a closing "" for the last newline.
+    A nested dict or list is encoded once per call, by identity: the
+    events hold every one of them alive until the call returns."""
+    memo, templates, lines = {}, {}, [header]
     append = lines.append
 
     def nested(value) -> str:
@@ -137,15 +144,65 @@ def _event_lines(events) -> list[str]:
         fmt, values, convs = tmpl
         append(fmt % (values(row) if convs is None
                       else tuple([c(v) for c, v in zip(convs, values(row))])))
+    append("")
     return lines
 
 
-def _decode(i: int, line: str):
-    """Line `i`'s JSON value, or ValueError, nesting past the stack included."""
-    try:
-        return _DECODER.decode(line)
-    except RecursionError:
-        raise ValueError(f"trace line {i} is nested too deep") from None
+def _line_values(lines: list[str], first: int):
+    """(number, JSON value) of each of `lines` that is not blank, numbered
+    from `first`; ValueError at the first that does not hold exactly one
+    JSON value, nesting past the stack included."""
+    for i, line in enumerate(lines, first):
+        if line and not line.isspace():
+            try:
+                value = _DECODER.decode(line)
+            except RecursionError:
+                raise ValueError(f"trace line {i} is nested too deep") from None
+            yield i, value
+
+
+def _records(text: str):
+    """(line number, JSON value) of each line of `text` that is not blank,
+    numbered as ``text.splitlines()`` numbers them, in order; ValueError at
+    the first line that does not hold exactly one JSON value.
+
+    The text is read in chunks of about `_CHUNK` characters that end at a
+    newline, and a chunk is one scanner pass: its lines, each newline
+    replaced by a comma, inside one array.  That pass is accepted only when
+    the chunk is ASCII with no "\\r", no line of it matches `_JOINED`, the
+    array has one element per line and every element is a dict.  Then each
+    line holds exactly that one dict.  A top-level comma of the array sits
+    between two of its dicts, so between a ``}`` and a ``{`` with only
+    spaces and tabs around it; had the line held it, the line would match
+    `_JOINED`, so every top-level comma is a replaced newline.  And with
+    as many elements as lines, no replaced newline is inside an element, so
+    no element spans two lines.  (``{"a":[{}`` over ``{}]},{"b":1}`` reads
+    as two dicts on two lines, but its second line matches `_JOINED`.)
+    Nor does such a chunk hold a line break of `splitlines` but "\\n": the
+    scanner refuses the ASCII control characters among them.  Any other
+    chunk, one the scanner refuses or nests too deep included, is read line
+    by line, by `_line_values`."""
+    size, start, number = len(text), 0, 1
+    while start < size:
+        end = text.find("\n", min(start + _CHUNK, size - 1))
+        if end < 0:
+            end = size
+        chunk = text[start:end]
+        start = end + 1
+        if chunk.isascii() and "\r" not in chunk and _JOINED.search(chunk) is None:
+            count = chunk.count("\n") + 1
+            try:
+                recs = _DECODER.decode("[" + chunk.replace("\n", ",") + "]")
+            except (ValueError, RecursionError):
+                recs = ()
+            if len(recs) == count and set(map(type, recs)) == {dict}:
+                yield from zip(range(number, number + count), recs)
+                number += count
+                continue
+        # the newline after the chunk, so that its last line counts if blank
+        lines = (chunk + "\n").splitlines()
+        yield from _line_values(lines, number)
+        number += len(lines)
 
 
 @dataclass(slots=True)
@@ -283,7 +340,7 @@ class Trace:
     def _text(self, version: int, events: list) -> str:
         header = _encode({"kind": "trace_header", "version": version,
                           "seed": self.seed, **self.meta})
-        return "\n".join([header, *_event_lines(events)]) + "\n"
+        return "\n".join(_text_lines(header, events))
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
@@ -295,12 +352,11 @@ class Trace:
         that could reach its node: one whose ``to`` list holds the node,
         or, with no list, one sent by another node.  Anything else raises
         ValueError."""
-        numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), 1)
-                    if ln and not ln.isspace())
-        first = next(numbered, None)
+        records = _records(text)
+        first = next(records, None)
         if first is None:
             raise ValueError("empty trace")
-        header = _decode(*first)
+        header = first[1]
         if type(header) is not dict or header.get("kind") != "trace_header":
             raise ValueError("trace file lacks a header line")
         version = header.get("version")
@@ -314,16 +370,7 @@ class Trace:
         trace = cls(seed=seed, meta=meta, version=version)
         events = trace.events
         sent = None if version == 1 else {}      # seq -> send or gossip event
-        # The decoder's own scanner; a line it cannot read whole goes through
-        # `_decode`, which accepts surrounding whitespace and raises on the rest.
-        scan = _DECODER.scan_once
-        for i, ln in numbered:
-            try:
-                rec, end = scan(ln, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(ln):
-                rec = _decode(i, ln)
+        for i, rec in records:
             if type(rec) is not dict:
                 raise ValueError(f"trace line {i} is not a JSON object")
             time, seq = rec.pop("time", None), rec.pop("seq", None)

@@ -56,14 +56,14 @@ def wba_key(r):
 
 def test_start_fresh_non_leader_only_arms_timer():
     eng = make_engine(self_id=1, inputs=("a",))
-    actions, notes = eng.start(0)
+    actions, notes = eng.start()
     assert actions == [RestartTimer(12)]
     assert notes == []
 
 
 def test_start_leader_with_buffered_value_proposes_genesis():
     eng = make_engine(self_id=0, inputs=("a",))
-    actions, notes = eng.start(0)
+    actions, notes = eng.start()
     assert actions == [RestartTimer(12), Input(rb_key(0), Proposal("a", None))]
     assert ("propose", {"round": 0,
                         "payload": {"value": "a", "parent": None, "ts": None}}) in notes
@@ -71,11 +71,11 @@ def test_start_leader_with_buffered_value_proposes_genesis():
 
 def test_start_leader_with_empty_buffer_waits():
     eng = make_engine(self_id=0)
-    actions, _ = eng.start(0)
+    actions, _ = eng.start()
     assert actions == [RestartTimer(12)]
     # The slot is not burned: the round can still be proposed later.
     eng.on_input("a")
-    actions, _ = eng.on_subproto_output(3)
+    actions, _ = eng.on_subproto_output()
     assert actions == [Input(rb_key(0), Proposal("a", None))]
 
 
@@ -96,14 +96,14 @@ def test_bad_queue_discipline_rejected():
 def test_on_timeout_votes_to_skip_current():
     eng = make_engine(self_id=1)
     eng.current = 3
-    actions, _ = eng.on_timeout(40)
+    actions, _ = eng.on_timeout()
     assert actions == [Input(wba_key(3), 0)]
 
 
 def test_on_timeout_after_own_input_is_silent():
     eng = make_engine(ViewStub(inputs_made=[wba_key(3)]), self_id=1)
     eng.current = 3
-    actions, _ = eng.on_timeout(40)
+    actions, _ = eng.on_timeout()
     assert actions == []
 
 
@@ -136,7 +136,7 @@ def test_accepted_requires_fertile_parent():
 def test_rb_output_advances_round_and_votes_commit():
     view = ViewStub(rb={0: Proposal("a", None)})
     eng = make_engine(view, self_id=1, inputs=("x",))
-    actions, notes = eng.on_subproto_output(5)
+    actions, notes = eng.on_subproto_output()
     assert actions == [
         RestartTimer(12),
         Input(rb_key(1), Proposal("x", 0)),
@@ -148,7 +148,7 @@ def test_rb_output_advances_round_and_votes_commit():
 
 def test_skip_output_advances_round():
     eng = make_engine(ViewStub(wba={0: 0}), self_id=2)
-    actions, notes = eng.on_subproto_output(13)
+    actions, notes = eng.on_subproto_output()
     assert actions == [RestartTimer(12)]
     assert notes == [("advance", {"round": 1})]
     assert eng.current == 1
@@ -156,14 +156,14 @@ def test_skip_output_advances_round():
 
 def test_no_commit_vote_without_accepted_parent_chain():
     eng = make_engine(ViewStub(rb={1: Proposal("b", 0)}), self_id=3)
-    actions, _ = eng.on_subproto_output(9)
+    actions, _ = eng.on_subproto_output()
     assert not inputs_of(actions, Kind.WBA)
 
 
 def test_commit_vote_not_repeated_after_own_input():
     view = ViewStub(rb={0: Proposal("a", None)}, inputs_made=[wba_key(0)])
     eng = make_engine(view, self_id=3)
-    actions, _ = eng.on_subproto_output(5)
+    actions, _ = eng.on_subproto_output()
     assert actions == [RestartTimer(12)]
 
 
@@ -172,7 +172,7 @@ def test_committed_chain_finalizes_lowest_first():
                     wba={1: 0, 2: 1},
                     inputs_made=[wba_key(0), wba_key(2)])
     eng = make_engine(view, self_id=3)
-    actions, notes = eng.on_subproto_output(30)
+    actions, notes = eng.on_subproto_output()
     timers = [a for a in actions if isinstance(a, RestartTimer)]
     assert len(timers) == 3
     assert [n for n in notes if n[0] == "ab_output"] == [
@@ -211,7 +211,7 @@ def test_deep_undecided_chain_finalizes_in_round_order():
     view = ViewStub(rb={r: Proposal(r, r - 1 if r else None) for r in range(depth)},
                     wba={depth - 1: 1})
     eng = make_engine(view, self_id=1)
-    _, notes = eng.on_subproto_output(100)
+    _, notes = eng.on_subproto_output()
     delivered = [n for n in notes if n[0] == "ab_output"]
     assert delivered == [ab_output(r, r, r) for r in range(depth)]
     assert eng.output_log == list(range(depth))
@@ -225,7 +225,7 @@ def test_leader_accepts_a_long_new_chain_without_recursing():
     depth = 600
     view = ViewStub(rb={r: Proposal(r, r - 1 if r else None) for r in range(depth)})
     eng = make_engine(view, self_id=0, inputs=("a",))
-    actions, _ = eng.on_subproto_output(100)
+    actions, _ = eng.on_subproto_output()
     assert eng.current == depth
     assert Input(rb_key(depth), Proposal("a", depth - 1)) in actions
     assert inputs_of(actions, Kind.WBA) == [Input(wba_key(r), 1) for r in range(depth)]
@@ -237,7 +237,7 @@ def test_repeated_value_on_chain_delivered_once():
                     wba={1: 1},
                     inputs_made=[wba_key(0), wba_key(1)])
     eng = make_engine(view, self_id=3)
-    _, notes = eng.on_subproto_output(25)
+    _, notes = eng.on_subproto_output()
     assert [n for n in notes if n[0] == "ab_output"] == [ab_output("a", 0, 0)]
     assert eng.output_log == ["a"]
     assert eng.undecided_round == 2
@@ -247,7 +247,7 @@ def test_delivered_value_not_requeued():
     view = ViewStub(rb={0: Proposal("a", None)}, wba={0: 1},
                     inputs_made=[wba_key(0)])
     eng = make_engine(view, self_id=3)
-    eng.on_subproto_output(20)
+    eng.on_subproto_output()
     assert eng.output_log == ["a"]
     eng.on_input("a")
     assert eng.inputs == []
@@ -258,7 +258,7 @@ def test_delivered_value_not_requeued():
 def test_leader_reproposes_value_stuck_on_undecided_ancestor():
     view = ViewStub(rb={0: Proposal("a", None)})
     eng = make_engine(view, self_id=1, inputs=("a",))
-    actions, _ = eng.on_subproto_output(14)
+    actions, _ = eng.on_subproto_output()
     assert Input(rb_key(1), Proposal("a", 0)) in actions
 
 
@@ -267,7 +267,7 @@ def test_highest_fertile_parent_preferred():
                     wba={1: 0, 3: 0})
     eng = make_engine(view, self_id=0, inputs=("x",))
     eng.current = 4
-    actions, _ = eng.on_subproto_output(60)
+    actions, _ = eng.on_subproto_output()
     assert Input(rb_key(4), Proposal("x", 2)) in actions
 
 
@@ -276,11 +276,11 @@ def test_leader_without_fertile_parent_waits():
     # is neither accepted nor skippable, so round 1 has no fertile parent.
     view = ViewStub(rb={0: "junk"})
     eng = make_engine(view, self_id=1, inputs=("a",))
-    actions, _ = eng.on_subproto_output(14)
+    actions, _ = eng.on_subproto_output()
     assert eng.current == 1
     assert not inputs_of(actions, Kind.RB)
     view.wba[0] = 0
-    actions, _ = eng.on_subproto_output(20)
+    actions, _ = eng.on_subproto_output()
     assert Input(rb_key(1), Proposal("a", None)) in actions
 
 
@@ -288,9 +288,9 @@ def test_rb_output_arriving_below_known_rounds_is_voted():
     view = ViewStub(rb={0: Proposal("a", None), 2: Proposal("c", 1)},
                     inputs_made=[wba_key(0)])
     eng = make_engine(view, self_id=3)
-    actions, _ = eng.on_subproto_output(10)
+    actions, _ = eng.on_subproto_output()
     assert not inputs_of(actions, Kind.WBA)
     view.rb[1] = Proposal("b", 0)
-    actions, _ = eng.on_subproto_output(20)
+    actions, _ = eng.on_subproto_output()
     assert inputs_of(actions, Kind.WBA) == [Input(wba_key(1), 1), Input(wba_key(2), 1)]
     assert eng.current == 3

@@ -11,7 +11,9 @@ delivered: a gossip flood that fans every message out again at each node
 that receives it makes that ratio grow with n.  The queue entries per
 delivery: an entry per copy of a forced fan-out makes it about one.  The
 walks the checkers make over the event list: one index build per trace,
-not one walk per view.  The bytes a saved trace takes per event.  And the
+not one walk per view.  The bytes a saved trace takes per event, and the
+memory its decode frees again: a small part of the text, not a list of its
+lines.  And the
 objects the cyclic collector finds once a run's trace is dropped: none, so
 reference counting frees every run as soon as it ends.
 """
@@ -19,6 +21,7 @@ reference counting frees every run as soon as it ends.
 import gc
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,6 +200,33 @@ def test_trace_bytes_per_event(n, backend, adversaries):
     assert per_event <= 85, per_event
 
 
+# What decoding a trace allocates and frees again, over the text's length:
+# 0.11 on the n=10 gossip stream at horizon 200 (409 KB of text, 5,172
+# events, which keep 2,432 KB).  A list of the text's lines reads 1.76 and
+# fails; each line decoded alone also keeps its own copy of every key
+# (3,069 KB).
+DECODE_TRANSIENT_BOUND = 0.5
+
+
+def test_decode_frees_about_what_it_keeps():
+    """`Trace.from_jsonl`'s peak less what it keeps, under tracemalloc."""
+    text = run(RunConfig(
+        params=Params(n=10, f=3, delta=2, gst=0, sub_delay=6),
+        schedule=LeaderSchedule(10), backend="gossip", seed=3, horizon=200,
+        delay_law="uniform", adversaries=(CrashSpec(9, 0),),
+        injections=tuple((t, i % 10, f"v{i}") for i, t in enumerate(range(0, 200, 10))))
+    ).to_jsonl()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        trace = Trace.from_jsonl(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.events) > 4000
+    assert peak - kept < DECODE_TRANSIENT_BOUND * len(text), (peak - kept) / len(text)
+
+
 class _CountingList(list):
     walks = 0
 
@@ -238,10 +268,10 @@ def _run_that_raises() -> None:
     """An engine handler fails part way through the run."""
     handler = Engine.on_subproto_output
 
-    def failing(engine, now):
+    def failing(engine):
         if engine.current >= 3:
             raise _Refused
-        return handler(engine, now)
+        return handler(engine)
     Engine.on_subproto_output = failing
     try:
         run(_stream_cfg())

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from enum import IntEnum
 
 import pytest
@@ -83,20 +84,102 @@ def test_rejects_a_header_version_that_only_equals_1(version):
 
 HEADER = '{"kind":"trace_header","seed":0,"version":1}'
 START = '{"kind":"start","node":0,"seq":0,"time":0}'
+# `from_jsonl` reads its lines in chunks of `_CHUNK` characters: the default,
+# one line per chunk, and a few lines per chunk.
+CHUNKS = {"default": trace_module._CHUNK, "1": 1, "64": 64}
+DEEP = sys.getrecursionlimit() + 10
+
+
+def _decoded(text: str):
+    """`from_jsonl`'s events, or the message of its ValueError."""
+    try:
+        back = Trace.from_jsonl(text)
+    except ValueError as exc:
+        return str(exc)
+    return [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in back.events]
+
+
+def _per_line(text: str):
+    """`_decoded` with the whole text read line by line, as `splitlines`
+    splits it, and no scanner pass over a chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_records",
+                   lambda text: trace_module._line_values(text.splitlines(), 1))
+        return _decoded(text)
 
 
 @pytest.mark.parametrize("line", [
     "{}", "1", "[]", '"start"', "null",
     START + "," + START, START + " " + START, "[" + START + "]",
+    START + " ,\t" + START,
     # one object split over two lines: each line alone is not JSON
     '{"a":[{}\n{}]},{"b":1}',
+    # the same ending in one object, with a carriage return before the
+    # next object, and with an element after it that is no object
+    '{"a":[{}\n{}]}', '{"a":[{}\n{}]}\r,{"b":1}', '{"a":[{}\n{}]},1',
+    pytest.param('{"a":' * DEEP + "{}" + "}" * DEEP, id="nested_too_deep"),
     '{"seq":0,"kind":"start"}', '{"time":0,"kind":"start"}', '{"time":0,"seq":0}',
     '{"time":"0","seq":0,"kind":"start"}', '{"time":0,"seq":0.0,"kind":"start"}',
     '{"time":true,"seq":0,"kind":"start"}', '{"time":0,"seq":0,"kind":7}',
 ])
-def test_rejects_a_line_that_is_not_one_event_object(line):
-    with pytest.raises(ValueError):
-        Trace.from_jsonl("\n".join([HEADER, START, line]) + "\n")
+def test_rejects_a_line_that_is_not_one_event_object(monkeypatch, line):
+    """With the message the line-by-line reader gives, at each chunk size."""
+    text = "\n".join([HEADER, START, line]) + "\n"
+    for chunk in CHUNKS.values():
+        monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+        with pytest.raises(ValueError) as err:
+            Trace.from_jsonl(text)
+        assert str(err.value) == _per_line(text)
+
+
+def test_a_line_nested_too_deep_names_its_line():
+    with pytest.raises(ValueError, match="trace line 3 is nested too deep"):
+        Trace.from_jsonl("\n".join([HEADER, START, '{"a":' * DEEP + "{}" + "}" * DEEP]))
+
+
+def _start(seq: int, **fields) -> str:
+    return json.dumps({"kind": "start", "node": 0, "seq": seq, "time": 0, **fields},
+                      sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+CLEAN = [HEADER] + [_start(seq) for seq in range(6)]
+# The clean text with other whitespace and line ends, which `from_jsonl` reads
+# as it reads the clean one.
+ODD_TEXTS = {
+    "blank_lines": "\n".join([HEADER, "", _start(0), "  \t", _start(1), "", "",
+                              *CLEAN[3:], "", " "]) + "\n",
+    "crlf": "\r\n".join(CLEAN) + "\r\n",
+    "surrounding_whitespace": "\n".join(f" {ln}\t " for ln in CLEAN),
+    "no_final_newline": "\n".join(CLEAN),
+}
+
+
+@pytest.mark.parametrize("text", ODD_TEXTS.values(), ids=list(ODD_TEXTS))
+@pytest.mark.parametrize("chunk", CHUNKS.values(), ids=list(CHUNKS))
+def test_odd_but_valid_lines_decode_as_the_clean_text(monkeypatch, chunk, text):
+    """At one line per chunk, every blank line begins or ends a chunk.  A
+    line is numbered as `splitlines` numbers it, blank lines included."""
+    expect = _decoded("\n".join(CLEAN) + "\n")
+    monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+    assert _decoded(text) == _per_line(text) == expect
+    bad = text + "\n" + '{"time":0}'
+    with pytest.raises(ValueError, match=f"trace line {len(bad.splitlines())} needs"):
+        Trace.from_jsonl(bad)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS.values(), ids=list(CHUNKS))
+def test_non_ascii_text_decodes_line_by_line(monkeypatch, chunk):
+    """A raw é is a character of its string; a raw U+2028 ends the line, as
+    `splitlines` has it, and leaves an unterminated string behind."""
+    monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+    accented = "\n".join(CLEAN[:3] + [_start(6, name="caf\u00e9")] + CLEAN[3:])
+    events = _decoded(accented)
+    assert events == _per_line(accented)
+    assert events[2][4] == {"name": "caf\u00e9"}
+    split = "\n".join(CLEAN[:3] + [_start(6, name="a\u2028b")] + CLEAN[3:])
+    with pytest.raises(ValueError, match="Unterminated string") as err:
+        Trace.from_jsonl(split)
+    assert str(err.value) == _per_line(split)
 
 
 def test_rejects_a_header_that_is_not_an_object():
@@ -123,12 +206,17 @@ def message_trace():
     return t
 
 
-def test_v2_round_trips_and_to_v1_spells_out_each_message():
+def test_v2_round_trips_and_to_v1_spells_out_each_message(monkeypatch):
     t = message_trace()
     text = t.to_jsonl()
     assert json.loads(text.splitlines()[0])["version"] == 2
-    back = Trace.from_jsonl(text)
-    assert back.version == 2 and back.to_jsonl() == text
+    for chunk in CHUNKS.values():
+        monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+        back = Trace.from_jsonl(text)
+        assert back.version == 2 and back.to_jsonl() == text
+        # a v1 file loads as v1, writes back as it was, and to_v1 keeps it
+        old = Trace.from_jsonl(t.to_v1())
+        assert old.version == 1 and old.to_jsonl() == t.to_v1() == old.to_v1()
     vote = {"instance": "wba/0", "mkind": "vote", "payload": {"bit": 1}}
     v1 = [json.loads(ln) for ln in t.to_v1().splitlines()]
     assert v1[0]["version"] == 1
@@ -138,9 +226,6 @@ def test_v2_round_trips_and_to_v1_spells_out_each_message():
         {"kind": "deliver", "time": 1, "seq": 4, "node": 2, **vote, "from": 0},
         {"kind": "deliver", "time": 2, "seq": 5, "node": 3, **vote, "from": 1,
          "gossip": 1}]
-    # a v1 file loads as v1, writes back as it was, and to_v1 keeps it
-    old = Trace.from_jsonl(t.to_v1())
-    assert old.version == 1 and old.to_jsonl() == t.to_v1() == old.to_v1()
 
 
 @pytest.mark.parametrize("data", [{}, {"msg": True}, {"msg": "0"}, {"msg": 0.0}])
@@ -240,7 +325,10 @@ def test_lines_are_json_dumps_and_round_trip(c_encoder, events, shared):
         rec.update(ev.data)
         expect.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     assert text.splitlines()[1:] == expect
-    back = Trace.from_jsonl(text)
-    assert [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in back.events] == [
-        (ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in t.events]
-    assert back.to_jsonl() == text
+    for chunk in CHUNKS.values():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace_module, "_CHUNK", chunk)
+            back = Trace.from_jsonl(text)
+        assert [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in back.events] == [
+            (ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in t.events]
+        assert back.to_jsonl() == text
