@@ -5,7 +5,7 @@ trace checkers for its safety, liveness, and timing claims."""
 from .checks import CheckContext, CheckReport, run_checks
 from .core import (ConfigError, InternalInvariantError, LeaderSchedule,
                    Params, is_quorum, quorum_min_size)
-from .engine import Engine, EngineOptions, Proposal
+from .engine import Engine, Proposal
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
                      PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckContext", "CheckReport", "ConfigError", "CrashSpec", "Engine",
-    "EngineOptions", "EquivocatingProposerSpec", "FlipVoterSpec",
+    "EquivocatingProposerSpec", "FlipVoterSpec",
     "InstanceKey", "InternalInvariantError", "Kind", "LeaderSchedule",
     "Params", "PartitionValue", "Proposal", "RunConfig", "Scenario",
     "ScriptedSpec", "SilentLeaderSpec", "Simulation", "Trace", "TraceEvent",

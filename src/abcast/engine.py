@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import ConfigError, InternalInvariantError, Params, LeaderSchedule
+from .core import InternalInvariantError, Params, LeaderSchedule
 from .subproto import RB, WBA, Input, InstanceKey
 
 
@@ -67,18 +67,6 @@ class RestartTimer:
     delay: int
 
 
-@dataclass
-class EngineOptions:
-    queue_discipline: str = "fifo"          # or "lifo"
-    spam_window: int = 100
-
-    def __post_init__(self) -> None:
-        if self.queue_discipline not in ("fifo", "lifo"):
-            raise ConfigError(f"unknown queue discipline {self.queue_discipline!r}")
-        if self.spam_window < 0:
-            raise ConfigError(f"spam_window must be >= 0, got {self.spam_window}")
-
-
 class Engine:
     """Per-node round engine.
 
@@ -109,13 +97,11 @@ class Engine:
     the cost of a handler call independent of how many rounds came before.
     """
 
-    def __init__(self, params: Params, schedule: LeaderSchedule, self_id: int,
-                 options: EngineOptions, view,
+    def __init__(self, params: Params, schedule: LeaderSchedule, self_id: int, view,
                  initial_inputs: tuple = ()):
         self.params = params
         self.schedule = schedule
         self.self_id = self_id
-        self.options = options
         self.view = view
         self.current = 0
         self.undecided_round = 0
@@ -138,12 +124,9 @@ class Engine:
         return [RestartTimer(self.timer_delay)] + actions, notes
 
     def on_input(self, value: object) -> None:
-        """Enqueue a value; the conditions run on the next timer/output."""
-        if value in self._output_set:
-            return
-        if self.options.queue_discipline == "lifo":
-            self.inputs.insert(0, value)
-        else:
+        """Append a value to the buffer, first in first out; the conditions
+        run on the next timer/output."""
+        if value not in self._output_set:
             self.inputs.append(value)
 
     def on_timeout(self):

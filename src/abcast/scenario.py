@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 from .checks import CHECKS, CheckContext, run_checks
 from .core import ConfigError, LeaderSchedule, Params
-from .engine import EngineOptions
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
                      PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
                      instance_key, run)
@@ -254,11 +253,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                            _int_field(inj, "node"),
                            _scalar(inj["value"], "injection value")))
 
+    # the proposal buffer is first in first out; spam_window is the run's
     opts_doc = doc.get("engine_options", {})
     _expect(isinstance(opts_doc, dict), "engine_options must be an object")
-    options = EngineOptions(
-        queue_discipline=opts_doc.get("queue_discipline", "fifo"),
-        spam_window=_int_field(opts_doc, "spam_window", default=100))
+    discipline = opts_doc.get("queue_discipline", "fifo")
+    _expect(discipline == "fifo", f"unknown queue discipline {discipline!r}; "
+            'the proposal buffer is "fifo"')
+    spam_window = _int_field(opts_doc, "spam_window", default=100)
 
     horizon = sim.get("horizon", "auto")
     auto_horizon = horizon == "auto"
@@ -290,8 +291,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         delay_law=sim.get("delay_law", "fixed"),
         gossip_relay_latency=_int_field(sim, "gossip_relay_latency", default=1),
         extra_nodes=_int_field(sim, "extra_nodes", default=0),
-        adversaries=adversaries, injections=tuple(injections), options=options,
-        mode=mode, raw_inputs=tuple(raw_inputs))
+        adversaries=adversaries, injections=tuple(injections),
+        spam_window=spam_window, mode=mode, raw_inputs=tuple(raw_inputs))
     checks = tuple(_check_entry(entry) for entry in _list_field(doc, "checks"))
     return Scenario(config, checks, gst_draw, auto_horizon)
 

@@ -29,7 +29,7 @@ from .subproto import (RB, WBA, INITIAL, READY, VOTE, Input, InstanceKey,
                        InstanceTable, Output, parse_key)
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
-from .engine import Engine, EngineOptions, Proposal, RestartTimer, encode
+from .engine import Engine, Proposal, RestartTimer, encode
 from .gossip import SignatureScheme, SignedMsg, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
@@ -101,7 +101,7 @@ class RunConfig:
     extra_nodes: int = 0                     # observers beyond the n validators
     adversaries: tuple = ()
     injections: tuple = ()                   # (time, node, value)
-    options: EngineOptions = field(default_factory=EngineOptions)
+    spam_window: int = 100                   # messages past round current + this wait
     mode: str = "engine"                     # "raw" runs bare instances, no engine
     raw_inputs: tuple = ()                   # (time, node, "rb/0", value)
 
@@ -114,6 +114,8 @@ class RunConfig:
                 raise ConfigError(f"unknown {what} {value!r}")
         if self.extra_nodes < 0:
             raise ConfigError(f"extra_nodes must be >= 0, got {self.extra_nodes}")
+        if self.spam_window < 0:
+            raise ConfigError(f"spam_window must be >= 0, got {self.spam_window}")
         total = self.params.n + self.extra_nodes
         if total > MAX_NODES:
             raise ConfigError(f"{total} nodes exceeds the cap of {MAX_NODES}")
@@ -201,8 +203,8 @@ class _NodeRuntime:
         self.node = node
         cfg = sim.cfg
         self.table = InstanceTable(cfg.params, cfg.schedule, node, sim.factory_for(node))
-        self.engine = (Engine(cfg.params, cfg.schedule, node, cfg.options, self.table,
-                              initial_inputs) if cfg.mode == "engine" else None)
+        self.engine = (Engine(cfg.params, cfg.schedule, node, self.table, initial_inputs)
+                       if cfg.mode == "engine" else None)
         self.timer_gen = 0
         self.work: deque = deque()
         self.engine_queued = False
@@ -226,7 +228,7 @@ class _NodeRuntime:
 
     def on_deliver(self, now: int, msg) -> None:
         if self.engine is not None:
-            window = self.engine.current + self.sim.cfg.options.spam_window
+            window = self.engine.current + self.sim.cfg.spam_window
             if msg.instance.round > window:
                 self.held.append(msg)
                 return
@@ -301,8 +303,8 @@ class _NodeRuntime:
                 sim._push(now + a.delay, self.on_timer, (gen,))
             else:                            # a subprotocol Input
                 self.work.append((self._sub_input, a))
-        if self.held and self.engine is not None:
-            window = self.engine.current + sim.cfg.options.spam_window
+        if self.held:
+            window = self.engine.current + sim.cfg.spam_window
             ready = [m for m in self.held if m.instance.round <= window]
             if ready:
                 self.held = [m for m in self.held if m.instance.round > window]
@@ -333,8 +335,8 @@ class AdversaryApi:
         return msg
 
     def send(self, msg, targets=None) -> None:
-        """Send `msg` to `targets`, or to every node but this one when
-        None."""
+        """Send `msg` to `targets` other than this node, or to every node
+        but this one when None: a send never comes back to its sender."""
         self.sim.send(self.node, msg, self.now, targets)
 
 
@@ -547,11 +549,11 @@ class Simulation:
         return times
 
     def send(self, sender: int, msg, now: int, targets=None) -> None:
-        """The one way a message leaves a node: to `targets` in their order,
-        or to every node but `sender` when None.  Records one `gossip`
-        event on gossip; on bracha one `send` event to "all", or one per
-        target.  Each copy's `deliver` event names the event of its send by
-        seq: a target's copy names that target's own `send`."""
+        """The one way a message leaves a node: to `targets` but `sender`,
+        in their order, or to every node but `sender` when None.  Records
+        one `gossip` event on gossip; on bracha one `send` event to "all",
+        or one per target.  Each copy's `deliver` event names the event of
+        its send by seq: a target's copy names that target's own `send`."""
         enc, append = _encode_msg(msg), self.trace.append
         if not self.gossip_backend:
             if targets is None:
@@ -560,6 +562,8 @@ class Simulation:
                 self._fan_out(sender, msg, {"msg": ev.seq}, None, now)
             else:
                 for to in targets:
+                    if to == sender:
+                        continue
                     ev = append(now, "send", sender, {**enc, "to": [to]})
                     self._fan_out(sender, msg, {"msg": ev.seq}, None, now, (to,))
             return

@@ -82,14 +82,14 @@ _NONE = type(None)
 _RESERVED = ("time", "seq", "kind", "node")
 
 
-def _template(kind, keys: tuple, types: tuple, nested):
+def _template(kind, keys: tuple, types: tuple):
     """How to write an event line of one shape: its `kind`, its data's
     `keys` and the exact types of ``(time, seq, node, *values)``.  A
     %-format holding the sorted key literals, `kind` and each null; a
     getter of the other values from that row, in key order; and their
     converters, or None when every one is an int.  None for a shape the
     template cannot take."""
-    convert = {int: str, str: _ESCAPE, dict: nested, list: nested}
+    convert = {int: str, str: _ESCAPE, dict: _encode, list: _encode}
     if (type(kind) is not str or any(type(k) is not str or k in _RESERVED for k in keys)
             or any(t not in convert and t is not _NONE for t in types)):
         return None
@@ -118,18 +118,9 @@ def _template(kind, keys: tuple, types: tuple, nested):
 
 def _text_lines(header: str, events) -> list[str]:
     """The lines of a trace text: `header`, each event's line as
-    `TraceEvent.to_json` writes it, and a closing "" for the last newline.
-    A nested dict or list is encoded once per call, by identity: the
-    events hold every one of them alive until the call returns."""
-    memo, templates, lines = {}, {}, [header]
+    `TraceEvent.to_json` writes it, and a closing "" for the last newline."""
+    templates, lines = {}, [header]
     append = lines.append
-
-    def nested(value) -> str:
-        text = memo.get(id(value))
-        if text is None:
-            text = memo[id(value)] = _encode(value)
-        return text
-
     for ev in events:
         data = ev.data
         row = (ev.time, ev.seq, ev.node, *data.values())
@@ -137,7 +128,7 @@ def _text_lines(header: str, events) -> list[str]:
         tmpl = templates.get(shape, 0)
         if tmpl == 0:
             tmpl = templates[shape] = _template(ev.kind, tuple(data),
-                                                tuple(map(type, row)), nested)
+                                                tuple(map(type, row)))
         if tmpl is None:
             append(ev.to_json())
             continue

@@ -121,6 +121,18 @@ def test_short_schedule_for_a_huge_n_exits_2(tmp_path, capsys):
     assert "leader order leaves out" in capsys.readouterr().err
 
 
+def test_a_lifo_buffer_is_refused_with_exit_2(tmp_path, capsys):
+    doc = json.loads(Path(HONEST).read_text())
+    doc["engine_options"] = {"queue_discipline": "lifo"}
+    path = tmp_path / "lifo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert any(ln.startswith("configuration error:") and "'lifo'" in ln
+               for ln in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_unknown_check_name_exits_2(tmp_path, capsys):
     doc = json.loads(Path(HONEST).read_text())
     doc["checks"] = ["safety", {"name": "nope"}]

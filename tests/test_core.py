@@ -111,7 +111,7 @@ def test_schedule_rejects_incomplete_order():
 def test_public_surface_is_pinned():
     assert abcast.__all__ == [
         "CheckContext", "CheckReport", "ConfigError", "CrashSpec", "Engine",
-        "EngineOptions", "EquivocatingProposerSpec", "FlipVoterSpec",
+        "EquivocatingProposerSpec", "FlipVoterSpec",
         "InstanceKey", "InternalInvariantError", "Kind", "LeaderSchedule",
         "Params", "PartitionValue", "Proposal", "RunConfig", "Scenario",
         "ScriptedSpec", "SilentLeaderSpec", "Simulation", "Trace", "TraceEvent",

@@ -2,9 +2,8 @@
 
 A run is a pure function of its config and seed, and `replay` and `check`
 rely on that.  This test pins, for every loadable bundled scenario on both
-backends, plus long injection streams that exercise the engine options the
-scenario format cannot express, raw mode, and the adversary paths no
-bundled scenario takes, two sha256 digests of each trace: of
+backends, plus long injection streams, raw mode, and the adversary paths
+no bundled scenario takes, two sha256 digests of each trace: of
 `trace.to_v1()`, the format v1 text, in trace_hashes.json, and of
 `trace.to_jsonl()`, the format v2 text, in trace_hashes_v2.json.  A change
 that alters event order, delay draws or engine decisions shows up as a
@@ -37,7 +36,6 @@ from pathlib import Path
 import pytest
 
 from abcast.core import ConfigError, LeaderSchedule, Params
-from abcast.engine import EngineOptions
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import (CrashSpec, FlipVoterSpec, RunConfig, ScriptedSpec,
                            SilentLeaderSpec, run)
@@ -112,12 +110,10 @@ _FORGE_SCRIPT = tuple(
 def _stream_cases() -> dict:
     return {
         "stream_n4/bracha": _stream(4, "bracha", 1200),
-        "stream_n4_lifo/bracha": _stream(
-            4, "bracha", 600, options=EngineOptions(queue_discipline="lifo")),
         # observers, a mid-run crash and a spam window that holds messages
         "stream_n4_observers/bracha": _stream(
             4, "bracha", 400, extra_nodes=2, adversaries=(CrashSpec(2, 150),),
-            options=EngineOptions(spam_window=3)),
+            spam_window=3),
         "stream_n4_crash/gossip": _stream(
             4, "gossip", 600, adversaries=(CrashSpec(1, 0),)),
         "stream_n10_crash/gossip": _stream(

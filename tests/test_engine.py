@@ -1,9 +1,7 @@
-import pytest
 
 from abcast.core import LeaderSchedule, Params
 from abcast.engine import (
     Engine,
-    EngineOptions,
     Input,
     Proposal,
     RestartTimer,
@@ -33,9 +31,9 @@ class ViewStub:
         return sorted(self.rb)
 
 
-def make_engine(view=None, self_id=0, inputs=(), options=None):
-    return Engine(PARAMS, SCHED, self_id, options or EngineOptions(),
-                  view or ViewStub(), initial_inputs=tuple(inputs))
+def make_engine(view=None, self_id=0, inputs=()):
+    return Engine(PARAMS, SCHED, self_id, view or ViewStub(),
+                  initial_inputs=tuple(inputs))
 
 
 def inputs_of(actions, kind):
@@ -79,18 +77,10 @@ def test_start_leader_with_empty_buffer_waits():
     assert actions == [Input(rb_key(0), Proposal("a", None))]
 
 
-def test_on_input_disciplines():
-    fifo = make_engine(inputs=("a",))
-    fifo.on_input("b")
-    assert fifo.inputs == ["a", "b"]
-    lifo = make_engine(inputs=("a",), options=EngineOptions(queue_discipline="lifo"))
-    lifo.on_input("b")
-    assert lifo.inputs == ["b", "a"]
-
-
-def test_bad_queue_discipline_rejected():
-    with pytest.raises(ValueError):
-        EngineOptions(queue_discipline="random")
+def test_on_input_appends_to_the_buffer():
+    eng = make_engine(inputs=("a",))
+    eng.on_input("b")
+    assert eng.inputs == ["a", "b"]
 
 
 def test_on_timeout_votes_to_skip_current():

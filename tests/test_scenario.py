@@ -1,7 +1,7 @@
 import copy
 import json
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from abcast.checks import CHECKS, run_checks
 from abcast.core import ConfigError
-from abcast.engine import EngineOptions
 from abcast.scenario import load_scenario, scenario_from_dict
 from abcast.simnet import MAX_NODES, CrashSpec, FlipVoterSpec, run
 
@@ -420,16 +419,13 @@ def test_check_arguments_reach_the_check():
 
 def test_engine_options_parsed():
     doc = base_doc()
-    set_here = {"queue_discipline": "lifo", "spam_window": 7}
-    doc["engine_options"] = dict(set_here)
-    sc = scenario_from_dict(doc)
-    # Every engine option is a scenario field: none is settable from Python only.
-    assert {f.name for f in fields(EngineOptions)} == set(set_here)
-    for name, value in set_here.items():
-        assert getattr(sc.config.options, name) == value
-    doc["engine_options"] = {"queue_discipline": "stack"}
-    with pytest.raises(ConfigError):
-        scenario_from_dict(doc)
+    doc["engine_options"] = {"queue_discipline": "fifo", "spam_window": 7}
+    assert scenario_from_dict(doc).config.spam_window == 7
+    # the proposal buffer is first in first out: no other discipline loads
+    for discipline in ("lifo", "stack"):
+        doc["engine_options"] = {"queue_discipline": discipline}
+        with pytest.raises(ConfigError, match=repr(discipline)):
+            scenario_from_dict(doc)
 
 
 def test_parse_does_not_mutate_document():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from abcast.checks import CheckContext, run_checks
 from abcast.core import ConfigError, LeaderSchedule, Params
-from abcast.engine import EngineOptions
 from abcast.gossip import make_signed
 from abcast.simnet import (
     _HAS,
@@ -29,8 +28,6 @@ from abcast.trace import Trace
 def make_cfg(**kw):
     params = kw.pop("params", None) or Params(
         n=4, f=1, delta=2, gst=kw.pop("gst", 0), sub_delay=6)
-    if isinstance(kw.get("options"), dict):         # EngineOptions fields
-        kw["options"] = EngineOptions(**kw["options"])
     base = dict(params=params, schedule=LeaderSchedule(params.n),
                 horizon=150, injections=((0, 0, "v0"), (0, 1, "v1")))
     base.update(kw)
@@ -192,6 +189,21 @@ def test_all_injections_delivered_in_same_order():
     assert {v for v, _ in sequences[0]} == {"v0", "v1"}
 
 
+def test_a_stream_into_one_node_is_delivered_in_order_within_the_liveness_slack():
+    """The proposal buffer is first in first out, so a value waits only for
+    the values injected before it: node 0's stream comes out everywhere in
+    injection order, each value within check_liveness's slack (156 ticks at
+    n=4, sub_delay=6) of its injection."""
+    injected = {f"s{t}": t for t in range(0, 1000, 50)}
+    trace = run(make_cfg(horizon=1200,
+                         injections=tuple((t, 0, v) for v, t in injected.items())))
+    outs = trace.ab_outputs()
+    assert set(outs) == {0, 1, 2, 3}
+    for evs in outs.values():
+        assert [ev.data["value"] for ev in evs] == list(injected)
+        assert all(ev.time - injected[ev.data["value"]] <= 156 for ev in evs)
+
+
 def test_timer_generations_fire_monotonically():
     trace = run(make_cfg())
     fired = {}
@@ -288,6 +300,18 @@ def test_gossip_floods_from_a_single_target():
     assert got.get(3) is None
 
 
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_a_driver_that_names_itself_gets_no_copy_back(backend):
+    spec = EquivocatingProposerSpec(3, (PartitionValue((3, 0), "x"),))
+    trace = run(make_cfg(backend=backend, adversaries=(spec,),
+                         injections=((0, 0, "v0"),), horizon=100))
+    own = [ev for ev in trace.iter_kind("deliver")
+           if ev.node == 3 and trace.events[ev.data["msg"]].node == 3]
+    assert own == []
+    assert any(ev.node == 0 and trace.events[ev.data["msg"]].node == 3
+               for ev in trace.iter_kind("deliver"))
+
+
 def test_each_target_of_a_send_gets_the_copy_its_own_send_event_names():
     script = ({"time": 5, "op": "send", "to": [2, 0], "instance": "wba/0",
                "mkind": "vote", "payload": 1},)
@@ -330,13 +354,13 @@ def test_spam_window_quarantines_far_rounds():
                "mkind": "initial",
                "payload": {"value": "spam", "parent": None}},)
     held = make_cfg(adversaries=(ScriptedSpec(3, script),), horizon=100,
-                    options=EngineOptions(spam_window=10))
+                    spam_window=10)
     trace = run(held)
     echoes = [ev for ev in trace.iter_kind("send")
               if ev.data["instance"] == "rb/51" and ev.node != 3]
     assert echoes == []
     open_window = make_cfg(adversaries=(ScriptedSpec(3, script),), horizon=100,
-                           options=EngineOptions(spam_window=100))
+                           spam_window=100)
     trace = run(open_window)
     echoes = [ev for ev in trace.iter_kind("send")
               if ev.data["instance"] == "rb/51" and ev.node != 3]
@@ -483,7 +507,7 @@ BAD_RUN_CONFIGS = {
         {"time": 1, "op": "send", "instance": "zz/0", "mkind": "vote",
          "payload": 1},)),)),
     # a negative window holds every message, so the run wedges
-    "negative spam window": dict(options={"spam_window": -1}),
+    "negative spam window": dict(spam_window=-1),
 }
 
 
