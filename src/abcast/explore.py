@@ -14,18 +14,21 @@ behaviour within that budget.  A message is in flight exactly when its
 sender has sent it and it is absent from the recipient's tally, so the
 packed tuple of validator states is the whole configuration.
 
-Correct validators with equal inputs are interchangeable when the
-Byzantine budget treats their ids alike (its message set is unchanged
-when recipients are relabeled).  Those relabelings form a group G, and
-relabeling a reachable state (moving validator i's word to slot pi(i),
-with the correct sender bits of every tally moved along) gives another
-reachable state.  The memo set therefore holds one representative per
-orbit, the least of its |G| images, and the search adds up the orbit sizes
-|G|/|Stab| (the number of distinct images) as it stores representatives,
-so `ExploreResult.states` is the count of the unreduced search.  When G is
-the identity alone, the search visits states in the same order as an
-unreduced one; a violation found under a larger G is searched for again
-under the identity, so the reported count and witness do not depend on G.
+The search splits each state into slot 0's word and a key, the packed
+words of slots 1..k-1.  A move delivers one message to one validator r
+and changes only r's word.  Whether r can take the message, and r's word
+after it, depend only on r's own word, on the sender bits the other
+correct validators have set in their own words (`word & sent[i]`: what
+they have sent), and on the fixed Byzantine pool.  So slot 0's moves read
+the key and nothing else outside slot 0, and a move to slot j >= 1 reads
+slot 0 only through the 4 bits slot 0 has sent.  The reachable set is
+therefore held exactly as a map from key to a bitset over slot 0's words:
+close a key's bits under slot-0 moves in that key's context, split them
+into the at most 16 classes of what they sent, and OR each class into the
+key of every slot-j successor that class enables.  A state is reachable
+exactly when its word's bit is set under its key, so
+`ExploreResult.states`, the sum of the bitsets' sizes, is the count a
+walk over single states gives.
 
 The tallies are order-independent sets; all order dependence funnels
 through the latches (a validator echoes one value, readies one, outputs
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem, xor
 
 from .core import Params
 
@@ -70,9 +72,8 @@ class Thresholds:
 
 @dataclass
 class ExploreResult:
-    states: int                 # reachable states, every orbit counted in full
+    states: int                 # reachable states
     violation: dict | None
-    representatives: int        # states the search stored: one per orbit
 
     @property
     def ok(self) -> bool:
@@ -81,9 +82,6 @@ class ExploreResult:
 
 class BudgetExceeded(RuntimeError):
     """The reachable state count passed the configured cap."""
-
-
-_WITNESS_LIMIT = 2_000_000      # walk the space again only when it is small
 
 
 def default_wba_budget(correct: int = 3) -> list[tuple]:
@@ -194,122 +192,108 @@ def _violation(state: int, inputs, need: int):
     return None
 
 
-# -- symmetry-reduced search core ---------------------------------------------
+# -- set-based reachability fixpoint -----------------------------------------
 
-def symmetry_group(inputs, budget) -> tuple[tuple[int, ...], ...]:
-    """Relabelings of the correct validators that the instance cannot observe.
-
-    `perm` (validator i becomes perm[i]) is kept when every validator keeps
-    its input and the Byzantine budget maps onto itself with its recipients
-    relabeled.  The identity comes first.
-    """
-    ids = range(len(inputs))
-    pool = set(budget)
-    return tuple(perm for perm in itertools.permutations(ids)
-                 if all(inputs[perm[i]] == inputs[i] for i in ids)
-                 and {(kind, bit, perm[r]) for kind, bit, r in pool} == pool)
-
-
-def _relabel_word(word: int, perm) -> int:
-    """Move the correct sender bits of every tally nibble along `perm`; the
-    Byzantine sender bit and the latches stay."""
-    out = word
-    for fld in range(4):
-        for i in range(len(perm)):
-            out &= ~(1 << (_W * fld + i))
-        for i, j in enumerate(perm):
-            out |= (word >> (_W * fld + i) & 1) << (_W * fld + j)
-    return out
-
-
-class _Images(dict):
-    """One slot's words, each mapped to its images under every group element
-    (the relabeled word shifted into the slot it moves to)."""
-
-    def __init__(self, group, slot: int):
-        super().__init__()
-        self.shifts = [(perm, _BITS * perm[slot]) for perm in group]
-
-    def __missing__(self, word: int) -> tuple[int, ...]:
-        ims = self[word] = tuple(_relabel_word(word, perm) << shift
-                                 for perm, shift in self.shifts)
-        return ims
-
-
-def _search(initial: int, byz_offer, successors, inputs, need: int, group,
+def _search(initial: int, byz_offer, successors, inputs, need: int,
             max_states: int):
-    """Depth-first search over one representative per orbit of `group`.
+    """Every reachable state, as slot 0's words per key of the other slots.
 
     `byz_offer[r]` holds the tally positions the Byzantine budget may
     deliver to validator r, and `successors(r, word, avail)` lists r's new
     words, one per deliverable message in `avail` (plus any initial r may
-    still take).  A state is bad when `_violation` finds one in it, given
-    `inputs` and `need`.  Returns (states, representatives, bad_state):
-    the visited count with every orbit expanded, the count stored, and the
-    first visited state that is bad (None if there is none).  A bad state
-    found under a non-trivial group is searched for again under the
-    identity alone, so the count and the state reported are those of the
-    unreduced search.
+    still take).  Returns (states, bad_state): the reachable count and the
+    first state met that `_violation` calls an agreement violation, else
+    the first it calls a validity violation, else None.
 
-    The stack holds each state's images as discovered, identity first, so
-    none is rebuilt at a pop.  A successor is first looked up under the
-    element that maps its parent to the parent's least image and skipped on
-    a hit, with no min over the group: `seen` holds least images only, so
-    any image found there means the successor's orbit is stored.
+    A key packs slots 1..k-1 as the state does above slot 0, and its value
+    is a bitset over `words0`, slot 0's words in the order first met.  A
+    move to slot j >= 1 strictly adds bits to the key, so the keys are
+    processed once each in order of their bit count: by then every key
+    that leads to one has sent it all its slot-0 bits.
     """
-    ids = range(len(byz_offer))
-    bases = [_BITS * i for i in ids]
-    self_mask = [sum(1 << (_W * fld + s) for fld in range(4)) for s in ids]
-    out_mask = sum(3 << (b + _OUT) for b in bases)
-    latches = (sum(t << (b + _OUT) for t, b in zip(tags, bases))
-               for tags in itertools.product(range(3), repeat=len(bases)))
-    ok_outs = {s for s in latches if _violation(s, inputs, need) is None}
-    # A state's images are the sums of its slots' images (the slots land on
-    # disjoint bits).  Per recipient and (word, deliverable set), `changes`
-    # holds what each delivery XORs into every image.
-    images = [_Images(group, i) for i in ids]
-    step_memo: list[dict] = [dict() for _ in ids]
+    ids = range(len(inputs))
+    sent = [sum(1 << (_W * fld + s) for fld in range(4)) for s in ids]
+    index: dict[int, int] = {}
+    words0: list[int] = []
+    by_tag = [0, 0, 0]                  # slot-0 words by output latch
+    by_sent: dict[int, int] = {}        # ... and by the tally bits they sent
+    closed: dict[tuple, int] = {}       # (context, word) -> its closure
+    closed_sets: dict[tuple, int] = {}  # (context, bitset) -> its closure
+    steps: dict[tuple, tuple] = {}      # (slot, word, avail) -> key changes
 
-    words = [initial >> b & _MASK for b in bases]
-    imgs = tuple(map(sum, zip(*map(getitem, images, words))))
-    states = len(set(imgs))
-    seen = {min(imgs)}
-    stack = [imgs]
-    while stack:
-        imgs = stack.pop()
-        state = imgs[0]
-        if state & out_mask not in ok_outs:
-            if len(group) > 1:
-                return _search(initial, byz_offer, successors, inputs, need,
-                               group[:1], max_states)
-            return states, len(seen), state
-        j = imgs.index(min(imgs))
-        rep = imgs[j]
-        words = [state >> b & _MASK for b in bases]
-        offers = 0
-        for i in ids:
-            offers |= words[i] & self_mask[i]
-        for r in ids:
-            sr = words[r]
-            key = sr << 16 | (offers | byz_offer[r]) & ~sr & 0xFFFF
-            changes = step_memo[r].get(key)
-            if changes is None:
-                old = images[r][sr]
-                changes = tuple(tuple(map(xor, old, images[r][nv]))
-                                for nv in successors(r, sr, key & 0xFFFF))
-                step_memo[r][key] = changes
-            for change in changes:
-                if rep ^ change[j] in seen:
+    def bit(word: int) -> int:
+        i = index.get(word)
+        if i is None:
+            i = index[word] = len(words0)
+            words0.append(word)
+            by_tag[word >> _OUT & 0x3] |= 1 << i
+            by_sent[word & sent[0]] = by_sent.get(word & sent[0], 0) | 1 << i
+        return 1 << i
+
+    def close(ctx: int, word: int) -> int:
+        """`word` and every slot-0 word reachable from it in context `ctx`."""
+        got = closed.get((ctx, word))
+        if got is None:
+            got = bit(word)
+            for nw in successors(0, word, ctx & ~word & 0xFFFF):
+                got |= close(ctx, nw)
+            closed[ctx, word] = got
+        return got
+
+    def close_all(ctx: int, bits: int) -> int:
+        got = closed_sets.get((ctx, bits))
+        if got is None:
+            got, rest = 0, bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not got & low:
+                    got |= close(ctx, words0[low.bit_length() - 1])
+            closed_sets[ctx, bits] = got
+        return got
+
+    verdicts: dict[int, dict] = {}      # the key's latches -> kind -> slot-0 tags
+    for tags in itertools.product(range(3), repeat=len(ids)):
+        bad = _violation(sum(t << (_BITS * i + _OUT) for i, t in enumerate(tags)),
+                         inputs, need)
+        if bad is not None:
+            outs = sum(t << (_BITS * (i - 1) + _OUT) for i, t in enumerate(tags) if i)
+            verdicts.setdefault(outs, {}).setdefault(bad["kind"], []).append(tags[0])
+    out_mask = sum(0x3 << (_BITS * (i - 1) + _OUT) for i in ids[1:])
+
+    levels: list[dict[int, int]] = [{} for _ in range(_BITS * len(ids))]
+    levels[(initial >> _BITS).bit_count()][initial >> _BITS] = bit(initial & _MASK)
+    states = 0
+    found: dict[str, int] = {}
+    for count, level in enumerate(levels):
+        for key, bits in level.items():
+            words = [key << _BITS >> _BITS * i & _MASK for i in ids]
+            offers = sum(w & m for w, m in zip(words, sent))
+            reach = close_all(byz_offer[0] | offers, bits)
+            states += reach.bit_count()
+            if states > max_states:
+                raise BudgetExceeded(f"over {max_states} states")
+            for kind, tags in verdicts.get(key & out_mask, {}).items():
+                hit = reach & sum(by_tag[t] for t in tags)
+                if hit and kind not in found:
+                    found[kind] = key << _BITS | words0[(hit & -hit).bit_length() - 1]
+            for cls, mask in by_sent.items():
+                part = reach & mask
+                if not part:
                     continue
-                nxt = tuple(map(xor, imgs, change))
-                least = min(nxt)
-                if least not in seen:
-                    states += len(set(nxt))
-                    if states > max_states:
-                        raise BudgetExceeded(f"over {max_states} states")
-                    seen.add(least)
-                    stack.append(nxt)
-    return states, len(seen), None
+                for j in ids[1:]:
+                    avail = (cls | offers | byz_offer[j]) & ~words[j] & 0xFFFF
+                    changes = steps.get((j, words[j], avail))
+                    if changes is None:
+                        changes = steps[j, words[j], avail] = tuple(
+                            ((words[j] ^ nw) << _BITS * (j - 1),
+                             nw.bit_count() - words[j].bit_count())
+                            for nw in successors(j, words[j], avail))
+                    for change, rise in changes:
+                        into = levels[count + rise]
+                        into[key ^ change] = into.get(key ^ change, 0) | part
+        level.clear()
+    return states, found.get("agreement", found.get("validity"))
 
 
 def _witness(initial: int, target: int, moves_of, apply_move):
@@ -377,16 +361,15 @@ def _explore(inputs, budget, echo_kind: str, need: int, th: Thresholds,
         return out
 
     initial = _initial(inputs, th)
-    states, reps, bad_state = _search(initial, byz_offer, successors, inputs, need,
-                                      symmetry_group(inputs, budget), max_states)
+    states, bad_state = _search(initial, byz_offer, successors, inputs, need,
+                                max_states)
     if bad_state is None:
-        return ExploreResult(states, None, reps)
+        return ExploreResult(states, None)
     detail = _violation(bad_state, inputs, need)
-    if states <= _WITNESS_LIMIT:
-        detail["path"] = _witness(initial, bad_state,
-                                  lambda s: _moves(s, correct, budget, echo_kind),
-                                  lambda s, m: _apply(s, m, th))
-    return ExploreResult(states, detail, reps)
+    detail["path"] = _witness(initial, bad_state,
+                              lambda s: _moves(s, correct, budget, echo_kind),
+                              lambda s, m: _apply(s, m, th))
+    return ExploreResult(states, detail)
 
 
 def explore_wba(inputs, params: Params, byz_budget=None,
@@ -399,9 +382,11 @@ def explore_wba(inputs, params: Params, byz_budget=None,
     pool of (kind, bit, recipient) messages, kind "vote" or "ready", in any
     order and any subset.  Flags Agreement (two correct outputs differ) and
     Validity (an output bit backed by fewer than quorum-f correct inputs)
-    violations, with a replayable delivery path as the witness when the
-    searched space is small enough to walk again.
+    violations, with a replayable delivery path as the witness.
     """
+    inputs = tuple(inputs)
+    if not inputs or any(v not in (0, 1, None) for v in inputs):
+        raise ValueError(f"inputs {inputs!r} are not one or more of 0, 1 and None")
     if byz_budget is None:
         byz_budget = default_wba_budget(len(inputs))
     return _explore(inputs, byz_budget, "vote", params.quorum - params.f,
@@ -414,6 +399,8 @@ def explore_rb(params: Params, correct: int = 3, byz_budget=None,
     """Byzantine proposer equivocates over two values; checks Agreement.
 
     Budget kinds are "initial", "echo" and "ready"."""
+    if not isinstance(correct, int) or correct < 1:
+        raise ValueError(f"correct={correct!r} is not a positive validator count")
     if byz_budget is None:
         byz_budget = default_rb_budget(correct)
     return _explore((None,) * correct, byz_budget, "echo", 0,

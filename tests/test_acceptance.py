@@ -160,11 +160,11 @@ def test_criterion_6_wba_validity_and_exhaustive_search():
     assert crashed_sweep()["wba_contract"] == 100
 
     params = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
-    representatives = {(1, 1, 1): 7_856_128, (0, 1, 1): 3_231_232}
-    for inputs, states in representatives.items():
+    states = {(1, 1, 1): 7_856_128, (0, 1, 1): 3_231_232}
+    for inputs, count in states.items():
         res = explore_wba(inputs, params)
         assert res.ok, (inputs, res.violation)
-        assert res.states == states, (inputs, res.states)
+        assert res.states == count, (inputs, res.states)
     rb = explore_rb(params)
     assert rb.ok, rb.violation
     assert rb.states == 159_264, rb.states

@@ -1,4 +1,3 @@
-import functools
 from collections import deque
 
 import pytest
@@ -18,13 +17,11 @@ from abcast.explore import (
     _apply,
     _initial,
     _moves,
-    _relabel_word,
     _violation,
     default_rb_budget,
     default_wba_budget,
     explore_rb,
     explore_wba,
-    symmetry_group,
 )
 from abcast.subproto import Input, InstanceKey, Kind, Output
 
@@ -44,7 +41,7 @@ def test_default_budgets():
 
 
 def slow_wba_states(inputs, budget, th):
-    """Every reachable state, via the generic move/apply pair and no symmetry."""
+    """Every reachable state, via the generic move/apply pair."""
     init = _initial(inputs, th)
     seen = {init}
     stack = [init]
@@ -80,19 +77,26 @@ def slow_rb_reach(correct, budget, th):
     return len(slow_rb_states(correct, budget, th))
 
 
-def orbit_count(states, inputs, budget):
-    """Orbits among `states`: distinct least images under the instance's
-    symmetry group, each image built by relabeling every slot's word."""
-    group = symmetry_group(inputs, budget)
+def replay(inputs, path, th):
+    """The state a delivery path leads to from the instance's initial one."""
+    state = _initial(inputs, th)
+    for move in path:
+        state = _apply(state, move, th)
+    return state
 
-    @functools.cache
-    def slot_images(i, word):
-        return [_relabel_word(word, perm) << (_BITS * perm[i]) for perm in group]
 
-    def least(state):
-        return min(map(sum, zip(*(slot_images(i, state >> (_BITS * i) & _MASK)
-                                  for i in range(len(inputs))))))
-    return len(set(map(least, states)))
+def assert_agrees_with_walk(res, seen, inputs, need, th):
+    """`res` counts the walker's states, and reports agreement when a seen
+    state violates it, else validity when one violates that, with a path
+    that replays to a state of the reported kind."""
+    kinds = {bad["kind"] for bad in (_violation(s, inputs, need) for s in seen) if bad}
+    assert res.states == len(seen)
+    assert res.ok == (not kinds)
+    if kinds:
+        kind = "agreement" if "agreement" in kinds else "validity"
+        assert res.violation["kind"] == kind
+        assert _violation(replay(inputs, res.violation["path"], th),
+                          inputs, need)["kind"] == kind
 
 
 def test_wba_explorer_matches_reference_walk():
@@ -132,17 +136,13 @@ def test_distorted_output_threshold_breaks_agreement():
                       byz_budget=[("ready", 0, 0), ("ready", 1, 1)],
                       thresholds=bad)
     assert not res.ok
-    assert res.states == 115
+    assert res.states == 3411
     assert res.violation["kind"] == "agreement"
     path = res.violation["path"]
-    assert len(path) == 8
-    assert path == (("ready", 0, 3, 0), ("ready", 1, 3, 1), ("vote", 1, 0, 1),
-                    ("vote", 1, 0, 2), ("vote", 1, 1, 2), ("vote", 1, 2, 1),
-                    ("ready", 1, 1, 2), ("ready", 1, 2, 1))
-    state = _initial((1, 1, 1), bad)
-    for move in path:
-        state = _apply(state, move, bad)
-    replayed = _violation(state, (1, 1, 1), PARAMS.quorum - PARAMS.f)
+    assert len(path) == 3
+    assert path == (("ready", 0, 3, 0), ("ready", 1, 3, 1), ("vote", 1, 1, 0))
+    replayed = _violation(replay((1, 1, 1), path, bad), (1, 1, 1),
+                          PARAMS.quorum - PARAMS.f)
     assert replayed is not None and replayed["kind"] == "agreement"
 
 
@@ -152,18 +152,19 @@ def test_distorted_quorum_breaks_validity():
     budget = [(k, 0, r) for k in ("vote", "ready") for r in range(3)]
     res = explore_wba((0, 1, 1), PARAMS, byz_budget=budget, thresholds=weak)
     assert not res.ok
-    assert res.states == 2173
+    assert res.states == 259496
     v = res.violation
     assert v["kind"] == "validity"
     assert v["bit"] == 0
     assert v["correct_inputs"] == 1
-    assert len(v["path"]) == 13
+    assert len(v["path"]) == 7
     assert v["path"] == (
-        ("vote", 0, 3, 1), ("vote", 0, 3, 2), ("ready", 0, 3, 0),
-        ("ready", 0, 3, 1), ("ready", 0, 3, 2), ("vote", 0, 0, 1),
-        ("vote", 1, 1, 2), ("vote", 0, 0, 2), ("ready", 0, 1, 0),
-        ("ready", 0, 1, 2), ("vote", 1, 2, 1), ("ready", 1, 2, 0),
-        ("ready", 1, 2, 1))
+        ("vote", 0, 3, 0), ("vote", 0, 3, 1), ("ready", 0, 3, 0),
+        ("vote", 0, 0, 1), ("vote", 1, 1, 0), ("ready", 0, 1, 0),
+        ("vote", 1, 2, 0))
+    replayed = _violation(replay((0, 1, 1), v["path"], weak), (0, 1, 1),
+                          PARAMS.quorum - PARAMS.f)
+    assert replayed is not None and replayed["kind"] == "validity"
 
 
 def _unpruned_witness(initial, target, moves_of, apply_move):
@@ -191,7 +192,7 @@ def _unpruned_witness(initial, target, moves_of, apply_move):
 
 def test_pruned_witness_equals_the_unpruned_walk():
     # The witness search skips states that are not sub-states of the
-    # target; on the 13-step case the path must be the full walk's.
+    # target; on the validity case the path must be the full walk's.
     weak = Thresholds(quorum=2, amplify=2, output=3)
     inputs = (0, 1, 1)
     budget = [(k, 0, r) for k in ("vote", "ready") for r in range(3)]
@@ -219,9 +220,6 @@ def test_rb_default_budget_exhaustive_and_safe():
     res = explore_rb(PARAMS)
     assert res.ok
     assert res.states == 159264
-    # All three correct validators are interchangeable under this budget.
-    assert res.representatives < res.states
-    assert res.representatives == 27236
 
 
 def test_state_budget_is_enforced():
@@ -229,59 +227,37 @@ def test_state_budget_is_enforced():
         explore_wba((1, 1, 1), PARAMS, max_states=100)
 
 
-ALL = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-IDENTITY = ((0, 1, 2),)
-
-
-def test_symmetry_group_derivation():
-    assert symmetry_group((1, 1, 1), default_wba_budget(3)) == ALL
-    assert symmetry_group((0, 1, 1), default_wba_budget(3)) == ((0, 1, 2), (0, 2, 1))
-    assert symmetry_group((1, None, 1), default_wba_budget(3)) == ((0, 1, 2), (2, 1, 0))
-    # Unequal inputs or a budget that singles out a recipient leave the identity.
-    assert symmetry_group((0, 1, None), default_wba_budget(3)) == IDENTITY
-    assert symmetry_group((1, 1, 1), [("vote", 0, 0), ("vote", 1, 1)]) == IDENTITY
-    assert symmetry_group((None,) * 3, default_rb_budget(3)) == ALL
-    assert symmetry_group((None,) * 3, [("initial", 0, 0), ("initial", 1, 1),
-                                        ("initial", 1, 2)]) == ((0, 1, 2), (0, 2, 1))
-
-
 def to_all(*msgs):
     return [(kind, v, r) for kind, v in msgs for r in range(3)]
 
 
-@pytest.mark.parametrize("inputs,budget,group", [
-    ((1, 1, 1), to_all(("vote", 0)), 6),
-    ((1, 1, 1), to_all(("ready", 1)), 6),
-    ((0, 1, 1), to_all(("ready", 1)), 2),
-    ((0, 1, 1), to_all(("vote", 0), ("ready", 1)), 2),
+@pytest.mark.parametrize("inputs,budget", [
+    ((1, 1, 1), to_all(("vote", 0))),
+    ((1, 1, 1), to_all(("ready", 1))),
+    ((0, 1, 1), to_all(("ready", 1))),
+    ((0, 1, 1), to_all(("vote", 0), ("ready", 1))),
 ])
-def test_reduced_wba_search_matches_reference_walk(inputs, budget, group):
+def test_wba_budget_to_every_recipient_matches_reference_walk(inputs, budget):
     res = explore_wba(inputs, PARAMS, byz_budget=budget)
-    assert len(symmetry_group(inputs, budget)) == group
     assert res.ok
-    seen = slow_wba_states(inputs, budget, TH)
-    assert res.states == len(seen)
-    assert res.representatives == orbit_count(seen, inputs, budget) < res.states
+    assert res.states == len(slow_wba_states(inputs, budget, TH))
 
 
-@pytest.mark.parametrize("budget,group", [
-    (to_all(("initial", 0), ("initial", 1)), 6),
-    (to_all(("ready", 0), ("initial", 1)), 6),
-    ([("initial", 0, 0), ("initial", 1, 1), ("initial", 1, 2)], 2),
+@pytest.mark.parametrize("budget", [
+    to_all(("initial", 0), ("initial", 1)),
+    to_all(("ready", 0), ("initial", 1)),
+    [("initial", 0, 0), ("initial", 1, 1), ("initial", 1, 2)],
 ])
-def test_reduced_rb_search_matches_reference_walk(budget, group):
+def test_rb_budget_to_every_recipient_matches_reference_walk(budget):
     res = explore_rb(PARAMS, byz_budget=budget)
-    assert len(symmetry_group((None,) * 3, budget)) == group
     assert res.ok
-    seen = slow_rb_states(3, budget, TH)
-    assert res.states == len(seen)
-    assert res.representatives == orbit_count(seen, (None,) * 3, budget) < res.states
+    assert res.states == len(slow_rb_states(3, budget, TH))
 
 
-def test_state_budget_counts_every_orbit_member():
+def test_state_budget_boundary_is_exact():
+    # The cap admits exactly the reachable count and refuses one less.
     budget = to_all(("vote", 0))
     full = explore_wba((1, 1, 1), PARAMS, byz_budget=budget)
-    assert full.representatives < full.states - 1
     assert explore_wba((1, 1, 1), PARAMS, byz_budget=budget,
                        max_states=full.states).states == full.states
     with pytest.raises(BudgetExceeded):
@@ -289,77 +265,97 @@ def test_state_budget_counts_every_orbit_member():
                     max_states=full.states - 1)
 
 
-def test_identity_group_stores_every_state():
-    budget = [("vote", 0, 0), ("ready", 1, 1)]
-    res = explore_wba((1, 1, 1), PARAMS, byz_budget=budget)
-    assert res.states == res.representatives == 2380
+# Thresholds as drawn for the reference-walk properties: the distorted ones
+# make violating instances, whose counts must match as well.
+distorted_thresholds = st.builds(Thresholds, quorum=st.integers(1, 3),
+                                 amplify=st.integers(1, 2),
+                                 output=st.integers(1, 3))
+
+
+@st.composite
+def wba_instances(draw):
+    correct = draw(st.integers(1, 3))
+    inputs = draw(st.tuples(*[st.sampled_from((0, 1, None))] * correct))
+    budget = draw(st.lists(st.sampled_from(default_wba_budget(correct)),
+                           max_size=4, unique=True))
+    return inputs, budget, draw(distorted_thresholds)
+
+
+@st.composite
+def rb_instances(draw):
+    correct = draw(st.integers(1, 3))
+    budget = draw(st.lists(st.sampled_from(default_rb_budget(correct)),
+                           max_size=4, unique=True))
+    return correct, budget, draw(distorted_thresholds)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(inputs=st.tuples(*[st.sampled_from((0, 1, None))] * 3),
-       budget=st.lists(st.sampled_from(default_wba_budget(3)), max_size=4,
-                       unique=True))
-def test_reduced_wba_search_agrees_with_reference_walk(inputs, budget):
-    res = explore_wba(inputs, PARAMS, byz_budget=budget)
-    seen = slow_wba_states(inputs, budget, TH)
-    need = PARAMS.quorum - PARAMS.f
-    ok = all(_violation(s, inputs, need) is None for s in seen)
-    assert res.ok == ok
-    if ok:
-        assert res.states == len(seen)
+@given(instance=wba_instances())
+def test_wba_search_agrees_with_reference_walk(instance):
+    inputs, budget, th = instance
+    res = explore_wba(inputs, PARAMS, byz_budget=budget, thresholds=th)
+    assert_agrees_with_walk(res, slow_wba_states(inputs, budget, th), inputs,
+                            PARAMS.quorum - PARAMS.f, th)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(budget=st.lists(st.sampled_from(default_rb_budget(3)), max_size=4,
-                       unique=True))
-def test_reduced_rb_search_agrees_with_reference_walk(budget):
-    res = explore_rb(PARAMS, byz_budget=budget)
-    seen = slow_rb_states(3, budget, TH)
-    ok = all(_violation(s, (None,) * 3, 0) is None for s in seen)
-    assert res.ok == ok
-    if ok:
-        assert res.states == len(seen)
+@given(instance=rb_instances())
+def test_rb_search_agrees_with_reference_walk(instance):
+    correct, budget, th = instance
+    res = explore_rb(PARAMS, correct=correct, byz_budget=budget, thresholds=th)
+    assert_agrees_with_walk(res, slow_rb_states(correct, budget, th),
+                            (None,) * correct, 0, th)
 
 
 # The explorer budgets of the benchmark's --tiny run, with their pinned counts.
-@pytest.mark.parametrize("inputs,budget,states,representatives", [
-    (None, [("initial", 0, 0), ("initial", 1, 1), ("ready", 0, 2)], 50, 50),
-    ((1, 1, 1), [("vote", 0, 0), ("ready", 1, 1)], 2380, 2380),
-    ((0, 1, 1), [("vote", 0, 0), ("ready", 1, 1)], 256, 256),
+@pytest.mark.parametrize("inputs,budget,states", [
+    (None, [("initial", 0, 0), ("initial", 1, 1), ("ready", 0, 2)], 50),
+    ((1, 1, 1), [("vote", 0, 0), ("ready", 1, 1)], 2380),
+    ((0, 1, 1), [("vote", 0, 0), ("ready", 1, 1)], 256),
 ])
-def test_tiny_bench_searches_are_pinned(inputs, budget, states, representatives):
+def test_tiny_bench_searches_are_pinned(inputs, budget, states):
     if inputs is None:
         res = explore_rb(PARAMS, byz_budget=budget)
         seen = slow_rb_states(3, budget, TH)
-        inputs = (None,) * 3
     else:
         res = explore_wba(inputs, PARAMS, byz_budget=budget)
         seen = slow_wba_states(inputs, budget, TH)
     assert res.ok
-    assert (res.states, res.representatives) == (states, representatives)
-    assert representatives == orbit_count(seen, inputs, budget)
+    assert res.states == states == len(seen)
 
 
-def test_violation_under_full_group_reports_the_unreduced_search():
-    # Counts and path lengths as the unreduced search reports them: a
-    # violation is searched for again under the identity alone.
+def test_violation_search_counts_the_whole_space():
+    # A violation does not stop the search: the count is every reachable
+    # state's, and the path leads to the first violating state met.
     bad = Thresholds(quorum=3, amplify=2, output=1)
     budget = to_all(("ready", 0), ("ready", 1))
     wba = explore_wba((1, 1, 1), PARAMS, byz_budget=budget, thresholds=bad)
-    assert (wba.states, wba.representatives) == (269, 269)
+    assert wba.states == 195399
     assert wba.violation["kind"] == "agreement"
-    assert len(wba.violation["path"]) == 11
+    assert len(wba.violation["path"]) == 3
     assert wba.violation["path"] == (
-        ("ready", 0, 3, 0), ("ready", 1, 3, 1), ("ready", 0, 3, 1),
-        ("ready", 1, 3, 2), ("ready", 0, 3, 2), ("vote", 1, 0, 1),
-        ("vote", 1, 0, 2), ("vote", 1, 1, 2), ("vote", 1, 2, 1),
-        ("ready", 1, 1, 2), ("ready", 1, 2, 1))
+        ("ready", 0, 3, 1), ("vote", 1, 1, 0), ("vote", 1, 2, 0))
+    assert _violation(replay((1, 1, 1), wba.violation["path"], bad), (1, 1, 1),
+                      PARAMS.quorum - PARAMS.f)["kind"] == "agreement"
     rb = explore_rb(PARAMS, byz_budget=budget, thresholds=bad)
-    assert (rb.states, rb.representatives) == (22, 22)
-    assert len(rb.violation["path"]) == 5
-    assert rb.violation["path"] == (
-        ("ready", 0, 3, 0), ("ready", 1, 3, 1), ("ready", 0, 3, 1),
-        ("ready", 1, 3, 2), ("ready", 0, 3, 2))
+    assert rb.states == 125
+    assert rb.violation["kind"] == "agreement"
+    assert len(rb.violation["path"]) == 2
+    assert rb.violation["path"] == (("ready", 0, 3, 1), ("ready", 1, 3, 0))
+    assert _violation(replay((None,) * 3, rb.violation["path"], bad),
+                      (None,) * 3, 0)["kind"] == "agreement"
+
+
+def test_violation_in_a_large_space_has_a_witness():
+    # The first violating state met is near the initial one, so its pruned
+    # witness walk is short however many states the search counts.
+    bad = Thresholds(quorum=3, amplify=2, output=1)
+    res = explore_wba((0, 1, 1), PARAMS, thresholds=bad)
+    assert res.states == 10378080
+    assert res.violation["kind"] == "agreement"
+    assert len(res.violation["path"]) == 5
+    assert _violation(replay((0, 1, 1), res.violation["path"], bad), (0, 1, 1),
+                      PARAMS.quorum - PARAMS.f)["kind"] == "agreement"
 
 
 @pytest.mark.parametrize("search,entry", [
@@ -374,6 +370,19 @@ def test_budget_entry_the_protocol_cannot_send_is_refused(search, entry):
     # A kind the protocol does not know used to be searched as a ready.
     with pytest.raises(ValueError, match="budget entry"):
         search([("ready", 1, 1), entry])
+
+
+@pytest.mark.parametrize("search,named", [
+    (lambda: explore_wba((2, 1, 1), PARAMS), r"inputs \(2, 1, 1\)"),
+    (lambda: explore_wba((), PARAMS), r"inputs \(\)"),
+    (lambda: explore_wba(("1", 1, 1), PARAMS), r"inputs \('1', 1, 1\)"),
+    (lambda: explore_rb(PARAMS, correct=0), "correct=0"),
+], ids=["input 2", "no inputs", "input '1'", "correct 0"])
+def test_instance_the_search_cannot_seed_is_refused(search, named):
+    # Input 2 used to be searched as a one-state validity violation, and no
+    # validators failed inside the search.
+    with pytest.raises(ValueError, match=named):
+        search()
 
 
 def test_more_correct_validators_than_a_tally_holds_are_refused():
