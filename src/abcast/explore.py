@@ -80,6 +80,13 @@ class ExploreResult:
         return self.violation is None
 
 
+# The default cap on reachable states: a bound on time, not on memory, which
+# grows with the keys.  At the 7-20M states per second measured on a 2-core
+# x86-64 machine (Python 3.11), 200M states take about 10-30 s.  It covers the
+# violating instances of 26M-108M states at distorted thresholds.
+MAX_STATES = 200_000_000
+
+
 class BudgetExceeded(RuntimeError):
     """The reachable state count passed the configured cap."""
 
@@ -374,7 +381,7 @@ def _explore(inputs, budget, echo_kind: str, need: int, th: Thresholds,
 
 def explore_wba(inputs, params: Params, byz_budget=None,
                 thresholds: Thresholds | None = None,
-                max_states: int = 20_000_000) -> ExploreResult:
+                max_states: int = MAX_STATES) -> ExploreResult:
     """Search every delivery order of correct and Byzantine messages.
 
     `inputs` lists the correct validators' input bits (None for no input);
@@ -382,7 +389,9 @@ def explore_wba(inputs, params: Params, byz_budget=None,
     pool of (kind, bit, recipient) messages, kind "vote" or "ready", in any
     order and any subset.  Flags Agreement (two correct outputs differ) and
     Validity (an output bit backed by fewer than quorum-f correct inputs)
-    violations, with a replayable delivery path as the witness.
+    violations, with a replayable delivery path as the witness.  Raises
+    BudgetExceeded once the reachable states counted pass `max_states`, a
+    bound on the search's time (see `MAX_STATES`).
     """
     inputs = tuple(inputs)
     if not inputs or any(v not in (0, 1, None) for v in inputs):
@@ -395,10 +404,11 @@ def explore_wba(inputs, params: Params, byz_budget=None,
 
 def explore_rb(params: Params, correct: int = 3, byz_budget=None,
                thresholds: Thresholds | None = None,
-               max_states: int = 20_000_000) -> ExploreResult:
+               max_states: int = MAX_STATES) -> ExploreResult:
     """Byzantine proposer equivocates over two values; checks Agreement.
 
-    Budget kinds are "initial", "echo" and "ready"."""
+    Budget kinds are "initial", "echo" and "ready".  `max_states` bounds
+    the search's time as in `explore_wba`."""
     if not isinstance(correct, int) or correct < 1:
         raise ValueError(f"correct={correct!r} is not a positive validator count")
     if byz_budget is None:

@@ -26,8 +26,9 @@ import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import isfinite
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .subproto import INSTANCE_TEXT
 
@@ -38,7 +39,9 @@ _SENDS = ("send", "gossip")
 _DECODER = json.JSONDecoder()
 # `from_jsonl` decodes the event lines this many characters at a time, each
 # chunk running on to the next newline.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
+# `to_jsonl` joins this many lines at a time onto its text.
+_LINES = 512
 # Two JSON objects side by side: the line that `_records` cannot read in a chunk.
 _JOINED = re.compile(r"\}[ \t]*,[ \t]*\{")
 
@@ -116,27 +119,34 @@ def _template(kind, keys: tuple, types: tuple):
             None if all(c is str for c in convs) else tuple(convs))
 
 
-def _text_lines(header: str, events) -> list[str]:
-    """The lines of a trace text: `header`, each event's line as
-    `TraceEvent.to_json` writes it, and a closing "" for the last newline."""
-    templates, lines = {}, [header]
+def _jsonl_text(header: str, events) -> str:
+    """A trace text: `header`, then each event's line as `TraceEvent.to_json`
+    writes it, each line ended by a newline.  The lines are joined onto the
+    text `_LINES` at a time, so that no list of every line is made; CPython
+    grows a str in place when it holds the only reference."""
+    templates, text, lines = {}, header + "\n", []
     append = lines.append
-    for ev in events:
-        data = ev.data
-        row = (ev.time, ev.seq, ev.node, *data.values())
-        shape = (ev.kind, *data, *map(type, row))
-        tmpl = templates.get(shape, 0)
-        if tmpl == 0:
-            tmpl = templates[shape] = _template(ev.kind, tuple(data),
-                                                tuple(map(type, row)))
-        if tmpl is None:
-            append(ev.to_json())
-            continue
-        fmt, values, convs = tmpl
-        append(fmt % (values(row) if convs is None
-                      else tuple([c(v) for c, v in zip(convs, values(row))])))
-    append("")
-    return lines
+    events = iter(events)
+    while True:
+        for ev in islice(events, _LINES):
+            data = ev.data
+            row = (ev.time, ev.seq, ev.node, *data.values())
+            shape = (ev.kind, *data, *map(type, row))
+            tmpl = templates.get(shape, 0)
+            if tmpl == 0:
+                tmpl = templates[shape] = _template(ev.kind, tuple(data),
+                                                    tuple(map(type, row)))
+            if tmpl is None:
+                append(ev.to_json())
+                continue
+            fmt, values, convs = tmpl
+            append(fmt % (values(row) if convs is None
+                          else tuple([c(v) for c, v in zip(convs, values(row))])))
+        if not lines:
+            return text
+        append("")
+        text += "\n".join(lines)
+        lines.clear()
 
 
 def _line_values(lines: list[str], first: int):
@@ -155,7 +165,14 @@ def _line_values(lines: list[str], first: int):
 def _records(text: str):
     """(line number, JSON value) of each line of `text` that is not blank,
     numbered as ``text.splitlines()`` numbers them, in order; ValueError at
-    the first line that does not hold exactly one JSON value.
+    the first line that does not hold exactly one JSON value.  One iterator
+    over the pairs of `_chunks`, with no Python frame per line."""
+    return chain.from_iterable(_chunks(text))
+
+
+def _chunks(text: str):
+    """An iterator of `_records`' pairs per chunk of `text`, made when the
+    pairs before it are used up.
 
     The text is read in chunks of about `_CHUNK` characters that end at a
     newline, and a chunk is one scanner pass: its lines, each newline
@@ -187,12 +204,13 @@ def _records(text: str):
             except (ValueError, RecursionError):
                 recs = ()
             if len(recs) == count and set(map(type, recs)) == {dict}:
-                yield from zip(range(number, number + count), recs)
+                yield enumerate(recs, number)
+                del recs            # frees what the events of the chunk do not keep
                 number += count
                 continue
         # the newline after the chunk, so that its last line counts if blank
         lines = (chunk + "\n").splitlines()
-        yield from _line_values(lines, number)
+        yield _line_values(lines, number)
         number += len(lines)
 
 
@@ -310,7 +328,10 @@ class Trace:
         """The trace as format v1 text.  A `deliver` that names its send
         carries that send's fields instead, but `to` and `sig`, and no
         `send` or `gossip` event carries `sig`."""
-        sent, events = {}, []
+        return self._text(1, self._v1_events())
+
+    def _v1_events(self):
+        sent = {}
         for ev in self.events:
             data = ev.data
             if ev.kind in _SENDS:
@@ -323,15 +344,12 @@ class Trace:
                     raise ValueError(f"deliver event {ev.seq} names no earlier send")
                 data = {k: v for k, v in fields.items() if k not in ("to", "sig")}
                 data.update((k, v) for k, v in ev.data.items() if k != "msg")
-            if data is not ev.data:
-                ev = TraceEvent(ev.time, ev.seq, ev.kind, ev.node, data)
-            events.append(ev)
-        return self._text(1, events)
+            yield ev if data is ev.data else TraceEvent(ev.time, ev.seq, ev.kind,
+                                                        ev.node, data)
 
-    def _text(self, version: int, events: list) -> str:
-        header = _encode({"kind": "trace_header", "version": version,
-                          "seed": self.seed, **self.meta})
-        return "\n".join(_text_lines(header, events))
+    def _text(self, version: int, events) -> str:
+        return _jsonl_text(_encode({"kind": "trace_header", "version": version,
+                                    "seed": self.seed, **self.meta}), events)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
@@ -342,7 +360,11 @@ class Trace:
         must name by its int ``msg`` an earlier `send` or `gossip` event
         that could reach its node: one whose ``to`` list holds the node,
         or, with no list, one sent by another node.  Anything else raises
-        ValueError."""
+        ValueError.
+
+        The events share what recorded events share: one str per kind, one
+        int per run of equal times, and a `deliver`'s ``msg`` is the seq
+        object of the event it names."""
         records = _records(text)
         first = next(records, None)
         if first is None:
@@ -360,17 +382,31 @@ class Trace:
                 if k not in ("kind", "version", "seed")}
         trace = cls(seed=seed, meta=meta, version=version)
         events = trace.events
-        sent = None if version == 1 else {}      # seq -> send or gossip event
+        # seq -> (its seq object, its `to` list or None, its node) per send
+        # or gossip event
+        sent = None if version == 1 else {}
+        # kind -> (the one str kept for it, its `_FIELDS` entry, whether a
+        # deliver may name it)
+        kinds = {}
+        last = None      # the time object of the event before
+        append = events.append
         for i, rec in records:
             if type(rec) is not dict:
                 raise ValueError(f"trace line {i} is not a JSON object")
-            time, seq = rec.pop("time", None), rec.pop("seq", None)
-            kind = rec.pop("kind", None)
+            try:
+                time, seq, kind = rec["time"], rec["seq"], rec["kind"]
+            except KeyError:
+                time = None
             if type(time) is not int or type(seq) is not int or type(kind) is not str:
                 raise ValueError(f"trace line {i} needs an int time, an int seq "
                                  f"and a str kind")
+            if time != last:
+                last = time
             if kind == "deliver" and sent is not None:
-                node, msg = rec.pop("node", None), rec.get("msg")
+                try:
+                    node, msg = rec["node"], rec["msg"]
+                except KeyError:
+                    node = None
                 if type(node) is not int or type(msg) is not int:
                     raise ValueError(f"trace line {i}: deliver needs an int node "
                                      f"and an int msg")
@@ -378,21 +414,34 @@ class Trace:
                 if send is None:
                     raise ValueError(f"trace line {i}: deliver names no earlier send "
                                      f"or gossip event with seq {msg}")
-                to = send.data.get("to")
-                if node not in to if type(to) is list else node == send.node:
+                msg, to, sender = send
+                if node not in to if to is not None else node == sender:
                     raise ValueError(f"trace line {i}: deliver at node {node} names "
                                      f"event {msg}, which does not send to it")
-                events.append(TraceEvent(time, seq, kind, node, rec))
+                # The recorder's dict: the scanner's keeps a table sized for
+                # the six keys of the line.
+                if len(rec) == 6 and "gossip" in rec:
+                    rec = {"msg": msg, "gossip": rec["gossip"]}
+                else:
+                    del rec["time"], rec["seq"], rec["kind"], rec["node"]
+                    rec["msg"] = msg
+                append(TraceEvent(last, seq, "deliver", node, rec))
                 continue
-            fields = _FIELDS.get(kind, ())
+            del rec["time"], rec["seq"], rec["kind"]
+            known = kinds.get(kind)
+            if known is None:
+                known = kinds[kind] = (kind, _FIELDS.get(kind, ()),
+                                       sent is not None and kind in _SENDS)
+            kind, fields, sends = known
             if fields is _SUB and str(rec.get("instance")).startswith("wba/"):
                 fields = _WBA_SUB
             for name, (test, what) in fields:
                 if name not in rec or not test(rec[name]):
                     raise ValueError(f"trace line {i}: {kind} needs {what} {name}")
-            ev = TraceEvent(time, seq, kind, rec.pop("node", None), rec)
-            events.append(ev)
-            if sent is not None and kind in _SENDS:
-                sent[seq] = ev
-        trace._seq = max((ev.seq for ev in events), default=-1) + 1
+            node = rec.pop("node", None)
+            append(TraceEvent(last, seq, kind, node, rec))
+            if sends:
+                to = rec.get("to")
+                sent[seq] = (seq, to if type(to) is list else None, node)
+        trace._seq = max(map(attrgetter("seq"), events), default=-1) + 1
         return trace

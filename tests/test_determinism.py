@@ -27,6 +27,7 @@ write elsewhere first:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
@@ -39,6 +40,7 @@ from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import (CrashSpec, FlipVoterSpec, RunConfig, ScriptedSpec,
                            SilentLeaderSpec, run)
+from abcast.trace import Trace
 
 ROOT = Path(__file__).resolve().parent.parent
 # the digests of each case's to_v1() text, and of its to_jsonl() text
@@ -194,6 +196,28 @@ def test_trace_is_byte_identical(name):
         diff = changed_seeds(seeds, got, pinned)
         assert not diff, f"{name}: {version} traces changed for seeds {diff}"
         assert len(got) == len(pinned)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decoded_trace_equals_recorded(name):
+    """At the case's first seed, `from_jsonl` gives back the recorded
+    events and `to_jsonl` gives back the text.  Each decoded event holds a
+    data dict of its own, so changing one deliver's data changes no other
+    event."""
+    make, seeds = CASES[name]
+    recorded = run(make(seeds[0]))
+    text = recorded.to_jsonl()
+    decoded = Trace.from_jsonl(text)
+    assert ([(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in decoded.events]
+            == [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in recorded.events])
+    assert decoded.to_jsonl() == text
+    deliver = next(decoded.iter_kind("deliver"), None)
+    if deliver is not None:
+        before = [copy.deepcopy(ev.data) for ev in decoded.events]
+        deliver.data["msg"] = -1
+        deliver.data["extra"] = 1
+        assert all(ev.data == data for ev, data in zip(decoded.events, before)
+                   if ev is not deliver)
 
 
 def regenerate(names, v2: bool = False) -> dict:

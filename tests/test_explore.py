@@ -358,6 +358,18 @@ def test_violation_in_a_large_space_has_a_witness():
                       PARAMS.quorum - PARAMS.f)["kind"] == "agreement"
 
 
+def test_default_budget_covers_a_violating_space_of_26m_states():
+    # A cap of 20M states refused this instance, which the search covers in
+    # about a second.
+    bad = Thresholds(quorum=3, amplify=2, output=1)
+    res = explore_wba((1, 1, 1), PARAMS, thresholds=bad)
+    assert res.states == 25979392
+    assert res.violation["kind"] == "agreement"
+    assert len(res.violation["path"]) == 4
+    assert _violation(replay((1, 1, 1), res.violation["path"], bad), (1, 1, 1),
+                      PARAMS.quorum - PARAMS.f)["kind"] == "agreement"
+
+
 @pytest.mark.parametrize("search,entry", [
     (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("echo", 0, 0)),
     (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("initial", 0, 0)),

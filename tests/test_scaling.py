@@ -11,11 +11,11 @@ delivered: a gossip flood that fans every message out again at each node
 that receives it makes that ratio grow with n.  The queue entries per
 delivery: an entry per copy of a forced fan-out makes it about one.  The
 walks the checkers make over the event list: one index build per trace,
-not one walk per view.  The bytes a saved trace takes per event, and the
-memory its decode frees again: a small part of the text, not a list of its
-lines.  And the
-objects the cyclic collector finds once a run's trace is dropped: none, so
-reference counting frees every run as soon as it ends.
+not one walk per view.  The bytes a saved trace takes per event; the bytes
+a decoded trace keeps, about those of the recorded one; and the memory its
+encode and its decode free again: a small part of the text, not a list of
+its lines.  And the objects the cyclic collector finds once a run's trace
+is dropped: none, so reference counting frees every run as soon as it ends.
 """
 
 import gc
@@ -200,22 +200,66 @@ def test_trace_bytes_per_event(n, backend, adversaries):
     assert per_event <= 85, per_event
 
 
+def _gossip_stream_n10() -> Trace:
+    """The n=10 gossip stream with validator 9 crashed, horizon 200: 409 KB
+    of text, 5,172 events."""
+    return run(RunConfig(
+        params=Params(n=10, f=3, delta=2, gst=0, sub_delay=6),
+        schedule=LeaderSchedule(10), backend="gossip", seed=3, horizon=200,
+        delay_law="uniform", adversaries=(CrashSpec(9, 0),),
+        injections=tuple((t, i % 10, f"v{i}") for i, t in enumerate(range(0, 200, 10)))))
+
+
+def _kept_bytes(events) -> int:
+    """The bytes of each event and of its time, seq, kind, node and data,
+    walked into dicts, lists and tuples, each object counted once."""
+    seen, total = set(), 0
+    stack = [x for ev in events for x in (ev, ev.time, ev.seq, ev.kind, ev.node, ev.data)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if type(obj) is dict:
+                stack += obj.keys()
+                stack += obj.values()
+            elif type(obj) in (list, tuple):
+                stack += obj
+    return total
+
+
+def test_decoded_trace_keeps_about_what_the_recorded_one_does():
+    """The decoded gossip stream keeps 1.10 times the recorded trace's
+    bytes.  Each line's own `kind` str, `time` int and `msg` int, and a
+    deliver's dict with the table of its whole six-key line, make 1.52."""
+    recorded = _gossip_stream_n10()
+    decoded = Trace.from_jsonl(recorded.to_jsonl())
+    ratio = _kept_bytes(decoded.events) / _kept_bytes(recorded.events)
+    assert ratio <= 1.2, ratio
+    events = decoded.events
+    kinds = {}
+    assert all(kinds.setdefault(ev.kind, ev.kind) is ev.kind for ev in events)
+    assert len(kinds) >= 10
+    delivers = list(decoded.iter_kind("deliver"))
+    assert len(delivers) > 3000
+    assert all(ev.data["msg"] is events[ev.data["msg"]].seq for ev in delivers)
+    assert all(b.time is a.time for a, b in zip(events, events[1:]) if b.time == a.time)
+    assert all(type(ev.data) is dict and len(ev.data) == 2 and sys.getsizeof(ev.data)
+               == sys.getsizeof({"msg": 0, "gossip": 1}) for ev in delivers)
+
+
 # What decoding a trace allocates and frees again, over the text's length:
-# 0.11 on the n=10 gossip stream at horizon 200 (409 KB of text, 5,172
-# events, which keep 2,432 KB).  A list of the text's lines reads 1.76 and
-# fails; each line decoded alone also keeps its own copy of every key
-# (3,069 KB).
+# 0.19 on the n=10 gossip stream at horizon 200 (409 KB of text, 5,172
+# events, which keep 1,818 KB: each kind one str, a run of equal times one
+# int, and a deliver's msg its send's seq).  A list of the text's lines
+# reads 1.76 and fails; each line decoded alone also keeps its own copy of
+# every key.
 DECODE_TRANSIENT_BOUND = 0.5
 
 
 def test_decode_frees_about_what_it_keeps():
     """`Trace.from_jsonl`'s peak less what it keeps, under tracemalloc."""
-    text = run(RunConfig(
-        params=Params(n=10, f=3, delta=2, gst=0, sub_delay=6),
-        schedule=LeaderSchedule(10), backend="gossip", seed=3, horizon=200,
-        delay_law="uniform", adversaries=(CrashSpec(9, 0),),
-        injections=tuple((t, i % 10, f"v{i}") for i, t in enumerate(range(0, 200, 10))))
-    ).to_jsonl()
+    text = _gossip_stream_n10().to_jsonl()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -224,6 +268,22 @@ def test_decode_frees_about_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert len(trace.events) > 4000
+    assert peak - kept < DECODE_TRANSIENT_BOUND * len(text), (peak - kept) / len(text)
+
+
+@pytest.mark.parametrize("write", [Trace.to_jsonl, Trace.to_v1], ids=["v2", "v1"])
+def test_encode_frees_about_what_it_keeps(write):
+    """`to_jsonl`'s and `to_v1`'s peak less the text, under tracemalloc,
+    over the text's length: 0.27 on the n=10 gossip stream, where a list of
+    every line reads 1.71 (v2) and 3.13 (v1, with a list of its events)."""
+    trace = _gossip_stream_n10()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = write(trace)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak - kept < DECODE_TRANSIENT_BOUND * len(text), (peak - kept) / len(text)
 
 

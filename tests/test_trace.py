@@ -228,6 +228,26 @@ def test_v2_round_trips_and_to_v1_spells_out_each_message(monkeypatch):
          "gossip": 1}]
 
 
+@pytest.mark.parametrize("lines", [1, 2, 5])
+def test_text_does_not_depend_on_the_lines_joined_at_a_time(monkeypatch, lines):
+    t, empty = message_trace(), Trace(seed=1)
+    texts = [t.to_jsonl(), t.to_v1(), empty.to_jsonl()]
+    monkeypatch.setattr(trace_module, "_LINES", lines)
+    assert [t.to_jsonl(), t.to_v1(), empty.to_jsonl()] == texts
+
+
+@pytest.mark.parametrize("fields", [{"gossip": 1, "extra": [0]}, {"gossip": 2},
+                                    {"gossip": "y"}, {"note": None}])
+def test_a_v2_deliver_keeps_odd_fields(fields):
+    """A deliver whose fields are not the recorder's keeps them as they are."""
+    t = message_trace()
+    t.events[5].data = {"msg": 2, **fields}
+    text = t.to_jsonl()
+    back = Trace.from_jsonl(text)
+    assert back.events[5].data == {"msg": 2, **fields}
+    assert back.to_jsonl() == text
+
+
 @pytest.mark.parametrize("data", [{}, {"msg": True}, {"msg": "0"}, {"msg": 0.0}])
 def test_a_v2_deliver_needs_an_int_msg(data):
     t = message_trace()
