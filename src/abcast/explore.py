@@ -30,6 +30,12 @@ exactly when its word's bit is set under its key, so
 `ExploreResult.states`, the sum of the bitsets' sizes, is the count a
 walk over single states gives.
 
+Many keys share a (context, bitset) pair (the benchmark's searches meet
+144 pairs over about 29,000 keys), so each pair's closure is split once
+and memoised.  The memo stays exact: a word's index is fixed when the word
+is first met, and a tag or class mask only gains the indices of words met
+later, which no closure computed earlier holds.
+
 The tallies are order-independent sets; all order dependence funnels
 through the latches (a validator echoes one value, readies one, outputs
 and is seeded once), which the packed state records, so visiting every
@@ -81,9 +87,10 @@ class ExploreResult:
 
 
 # The default cap on reachable states: a bound on time, not on memory, which
-# grows with the keys.  At the 7-20M states per second measured on a 2-core
-# x86-64 machine (Python 3.11), 200M states take about 10-30 s.  It covers the
-# violating instances of 26M-108M states at distorted thresholds.
+# grows with the keys.  At the 15-55M states per second the default-budget
+# searches reach on one core of a 2-core x86-64 machine (Python 3.11), 200M
+# states take about 4-13 s.  It covers the violating instances of 26M-108M
+# states at distorted thresholds.
 MAX_STATES = 200_000_000
 
 
@@ -217,6 +224,11 @@ def _search(initial: int, byz_offer, successors, inputs, need: int,
     move to slot j >= 1 strictly adds bits to the key, so the keys are
     processed once each in order of their bit count: by then every key
     that leads to one has sent it all its slot-0 bits.
+
+    Each key's closure comes split from the memo on (context, bitset),
+    exact for the reason the module docstring gives.  Classes are walked
+    in `by_sent` order and slots 1..k-1 inside each, so successor keys,
+    and the first violating state met, come in a fixed order.
     """
     ids = range(len(inputs))
     sent = [sum(1 << (_W * fld + s) for fld in range(4)) for s in ids]
@@ -225,7 +237,7 @@ def _search(initial: int, byz_offer, successors, inputs, need: int,
     by_tag = [0, 0, 0]                  # slot-0 words by output latch
     by_sent: dict[int, int] = {}        # ... and by the tally bits they sent
     closed: dict[tuple, int] = {}       # (context, word) -> its closure
-    closed_sets: dict[tuple, int] = {}  # (context, bitset) -> its closure
+    closed_sets: dict[tuple, tuple] = {}  # (context, bitset) -> close_all
     steps: dict[tuple, tuple] = {}      # (slot, word, avail) -> key changes
 
     def bit(word: int) -> int:
@@ -247,26 +259,31 @@ def _search(initial: int, byz_offer, successors, inputs, need: int,
             closed[ctx, word] = got
         return got
 
-    def close_all(ctx: int, bits: int) -> int:
-        got = closed_sets.get((ctx, bits))
-        if got is None:
-            got, rest = 0, bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not got & low:
-                    got |= close(ctx, words0[low.bit_length() - 1])
-            closed_sets[ctx, bits] = got
+    def close_all(ctx: int, bits: int) -> tuple:
+        """Memoise the closure of `bits` in context `ctx` as its size, its
+        words per set of output tags, and its nonzero parts per class."""
+        reach, rest = 0, bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not reach & low:
+                reach |= close(ctx, words0[low.bit_length() - 1])
+        got = closed_sets[ctx, bits] = (
+            reach.bit_count(),
+            [sum(reach & by_tag[t] for t in range(3) if s >> t & 1) for s in range(8)],
+            [(cls, reach & mask) for cls, mask in by_sent.items() if reach & mask])
         return got
 
-    verdicts: dict[int, dict] = {}      # the key's latches -> kind -> slot-0 tags
+    verdicts: dict[int, dict] = {}      # key latches -> kind -> bitset of slot-0 tags
     for tags in itertools.product(range(3), repeat=len(ids)):
         bad = _violation(sum(t << (_BITS * i + _OUT) for i, t in enumerate(tags)),
                          inputs, need)
         if bad is not None:
             outs = sum(t << (_BITS * (i - 1) + _OUT) for i, t in enumerate(tags) if i)
-            verdicts.setdefault(outs, {}).setdefault(bad["kind"], []).append(tags[0])
+            kinds = verdicts.setdefault(outs, {})
+            kinds[bad["kind"]] = kinds.get(bad["kind"], 0) | 1 << tags[0]
     out_mask = sum(0x3 << (_BITS * (i - 1) + _OUT) for i in ids[1:])
+    shifts = [(j, _BITS * (j - 1), sent[j]) for j in ids[1:]]
 
     levels: list[dict[int, int]] = [{} for _ in range(_BITS * len(ids))]
     levels[(initial >> _BITS).bit_count()][initial >> _BITS] = bit(initial & _MASK)
@@ -274,31 +291,36 @@ def _search(initial: int, byz_offer, successors, inputs, need: int,
     found: dict[str, int] = {}
     for count, level in enumerate(levels):
         for key, bits in level.items():
-            words = [key << _BITS >> _BITS * i & _MASK for i in ids]
-            offers = sum(w & m for w, m in zip(words, sent))
-            reach = close_all(byz_offer[0] | offers, bits)
-            states += reach.bit_count()
+            offers = 0
+            for j, shift, mask in shifts:
+                offers |= key >> shift & mask
+            ctx = byz_offer[0] | offers
+            size, hits, parts = closed_sets.get((ctx, bits)) or close_all(ctx, bits)
+            states += size
             if states > max_states:
                 raise BudgetExceeded(f"over {max_states} states")
-            for kind, tags in verdicts.get(key & out_mask, {}).items():
-                hit = reach & sum(by_tag[t] for t in tags)
+            for kind, tagset in verdicts.get(key & out_mask, {}).items():
+                hit = hits[tagset]
                 if hit and kind not in found:
                     found[kind] = key << _BITS | words0[(hit & -hit).bit_length() - 1]
-            for cls, mask in by_sent.items():
-                part = reach & mask
-                if not part:
-                    continue
-                for j in ids[1:]:
-                    avail = (cls | offers | byz_offer[j]) & ~words[j] & 0xFFFF
-                    changes = steps.get((j, words[j], avail))
+            slots = []
+            for j, shift, mask in shifts:
+                word = key >> shift & _MASK
+                free = ~word & 0xFFFF
+                slots.append((j, word, free, (offers | byz_offer[j]) & free))
+            for cls, part in parts:
+                for j, word, free, base in slots:
+                    avail = base | cls & free
+                    changes = steps.get((j, word, avail))
                     if changes is None:
-                        changes = steps[j, words[j], avail] = tuple(
-                            ((words[j] ^ nw) << _BITS * (j - 1),
-                             nw.bit_count() - words[j].bit_count())
-                            for nw in successors(j, words[j], avail))
+                        changes = steps[j, word, avail] = tuple(
+                            ((word ^ nw) << _BITS * (j - 1),
+                             nw.bit_count() - word.bit_count())
+                            for nw in successors(j, word, avail))
                     for change, rise in changes:
                         into = levels[count + rise]
-                        into[key ^ change] = into.get(key ^ change, 0) | part
+                        nxt = key ^ change
+                        into[nxt] = into.get(nxt, 0) | part
         level.clear()
     return states, found.get("agreement", found.get("validity"))
 
@@ -348,7 +370,8 @@ def _explore(inputs, budget, echo_kind: str, need: int, th: Thresholds,
     init_offer = [0] * correct          # values the budget may seed r with
     for entry in budget:
         kind, v, rcpt = entry
-        if kind not in kinds or v not in (0, 1) or rcpt not in range(correct):
+        if (kind not in kinds or v not in (0, 1) or rcpt not in range(correct)
+                or isinstance(v, bool) or isinstance(rcpt, bool)):
             raise ValueError(f"budget entry {entry!r} is not (kind, 0 or 1, "
                              f"recipient below {correct}) with kind in {kinds}")
         if kind == "initial":
@@ -394,7 +417,7 @@ def explore_wba(inputs, params: Params, byz_budget=None,
     bound on the search's time (see `MAX_STATES`).
     """
     inputs = tuple(inputs)
-    if not inputs or any(v not in (0, 1, None) for v in inputs):
+    if not inputs or any(isinstance(v, bool) or v not in (0, 1, None) for v in inputs):
         raise ValueError(f"inputs {inputs!r} are not one or more of 0, 1 and None")
     if byz_budget is None:
         byz_budget = default_wba_budget(len(inputs))
@@ -409,7 +432,7 @@ def explore_rb(params: Params, correct: int = 3, byz_budget=None,
 
     Budget kinds are "initial", "echo" and "ready".  `max_states` bounds
     the search's time as in `explore_wba`."""
-    if not isinstance(correct, int) or correct < 1:
+    if not isinstance(correct, int) or isinstance(correct, bool) or correct < 1:
         raise ValueError(f"correct={correct!r} is not a positive validator count")
     if byz_budget is None:
         byz_budget = default_rb_budget(correct)

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import pytest
@@ -370,6 +371,72 @@ def test_default_budget_covers_a_violating_space_of_26m_states():
                       PARAMS.quorum - PARAMS.f)["kind"] == "agreement"
 
 
+# Every violation below is agreement with outputs [1, 0]; the path pins which
+# violating state the search meets first, which its loop order fixes.
+_TABLE_WBA_BUDGET = to_all(("vote", 0), ("vote", 1)) + [("ready", 0, 1), ("ready", 1, 0)]
+_TABLE_RB_BUDGET = [("initial", 0, 0), ("initial", 1, 1), ("initial", 0, 2),
+                    ("ready", 0, 2), ("ready", 1, 0)]
+
+
+@pytest.mark.parametrize("th,inputs,states,path", [
+    ((3, 2, 1), (1, 1, 1), 558_592,
+     (("vote", 0, 3, 0), ("ready", 0, 3, 1), ("vote", 1, 1, 0),
+      ("vote", 1, 2, 0))),
+    ((3, 2, 1), (0, 1, 1), 188_640,
+     (("vote", 0, 3, 0), ("vote", 1, 3, 0), ("ready", 0, 3, 1),
+      ("vote", 1, 1, 0), ("vote", 1, 2, 0))),
+    ((3, 2, 1), (0, 0, 1), 165_984,
+     (("vote", 1, 3, 0), ("ready", 0, 3, 1), ("ready", 1, 3, 0),
+      ("vote", 0, 1, 0), ("vote", 1, 2, 0))),
+    ((3, 2, 1), None, 500,
+     (("ready", 0, 3, 2), ("ready", 1, 3, 0))),
+    ((2, 1, 2), (1, 1, 1), 2_231_272,
+     (("vote", 0, 3, 0), ("vote", 1, 3, 0), ("ready", 0, 3, 1),
+      ("ready", 1, 3, 0), ("vote", 1, 1, 0), ("vote", 1, 2, 0))),
+    ((2, 1, 2), (0, 1, 1), 3_837_788,
+     (("vote", 1, 3, 0), ("ready", 0, 3, 1), ("ready", 1, 3, 0),
+      ("vote", 0, 3, 0), ("vote", 1, 1, 0), ("vote", 1, 2, 0))),
+    ((2, 1, 2), (0, 0, 1), 3_710_836,
+     (("vote", 1, 3, 0), ("ready", 0, 3, 1), ("ready", 1, 3, 0),
+      ("vote", 0, 3, 0), ("vote", 0, 1, 0), ("vote", 1, 2, 0))),
+    ((2, 1, 2), None, 249_077,
+     (("ready", 0, 3, 2), ("ready", 1, 3, 0))),
+    ((2, 2, 2), (1, 1, 1), 858_400, None),
+    ((2, 2, 2), (0, 1, 1), 1_757_872,
+     (("vote", 0, 3, 1), ("vote", 1, 3, 0), ("ready", 0, 3, 1),
+      ("ready", 1, 3, 0), ("vote", 0, 0, 1), ("vote", 1, 1, 0),
+      ("vote", 0, 3, 0), ("vote", 1, 2, 0))),
+    ((2, 2, 2), (0, 0, 1), 1_687_632,
+     (("vote", 1, 3, 0), ("ready", 0, 3, 1), ("ready", 1, 3, 0),
+      ("vote", 0, 0, 1), ("vote", 1, 2, 0), ("vote", 0, 3, 0), ("vote", 0, 1, 0))),
+    ((2, 2, 2), None, 13_032, None),
+    ((1, 1, 3), (1, 1, 1), 1_048_576, None),
+    ((1, 1, 3), (0, 1, 1), 1_048_576, None),
+    ((1, 1, 3), (0, 0, 1), 1_048_576, None),
+    ((1, 1, 3), None, 360_145, None),
+])
+def test_first_violation_met_is_pinned_at_distorted_thresholds(th, inputs, states, path):
+    th = Thresholds(*th)
+    if inputs is None:
+        res = explore_rb(PARAMS, byz_budget=_TABLE_RB_BUDGET, thresholds=th)
+    else:
+        res = explore_wba(inputs, PARAMS, byz_budget=_TABLE_WBA_BUDGET, thresholds=th)
+    assert res.states == states
+    if path is None:
+        assert res.ok
+    else:
+        assert res.violation == {"kind": "agreement", "outputs": [1, 0], "path": path}
+
+
+@pytest.mark.parametrize("inputs", list(itertools.product((0, 1), repeat=3)),
+                         ids=lambda inputs: "".join(map(str, inputs)))
+def test_every_wba_input_pattern_is_safe_with_its_class_count(inputs):
+    # Criterion 6 searches (1,1,1) and (0,1,1) and lets bit-flip and
+    # relabeling cover the rest; here each pattern gets its class's count.
+    res = explore_wba(inputs, PARAMS)
+    assert res.ok, res.violation
+    assert res.states == (7_856_128 if len(set(inputs)) == 1 else 3_231_232)
+
 @pytest.mark.parametrize("search,entry", [
     (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("echo", 0, 0)),
     (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("initial", 0, 0)),
@@ -377,9 +444,12 @@ def test_default_budget_covers_a_violating_space_of_26m_states():
     (lambda b: explore_rb(PARAMS, byz_budget=b), ("Ready", 1, 2)),
     (lambda b: explore_rb(PARAMS, byz_budget=b), ("ready", 2, 0)),
     (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("ready", 0, 3)),
+    (lambda b: explore_wba((1, 1, 1), PARAMS, byz_budget=b), ("vote", True, 0)),
+    (lambda b: explore_rb(PARAMS, byz_budget=b), ("initial", 0, False)),
 ])
 def test_budget_entry_the_protocol_cannot_send_is_refused(search, entry):
-    # A kind the protocol does not know used to be searched as a ready.
+    # A kind the protocol does not know used to be searched as a ready, and
+    # a bool as the bit or recipient it equals.
     with pytest.raises(ValueError, match="budget entry"):
         search([("ready", 1, 1), entry])
 
@@ -389,10 +459,14 @@ def test_budget_entry_the_protocol_cannot_send_is_refused(search, entry):
     (lambda: explore_wba((), PARAMS), r"inputs \(\)"),
     (lambda: explore_wba(("1", 1, 1), PARAMS), r"inputs \('1', 1, 1\)"),
     (lambda: explore_rb(PARAMS, correct=0), "correct=0"),
-], ids=["input 2", "no inputs", "input '1'", "correct 0"])
+    (lambda: explore_wba((True, 1, False), PARAMS), r"inputs \(True, 1, False\)"),
+    (lambda: explore_rb(PARAMS, correct=True), "correct=True"),
+], ids=["input 2", "no inputs", "input '1'", "correct 0", "input True",
+        "correct True"])
 def test_instance_the_search_cannot_seed_is_refused(search, named):
-    # Input 2 used to be searched as a one-state validity violation, and no
-    # validators failed inside the search.
+    # Input 2 used to be searched as a one-state validity violation, no
+    # validators failed inside the search, and correct=True searched one
+    # validator as correct=1 does.
     with pytest.raises(ValueError, match=named):
         search()
 
