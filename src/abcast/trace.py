@@ -12,7 +12,8 @@ the encoder built once, at import.
 In format v2 a ``deliver`` event names the ``send`` or ``gossip`` event of
 its message by seq (``msg``) instead of repeating the message's fields, and
 a ``gossip`` event carries its signature.  `Trace.from_jsonl` reads v1 and
-v2; `Trace.to_v1` writes any trace as v1 text.
+v2.  A simulation records v2, so v1 text is written only as the text of a
+trace read from v1.
 
 The derived views the checkers read (events by kind, per-node rounds) come
 from one index, built on the first view call and rebuilt only when the
@@ -322,34 +323,8 @@ class Trace:
     # -- (de)serialization ---------------------------------------------------
 
     def to_jsonl(self) -> str:
-        return self._text(self.version, self.events)
-
-    def to_v1(self) -> str:
-        """The trace as format v1 text.  A `deliver` that names its send
-        carries that send's fields instead, but `to` and `sig`, and no
-        `send` or `gossip` event carries `sig`."""
-        return self._text(1, self._v1_events())
-
-    def _v1_events(self):
-        sent = {}
-        for ev in self.events:
-            data = ev.data
-            if ev.kind in _SENDS:
-                sent[ev.seq] = data
-                if "sig" in data:
-                    data = {k: v for k, v in data.items() if k != "sig"}
-            elif ev.kind == "deliver" and "msg" in data:
-                fields = sent.get(data["msg"])
-                if fields is None:
-                    raise ValueError(f"deliver event {ev.seq} names no earlier send")
-                data = {k: v for k, v in fields.items() if k not in ("to", "sig")}
-                data.update((k, v) for k, v in ev.data.items() if k != "msg")
-            yield ev if data is ev.data else TraceEvent(ev.time, ev.seq, ev.kind,
-                                                        ev.node, data)
-
-    def _text(self, version: int, events) -> str:
-        return _jsonl_text(_encode({"kind": "trace_header", "version": version,
-                                    "seed": self.seed, **self.meta}), events)
+        return _jsonl_text(_encode({"kind": "trace_header", "version": self.version,
+                                    "seed": self.seed, **self.meta}), self.events)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":

@@ -1,13 +1,12 @@
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from abcast.cli import main
-from abcast.scenario import load_scenario
-from abcast.simnet import MAX_NODES, run
+from abcast.simnet import MAX_NODES
 from abcast.trace import Trace
+from test_trace import V1_FIXTURE_REPORT, V1_FIXTURES, v1_fixture_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 HONEST = str(SCENARIOS / "honest_n4.json")
@@ -237,27 +236,15 @@ def test_check_rejects_a_deliver_that_names_no_send_reaching_it(
     assert "bad trace file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["byzantine_n4", "gossip_digest_n4"])
-def test_check_reads_a_v1_trace_as_its_v2_form(tmp_path, capsys, name):
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_check_reads_a_v1_trace_as_its_v2_form(tmp_path, capsys, backend):
     """A v1 trace, as the v1 writer saved it for a pinned config, gives the
-    same check reports as the v2 trace of the same run."""
-    path = str(SCENARIOS / f"{name}.json")
-    scenario = load_scenario(path)
-    pinned = json.loads((Path(__file__).with_name("trace_hashes.json")).read_text())
-    backend = scenario.config_for(0).backend
-    trace = run(scenario.config_for(0))
-    v1, v2 = trace.to_v1(), trace.to_jsonl()
-    assert hashlib.sha256(v1.encode()).hexdigest() == pinned[f"{name}/{backend}"][0]
-    assert json.loads(v1.partition("\n")[0])["version"] == 1
-    assert Trace.from_jsonl(v1).to_jsonl() == v1
-    outputs = []
-    for text in (v1, v2):
-        trace_path = tmp_path / "t.jsonl"
-        trace_path.write_text(text)
-        code = main(["check", str(trace_path), path])
-        outputs.append((code, capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
-    assert "PASS" in outputs[0][1]
+    check reports of the v2 trace of the same run."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(v1_fixture_scenario(backend)))
+    trace = V1_FIXTURES / f"forge_n4_{backend}.jsonl"
+    assert main(["check", str(trace), str(scenario)]) == 0
+    assert capsys.readouterr().out.splitlines() == V1_FIXTURE_REPORT
 
 
 def test_check_refuses_a_trace_from_another_config(tmp_path, capsys):

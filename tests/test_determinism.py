@@ -3,25 +3,19 @@
 A run is a pure function of its config and seed, and `replay` and `check`
 rely on that.  This test pins, for every loadable bundled scenario on both
 backends, plus long injection streams, raw mode, and the adversary paths
-no bundled scenario takes, two sha256 digests of each trace: of
-`trace.to_v1()`, the format v1 text, in trace_hashes.json, and of
-`trace.to_jsonl()`, the format v2 text, in trace_hashes_v2.json.  A change
-that alters event order, delay draws or engine decisions shows up as a
-differing seed in both; a change to the v2 encoding alone shows up only in
-the second.
+no bundled scenario takes, the sha256 digest of each trace's
+`trace.to_jsonl()` text, format v2, in trace_hashes_v2.json.  A change that
+alters event order, delay draws, engine decisions or the encoding shows up
+as a differing seed.
 
-Regenerate a pinned file only for a change that is meant to alter traces,
-and say why in the change description.  With no names the script prints
-every entry; with names it recomputes only those cases, copies every
-other entry from the pinned file as it stands, and prints to stderr the
-seeds at which each named case changed.  `--v2` selects the v2 file.  The
-shell empties a file it redirects into before the script reads it, so
-write elsewhere first:
+Regenerate the pinned file only for a change that is meant to alter
+traces, and say why in the change description.  With no names the script
+prints every entry; with names it recomputes only those cases, copies
+every other entry from the pinned file as it stands, and prints to stderr
+the seeds at which each named case changed.  The shell empties a file it
+redirects into before the script reads it, so write elsewhere first:
 
-    PYTHONPATH=src python tests/test_determinism.py > tests/trace_hashes.json
-    PYTHONPATH=src python tests/test_determinism.py NAME... > new.json
-    mv new.json tests/trace_hashes.json
-    PYTHONPATH=src python tests/test_determinism.py --v2 NAME... > new.json
+    PYTHONPATH=src python tests/test_determinism.py [NAME...] > new.json
     mv new.json tests/trace_hashes_v2.json
 """
 
@@ -43,9 +37,8 @@ from abcast.simnet import (CrashSpec, FlipVoterSpec, RunConfig, ScriptedSpec,
 from abcast.trace import Trace
 
 ROOT = Path(__file__).resolve().parent.parent
-# the digests of each case's to_v1() text, and of its to_jsonl() text
-PINNED = Path(__file__).with_name("trace_hashes.json")
-PINNED_V2 = Path(__file__).with_name("trace_hashes_v2.json")
+# the digests of each case's to_jsonl() text
+PINNED = Path(__file__).with_name("trace_hashes_v2.json")
 SCENARIO_SEEDS = range(20)
 STREAM_SEEDS = range(3)
 
@@ -169,10 +162,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def trace_digests(make, seeds) -> tuple[list[str], list[str]]:
-    """Per seed, the digest of the v1 text and of the v2 text."""
-    traces = [run(make(s)) for s in seeds]
-    return [_sha(t.to_v1()) for t in traces], [_sha(t.to_jsonl()) for t in traces]
+def trace_digests(make, seeds) -> list[str]:
+    """Per seed, the digest of the trace's text."""
+    return [_sha(run(make(s)).to_jsonl()) for s in seeds]
 
 
 def changed_seeds(seeds, got, pinned) -> list:
@@ -183,19 +175,17 @@ CASES = all_cases()
 
 
 def test_every_case_is_pinned():
-    for path in (PINNED, PINNED_V2):
-        assert sorted(CASES) == sorted(json.loads(path.read_text())), path.name
+    assert sorted(CASES) == sorted(json.loads(PINNED.read_text()))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_is_byte_identical(name):
     make, seeds = CASES[name]
-    got_v1, got_v2 = trace_digests(make, seeds)
-    for version, path, got in (("v1", PINNED, got_v1), ("v2", PINNED_V2, got_v2)):
-        pinned = json.loads(path.read_text())[name]
-        diff = changed_seeds(seeds, got, pinned)
-        assert not diff, f"{name}: {version} traces changed for seeds {diff}"
-        assert len(got) == len(pinned)
+    got = trace_digests(make, seeds)
+    pinned = json.loads(PINNED.read_text())[name]
+    diff = changed_seeds(seeds, got, pinned)
+    assert not diff, f"{name}: traces changed for seeds {diff}"
+    assert len(got) == len(pinned)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -220,19 +210,17 @@ def test_decoded_trace_equals_recorded(name):
                    if ev is not deliver)
 
 
-def regenerate(names, v2: bool = False) -> dict:
+def regenerate(names) -> dict:
     """Every case's digests when `names` is empty; else the named cases'
     digests, with every other entry copied from the pinned file, and on
-    stderr each named case's seeds whose digest changed.  The v1 digests,
-    or with `v2` the v2 ones."""
+    stderr each named case's seeds whose digest changed."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"no such case: {', '.join(unknown)}")
-    path = PINNED_V2 if v2 else PINNED
-    pinned = json.loads(path.read_text()) if names else {}
+    pinned = json.loads(PINNED.read_text()) if names else {}
     out = {name: digests for name, digests in pinned.items()
            if name in CASES and name not in names}
-    out.update({name: trace_digests(*CASES[name])[v2] for name in names or CASES})
+    out.update({name: trace_digests(*CASES[name]) for name in names or CASES})
     for name in names:
         seeds = CASES[name][1]
         change = ("new case" if name not in pinned else
@@ -242,7 +230,4 @@ def regenerate(names, v2: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    v2 = "--v2" in args
-    print(json.dumps(regenerate([a for a in args if a != "--v2"], v2),
-                     indent=1, sort_keys=True))
+    print(json.dumps(regenerate(sys.argv[1:]), indent=1, sort_keys=True))

@@ -271,16 +271,15 @@ def test_decode_frees_about_what_it_keeps():
     assert peak - kept < DECODE_TRANSIENT_BOUND * len(text), (peak - kept) / len(text)
 
 
-@pytest.mark.parametrize("write", [Trace.to_jsonl, Trace.to_v1], ids=["v2", "v1"])
-def test_encode_frees_about_what_it_keeps(write):
-    """`to_jsonl`'s and `to_v1`'s peak less the text, under tracemalloc,
-    over the text's length: 0.27 on the n=10 gossip stream, where a list of
-    every line reads 1.71 (v2) and 3.13 (v1, with a list of its events)."""
+def test_encode_frees_about_what_it_keeps():
+    """`to_jsonl`'s peak less the text, under tracemalloc, over the text's
+    length: 0.27 on the n=10 gossip stream, where a list of every line
+    reads 1.71."""
     trace = _gossip_stream_n10()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        text = write(trace)
+        text = trace.to_jsonl()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

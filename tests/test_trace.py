@@ -1,15 +1,21 @@
+import hashlib
 import json
 import random
 import sys
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcast import trace as trace_module
+from abcast.checks import run_checks
+from abcast.scenario import scenario_from_dict
+from abcast.simnet import ScriptedSpec
 from abcast.subproto import Kind
 from abcast.trace import Trace, TraceEvent
+from test_determinism import _FORGE_SCRIPT, _stream
 
 
 def sample_trace():
@@ -206,34 +212,93 @@ def message_trace():
     return t
 
 
-def test_v2_round_trips_and_to_v1_spells_out_each_message(monkeypatch):
-    t = message_trace()
-    text = t.to_jsonl()
+# `message_trace()` as format v1 text, as the v1 writer spelled it out: each
+# deliver carries its message's fields but `to`, and no event carries `sig`.
+MESSAGE_V1 = """\
+{"kind":"trace_header","seed":1,"version":1}
+{"from":0,"instance":"wba/0","kind":"send","mkind":"vote","node":0,"payload":{"bit":1},"seq":0,"time":0,"to":"all"}
+{"from":0,"instance":"wba/0","kind":"send","mkind":"vote","node":0,"payload":{"bit":1},"seq":1,"time":0,"to":[2]}
+{"from":1,"instance":"wba/0","kind":"gossip","mkind":"vote","node":1,"payload":{"bit":1},"seq":2,"time":0}
+{"from":0,"instance":"wba/0","kind":"deliver","mkind":"vote","node":1,"payload":{"bit":1},"seq":3,"time":1}
+{"from":0,"instance":"wba/0","kind":"deliver","mkind":"vote","node":2,"payload":{"bit":1},"seq":4,"time":1}
+{"from":1,"gossip":1,"instance":"wba/0","kind":"deliver","mkind":"vote","node":3,"payload":{"bit":1},"seq":5,"time":2}
+"""
+
+
+def test_v2_round_trips_and_a_v1_text_reads_each_message_spelled_out(monkeypatch):
+    text = message_trace().to_jsonl()
     assert json.loads(text.splitlines()[0])["version"] == 2
     for chunk in CHUNKS.values():
         monkeypatch.setattr(trace_module, "_CHUNK", chunk)
         back = Trace.from_jsonl(text)
         assert back.version == 2 and back.to_jsonl() == text
-        # a v1 file loads as v1, writes back as it was, and to_v1 keeps it
-        old = Trace.from_jsonl(t.to_v1())
-        assert old.version == 1 and old.to_jsonl() == t.to_v1() == old.to_v1()
+        # a v1 file loads as v1 and writes back as it was
+        old = Trace.from_jsonl(MESSAGE_V1)
+        assert old.version == 1 and old.to_jsonl() == MESSAGE_V1
     vote = {"instance": "wba/0", "mkind": "vote", "payload": {"bit": 1}}
-    v1 = [json.loads(ln) for ln in t.to_v1().splitlines()]
-    assert v1[0]["version"] == 1
-    assert "sig" not in v1[3]
-    assert [ln for ln in v1 if ln["kind"] == "deliver"] == [
-        {"kind": "deliver", "time": 1, "seq": 3, "node": 1, **vote, "from": 0},
-        {"kind": "deliver", "time": 1, "seq": 4, "node": 2, **vote, "from": 0},
-        {"kind": "deliver", "time": 2, "seq": 5, "node": 3, **vote, "from": 1,
-         "gossip": 1}]
+    assert old.events[2].data == {**vote, "from": 1}
+    assert [ev.data for ev in old.iter_kind("deliver")] == [
+        {**vote, "from": 0}, {**vote, "from": 0}, {**vote, "from": 1, "gossip": 1}]
 
 
 @pytest.mark.parametrize("lines", [1, 2, 5])
 def test_text_does_not_depend_on_the_lines_joined_at_a_time(monkeypatch, lines):
-    t, empty = message_trace(), Trace(seed=1)
-    texts = [t.to_jsonl(), t.to_v1(), empty.to_jsonl()]
+    t, old, empty = message_trace(), Trace.from_jsonl(MESSAGE_V1), Trace(seed=1)
+    texts = [t.to_jsonl(), old.to_jsonl(), empty.to_jsonl()]
     monkeypatch.setattr(trace_module, "_LINES", lines)
-    assert [t.to_jsonl(), t.to_v1(), empty.to_jsonl()] == texts
+    assert [t.to_jsonl(), old.to_jsonl(), empty.to_jsonl()] == texts
+
+
+V1_FIXTURES = Path(__file__).with_name("fixtures") / "v1"
+# What the seven stream checks report on either v1 fixture, as on the v2
+# trace of the same run.
+V1_FIXTURE_REPORT = [
+    "PASS         safety",
+    "INCONCLUSIVE liveness  (horizon 40 too short to oblige any of the 3 injections "
+    "(need gst+156))",
+    "PASS         wba_contract",
+    "PASS         rb_contract",
+    "PASS         round_advance  (rounds 1..2 on schedule)",
+    "PASS         spread",
+    "PASS         engine_invariants",
+]
+
+
+def v1_fixture_scenario(backend: str) -> dict:
+    """The scenario of the run that `backend`'s v1 fixture holds:
+    test_determinism's ``_stream(4, backend, 40, adversaries=(ScriptedSpec(3,
+    _FORGE_SCRIPT),))`` at seed 0, with the seven stream checks."""
+    return {"version": 1, "params": {"n": 4, "f": 1, "delta": 2, "gst": 0, "Delta": 6},
+            "backend": backend,
+            "adversaries": [{"kind": "scripted", "node": 3, "script": list(_FORGE_SCRIPT)}],
+            "injections": [{"time": 10 * i, "node": i, "value": f"v{i}"} for i in range(4)],
+            "sim": {"seed": 0, "horizon": 40, "delay_law": "uniform"},
+            "checks": ["safety", "liveness", "wba_contract", "rb_contract",
+                       "round_advance", "spread", "engine_invariants"]}
+
+
+# Each fixture was written once by the v1 writer, which no longer exists:
+# bracha's covers per-target `to` lists and sends to all; gossip's covers
+# forged-signer copies, which v1 records without `sig`.
+@pytest.mark.parametrize("backend, digest", [
+    ("bracha", "8014383146c72129c56b3a3d4fb61ec63675d51ee50263b23c0e68df3c4fd42e"),
+    ("gossip", "ca3f174d0517fa716b45881c5e0cb0bcc6cc38568d1566bb85c49470b2de39ea"),
+], ids=["bracha", "gossip"])
+def test_a_v1_fixture_loads_as_v1_writes_back_and_checks_as_recorded(
+        monkeypatch, backend, digest):
+    text = (V1_FIXTURES / f"forge_n4_{backend}.jsonl").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for chunk in CHUNKS.values():
+        for lines in (1, 2, 512):
+            monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+            monkeypatch.setattr(trace_module, "_LINES", lines)
+            trace = Trace.from_jsonl(text)
+            assert trace.version == 1 and trace.to_jsonl() == text
+    scenario = scenario_from_dict(v1_fixture_scenario(backend))
+    cfg = scenario.config_for(0)
+    assert cfg == _stream(4, backend, 40, adversaries=(ScriptedSpec(3, _FORGE_SCRIPT),))(0)
+    reports = run_checks(trace, scenario.context_for(cfg), scenario.checks)
+    assert [r.line() for r in reports] == V1_FIXTURE_REPORT
 
 
 @pytest.mark.parametrize("fields", [{"gossip": 1, "extra": [0]}, {"gossip": 2},
