@@ -5,9 +5,11 @@ version and the run's seed; every following line is one event with at least
 ``time``, ``seq`` and ``kind``.  Each line holds exactly one JSON object and
 is byte-for-byte what ``json.dumps(rec, sort_keys=True, separators=(",",
 ":"))`` gives for its record.  Event payloads are already JSON-shaped when
-recorded, so serialization is a straight dump: each line is written from a
-template of its shape, and a value the template cannot take goes through
-the encoder built once, at import.
+recorded, so serialization is a straight dump.  `to_jsonl` writes each line
+with a writer built, per call, for the line's shape (kind, whether there is
+a node, the data's keys in order); a value of a type the writer does not
+take sends its line through the encoder built once, at import.  No data key
+may name an event's own field, nor a header's meta key the header's.
 
 In format v2 a ``deliver`` event names the ``send`` or ``gossip`` event of
 its message by seq (``msg``) instead of repeating the message's fields, and
@@ -29,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .subproto import INSTANCE_TEXT
 
@@ -82,67 +84,97 @@ def compact_encoder(default=None):
 _encode = compact_encoder()
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_NONE = type(None)
+_new = object.__new__
+# An event's own fields, which its data may not name, and the header's.
 _RESERVED = ("time", "seq", "kind", "node")
+_HEADER = ("kind", "version", "seed")
+# How a line writer makes its data value `{v}` JSON text, by exact type.
+_VALUE = """\
+    ty = type({v})
+    if ty is int:
+        pass
+    elif ty is str:
+        {v} = esc({v})
+    elif ty is dict or ty is list:
+        {v} = enc({v})
+    elif {v} is None:
+        {v} = "null"
+    else:
+        return slow(ev)"""
 
 
-def _template(kind, keys: tuple, types: tuple):
-    """How to write an event line of one shape: its `kind`, its data's
-    `keys` and the exact types of ``(time, seq, node, *values)``.  A
-    %-format holding the sorted key literals, `kind` and each null; a
-    getter of the other values from that row, in key order; and their
-    converters, or None when every one is an int.  None for a shape the
-    template cannot take."""
-    convert = {int: str, str: _ESCAPE, dict: _encode, list: _encode}
-    if (type(kind) is not str or any(type(k) is not str or k in _RESERVED for k in keys)
-            or any(t not in convert and t is not _NONE for t in types)):
-        return None
-    named = [("kind", -1), ("seq", 1), ("time", 0)]
-    if types[2] is not _NONE:
-        named.append(("node", 2))
-    named += [(k, i) for i, k in enumerate(keys, 3)]
-    named.sort()
-    fmt, at, convs = "{", [], []
-    for name, i in named:
-        fmt += _ESCAPE(name).replace("%", "%%") + ":"
-        if i < 0:
-            fmt += _ESCAPE(kind).replace("%", "%%")
-        elif types[i] is _NONE:
-            fmt += "null"
-        else:
-            fmt += "%s"
-            at.append(i)
-            convs.append(convert[types[i]])
-        fmt += ","
-    if len(at) < 2:                  # an itemgetter of one gives no tuple
-        return None
-    return (fmt[:-1] + "}", itemgetter(*at),
-            None if all(c is str for c in convs) else tuple(convs))
+def _refuse(reserved: tuple, keys, where: str) -> None:
+    """ValueError if `keys` holds one of the `reserved` names."""
+    for key in reserved:
+        if key in keys:
+            raise ValueError(f"{where}: key {key!r} would overwrite the field "
+                             f"of that name")
+
+
+def _writer(kind, has_node: bool, keys: tuple, seq: int):
+    """The line writer of one event shape: `kind`, whether the event has a
+    node and its data's `keys` in order, `seq` being the first event of the
+    shape.  It takes an event of that shape and returns its line as
+    `TraceEvent.to_json` writes it, from an f-string that fixes the sorted
+    key literals and the kind.  It checks the exact type of each value: an
+    int is written as is, a str by `_ESCAPE`, a dict or list by `_encode`
+    and None as null.  An event with any other value goes to
+    `TraceEvent.to_json`, and so does every event of a shape whose kind or
+    keys are not all str.  ValueError for a data key that names one of the
+    event's own fields."""
+    _refuse(_RESERVED, keys, f"event {seq} data")
+    slow = TraceEvent.to_json
+    if type(kind) is not str or any(type(k) is not str for k in keys):
+        return slow
+    values = [f"v{i}" for i in range(len(keys))]
+    fields = [("kind", None), ("seq", "s"), ("time", "t"), *zip(keys, values)]
+    ints = ["t", "s"]
+    body = ["def write(ev):", "    t = ev.time", "    s = ev.seq"]
+    if has_node:
+        fields.append(("node", "n"))
+        ints.append("n")
+        body.append("    n = ev.node")
+    fields.sort()
+    if keys:
+        body.append("    d = ev.data")
+    body += [f"    {v} = d[{k!r}]" for k, v in zip(keys, values)]
+    body += [f"    if {' or '.join(f'type({v}) is not int' for v in ints)}:",
+             "        return slow(ev)"]
+    body += [_VALUE.format(v=v) for v in values]
+    # the line as adjacent f-string literals: `repr` quotes each text between
+    # values, and doubled braces stay literal braces
+    line = []
+    for i, (name, var) in enumerate(fields):
+        text = ",{"[i == 0] + _ESCAPE(name) + ":" + (_ESCAPE(kind) if var is None else "")
+        line.append("f" + repr(text.replace("{", "{{").replace("}", "}}")))
+        if var is not None:
+            line.append(f"f'{{{var}}}'")
+    body.append(f"    return {' '.join(line)} '}}'")
+    # the writer's globals do not hold the writer, so that no cycle keeps it
+    made = {}
+    exec("\n".join(body), {"esc": _ESCAPE, "enc": _encode, "slow": slow}, made)
+    return made["write"]
 
 
 def _jsonl_text(header: str, events) -> str:
     """A trace text: `header`, then each event's line as `TraceEvent.to_json`
-    writes it, each line ended by a newline.  The lines are joined onto the
-    text `_LINES` at a time, so that no list of every line is made; CPython
-    grows a str in place when it holds the only reference."""
-    templates, text, lines = {}, header + "\n", []
+    writes it, each line ended by a newline.  Each line comes from the
+    writer of its event's shape, built when the shape first appears.  The
+    lines are joined onto the text `_LINES` at a time, so that no list of
+    every line is made; CPython grows a str in place when it holds the only
+    reference."""
+    writers, text, lines = {}, header + "\n", []
     append = lines.append
     events = iter(events)
     while True:
         for ev in islice(events, _LINES):
             data = ev.data
-            row = (ev.time, ev.seq, ev.node, *data.values())
-            shape = (ev.kind, *data, *map(type, row))
-            tmpl = templates.get(shape, 0)
-            if tmpl == 0:
-                tmpl = templates[shape] = _template(ev.kind, tuple(data),
-                                                    tuple(map(type, row)))
-            if tmpl is None:
-                append(ev.to_json())
-                continue
-            fmt, values, convs = tmpl
-            append(fmt % (values(row) if convs is None
-                          else tuple([c(v) for c, v in zip(convs, values(row))])))
+            shape = (ev.kind, ev.node is None, *data)
+            write = writers.get(shape)
+            if write is None:
+                write = writers[shape] = _writer(ev.kind, ev.node is not None,
+                                                 tuple(data), ev.seq)
+            append(write(ev))
         if not lines:
             return text
         append("")
@@ -224,6 +256,7 @@ class TraceEvent:
     data: dict
 
     def to_json(self) -> str:
+        _refuse(_RESERVED, self.data, f"event {self.seq} data")
         rec = {"time": self.time, "seq": self.seq, "kind": self.kind}
         if self.node is not None:
             rec["node"] = self.node
@@ -274,7 +307,14 @@ class Trace:
                data: dict | None = None) -> TraceEvent:
         """Record one event.  `data` becomes the event's own payload dict, not
         a copy: pass each event a dict of its own."""
-        ev = TraceEvent(time, self._seq, kind, node, {} if data is None else data)
+        # `TraceEvent`'s fields stored one by one, with no `__init__` frame;
+        # tests/test_trace.py pins those fields
+        ev = _new(TraceEvent)
+        ev.time = time
+        ev.seq = self._seq
+        ev.kind = kind
+        ev.node = node
+        ev.data = {} if data is None else data
         self._seq += 1
         self.events.append(ev)
         return ev
@@ -323,6 +363,11 @@ class Trace:
     # -- (de)serialization ---------------------------------------------------
 
     def to_jsonl(self) -> str:
+        """The trace as text: a header line of `version`, `seed` and `meta`,
+        then one line per event.  ValueError for a `meta` key that names
+        one of the header's own fields, or a data key that names one of
+        its event's."""
+        _refuse(_HEADER, self.meta, "trace meta")
         return _jsonl_text(_encode({"kind": "trace_header", "version": self.version,
                                     "seed": self.seed, **self.meta}), self.events)
 
@@ -353,8 +398,7 @@ class Trace:
         seed = header.get("seed", 0)
         if type(seed) is not int:
             raise ValueError(f"trace header seed must be an integer, got {seed!r}")
-        meta = {k: v for k, v in header.items()
-                if k not in ("kind", "version", "seed")}
+        meta = {k: v for k, v in header.items() if k not in _HEADER}
         trace = cls(seed=seed, meta=meta, version=version)
         events = trace.events
         # seq -> (its seq object, its `to` list or None, its node) per send
@@ -400,21 +444,27 @@ class Trace:
                 else:
                     del rec["time"], rec["seq"], rec["kind"], rec["node"]
                     rec["msg"] = msg
-                append(TraceEvent(last, seq, "deliver", node, rec))
-                continue
-            del rec["time"], rec["seq"], rec["kind"]
-            known = kinds.get(kind)
-            if known is None:
-                known = kinds[kind] = (kind, _FIELDS.get(kind, ()),
-                                       sent is not None and kind in _SENDS)
-            kind, fields, sends = known
-            if fields is _SUB and str(rec.get("instance")).startswith("wba/"):
-                fields = _WBA_SUB
-            for name, (test, what) in fields:
-                if name not in rec or not test(rec[name]):
-                    raise ValueError(f"trace line {i}: {kind} needs {what} {name}")
-            node = rec.pop("node", None)
-            append(TraceEvent(last, seq, kind, node, rec))
+                kind, sends = "deliver", False
+            else:
+                del rec["time"], rec["seq"], rec["kind"]
+                known = kinds.get(kind)
+                if known is None:
+                    known = kinds[kind] = (kind, _FIELDS.get(kind, ()),
+                                           sent is not None and kind in _SENDS)
+                kind, fields, sends = known
+                if fields is _SUB and str(rec.get("instance")).startswith("wba/"):
+                    fields = _WBA_SUB
+                for name, (test, what) in fields:
+                    if name not in rec or not test(rec[name]):
+                        raise ValueError(f"trace line {i}: {kind} needs {what} {name}")
+                node = rec.pop("node", None)
+            ev = _new(TraceEvent)     # as in `append`
+            ev.time = last
+            ev.seq = seq
+            ev.kind = kind
+            ev.node = node
+            ev.data = rec
+            append(ev)
             if sends:
                 to = rec.get("to")
                 sent[seq] = (seq, to if type(to) is list else None, node)

@@ -25,6 +25,7 @@ import copy
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from abcast.core import ConfigError, LeaderSchedule, Params
 from abcast.scenario import scenario_from_dict
 from abcast.simnet import (CrashSpec, FlipVoterSpec, RunConfig, ScriptedSpec,
                            SilentLeaderSpec, run)
-from abcast.trace import Trace
+from abcast.trace import Trace, TraceEvent
 
 ROOT = Path(__file__).resolve().parent.parent
 # the digests of each case's to_jsonl() text
@@ -208,6 +209,22 @@ def test_decoded_trace_equals_recorded(name):
         deliver.data["extra"] = 1
         assert all(ev.data == data for ev, data in zip(decoded.events, before)
                    if ev is not deliver)
+
+
+def test_simulated_events_never_take_the_slow_path(monkeypatch):
+    """Each case's trace at its first seed is written by its line writers
+    alone, with no event sent to the generic `TraceEvent.to_json`: a new
+    event field of a type they do not take would move its kind there."""
+    slow = Counter()
+    to_json = TraceEvent.to_json
+    monkeypatch.setattr(TraceEvent, "to_json",
+                        lambda ev: slow.update([ev.kind]) or to_json(ev))
+    events = 0
+    for make, seeds in CASES.values():
+        trace = run(make(seeds[0]))
+        trace.to_jsonl()
+        events += len(trace.events)
+    assert events > 50_000 and not slow, slow
 
 
 def regenerate(names) -> dict:

@@ -273,7 +273,7 @@ def test_decode_frees_about_what_it_keeps():
 
 def test_encode_frees_about_what_it_keeps():
     """`to_jsonl`'s peak less the text, under tracemalloc, over the text's
-    length: 0.27 on the n=10 gossip stream, where a list of every line
+    length: 0.32 on the n=10 gossip stream, where a list of every line
     reads 1.71."""
     trace = _gossip_stream_n10()
     tracemalloc.start()

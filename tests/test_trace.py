@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -69,6 +70,39 @@ def test_views():
 def test_event_json_is_stable():
     ev = TraceEvent(3, 12, "advance", 1, {"round": 4})
     assert ev.to_json() == '{"kind":"advance","node":1,"round":4,"seq":12,"time":3}'
+
+
+def test_an_event_has_exactly_the_fields_append_and_from_jsonl_store():
+    """`Trace.append` and `from_jsonl` store these five fields one by one
+    instead of calling `TraceEvent`: a field added here must be stored
+    there too."""
+    fields = ("time", "seq", "kind", "node", "data")
+    assert tuple(f.name for f in dataclasses.fields(TraceEvent)) == fields
+    assert TraceEvent.__slots__ == fields
+    t = Trace()
+    ev = t.append(3, "advance", 1, {"round": 4})
+    assert ev == TraceEvent(3, 0, "advance", 1, {"round": 4})
+    assert Trace.from_jsonl(t.to_jsonl()).events == [ev]
+
+
+@pytest.mark.parametrize("key", ["time", "seq", "kind", "node"])
+def test_a_data_key_may_not_name_a_field_of_its_event(key):
+    t = Trace(seed=3)
+    t.append(0, "start", 0)
+    t.append(4, "y", 1, {key: 99})
+    message = f"event 1 data: key '{key}' would overwrite"
+    with pytest.raises(ValueError, match=message):
+        t.to_jsonl()
+    with pytest.raises(ValueError, match=message):
+        t.events[1].to_json()
+
+
+@pytest.mark.parametrize("meta", [{"seed": 9, "version": 1}, {"seed": 9},
+                                  {"version": 1}, {"kind": "trace"}])
+def test_a_meta_key_may_not_name_a_field_of_the_header(meta):
+    with pytest.raises(ValueError, match="trace meta: key '") as refused:
+        Trace(seed=3, meta=meta).to_jsonl()
+    assert str(refused.value).split("'")[1] in meta
 
 
 def test_rejects_malformed_input():
@@ -368,7 +402,7 @@ class _Text(str):
 # Strings that look like the JSON around them, plus any text at all.
 _TRICKY = st.one_of(st.text(), st.sampled_from(
     ["},{", '"', "\\", '\\"', "\n", "{\"a\":[{}", "\u2028", "\x85", "\u00e9", "%s", "%"]))
-# Values the line templates do not take: they go through the encoder.
+# Values the line writers do not take: they go through the encoder.
 _ODD = st.one_of(st.sampled_from([_Level.LOW, _Level.HIGH, Kind.RB]),
                  _TRICKY.map(_Text))
 _JSON = st.recursive(
@@ -389,6 +423,50 @@ _SHARED = st.lists(st.lists(_JSON, max_size=3) | st.dictionaries(_TRICKY, _JSON,
                    min_size=3, max_size=3)
 
 
+def _dumped(trace: Trace) -> list[str]:
+    """Each event's record as ``json.dumps`` writes it, keys sorted."""
+    lines = []
+    for ev in trace.events:
+        rec = {"time": ev.time, "seq": ev.seq, "kind": ev.kind}
+        if ev.node is not None:
+            rec["node"] = ev.node
+        rec.update(ev.data)
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def _fields(trace: Trace) -> list[tuple]:
+    return [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in trace.events]
+
+
+# Names that are JSON or %-format syntax, or not ASCII.
+_ODD_NAMES = ("%", "{", "}", '"', "\\", "\u00e9", '%s{"}\\\u00e9')
+# A value of each type in turn: the line writers take int, None, str, dict
+# and list, and send the rest to `TraceEvent.to_json`.
+_WRITTEN = (7, None, "s%{}", {"k": [1, None]}, ["x", {"y": 2}])
+_SENT_ON = (True, 2.5, _Text("t"), _Level.HIGH)
+
+
+def test_line_writers_take_what_they_can_and_send_the_rest_on(monkeypatch):
+    """Each kind, with and without a node, carries one key set whose
+    values change type from event to event."""
+    t, kinds = Trace(seed=3), ("k", *_ODD_NAMES)
+    for kind in kinds:
+        for node in (None, 2):
+            for value in _WRITTEN + _SENT_ON + _WRITTEN:
+                t.append(len(t.events), kind, node,
+                         {"a": value, **{name: value for name in _ODD_NAMES}})
+    sent = []
+    to_json = TraceEvent.to_json
+    monkeypatch.setattr(TraceEvent, "to_json", lambda ev: sent.append(ev) or to_json(ev))
+    text = t.to_jsonl()
+    monkeypatch.undo()
+    assert text.splitlines()[1:] == _dumped(t)
+    assert [type(ev.data["a"]) for ev in sent] == [type(v) for v in _SENT_ON] * 2 * len(kinds)
+    back = Trace.from_jsonl(text)
+    assert _fields(back) == _fields(t) and back.to_jsonl() == text
+
+
 @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(events=st.lists(_EVENT, max_size=8), shared=_SHARED)
@@ -402,18 +480,10 @@ def test_lines_are_json_dumps_and_round_trip(c_encoder, events, shared):
         for time, kind, node, data, refs in events:
             t.append(time, kind, node, {**data, **{k: shared[i] for k, i in refs.items()}})
         text = t.to_jsonl()
-    expect = []
-    for ev in t.events:
-        rec = {"time": ev.time, "seq": ev.seq, "kind": ev.kind}
-        if ev.node is not None:
-            rec["node"] = ev.node
-        rec.update(ev.data)
-        expect.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    assert text.splitlines()[1:] == expect
+    assert text.splitlines()[1:] == _dumped(t)
     for chunk in CHUNKS.values():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace_module, "_CHUNK", chunk)
             back = Trace.from_jsonl(text)
-        assert [(ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in back.events] == [
-            (ev.time, ev.seq, ev.kind, ev.node, ev.data) for ev in t.events]
+        assert _fields(back) == _fields(t)
         assert back.to_jsonl() == text
