@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +124,35 @@ def test_public_surface_is_pinned():
         "run_checks", "scenario_from_dict",
     ]
     assert all(hasattr(abcast, name) for name in abcast.__all__)
+    for name, home in abcast._HOME.items():
+        assert getattr(abcast, name) is getattr(import_module(f"abcast.{home}"), name)
+    star = {}
+    exec("from abcast import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == abcast.__all__
+    assert set(abcast.__all__) <= set(dir(abcast))
+    with pytest.raises(AttributeError):
+        abcast.no_such_name
+
+
+def _abcast_modules_after(statement: str) -> list[str]:
+    """The abcast modules a fresh interpreter holds after `statement`."""
+    src = str(Path(abcast.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (f"import sys\n{statement}\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'abcast'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.split()
+
+
+def test_each_module_loads_only_what_it_imports():
+    """The package loads a public name's module on first use, so the
+    explorer, the trace and the checkers load no simulator."""
+    assert _abcast_modules_after("import abcast.explore") == [
+        "abcast", "abcast.core", "abcast.explore"]
+    for module in ("abcast.trace", "abcast.checks"):
+        loaded = _abcast_modules_after(f"import {module}")
+        assert module in loaded
+        assert not {"abcast.simnet", "abcast.gossip", "abcast.bracha",
+                    "abcast.engine"} & set(loaded), loaded
+    assert "abcast.simnet" in _abcast_modules_after("from abcast import run")

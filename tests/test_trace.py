@@ -412,9 +412,13 @@ _JSON = st.recursive(
     | st.dictionaries(_TRICKY, inner, max_size=4),
     max_leaves=12)
 _KEYS = _TRICKY.filter(lambda k: k not in ("time", "seq", "kind", "node"))
+# Kinds that `from_jsonl` reads with no check of their fields: an event of a
+# checked kind with drawn fields may fail to decode, as the malformed-trace
+# tests in test_cli.py and the deliver tests here expect.
+_KINDS = _TRICKY.filter(lambda k: k not in (*trace_module._FIELDS, "deliver"))
 # An event's own fields, and the keys under which it holds a shared value.
 _EVENT = st.tuples(
-    st.integers(0, 10**6), _TRICKY, st.none() | st.integers(0, 20),
+    st.integers(0, 10**6), _KINDS, st.none() | st.integers(0, 20),
     st.dictionaries(_KEYS, _JSON, max_size=4),
     st.dictionaries(_KEYS, st.integers(0, 2), max_size=2))
 # Dicts and lists that several events hold, as the simulation's events share
