@@ -28,16 +28,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _print_reports(reports, out=None) -> bool:
-    out = out if out is not None else sys.stdout
+def _print_reports(reports) -> bool:
     failed = False
     for rep in reports:
-        print(rep.line(), file=out)
+        print(rep.line())
         if rep.status == FAIL:
             failed = True
             if rep.violation:
                 print(f"             first violation: seed={rep.violation['seed']} "
-                      f"event_index={rep.violation['event_index']}", file=out)
+                      f"event_index={rep.violation['event_index']}")
     return failed
 
 

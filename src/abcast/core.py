@@ -24,9 +24,11 @@ class InternalInvariantError(AssertionError):
 def quorum_min_size(n: int, f: int) -> int:
     """Smallest integer strictly greater than (n + f) / 2.
 
-    Raises ConfigError unless n > 3f, since below that bound quorum
-    intersection no longer guarantees a common correct validator.
+    Raises ConfigError unless f >= 0 and n > 3f, since below that bound
+    quorum intersection no longer guarantees a common correct validator.
     """
+    if f < 0:
+        raise ConfigError(f"f must be >= 0, got f={f}")
     if n <= 3 * f:
         raise ConfigError(f"need n > 3f, got n={n} f={f}")
     return (n + f) // 2 + 1
@@ -51,8 +53,7 @@ class Params:
     sub_delay: int
 
     def __post_init__(self) -> None:
-        if self.n <= 3 * self.f:
-            raise ConfigError(f"need n > 3f, got n={self.n} f={self.f}")
+        quorum_min_size(self.n, self.f)          # the fault-bound rules
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
         if self.sub_delay <= 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import InternalInvariantError, Params, LeaderSchedule
+from .core import Params, LeaderSchedule
 from .subproto import RB, WBA, Input, InstanceKey
 
 
@@ -97,15 +97,14 @@ class Engine:
     the cost of a handler call independent of how many rounds came before.
     """
 
-    def __init__(self, params: Params, schedule: LeaderSchedule, self_id: int, view,
-                 initial_inputs: tuple = ()):
+    def __init__(self, params: Params, schedule: LeaderSchedule, self_id: int, view):
         self.params = params
         self.schedule = schedule
         self.self_id = self_id
         self.view = view
         self.current = 0
         self.undecided_round = 0
-        self.inputs: list = list(initial_inputs)
+        self.inputs: list = []
         self.output_log: list = []
         self._output_set: set = set()
         self._last_proposed = -1
@@ -194,29 +193,24 @@ class Engine:
         self._accepted.update(chain)
         return self._accepted[r]
 
-    def _chain(self, r: int | None, down_to: int) -> list[tuple[int, Proposal]]:
-        """(round, RB output) along the parent links from round r, highest
-        first, down to round `down_to` or genesis.  Finalization walks it
-        from an accepted round, whose chain is accepted all the way down, so
-        a missing output is a bug."""
-        chain = []
-        while r is not None and r >= down_to:
-            prop = self.view.rb_output(r)
-            if prop is None:
-                raise InternalInvariantError(f"chained round {r} lacks an RB output")
-            chain.append((r, prop))
-            r = prop.parent
-        return chain
-
     # -- finalization --------------------------------------------------------
 
     def _finalize(self, r: int) -> list[tuple[str, dict]]:
         """Deliver round r's value and its undecided ancestors, lowest first,
         taking each out of the input buffer; a value already delivered is
         skipped.  Returns the notes: one ab_output per delivery, then
-        finalize."""
+        finalize.
+
+        r must be accepted, so its chain is in `_accepted`: `accepted` keeps
+        every round it passes and stops only at genesis or a round kept
+        before."""
+        chain, s = [], r
+        while s is not None and s >= self.undecided_round:
+            prop = self._accepted[s]
+            chain.append((s, prop))
+            s = prop.parent
         notes = []
-        for rr, prop in reversed(self._chain(r, self.undecided_round)):
+        for rr, prop in reversed(chain):
             value = prop.value
             if value in self.inputs:
                 self.inputs.remove(value)

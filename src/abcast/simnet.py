@@ -198,12 +198,12 @@ _HAS = -1         # below every arrival time, so no later copy is queued
 class _NodeRuntime:
     """The full correct-node stack: instance table, engine, timer, queues."""
 
-    def __init__(self, sim: "Simulation", node: int, initial_inputs: tuple = ()):
+    def __init__(self, sim: "Simulation", node: int):
         self.sim = sim
         self.node = node
         cfg = sim.cfg
         self.table = InstanceTable(cfg.params, cfg.schedule, node, sim.factory_for(node))
-        self.engine = (Engine(cfg.params, cfg.schedule, node, self.table, initial_inputs)
+        self.engine = (Engine(cfg.params, cfg.schedule, node, self.table)
                        if cfg.mode == "engine" else None)
         self.timer_gen = 0
         self.work: deque = deque()
@@ -218,12 +218,9 @@ class _NodeRuntime:
     def on_start(self, now: int) -> None:
         if self.sim._crashed(self.node, now):
             return
-        trace, engine = self.sim.trace, self.engine
-        for value in engine.inputs if engine is not None else ():
-            trace.append(now, "inject", self.node, {"value": encode(value)})
-        trace.append(now, "start", self.node)
-        if engine is not None:
-            self._apply_engine(now, *engine.start())
+        self.sim.trace.append(now, "start", self.node)
+        if self.engine is not None:
+            self._apply_engine(now, *self.engine.start())
             self._pump(now)
 
     def on_deliver(self, now: int, msg) -> None:
@@ -428,7 +425,7 @@ class ScriptedDriver(Driver):
         api.send(msg, None if to == "all" else tuple(to))
 
 
-def _build_driver(spec) -> Driver | None:
+def _build_driver(spec) -> Driver:
     """Several specs may target one node; their drivers stack, which is how
     a single faulty validator combines behaviours."""
     if isinstance(spec, SilentLeaderSpec):
@@ -439,8 +436,6 @@ def _build_driver(spec) -> Driver | None:
         return FlipVoterDriver(spec)
     if isinstance(spec, ScriptedSpec):
         return ScriptedDriver(spec)
-    if isinstance(spec, CrashSpec):
-        return None                          # crash keeps the correct stack
     raise ConfigError(f"unknown adversary spec {spec!r}")
 
 
@@ -478,7 +473,7 @@ class Simulation:
         self._others = [tuple(to for to in range(self.total) if to != node)
                         for node in range(self.total)]
         self.run_queue = _RunQueue()
-        self.scheme = SignatureScheme(cfg.seed, cfg.params.n)
+        self.scheme = SignatureScheme(cfg.seed, self.total)
         self.gossip_backend = cfg.backend == "gossip"
         # gossip message -> per node: None, the earliest arrival still in
         # the queue, or _HAS once the node has the message; then one last
@@ -494,12 +489,7 @@ class Simulation:
             else:
                 self.drivers.setdefault(spec.node, []).append(_build_driver(spec))
 
-        preseed: dict[int, list] = {}
-        for t, node, value in cfg.injections:
-            if t <= 0 and node not in self.drivers:
-                preseed.setdefault(node, []).append(value)
-
-        self.runtimes = {node: _NodeRuntime(self, node, tuple(preseed.get(node, ())))
+        self.runtimes = {node: _NodeRuntime(self, node)
                          for node in range(self.total) if node not in self.drivers}
         self.apis = {node: AdversaryApi(self, node) for node in self.drivers}
 
@@ -643,13 +633,21 @@ class Simulation:
 
     def run(self) -> Trace:
         cfg, runtimes = self.cfg, self.runtimes
+        # a correct node's values injected at t <= 0 are queued just before
+        # its start, so they head its buffer in the order given
+        at_start: dict[int, list] = {}
+        for t, node, value in cfg.injections:
+            if t <= 0 and node in runtimes:
+                at_start.setdefault(node, []).append(value)
         for node in range(self.total):
             if node in runtimes:
+                for value in at_start.get(node, ()):
+                    self._push(0, self._on_inject, (node, value))
                 self._push(0, runtimes[node].on_start, ())
             else:
                 self._push(0, self._drive, (node, "on_start"))
         for t, node, value in cfg.injections:
-            if t > 0 or node in self.drivers:
+            if t > 0 or node not in runtimes:
                 self._push(max(t, 0), self._on_inject, (node, value))
         for t, node, key_text, value in cfg.raw_inputs:
             if node in runtimes:

@@ -34,6 +34,8 @@ def test_quorum_min_size_rejects_bad_fault_bound():
         quorum_min_size(6, 2)
     with pytest.raises(ConfigError):
         quorum_min_size(0, 0)
+    with pytest.raises(ConfigError, match="f must be >= 0"):
+        quorum_min_size(4, -1)
 
 
 def test_quorum_overlap_exceeds_f_exhaustive():
@@ -76,6 +78,8 @@ def test_params_validation():
         Params(n=4, f=1, delta=2, gst=-1, sub_delay=6)
     with pytest.raises(ConfigError):
         Params(n=4, f=1, delta=2, gst=10, sub_delay=0)
+    with pytest.raises(ConfigError, match="f must be >= 0"):
+        Params(n=4, f=-1, delta=2, gst=0, sub_delay=6)
 
 
 def test_is_quorum_and_is_validator():

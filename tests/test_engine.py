@@ -32,8 +32,10 @@ class ViewStub:
 
 
 def make_engine(view=None, self_id=0, inputs=()):
-    return Engine(PARAMS, SCHED, self_id, view or ViewStub(),
-                  initial_inputs=tuple(inputs))
+    eng = Engine(PARAMS, SCHED, self_id, view or ViewStub())
+    for value in inputs:
+        eng.on_input(value)
+    return eng
 
 
 def inputs_of(actions, kind):
@@ -174,22 +176,26 @@ def test_committed_chain_finalizes_lowest_first():
 
 
 def test_finalize_chain_respects_undecided_floor():
-    view = ViewStub(rb={0: Proposal("a", None), 2: Proposal("b", 0)})
+    view = ViewStub(rb={0: Proposal("a", None), 2: Proposal("b", 0)}, wba={1: 0})
     whole = make_engine(view)
+    assert whole.accepted(2) is not None
     assert whole._finalize(2) == [ab_output("a", 0, 0), ab_output("b", 2, 1),
                                   ("finalize", {"round": 2})]
     assert whole.undecided_round == 3
     upper = make_engine(view)
     upper.undecided_round = 1
+    assert upper.accepted(2) is not None
     assert upper._finalize(2) == [ab_output("b", 2, 0), ("finalize", {"round": 2})]
     assert upper.output_log == ["b"]
     single = make_engine(view)
+    assert single.accepted(0) is not None
     assert single._finalize(0) == [ab_output("a", 0, 0), ("finalize", {"round": 0})]
 
 
 def test_finalize_consumes_buffered_copies():
     view = ViewStub(rb={0: Proposal("a", None)})
     eng = make_engine(view, inputs=("a", "b"))
+    assert eng.accepted(0) is not None
     assert eng._finalize(0)[:1] == [ab_output("a", 0, 0)]
     assert eng.inputs == ["b"]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from abcast.checks import CHECKS, run_checks
 from abcast.core import ConfigError
 from abcast.scenario import load_scenario, scenario_from_dict
-from abcast.simnet import MAX_NODES, CrashSpec, FlipVoterSpec, run
+from abcast.simnet import MAX_NODES, CrashSpec, FlipVoterSpec, Simulation, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -493,6 +493,30 @@ def test_mutated_bundled_scenario_runs_or_is_config_error(site, value):
     assert all(ev.time <= cfg.horizon for ev in trace.events)
 
 
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_every_accepted_round_keeps_its_parent_accepted(backend):
+    # Engine._finalize reads a committed chain from the acceptance cache
+    # alone, so every kept round's parent is genesis or kept too.
+    kept = 0
+    for doc in BUNDLED.values():
+        own = doc.get("backend", "bracha")
+        if (own if isinstance(own, str) else own.get("kind", "bracha")) != backend:
+            doc = {**doc, "backend": {"kind": backend}}
+        try:
+            sc = scenario_from_dict(doc)
+        except ConfigError:
+            continue
+        for seed in range(3):
+            sim = Simulation(sc.config_for(seed))
+            sim.run()
+            for node in sc.correct_nodes():
+                accepted = sim.runtimes[node].engine._accepted
+                kept += len(accepted)
+                assert all(prop.parent is None or prop.parent in accepted
+                           for prop in accepted.values()), (doc, seed, node)
+    assert kept > 0
+
+
 # -- property: a whole document drawn over the format's keys runs or is a
 # ConfigError, never another exception ---------------------------------------
 
@@ -559,6 +583,10 @@ DOCUMENTS = st.fixed_dictionaries({"version": st.just(1), "params": _PARAMS}, op
 # null is not a rotation count: liveness took it and died on `3 * None`
 @example(doc={"version": 1, "params": {"n": 4, "f": 1, "delta": 2, "gst": 0, "Delta": 6},
               "checks": [{"name": "liveness", "rotations": None}]})
+# a gossip driver on an observer signs with a key the scheme must hold
+@example(doc={"version": 1, "params": {"n": 4, "f": 1, "delta": 2, "gst": 0, "Delta": 6},
+              "backend": "gossip", "sim": {"extra_nodes": 1, "horizon": 100},
+              "adversaries": [{"kind": "flip_voter", "node": 4}]})
 def test_drawn_document_runs_or_is_config_error(doc):
     try:
         sc = scenario_from_dict(doc)

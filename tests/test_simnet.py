@@ -248,6 +248,15 @@ def test_a_crashed_node_records_its_receipts_and_does_nothing(backend):
     assert not [kind for kind in after if kind in ACTIONS]
 
 
+@pytest.mark.parametrize("fields", [dict(adversaries=(CrashSpec(1, 0),)), dict(mode="raw")],
+                         ids=["crashed at t=0", "raw mode"])
+def test_an_injection_at_the_start_is_recorded_like_a_later_one(fields):
+    cfg = make_cfg(injections=((-3, 1, "before"), (0, 1, "at"), (5, 1, "later")),
+                   **fields)
+    injected = [(ev.time, ev.node, ev.data["value"]) for ev in run(cfg).iter_kind("inject")]
+    assert injected == [(0, 1, "before"), (0, 1, "at"), (5, 1, "later")]
+
+
 def test_silent_leader_round_gets_skipped():
     cfg = make_cfg(adversaries=(SilentLeaderSpec(3),), horizon=200)
     trace = run(cfg)
@@ -374,6 +383,25 @@ def test_observer_mirrors_validator_outputs_without_sending():
     outs = trace.ab_outputs()
     assert [e.data["value"] for e in outs[4]] == [e.data["value"] for e in outs[0]]
     assert len(outs[4]) == 2
+
+
+SCRIPT_VOTE = ({"time": 1, "op": "send", "to": "all", "instance": "wba/0",
+                "mkind": "vote", "payload": 1},)
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+@pytest.mark.parametrize("spec", [FlipVoterSpec(4), ScriptedSpec(4, SCRIPT_VOTE)],
+                         ids=["flip_voter", "scripted"])
+def test_a_driver_on_an_observer_sends_and_counts_for_nothing(backend, spec):
+    # Gossip signs a driver's messages with its own key, so the signature
+    # scheme holds a key for every node, observers too.
+    cfg = make_cfg(backend=backend, extra_nodes=1, horizon=200, adversaries=(spec,))
+    trace = run(cfg)
+    assert sends_by(trace, 4)
+    ctx = CheckContext(params=cfg.params, horizon=cfg.horizon,
+                       correct_nodes=(0, 1, 2, 3), injections=cfg.injections)
+    reports = run_checks(trace, ctx, ["safety", "liveness", "wba_contract"])
+    assert [r.status for r in reports] == ["pass", "pass", "pass"]
 
 
 def test_raw_bracha_completes_at_exact_bounds():
