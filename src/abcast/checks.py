@@ -1,7 +1,8 @@
 """Trace checkers: machine-checkable statements about finished runs.
 
-Every checker takes the trace plus a CheckContext (parameters, who was
-faulty, the horizon) and returns a CheckReport.  Reports are three-valued:
+Every checker is a plain ``(trace, ctx)`` function: it takes the trace plus
+a CheckContext (parameters, who was faulty, the horizon), states its own
+rule and bound, and returns a CheckReport.  Reports are three-valued:
 a checker whose precondition is not met (say, a liveness horizon that is
 too short to promise anything) reports "inconclusive" rather than guessing.
 Failures carry the seed and the sequence number of the first offending
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Params
+from .trace import compact_encoder
 
 PASS = "pass"
 FAIL = "fail"
@@ -69,10 +71,44 @@ def _violation(ctx: CheckContext, event) -> dict:
     return {"seed": ctx.seed, "event_index": event.seq}
 
 
-def _missed_deadline(trace, ctx: CheckContext, deadline: int) -> dict:
-    """Point a missed-deadline failure at the last event at or before it."""
+def _missed_deadline(name: str, detail: str, trace, ctx: CheckContext, node: int,
+                     deadline: int, **extra) -> CheckReport:
+    """The FAIL for a node that missed a deadline, pointed at the last event
+    at or before it."""
     last = trace.last_event_at(deadline)
-    return {"seed": ctx.seed, "event_index": last.seq if last else 0}
+    return CheckReport(name, FAIL, detail,
+                       {"seed": ctx.seed, "event_index": last.seq if last else 0},
+                       measured={"node": node, **extra, "deadline": deadline})
+
+
+def _by_instance(trace, kind: str, nodes) -> dict[str, dict[int, object]]:
+    """Instance text -> node -> that node's `kind` event (``sub_input`` or
+    ``sub_output``) for each node in `nodes`; a node's later event replaces
+    its earlier one."""
+    view: dict[str, dict[int, object]] = {}
+    for ev in trace.iter_kind(kind):
+        if ev.node in nodes:
+            view.setdefault(ev.data["instance"], {})[ev.node] = ev
+    return view
+
+
+def _rounds(view: dict, sub: str) -> dict[int, dict[int, object]]:
+    """The `sub` ("rb" or "wba") instances of a `_by_instance` view, by round."""
+    prefix = sub + "/"
+    return {int(inst[len(prefix):]): by_node for inst, by_node in view.items()
+            if inst.startswith(prefix)}
+
+
+_canonical = compact_encoder()
+
+
+def _value_text(value) -> str:
+    """A value as canonical JSON, so that a decoded dict equals the same dict
+    with its keys in another order; `repr` for a value JSON cannot encode."""
+    try:
+        return _canonical(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def check_safety(trace, ctx: CheckContext) -> CheckReport:
@@ -97,10 +133,12 @@ def check_safety(trace, ctx: CheckContext) -> CheckReport:
     return CheckReport("safety", PASS, measured={"deliveries": count})
 
 
-def check_liveness(trace, ctx: CheckContext, rotations: int = 2) -> CheckReport:
-    """Values injected into correct validators reach every correct node."""
+def check_liveness(trace, ctx: CheckContext) -> CheckReport:
+    """Values injected into correct validators reach every correct node
+    within two leader cycles of n rounds of 3*Delta, plus 2*Delta of
+    delivery, after max(injection, gst): a grace of 6*n*Delta + 2*Delta."""
     p = ctx.params
-    slack = 3 * rotations * p.n * p.sub_delay + 2 * p.sub_delay
+    grace = 6 * p.n * p.sub_delay + 2 * p.sub_delay
     delivered: dict[int, set] = {n: set() for n in ctx.correct_nodes}
     for ev in trace.iter_kind("ab_output"):
         if ev.node in delivered:
@@ -110,7 +148,7 @@ def check_liveness(trace, ctx: CheckContext, rotations: int = 2) -> CheckReport:
     gated = 0
     missing = []
     for t, node, value in obligations:
-        deadline = max(t, p.gst) + slack
+        deadline = max(t, p.gst) + grace
         if deadline > ctx.horizon:
             gated += 1
             continue
@@ -119,94 +157,70 @@ def check_liveness(trace, ctx: CheckContext, rotations: int = 2) -> CheckReport:
                 missing.append((value, node, n, deadline))
     if missing:
         value, src, n, deadline = missing[0]
-        return CheckReport(
-            "liveness", FAIL,
-            f"value {value!r} injected at node {src} never delivered at node {n} "
-            f"(+{len(missing) - 1} more)",
-            _missed_deadline(trace, ctx, deadline),
-            measured={"node": n, "deadline": deadline})
+        return _missed_deadline(
+            "liveness", f"value {value!r} injected at node {src} never delivered at "
+            f"node {n} (+{len(missing) - 1} more)", trace, ctx, n, deadline)
     if gated == len(obligations) and obligations:
         return CheckReport("liveness", INCONCLUSIVE,
                            f"horizon {ctx.horizon} too short to oblige any of the "
-                           f"{len(obligations)} injections (need gst+{slack})")
+                           f"{len(obligations)} injections (need gst+{grace})")
     detail = f"{len(obligations) - gated}/{len(obligations)} injections obliged"
     return CheckReport("liveness", PASS, detail,
                        measured={"obliged": len(obligations) - gated})
 
 
-def check_wba_contract(trace, ctx: CheckContext, slack: int | None = None) -> CheckReport:
-    """Agreement, validity, and weak termination per binary instance."""
+def check_wba_contract(trace, ctx: CheckContext) -> CheckReport:
+    """Agreement, validity, and weak termination per binary instance, the
+    last within 2*Delta of max(the quorum's last input, gst)."""
     p = ctx.params
-    if slack is None:
-        slack = 2 * p.sub_delay
     need = p.quorum - p.f           # "more than q - f" as a minimum count
-    correct = set(ctx.correct_nodes)
-    validators = set(ctx.correct_validators)
-    outputs: dict[int, dict[int, tuple]] = {}
-    for ev in trace.iter_kind("sub_output"):
-        kind, _, rnd = ev.data["instance"].partition("/")
-        if kind == "wba" and ev.node in correct:
-            outputs.setdefault(int(rnd), {})[ev.node] = (ev.data["value"], ev)
-    inputs: dict[int, dict[int, tuple]] = {}
-    for ev in trace.iter_kind("sub_input"):
-        kind, _, rnd = ev.data["instance"].partition("/")
-        if kind == "wba" and ev.node in validators:
-            inputs.setdefault(int(rnd), {})[ev.node] = (ev.data["value"], ev.time)
-    checked = 0
+    outputs = _rounds(_by_instance(trace, "sub_output", set(ctx.correct_nodes)), "wba")
+    inputs = _rounds(_by_instance(trace, "sub_input", set(ctx.correct_validators)), "wba")
     for rnd, by_node in sorted(outputs.items()):
-        checked += 1
-        bits = {bit for bit, _ in by_node.values()}
+        bits = {ev.data["value"] for ev in by_node.values()}
         if len(bits) > 1:
-            ev = max((e for _, e in by_node.values()), key=lambda e: e.seq)
+            ev = max(by_node.values(), key=lambda e: e.seq)
             return CheckReport("wba_contract", FAIL,
                                f"round {rnd}: correct nodes output both bits",
                                _violation(ctx, ev))
         bit = bits.pop()
-        backers = [n for n, (b, _) in inputs.get(rnd, {}).items() if b == bit]
+        backers = [ev for ev in inputs.get(rnd, {}).values() if ev.data["value"] == bit]
         if len(backers) < need:
-            ev = next(e for _, e in by_node.values())
             return CheckReport(
                 "wba_contract", FAIL,
                 f"round {rnd}: output {bit} backed by {len(backers)} correct "
-                f"inputs, needs {need}", _violation(ctx, ev))
+                f"inputs, needs {need}", _violation(ctx, next(iter(by_node.values()))))
     # weak termination: a full quorum of correct same-bit inputs forces output
     for rnd, by_node in sorted(inputs.items()):
         for bit in (0, 1):
-            times = sorted(t for b, t in by_node.values() if b == bit)
+            times = sorted(ev.time for ev in by_node.values() if ev.data["value"] == bit)
             if len(times) < p.quorum:
                 continue
             t_q = times[p.quorum - 1]
-            deadline = max(t_q, p.gst) + slack
+            deadline = max(t_q, p.gst) + 2 * p.sub_delay
             if deadline > ctx.horizon:
                 continue
             for n in ctx.correct_nodes:
                 got = outputs.get(rnd, {}).get(n)
-                if got is None or got[0] != bit:
-                    return CheckReport(
-                        "wba_contract", FAIL,
-                        f"round {rnd}: {p.quorum} correct inputs of {bit} by "
-                        f"t={t_q} but node {n} never output it",
-                        _missed_deadline(trace, ctx, deadline),
-                        measured={"node": n, "deadline": deadline})
-    return CheckReport("wba_contract", PASS, measured={"instances": checked})
+                if got is None or got.data["value"] != bit:
+                    return _missed_deadline(
+                        "wba_contract", f"round {rnd}: {p.quorum} correct inputs of "
+                        f"{bit} by t={t_q} but node {n} never output it",
+                        trace, ctx, n, deadline)
+    return CheckReport("wba_contract", PASS, measured={"instances": len(outputs)})
 
 
-def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> CheckReport:
-    """Agreement plus weak termination and the post-GST delay bound."""
+def check_rb_contract(trace, ctx: CheckContext) -> CheckReport:
+    """Agreement plus weak termination, within max(bound, Delta) of
+    max(input, gst), and the post-GST delay bound."""
     p = ctx.params
     bound = ctx.bounds["rb"]
-    if slack is None:
-        slack = max(bound, p.sub_delay)
+    grace = max(bound, p.sub_delay)
     correct = set(ctx.correct_nodes)
-    outputs: dict[int, dict[int, tuple]] = {}
-    for ev in trace.iter_kind("sub_output"):
-        kind, _, rnd = ev.data["instance"].partition("/")
-        if kind == "rb" and ev.node in correct:
-            outputs.setdefault(int(rnd), {})[ev.node] = (ev.data["value"], ev)
+    outputs = _rounds(_by_instance(trace, "sub_output", correct), "rb")
     for rnd, by_node in sorted(outputs.items()):
-        values = {repr(v) for v, _ in by_node.values()}
-        if len(values) > 1:
-            ev = max((e for _, e in by_node.values()), key=lambda e: e.seq)
+        if len({_value_text(ev.data["value"]) for ev in by_node.values()}) > 1:
+            ev = max(by_node.values(), key=lambda e: e.seq)
             return CheckReport("rb_contract", FAIL,
                                f"round {rnd}: correct nodes output different values",
                                _violation(ctx, ev))
@@ -216,56 +230,48 @@ def check_rb_contract(trace, ctx: CheckContext, slack: int | None = None) -> Che
         if kind != "rb" or ev.node not in correct:
             continue
         rnd, t = int(rnd), ev.time
-        deadline = max(t, p.gst) + slack
+        deadline = max(t, p.gst) + grace
         if deadline > ctx.horizon:
             continue
         terminated += 1
         for n in ctx.correct_nodes:
             got = outputs.get(rnd, {}).get(n)
             if got is None:
+                return _missed_deadline(
+                    "rb_contract", f"round {rnd}: correct proposer input at t={t} but "
+                    f"node {n} never output", trace, ctx, n, deadline)
+            if t >= p.gst and ctx.delay_law == "fixed" and got.time > t + bound:
                 return CheckReport(
                     "rb_contract", FAIL,
-                    f"round {rnd}: correct proposer input at t={t} but node {n} "
-                    f"never output", _missed_deadline(trace, ctx, deadline),
-                    measured={"node": n, "deadline": deadline})
-            if t >= p.gst and ctx.delay_law == "fixed" and got[1].time > t + bound:
-                return CheckReport(
-                    "rb_contract", FAIL,
-                    f"round {rnd}: node {n} output at {got[1].time}, later than "
-                    f"input {t} + {bound}", _violation(ctx, got[1]))
+                    f"round {rnd}: node {n} output at {got.time}, later than "
+                    f"input {t} + {bound}", _violation(ctx, got))
     return CheckReport("rb_contract", PASS,
                        measured={"instances": len(outputs), "terminated": terminated})
 
 
-def check_round_advance(trace, ctx: CheckContext, max_round: int | None = None) -> CheckReport:
-    """After GST every node's round counter reaches r by gst + 3r*Delta."""
+def check_round_advance(trace, ctx: CheckContext) -> CheckReport:
+    """After GST every node's round counter reaches r by gst + 3r*Delta,
+    checked for every round r whose deadline is within the horizon."""
     p = ctx.params
     bound = ctx.bounds["rb"]
     if p.sub_delay < bound:
         return CheckReport("round_advance", INCONCLUSIVE,
                            f"configured subprotocol delay {p.sub_delay} is below the "
                            f"backend bound {bound}; the claim does not apply")
-    checked = 0
-    r = 1
-    while True:
+    last = (ctx.horizon - p.gst) // (3 * p.sub_delay)
+    if last < 1:
+        return CheckReport("round_advance", INCONCLUSIVE,
+                           "horizon leaves no round deadline to check")
+    for r in range(1, last + 1):
         deadline = p.gst + 3 * r * p.sub_delay
-        if deadline > ctx.horizon or (max_round is not None and r > max_round):
-            break
         for n in ctx.correct_nodes:
             got = trace.current_round_at(n, deadline)
             if got < r:
-                return CheckReport(
-                    "round_advance", FAIL,
-                    f"node {n} at round {got} < {r} at time {deadline}",
-                    _missed_deadline(trace, ctx, deadline),
-                    measured={"node": n, "round": r, "deadline": deadline})
-        checked = r
-        r += 1
-    if checked == 0:
-        return CheckReport("round_advance", INCONCLUSIVE,
-                           "horizon leaves no round deadline to check")
-    return CheckReport("round_advance", PASS, f"rounds 1..{checked} on schedule",
-                       measured={"rounds_checked": checked})
+                return _missed_deadline(
+                    "round_advance", f"node {n} at round {got} < {r} at time {deadline}",
+                    trace, ctx, n, deadline, round=r)
+    return CheckReport("round_advance", PASS, f"rounds 1..{last} on schedule",
+                       measured={"rounds_checked": last})
 
 
 def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
@@ -279,27 +285,21 @@ def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
         return CheckReport("subprotocol_delay", INCONCLUSIVE,
                            "exact offsets only hold under the fixed delay law")
     offsets = ctx.bounds
-    inputs: dict[str, list] = {}
-    for ev in trace.iter_kind("sub_input"):
-        if ev.node in ctx.correct_nodes:
-            inputs.setdefault(ev.data["instance"], []).append(ev)
+    inputs = _by_instance(trace, "sub_input", ctx.correct_nodes)
     if not inputs:
         return CheckReport("subprotocol_delay", INCONCLUSIVE, "no inputs to time")
-    outputs: dict[str, list] = {}
-    for ev in trace.iter_kind("sub_output"):
-        if ev.node in ctx.correct_nodes:
-            outputs.setdefault(ev.data.get("instance"), []).append(ev)
+    outputs = _by_instance(trace, "sub_output", ctx.correct_nodes)
     measured = {}
-    for instance, evs in sorted(inputs.items()):
-        base = max(e.time for e in evs)
+    for instance, by_node in sorted(inputs.items()):
+        base = max(ev.time for ev in by_node.values())
         if base < p.gst:
             return CheckReport("subprotocol_delay", INCONCLUSIVE,
                                f"{instance}: input before gst")
         kind = instance.partition("/")[0]
-        if kind == "wba" and len({e.data["value"] for e in evs}) > 1:
+        if kind == "wba" and len({ev.data["value"] for ev in by_node.values()}) > 1:
             continue                     # exactness needs unanimity
         expect = base + offsets[kind]
-        for ev in outputs.get(instance, ()):
+        for ev in outputs.get(instance, {}).values():
             if ev.time != expect:
                 return CheckReport(
                     "subprotocol_delay", FAIL,
@@ -309,27 +309,21 @@ def check_subprotocol_delay(trace, ctx: CheckContext) -> CheckReport:
     return CheckReport("subprotocol_delay", PASS, measured=measured)
 
 
-def check_spread(trace, ctx: CheckContext, slack: int | None = None) -> CheckReport:
-    """A subprotocol output observed at one correct node reaches all of them."""
+def check_spread(trace, ctx: CheckContext) -> CheckReport:
+    """A subprotocol output observed at one correct node reaches all of them
+    within Delta of max(the first output, gst)."""
     p = ctx.params
-    if slack is None:
-        slack = p.sub_delay
-    outputs: dict[str, dict[int, tuple]] = {}
-    for ev in trace.iter_kind("sub_output"):
-        if ev.node in ctx.correct_nodes:
-            outputs.setdefault(ev.data["instance"], {})[ev.node] = (ev.data["value"], ev.time)
+    outputs = _by_instance(trace, "sub_output", ctx.correct_nodes)
     for instance, by_node in sorted(outputs.items()):
-        earliest = min(t for _, t in by_node.values())
-        deadline = max(earliest, p.gst) + slack
+        earliest = min(ev.time for ev in by_node.values())
+        deadline = max(earliest, p.gst) + p.sub_delay
         if deadline > ctx.horizon:
             continue
         for n in ctx.correct_nodes:
             if n not in by_node:
-                return CheckReport(
-                    "spread", FAIL,
-                    f"{instance}: output seen at t={earliest} never reached node {n}",
-                    _missed_deadline(trace, ctx, deadline),
-                    measured={"node": n, "deadline": deadline})
+                return _missed_deadline(
+                    "spread", f"{instance}: output seen at t={earliest} never reached "
+                    f"node {n}", trace, ctx, n, deadline)
     return CheckReport("spread", PASS, measured={"instances": len(outputs)})
 
 
@@ -382,17 +376,9 @@ CHECKS = {
 }
 
 
-def run_checks(trace, ctx: CheckContext, selected) -> list[CheckReport]:
-    reports = []
-    for entry in selected:
-        if isinstance(entry, str):
-            name, kwargs = entry, {}
-        else:
-            entry = dict(entry)
-            name = entry.pop("name")
-            kwargs = entry
-        fn = CHECKS.get(name)
-        if fn is None:
-            raise KeyError(f"unknown check {name!r}")
-        reports.append(fn(trace, ctx, **kwargs))
-    return reports
+def run_checks(trace, ctx: CheckContext, names) -> list[CheckReport]:
+    """The named checks' reports, in order; an unknown name is a KeyError."""
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise KeyError(f"unknown check {unknown[0]!r}")
+    return [CHECKS[name](trace, ctx) for name in names]

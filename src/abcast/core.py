@@ -76,6 +76,11 @@ def is_validator(node: int, params: Params) -> bool:
     return 0 <= node < params.n
 
 
+def is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def hashable(payload: object) -> bool:
     """Tallies key on payloads; a Byzantine sender can send one that cannot
     be a key, and correct nodes drop it."""

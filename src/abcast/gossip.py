@@ -103,9 +103,11 @@ def signed_payload(instance: InstanceKey, kind: str, payload: object) -> bytes:
 
 
 def make_signed(scheme: SignatureScheme, signer: int, instance: InstanceKey,
-                kind: str, payload: object) -> SignedMsg:
+                kind: str, payload: object, claim: int | None = None) -> SignedMsg:
+    """Signed with `signer`'s key; a forgery names `claim` as its signer."""
     data = signed_payload(instance, kind, payload)
-    msg = SignedMsg(instance, kind, payload, signer, scheme.sign(signer, data))
+    msg = SignedMsg(instance, kind, payload, signer if claim is None else claim,
+                    scheme.sign(signer, data))
     msg.__dict__["signed_bytes"] = data      # what the property would compute
     return msg
 

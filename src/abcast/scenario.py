@@ -1,14 +1,15 @@
 """Scenario files: a versioned JSON description of one simulation run.
 
 A scenario bundles the protocol parameters, backend choice, adversary
-placement, input injections, simulator knobs, and the list of checks to
-evaluate on the resulting trace.  Loading is strict: anything malformed
-raises ConfigError, which the command line maps to exit code 2.
+placement, input injections, simulator knobs, and the names of the checks
+to evaluate on the resulting trace.  No check takes an argument: format
+v1's check object ``{"name": X}`` loads as ``X``, and any other key in it
+is refused.  Loading is strict: anything malformed raises ConfigError,
+which the command line maps to exit code 2.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import random
@@ -16,10 +17,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .checks import CHECKS, CheckContext, run_checks
-from .core import ConfigError, LeaderSchedule, Params
+from .core import ConfigError, LeaderSchedule, Params, is_int
 from .simnet import (CrashSpec, EquivocatingProposerSpec, FlipVoterSpec,
                      PartitionValue, RunConfig, ScriptedSpec, SilentLeaderSpec,
-                     instance_key, run)
+                     run, script_entry_key)
 from .subproto import Kind
 
 SCENARIO_VERSION = 1
@@ -30,17 +31,13 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _int_field(obj: dict, key: str, default=None):
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing field {key!r}")
         return default
     v = obj[key]
-    _expect(_is_int(v), f"field {key!r} must be an integer, got {v!r}")
+    _expect(is_int(v), f"field {key!r} must be an integer, got {v!r}")
     return v
 
 
@@ -70,50 +67,37 @@ def _scalar(v, what: str):
 
 def _node_list(v, what: str) -> tuple:
     """A list of integer node ids; RunConfig checks that they exist."""
-    _expect(isinstance(v, list) and all(map(_is_int, v)),
+    _expect(isinstance(v, list) and all(map(is_int, v)),
             f"{what} must be a list of node ids, got {v!r}")
     return tuple(v)
 
 
-def _check_entry(entry):
-    """A check is a name, or an object with a ``name`` and integer values for
-    that check's keyword arguments; null only where null is the default."""
+def _check_entry(entry) -> str:
+    """A check is a name; format v1 also writes it ``{"name": X}``, an
+    object with no other key, since no check takes an argument."""
     name = entry.get("name") if isinstance(entry, dict) else entry
     _expect(isinstance(name, str) and name in CHECKS,
             f"unknown check {name!r}, expected one of {', '.join(CHECKS)}")
     if isinstance(entry, dict):
-        # every check takes (trace, ctx) and then its keyword arguments
-        known = dict(list(inspect.signature(CHECKS[name]).parameters.items())[2:])
-        for key, value in entry.items():
-            if key != "name":
-                _expect(key in known, f"check {name!r} takes no argument {key!r}")
-                _expect(_is_int(value) or (value is None and known[key].default is None),
-                        f"check {name!r} argument {key!r} must be an integer")
-    return entry
+        for key in entry:
+            _expect(key == "name", f"check {name!r} takes no argument {key!r}")
+    return name
 
 
-def _check_script_entry(entry, mode: str) -> None:
-    _expect(isinstance(entry, dict) and "time" in entry
-            and entry.get("op") in ("send", "gossip"), f"bad script entry: {entry!r}")
-    _int_field(entry, "time")
-    key = instance_key(entry.get("instance"))
-    _expect(isinstance(entry.get("mkind"), str),
-            f"script entry needs a string mkind: {entry!r}")
-    to = entry.get("to", "all")
-    if to != "all":
-        _node_list(to, "script entry 'to'")
-    forged = entry.get("forge_signer")
-    _expect(forged is None or _is_int(forged), f"bad forge_signer {forged!r}")
+def _check_script_payload(entry, mode: str) -> None:
+    """A file's script payload, beyond the rules of every script entry: its
+    values are scalars, an RB payload's parent and ts are integers or null,
+    and outside raw mode an RB payload is an object, since the engine reads
+    an RB output as a proposal; bare instances do not."""
+    key = script_entry_key(entry)
     payload = entry.get("payload")
     if key.kind is Kind.RB and isinstance(payload, dict):
-        _expect("value" in payload, f"rb payload needs a value: {payload!r}")
         _scalar(payload["value"], "rb payload value")
         for field in ("parent", "ts"):
             v = payload.get(field)
-            _expect(v is None or _is_int(v),
+            _expect(v is None or is_int(v),
                     f"rb payload {field} must be an integer or null, got {v!r}")
     else:
-        # the engine reads an RB output as a proposal; bare instances do not
         _expect(key.kind is not Kind.RB or mode == "raw",
                 f"rb payload must be an object with a value: {payload!r}")
         _scalar(payload, "script payload")
@@ -121,7 +105,7 @@ def _check_script_entry(entry, mode: str) -> None:
 
 def _auto_horizon(params: Params, injections: tuple) -> int:
     """Liveness-safe horizon: pre-GST round burn, then enough leader
-    rotations to flush every queued injection, plus delivery slack."""
+    turns to flush every queued injection, plus delivery time."""
     k = max(Counter(node for _, node, _ in injections).values(), default=1)
     d = params.sub_delay
     return params.gst + 3 * d * (params.gst + (k + 2) * params.n + 2) + 2 * d
@@ -132,7 +116,7 @@ class Scenario:
     """A file's run as the file writes it, plus what a file adds: checks, a
     per-seed gst draw, and whether the horizon is sized per gst ("auto")."""
     config: RunConfig
-    checks: tuple = ()
+    checks: tuple = ()              # check names
     gst_draw: tuple | None = None   # (lo, hi): per-seed gst override
     auto_horizon: bool = False
 
@@ -189,7 +173,7 @@ def _parse_adversary(obj: dict, mode: str):
             nodes = _node_list(p.get("nodes", []), "partition nodes")
             _expect(nodes != (), "partition needs nodes")
             parent = p.get("parent", "bot")
-            _expect(parent in ("bot", "prev", None) or _is_int(parent),
+            _expect(parent in ("bot", "prev", None) or is_int(parent),
                     f'partition parent must be "bot", "prev", null or a round: {parent!r}')
             built.append(PartitionValue(nodes, _scalar(p.get("value"), "partition value"),
                                         parent))
@@ -198,14 +182,14 @@ def _parse_adversary(obj: dict, mode: str):
         bits = obj.get("bits", {})
         _expect(isinstance(bits, dict) and all(
                     isinstance(k, str) and k.isascii() and k.isdigit()
-                    and _is_int(v) and v in (0, 1) for k, v in bits.items()),
+                    and is_int(v) and v in (0, 1) for k, v in bits.items()),
                 f"flip_voter bits must map round numbers to 0 or 1, got {bits!r}")
         return FlipVoterSpec(node, {int(k): v for k, v in bits.items()},
                              _bool_field(obj, "equivocate"))
     if kind == "scripted":
         script = _list_field(obj, "script")
         for entry in script:
-            _check_script_entry(entry, mode)
+            _check_script_payload(entry, mode)
         return ScriptedSpec(node, tuple(script))
     raise ConfigError(f"unknown adversary kind {kind!r}")
 
@@ -213,7 +197,7 @@ def _parse_adversary(obj: dict, mode: str):
 def scenario_from_dict(doc: dict) -> Scenario:
     _expect(isinstance(doc, dict), "scenario must be a JSON object")
     version = doc.get("version")
-    _expect(_is_int(version) and version == SCENARIO_VERSION,
+    _expect(is_int(version) and version == SCENARIO_VERSION,
             f"unsupported scenario version {version!r}")
     p = doc.get("params")
     _expect(isinstance(p, dict), "missing params object")
@@ -235,7 +219,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if sched_doc is None or sched_doc == "round_robin":
         schedule = LeaderSchedule(params.n)
     else:
-        _expect(isinstance(sched_doc, list) and all(map(_is_int, sched_doc)),
+        _expect(isinstance(sched_doc, list) and all(map(is_int, sched_doc)),
                 "schedule must be a list of validator ids or null")
         schedule = LeaderSchedule(params.n, tuple(sched_doc))
 
@@ -266,13 +250,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if auto_horizon:
         _expect(mode == "engine", "auto horizon needs engine mode")
         horizon = _auto_horizon(params, injections)
-    _expect(_is_int(horizon) and horizon > 0,
+    _expect(is_int(horizon) and horizon > 0,
             'horizon must be a positive integer or "auto"')
     gst_draw = None
     if "gst_draw" in sim:
         draw = sim["gst_draw"]
         _expect(isinstance(draw, list) and len(draw) == 2
-                and all(map(_is_int, draw)) and 0 <= draw[0] <= draw[1],
+                and all(map(is_int, draw)) and 0 <= draw[0] <= draw[1],
                 "gst_draw must be [lo, hi] with 0 <= lo <= hi")
         gst_draw = (draw[0], draw[1])
 

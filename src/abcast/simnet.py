@@ -24,13 +24,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
-from .core import ConfigError, Params, LeaderSchedule
+from .core import ConfigError, Params, LeaderSchedule, is_int
 from .subproto import (RB, WBA, INITIAL, READY, VOTE, Input, InstanceKey,
                        InstanceTable, Output, parse_key)
 from . import bracha as bracha_mod
 from . import gossip as gossip_mod
 from .engine import Engine, Proposal, RestartTimer, encode
-from .gossip import SignatureScheme, SignedMsg, make_signed
+from .gossip import SignatureScheme, make_signed
 from .bracha import BrachaMsg
 from .trace import Trace
 
@@ -138,7 +138,7 @@ class RunConfig:
                 targets += [node for part in spec.partitions for node in part.nodes]
             elif isinstance(spec, ScriptedSpec):
                 for entry in spec.script:
-                    instance_key(entry["instance"])
+                    script_entry_key(entry)
                     times.append(entry["time"])
                     targets += () if entry.get("to", "all") == "all" else entry["to"]
             elif isinstance(spec, CrashSpec):
@@ -180,6 +180,29 @@ def instance_key(text) -> InstanceKey:
     except (TypeError, ValueError):          # TypeError: not a str
         raise ConfigError(
             f"bad instance {text!r}: expected rb/<round> or wba/<round>") from None
+
+
+def script_entry_key(entry) -> InstanceKey:
+    """The instance of a `ScriptedDriver` entry, once the entry is one the
+    driver can run, wherever its config was built."""
+    if not (isinstance(entry, dict) and "time" in entry
+            and entry.get("op") in ("send", "gossip")):
+        raise ConfigError(f"bad script entry: {entry!r}")
+    if not is_int(entry["time"]):
+        raise ConfigError(f"field 'time' must be an integer, got {entry['time']!r}")
+    key = instance_key(entry.get("instance"))
+    if not isinstance(entry.get("mkind"), str):
+        raise ConfigError(f"script entry needs a string mkind: {entry!r}")
+    to = entry.get("to", "all")
+    if to != "all" and not (isinstance(to, (list, tuple)) and all(map(is_int, to))):
+        raise ConfigError(f"script entry 'to' must be a list of node ids, got {to!r}")
+    forged = entry.get("forge_signer")
+    if not (forged is None or is_int(forged)):
+        raise ConfigError(f"bad forge_signer {forged!r}")
+    payload = entry.get("payload")
+    if key.kind is RB and isinstance(payload, dict) and "value" not in payload:
+        raise ConfigError(f"rb payload needs a value: {payload!r}")
+    return key
 
 
 def _encode_msg(msg) -> dict:
@@ -326,10 +349,8 @@ class AdversaryApi:
         then claims another signer under that same signature."""
         if self.backend == "bracha":
             return BrachaMsg(instance, kind, payload, self.node)
-        msg = make_signed(self.sim.scheme, self.node, instance, kind, payload)
-        if forge_signer is not None:
-            msg = SignedMsg(instance, kind, payload, forge_signer, msg.sig)
-        return msg
+        return make_signed(self.sim.scheme, self.node, instance, kind, payload,
+                           forge_signer)
 
     def send(self, msg, targets=None) -> None:
         """Send `msg` to `targets` other than this node, or to every node

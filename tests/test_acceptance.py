@@ -112,9 +112,10 @@ def test_criterion_3_round_advance_after_gst():
                     (gst, node, r, deadline)
         ctx = CheckContext(params=params, horizon=cfg.horizon,
                            correct_nodes=(0, 1, 2, 3))
-        rep = check_round_advance(trace, ctx, max_round=20)
+        # the horizon gst + 380 admits every r <= 21 (3 * 21 * 6 = 378)
+        rep = check_round_advance(trace, ctx)
         assert rep.status == "pass", rep.line()
-        assert rep.measured["rounds_checked"] == 20
+        assert rep.measured["rounds_checked"] == 21
     print("criterion 3 PASS: every node is at round >= r by gst + 3*r*Delta "
           "for all r <= 20, exact ticks, two all-correct runs")
 

@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 
 from abcast.checks import (
+    CHECKS,
     FAIL,
     INCONCLUSIVE,
     PASS,
@@ -63,7 +66,7 @@ def test_safety_ignores_faulty_nodes():
 
 
 def test_liveness_pass_fail_and_gate():
-    # slack = 3*2*4*6 + 2*6 = 156 with the default two rotations
+    # due 6*n*Delta + 2*Delta = 6*4*6 + 2*6 = 156 after the injection
     inj = ((0, 0, "v"),)
     good = Trace()
     for n in (0, 1, 2):
@@ -177,6 +180,22 @@ def test_rb_contract_agreement_violation():
     assert "different values" in rep.detail
 
 
+def test_rb_contract_agreement_ignores_key_order():
+    # a v2 file may hold one RB output with its keys in another order
+    lines = rb_trace([], [(n, {"parent": None, "ts": None, "value": "x"}, 10)
+                          for n in (0, 1, 2)]).to_jsonl().splitlines()
+    lines[2] = lines[2].replace('{"parent":null,"ts":null,"value":"x"}',
+                                '{"value":"x","parent":null,"ts":null}')
+    t = Trace.from_jsonl("\n".join(lines) + "\n")
+    assert list(t.events[1].data["value"]) == ["value", "parent", "ts"]
+    rep = check_rb_contract(t, ctx())
+    assert rep.status == PASS, rep.line()
+    # values still differ when they differ
+    lines[3] = lines[3].replace('"value":"x"', '"value":"y"')
+    assert check_rb_contract(Trace.from_jsonl("\n".join(lines) + "\n"),
+                             ctx()).status == FAIL
+
+
 def test_rb_contract_termination_violation():
     t = rb_trace([(0, "x", 5)], [(0, "x", 11), (1, "x", 11)])
     rep = check_rb_contract(t, ctx())
@@ -243,14 +262,6 @@ def test_round_advance_inconclusive_cases():
     fast = Params(n=4, f=1, delta=2, gst=0, sub_delay=5)
     c = CheckContext(params=fast, horizon=1000, correct_nodes=(0, 1, 2))
     assert check_round_advance(Trace(), c).status == INCONCLUSIVE
-
-
-def test_round_advance_max_round_cap():
-    rows = [(n, r, 1) for n in (0, 1, 2) for r in (1, 2, 3)]
-    rep = check_round_advance(advance_trace(rows), ctx(horizon=10000),
-                              max_round=3)
-    assert rep.status == PASS
-    assert rep.measured["rounds_checked"] == 3
 
 
 def test_subprotocol_delay_exactness():
@@ -359,8 +370,13 @@ def test_run_checks_dispatch():
     t = Trace()
     for n in (0, 1, 2):
         deliver(t, n, "a", 0)
-    reports = run_checks(t, ctx(), ["safety", {"name": "liveness", "rotations": 1}])
+    reports = run_checks(t, ctx(), ["safety", "liveness"])
     assert [r.name for r in reports] == ["safety", "liveness"]
     assert all(r.ok for r in reports)
     with pytest.raises(KeyError):
         run_checks(t, ctx(), ["no_such_check"])
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_check_takes_only_the_trace_and_its_context(name):
+    assert list(inspect.signature(CHECKS[name]).parameters) == ["trace", "ctx"]

@@ -141,6 +141,18 @@ def test_unknown_check_name_exits_2(tmp_path, capsys):
     assert "unknown check 'nope'" in capsys.readouterr().err
 
 
+def test_a_check_argument_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(HONEST).read_text())
+    doc["checks"] = ["safety", {"name": "liveness", "rotations": 1}]
+    path = tmp_path / "argument.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert any(ln.startswith("configuration error:") and "'rotations'" in ln
+               for ln in err.splitlines())
+    assert "Traceback" not in err
+
+
 # nested past the decoder's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
 NESTED = pytest.param(DEEP, id="nested too deep")

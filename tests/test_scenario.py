@@ -409,12 +409,22 @@ def test_unknown_check_is_config_error_at_parse(checks):
         scenario_from_dict(doc)
 
 
-def test_check_arguments_reach_the_check():
+def test_a_check_takes_no_argument():
     doc = base_doc()
-    doc["checks"] = ["safety", {"name": "liveness", "rotations": 1},
-                     {"name": "spread", "slack": None}]
-    _, reports, _ = scenario_from_dict(doc).execute()
-    assert [r.name for r in reports] == ["safety", "liveness", "spread"]
+    for entry in ({"name": "liveness", "rotations": 1}, {"name": "liveness", "rotations": -1},
+                  {"name": "wba_contract", "slack": 12}, {"name": "rb_contract", "slack": None},
+                  {"name": "spread", "slack": -50}, {"name": "round_advance", "max_round": 3}):
+        doc["checks"] = ["safety", entry]
+        key = next(k for k in entry if k != "name")
+        with pytest.raises(ConfigError, match=f"check {entry['name']!r} takes no "
+                                              f"argument {key!r}"):
+            scenario_from_dict(doc)
+    # a format v1 check object with only a name loads as that name
+    doc["checks"] = ["safety", {"name": "spread"}]
+    sc = scenario_from_dict(doc)
+    assert sc.checks == ("safety", "spread")
+    _, reports, _ = sc.execute()
+    assert [r.name for r in reports] == ["safety", "spread"]
 
 
 def test_engine_options_parsed():

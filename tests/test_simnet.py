@@ -536,6 +536,15 @@ BAD_RUN_CONFIGS = {
          "payload": 1},)),)),
     # a negative window holds every message, so the run wedges
     "negative spam window": dict(spam_window=-1),
+    # script entries built in code keep the rules a scenario file's do
+    "script target that is no node list": dict(adversaries=(ScriptedSpec(3, (
+        {"time": 1, "op": "send", "to": "some", "instance": "wba/0",
+         "mkind": "vote", "payload": 1},)),)),
+    "script entry without an mkind": dict(adversaries=(ScriptedSpec(3, (
+        {"time": 1, "op": "send", "instance": "wba/0", "payload": 1},)),)),
+    "rb script payload without a value": dict(adversaries=(ScriptedSpec(3, (
+        {"time": 1, "op": "send", "instance": "rb/1", "mkind": "initial",
+         "payload": {"parent": None}},)),)),
 }
 
 
