@@ -40,7 +40,18 @@ from .trace import Trace
 MAX_NODES = 256
 
 
-# -- adversary specifications -----------------------------------------------
+# -- adversaries ------------------------------------------------------------
+# A spec is both what a run config holds and the behaviour it names.  Every
+# seed of a config shares the same spec objects, so a driver keeps nothing
+# of a run on itself: the faulty node hands each driver its own `done` set.
+
+class Driver:
+    """A faulty node's behaviour, called by its `AdversaryApi`; the base
+    behaviour sends nothing."""
+
+    def on_start(self, api: AdversaryApi, done: set) -> None: ...
+    def on_deliver(self, api: AdversaryApi, done: set, msg) -> None: ...
+
 
 @dataclass
 class CrashSpec:
@@ -50,7 +61,7 @@ class CrashSpec:
 
 
 @dataclass
-class SilentLeaderSpec:
+class SilentLeaderSpec(Driver):
     """Sends nothing, ever."""
     node: int
 
@@ -63,28 +74,86 @@ class PartitionValue:
 
 
 @dataclass
-class EquivocatingProposerSpec:
+class EquivocatingProposerSpec(Driver):
     """Proposes a different (value, parent) to each recipient partition in
     every round it leads."""
     node: int
     partitions: tuple
 
+    def on_start(self, api: AdversaryApi, done: set) -> None:
+        period = len(api.schedule.order) if api.schedule.order else api.params.n
+        for r in range(period):
+            if api.schedule.leader_of(r) == self.node:
+                self._equivocate(api, done, r)
+                break
+
+    def on_deliver(self, api: AdversaryApi, done: set, msg) -> None:
+        r = msg.instance.round
+        if api.schedule.leader_of(r) == self.node and r not in done:
+            self._equivocate(api, done, r)
+
+    def _equivocate(self, api: AdversaryApi, done: set, r: int) -> None:
+        done.add(r)
+        key = InstanceKey(RB, r)
+        for part in self.partitions:
+            parent = None if part.parent in ("bot", None) else part.parent
+            if parent == "prev":
+                parent = r - 1 if r > 0 else None
+            prop = Proposal(part.value, parent)
+            api.send(api.message(key, INITIAL, prop), tuple(part.nodes))
+
 
 @dataclass
-class FlipVoterSpec:
+class FlipVoterSpec(Driver):
     """Votes a configured bit per round (default: round parity); with
     `equivocate` it backs both bits, split across recipients."""
     node: int
     bits: dict = field(default_factory=dict)
     equivocate: bool = False
 
+    def on_deliver(self, api: AdversaryApi, done: set, msg) -> None:
+        key = msg.instance
+        if key.kind is not WBA or key.round in done:
+            return
+        done.add(key.round)
+        bit = self.bits.get(key.round, key.round % 2)
+        # The protocols differ: on bracha a vote and a ready back the bit,
+        # split by recipient parity when equivocating; on gossip one signed
+        # vote floods per bit.
+        if api.backend == "gossip":
+            for b in (bit, 1 - bit) if self.equivocate else (bit,):
+                api.send(api.message(key, VOTE, b))
+        elif self.equivocate:
+            for to in range(api.params.n):
+                b = bit if to % 2 == 0 else 1 - bit
+                for kind in (VOTE, READY):
+                    api.send(api.message(key, kind, b), (to,))
+        else:
+            for kind in (VOTE, READY):
+                api.send(api.message(key, kind, bit))
+
 
 @dataclass
-class ScriptedSpec:
-    """Replays a fixed list of timed sends; see ScriptedDriver for the
-    entry format."""
+class ScriptedSpec(Driver):
+    """Replays a fixed list of timed sends.  Entries: {"time": T, "op":
+    "send"|"gossip", "to": "all"|[ids], "instance": "rb/1", "mkind":
+    "initial", "payload": ..., "forge_signer": id?}.
+
+    RB payloads are {"value": v, "parent": p} dicts; WBA payloads are bits.
+    `op` is read by nothing: the run's backend picks direct or gossip.
+    """
     node: int
     script: tuple = ()
+
+    def on_script(self, api: AdversaryApi, entry: dict) -> None:
+        key = parse_key(entry["instance"])
+        payload = entry.get("payload")
+        if key.kind is RB and isinstance(payload, dict):
+            payload = Proposal(payload["value"], payload.get("parent"),
+                               payload.get("ts"))
+        msg = api.message(key, entry["mkind"], payload, entry.get("forge_signer"))
+        to = entry.get("to", "all")
+        api.send(msg, None if to == "all" else tuple(to))
 
 
 @dataclass
@@ -123,6 +192,8 @@ class RunConfig:
             raise ConfigError(f"schedule for n={self.schedule.n}, params n={self.params.n}")
         if self.digest_mode and self.backend != "gossip":
             raise ConfigError("digest_mode only applies to the gossip backend")
+        if self.raw_inputs and self.mode != "raw":
+            raise ConfigError("raw_inputs only apply in raw mode")
         # a bound of 0 would make the uniform law's rejection loop spin
         if self.pre_gst_max_delay < 1 or self.gossip_relay_latency < 1:
             raise ConfigError("pre_gst_max_delay and gossip_relay_latency must be >= 1")
@@ -143,6 +214,8 @@ class RunConfig:
                     targets += () if entry.get("to", "all") == "all" else entry["to"]
             elif isinstance(spec, CrashSpec):
                 times.append(spec.at)
+            elif not isinstance(spec, Driver):
+                raise ConfigError(f"unknown adversary spec {spec!r}")
         if any(t < 0 for t in times):
             raise ConfigError(f"an event at t={min(times)} is before the run starts")
         inputs = (*self.injections, *self.raw_inputs)
@@ -183,7 +256,7 @@ def instance_key(text) -> InstanceKey:
 
 
 def script_entry_key(entry) -> InstanceKey:
-    """The instance of a `ScriptedDriver` entry, once the entry is one the
+    """The instance of a `ScriptedSpec` entry, once the entry is one the
     driver can run, wherever its config was built."""
     if not (isinstance(entry, dict) and "time" in entry
             and entry.get("op") in ("send", "gossip")):
@@ -332,8 +405,11 @@ class _NodeRuntime:
 
 
 class AdversaryApi:
-    """What a faulty node's driver may do.  The simulation builds one per
-    driven node and moves `now` to each dispatch."""
+    """A faulty node: its stack of `(spec, done)` pairs, one per driver, in
+    config order, and what a driver may do.  Several specs may target one
+    node; their drivers stack, which is how a single faulty validator
+    combines behaviours.  Each entry point moves `now` to its dispatch and
+    hands the event to the stack in order."""
 
     def __init__(self, sim: "Simulation", node: int):
         self.sim = sim
@@ -342,6 +418,21 @@ class AdversaryApi:
         self.params = sim.cfg.params
         self.schedule = sim.cfg.schedule
         self.backend = sim.cfg.backend
+        self.stack: list = []
+
+    def on_start(self, now: int) -> None:
+        self.now = now
+        for spec, done in self.stack:
+            spec.on_start(self, done)
+
+    def on_deliver(self, now: int, msg) -> None:
+        self.now = now
+        for spec, done in self.stack:
+            spec.on_deliver(self, done, msg)
+
+    def on_script(self, now: int, spec: ScriptedSpec, entry: dict) -> None:
+        self.now = now
+        spec.on_script(self, entry)
 
     def message(self, instance: InstanceKey, kind: str, payload, forge_signer=None):
         """This node's message in the run's backend.  On gossip it is signed
@@ -356,108 +447,6 @@ class AdversaryApi:
         """Send `msg` to `targets` other than this node, or to every node
         but this one when None: a send never comes back to its sender."""
         self.sim.send(self.node, msg, self.now, targets)
-
-
-class Driver:
-    def __init__(self, node: int):
-        self.node = node
-
-    def on_start(self, api: AdversaryApi) -> None: ...
-    def on_deliver(self, api: AdversaryApi, msg) -> None: ...
-
-
-class EquivocatingProposerDriver(Driver):
-    def __init__(self, spec: EquivocatingProposerSpec):
-        super().__init__(spec.node)
-        self.spec = spec
-        self.done: set[int] = set()
-
-    def on_start(self, api: AdversaryApi) -> None:
-        period = len(api.schedule.order) if api.schedule.order else api.params.n
-        for r in range(period):
-            if api.schedule.leader_of(r) == self.node:
-                self._equivocate(api, r)
-                break
-
-    def on_deliver(self, api: AdversaryApi, msg) -> None:
-        r = msg.instance.round
-        if api.schedule.leader_of(r) == self.node and r not in self.done:
-            self._equivocate(api, r)
-
-    def _equivocate(self, api: AdversaryApi, r: int) -> None:
-        self.done.add(r)
-        key = InstanceKey(RB, r)
-        for part in self.spec.partitions:
-            parent = None if part.parent in ("bot", None) else part.parent
-            if parent == "prev":
-                parent = r - 1 if r > 0 else None
-            prop = Proposal(part.value, parent)
-            api.send(api.message(key, INITIAL, prop), tuple(part.nodes))
-
-
-class FlipVoterDriver(Driver):
-    def __init__(self, spec: FlipVoterSpec):
-        super().__init__(spec.node)
-        self.spec = spec
-        self.done: set[int] = set()
-
-    def on_deliver(self, api: AdversaryApi, msg) -> None:
-        key = msg.instance
-        if key.kind is not WBA or key.round in self.done:
-            return
-        self.done.add(key.round)
-        bit = self.spec.bits.get(key.round, key.round % 2)
-        # The protocols differ: on bracha a vote and a ready back the bit,
-        # split by recipient parity when equivocating; on gossip one signed
-        # vote floods per bit.
-        if api.backend == "gossip":
-            for b in (bit, 1 - bit) if self.spec.equivocate else (bit,):
-                api.send(api.message(key, VOTE, b))
-        elif self.spec.equivocate:
-            for to in range(api.params.n):
-                b = bit if to % 2 == 0 else 1 - bit
-                for kind in (VOTE, READY):
-                    api.send(api.message(key, kind, b), (to,))
-        else:
-            for kind in (VOTE, READY):
-                api.send(api.message(key, kind, bit))
-
-
-class ScriptedDriver(Driver):
-    """Entries: {"time": T, "op": "send"|"gossip", "to": "all"|[ids],
-    "instance": "rb/1", "mkind": "initial", "payload": ..., "forge_signer": id?}.
-
-    RB payloads are {"value": v, "parent": p} dicts; WBA payloads are bits.
-    `op` is read by nothing: the run's backend picks direct or gossip.
-    """
-
-    def __init__(self, spec: ScriptedSpec):
-        super().__init__(spec.node)
-        self.spec = spec
-
-    def on_script(self, api: AdversaryApi, entry: dict) -> None:
-        key = parse_key(entry["instance"])
-        payload = entry.get("payload")
-        if key.kind is RB and isinstance(payload, dict):
-            payload = Proposal(payload["value"], payload.get("parent"),
-                               payload.get("ts"))
-        msg = api.message(key, entry["mkind"], payload, entry.get("forge_signer"))
-        to = entry.get("to", "all")
-        api.send(msg, None if to == "all" else tuple(to))
-
-
-def _build_driver(spec) -> Driver:
-    """Several specs may target one node; their drivers stack, which is how
-    a single faulty validator combines behaviours."""
-    if isinstance(spec, SilentLeaderSpec):
-        return Driver(spec.node)             # never sends anything
-    if isinstance(spec, EquivocatingProposerSpec):
-        return EquivocatingProposerDriver(spec)
-    if isinstance(spec, FlipVoterSpec):
-        return FlipVoterDriver(spec)
-    if isinstance(spec, ScriptedSpec):
-        return ScriptedDriver(spec)
-    raise ConfigError(f"unknown adversary spec {spec!r}")
 
 
 class _RunQueue(dict):
@@ -503,16 +492,17 @@ class Simulation:
 
         self.crash_at: dict[int, int] = {}      # per-event paths test it before _crashed
         self.crashed_noted: set[int] = set()
-        self.drivers: dict[int, list[Driver]] = {}
+        self.faulty: dict[int, AdversaryApi] = {}
         for spec in cfg.adversaries:
             if isinstance(spec, CrashSpec):
                 self.crash_at[spec.node] = spec.at
             else:
-                self.drivers.setdefault(spec.node, []).append(_build_driver(spec))
+                if spec.node not in self.faulty:
+                    self.faulty[spec.node] = AdversaryApi(self, spec.node)
+                self.faulty[spec.node].stack.append((spec, set()))
 
         self.runtimes = {node: _NodeRuntime(self, node)
-                         for node in range(self.total) if node not in self.drivers}
-        self.apis = {node: AdversaryApi(self, node) for node in self.drivers}
+                         for node in range(self.total) if node not in self.faulty}
 
     # -- scheduling primitives -------------------------------------------------
 
@@ -666,18 +656,18 @@ class Simulation:
                     self._push(0, self._on_inject, (node, value))
                 self._push(0, runtimes[node].on_start, ())
             else:
-                self._push(0, self._drive, (node, "on_start"))
+                self._push(0, self.faulty[node].on_start, ())
         for t, node, value in cfg.injections:
             if t > 0 or node not in runtimes:
                 self._push(max(t, 0), self._on_inject, (node, value))
         for t, node, key_text, value in cfg.raw_inputs:
             if node in runtimes:
                 self._push(t, runtimes[node].on_raw_input, (parse_key(key_text), value))
-        for drivers in self.drivers.values():
-            for drv in drivers:
-                if isinstance(drv, ScriptedDriver):
-                    for entry in drv.spec.script:
-                        self._push(entry["time"], self._on_script, (drv, entry))
+        for api in self.faulty.values():
+            for spec, _ in api.stack:
+                if isinstance(spec, ScriptedSpec):
+                    for entry in spec.script:
+                        self._push(entry["time"], api.on_script, (spec, entry))
 
         queue, horizon = self.run_queue, cfg.horizon
         ticks = queue.ticks
@@ -692,37 +682,29 @@ class Simulation:
     def close(self) -> None:
         """Drop what ties the run into reference cycles: the run queue's
         bound calls, each node's runtime (it points back at the simulation,
-        and its work queue at itself) and the adversary apis.  The trace and
+        and its work queue at itself) and each faulty node.  The trace and
         the configuration stay; reference counting frees the rest."""
         self.run_queue.clear()
         for rt in self.runtimes.values():
             rt.work.clear()
         self.runtimes = {}
-        self.apis = {}
+        self.faulty = {}
 
     # -- queued events that are not a bound node entry point ---------------------
-
-    def _drive(self, now: int, node: int, event: str, *args) -> None:
-        """Hand `event` to each driver stacked on `node`, in order, through
-        the node's one api."""
-        api = self.apis[node]
-        api.now = now
-        for drv in self.drivers[node]:
-            getattr(drv, event)(api, *args)
 
     def _on_deliver(self, now: int, recipients, msg, deliver: dict, state) -> None:
         """Each recipient's copy of `msg`, in order; see `_fan_out`.  On
         gossip a node takes only its first copy, and a live correct node
         relays it."""
-        trace, drivers, crash_at = self.trace, self.drivers, self.crash_at
+        trace, faulty, crash_at = self.trace, self.faulty, self.crash_at
         for to in recipients:
             if state is not None:
                 if state[to] == _HAS:
                     continue
                 state[to] = _HAS
             trace.append(now, "deliver", to, {**deliver})
-            if to in drivers:
-                self._drive(now, to, "on_deliver", msg)
+            if to in faulty:
+                faulty[to].on_deliver(now, msg)
             elif not (to in crash_at and self._crashed(to, now)):
                 if state is not None and not state[-1]:
                     self._fan_out(to, msg, deliver, state, now)
@@ -733,11 +715,6 @@ class Simulation:
         rt = self.runtimes.get(node)
         if rt is not None and not self._crashed(node, now) and rt.engine is not None:
             rt.engine.on_input(value)
-
-    def _on_script(self, now: int, drv: ScriptedDriver, entry: dict) -> None:
-        api = self.apis[drv.node]
-        api.now = now
-        drv.on_script(api, entry)
 
 
 def run(cfg: RunConfig) -> Trace:

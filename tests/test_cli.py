@@ -153,6 +153,18 @@ def test_a_check_argument_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_raw_input_in_engine_mode_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(HONEST).read_text())
+    doc["raw_inputs"] = [{"time": 0, "node": 1, "instance": "rb/1", "value": "x"}]
+    path = tmp_path / "raw_in_engine.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert any(ln.startswith("configuration error:") and "raw" in ln
+               for ln in err.splitlines())
+    assert "Traceback" not in err
+
+
 # nested past the decoder's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
 NESTED = pytest.param(DEEP, id="nested too deep")

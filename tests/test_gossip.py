@@ -308,17 +308,16 @@ class _TamperDriver(Driver):
     """Gossips its own signed vote, and from t=20 a copy of it with one
     field changed but the signature kept."""
 
-    def __init__(self, node, change):
-        super().__init__(node)
+    def __init__(self, change):
         self.change = change
         self.tampered = None
 
-    def on_start(self, api: AdversaryApi) -> None:
+    def on_start(self, api: AdversaryApi, done: set) -> None:
         vote = api.message(InstanceKey(Kind.WBA, 5), VOTE, 1)
         api.send(vote)
         self.tampered = replace(vote, **self.change)
 
-    def on_deliver(self, api: AdversaryApi, msg) -> None:
+    def on_deliver(self, api: AdversaryApi, done: set, msg) -> None:
         if api.now >= 20 and self.tampered is not None:
             api.send(self.tampered)
             self.tampered = None
@@ -336,7 +335,7 @@ def test_tampered_copy_fails_verify_at_every_correct_node(change, fields):
         "sim": {"horizon": 60, "delay_law": "uniform"},
     }
     sim = Simulation(scenario_from_dict(doc).config_for())
-    sim.drivers[3] = [_TamperDriver(3, change)]
+    sim.faulty[3].stack = [(_TamperDriver(change), set())]
     trace = sim.run()
     got = [(ev.node, (msg["payload"], msg["from"])) for ev, msg in _deliveries(trace)
            if msg["instance"] == "wba/5" and ev.node != 3]

@@ -1,6 +1,6 @@
 import copy
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -492,6 +492,12 @@ def test_send_and_deliver_events_share_fields_not_dicts(backend):
 
 # Each value rule of a run lives in RunConfig, so a config built in code is
 # refused where it is built, not when it runs.
+@dataclass
+class _NodeOnly:
+    """Names a node, as every spec does, yet is neither a crash nor a driver."""
+    node: int
+
+
 BAD_RUN_CONFIGS = {
     "unknown backend": dict(backend="gossip_quorum"),
     "unknown delay law": dict(delay_law="normal"),
@@ -545,6 +551,13 @@ BAD_RUN_CONFIGS = {
     "rb script payload without a value": dict(adversaries=(ScriptedSpec(3, (
         {"time": 1, "op": "send", "instance": "rb/1", "mkind": "initial",
          "payload": {"parent": None}},)),)),
+    # an engine-mode node takes its inputs from its engine alone
+    "raw input in engine mode": dict(raw_inputs=((0, 1, "rb/1", "x"),)),
+    # an adversary is a crash or a driver
+    "an object as an adversary": dict(adversaries=(object(),)),
+    "a name as an adversary": dict(adversaries=("crash",)),
+    "a number as an adversary": dict(adversaries=(3,)),
+    "a spec that is no driver": dict(adversaries=(_NodeOnly(3),)),
 }
 
 
@@ -620,3 +633,44 @@ def test_each_script_entry_runs_once_with_two_scripted_drivers(backend):
     cfg = make_cfg(backend=backend, mode="raw", injections=(), horizon=40,
                    adversaries=tuple(ScriptedSpec(3, s) for s in scripts))
     assert [ev.time for ev in sends_by(run(cfg), 3)] == [1, 2]
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_two_flip_voters_on_one_node_keep_separate_memory(backend):
+    # Each stacked driver has its own rounds done: both vote once in every
+    # WBA round node 3 hears, and neither's vote stands in for the other's.
+    cfg = make_cfg(backend=backend, horizon=200, adversaries=(
+        FlipVoterSpec(3, {1: 1}), FlipVoterSpec(3, {1: 0})))
+    trace = run(cfg)
+    heard = {trace.events[ev.data["msg"]].data["instance"]
+             for ev in trace.iter_kind("deliver") if ev.node == 3}
+    sent = {}
+    for ev in sends_by(trace, 3):
+        sent.setdefault(ev.data["instance"], []).append(
+            (ev.data["mkind"], ev.data["payload"]))
+    assert "wba/1" in sent and set(sent) == {i for i in heard if i.startswith("wba/")}
+    kinds = ("vote", "ready") if backend == "bracha" else ("vote",)
+    for inst, msgs in sent.items():
+        r = int(inst.removeprefix("wba/"))
+        bits = (1, 0) if r == 1 else (r % 2, r % 2)
+        assert msgs == [(kind, bit) for bit in bits for kind in kinds]
+
+
+@pytest.mark.parametrize("backend", ["bracha", "gossip"])
+def test_a_config_with_every_driver_kind_replays_and_keeps_its_specs(backend):
+    # Every seed of a config shares its spec objects, so no run may leave
+    # its state on them.
+    script = ({"time": 7, "op": "send", "to": [0, 2], "instance": "wba/2",
+               "mkind": "vote", "payload": 0},)
+    cfg = make_cfg(backend=backend, delay_law="uniform", seed=5, horizon=200,
+                   adversaries=(
+                       SilentLeaderSpec(3),
+                       EquivocatingProposerSpec(3, (PartitionValue((0, 1), "left"),
+                                                    PartitionValue((2,), "right", "prev"))),
+                       FlipVoterSpec(3, {2: 1}, equivocate=True),
+                       ScriptedSpec(3, script)))
+    before = copy.deepcopy(cfg.adversaries)
+    first = run(cfg).to_jsonl()
+    other = run(replace(cfg, seed=6)).to_jsonl()
+    assert run(cfg).to_jsonl() == first != other
+    assert cfg.adversaries == before
