@@ -84,19 +84,35 @@ def _missed_deadline(name: str, detail: str, trace, ctx: CheckContext, node: int
 def _by_instance(trace, kind: str, nodes) -> dict[str, dict[int, object]]:
     """Instance text -> node -> that node's `kind` event (``sub_input`` or
     ``sub_output``) for each node in `nodes`; a node's later event replaces
-    its earlier one."""
+    its earlier one.  The view is built once per kind, node set and trace
+    state, and every checker that asks for it then reads that same map, so
+    none may change it."""
+    return trace.view(_instance_map, kind, frozenset(nodes))
+
+
+def _instance_map(trace, kind: str, nodes: frozenset) -> dict[str, dict[int, object]]:
+    """`_by_instance`'s view, built."""
     view: dict[str, dict[int, object]] = {}
     for ev in trace.iter_kind(kind):
-        if ev.node in nodes:
-            view.setdefault(ev.data["instance"], {})[ev.node] = ev
+        node = ev.node
+        if node in nodes:
+            instance = ev.data["instance"]
+            by_node = view.get(instance)
+            if by_node is None:
+                view[instance] = {node: ev}
+            else:
+                by_node[node] = ev
     return view
 
 
 def _rounds(view: dict, sub: str) -> dict[int, dict[int, object]]:
     """The `sub` ("rb" or "wba") instances of a `_by_instance` view, by round."""
-    prefix = sub + "/"
-    return {int(inst[len(prefix):]): by_node for inst, by_node in view.items()
-            if inst.startswith(prefix)}
+    out = {}
+    for inst, by_node in view.items():
+        kind, _, rnd = inst.partition("/")
+        if kind == sub:
+            out[int(rnd)] = by_node
+    return out
 
 
 _canonical = compact_encoder()
@@ -173,9 +189,10 @@ def check_wba_contract(trace, ctx: CheckContext) -> CheckReport:
     """Agreement, validity, and weak termination per binary instance, the
     last within 2*Delta of max(the quorum's last input, gst)."""
     p = ctx.params
-    need = p.quorum - p.f           # "more than q - f" as a minimum count
-    outputs = _rounds(_by_instance(trace, "sub_output", set(ctx.correct_nodes)), "wba")
-    inputs = _rounds(_by_instance(trace, "sub_input", set(ctx.correct_validators)), "wba")
+    quorum = p.quorum
+    need = quorum - p.f             # "more than q - f" as a minimum count
+    outputs = _rounds(_by_instance(trace, "sub_output", ctx.correct_nodes), "wba")
+    inputs = _rounds(_by_instance(trace, "sub_input", ctx.correct_validators), "wba")
     for rnd, by_node in sorted(outputs.items()):
         bits = {ev.data["value"] for ev in by_node.values()}
         if len(bits) > 1:
@@ -192,16 +209,23 @@ def check_wba_contract(trace, ctx: CheckContext) -> CheckReport:
                 f"inputs, needs {need}", _violation(ctx, next(iter(by_node.values()))))
     # weak termination: a full quorum of correct same-bit inputs forces output
     for rnd, by_node in sorted(inputs.items()):
+        times = ([], [])                # the input times of each bit, in one pass
+        for ev in by_node.values():
+            value = ev.data["value"]
+            if value == 0:
+                times[0].append(ev.time)
+            elif value == 1:
+                times[1].append(ev.time)
         for bit in (0, 1):
-            times = sorted(ev.time for ev in by_node.values() if ev.data["value"] == bit)
-            if len(times) < p.quorum:
+            if len(times[bit]) < quorum:
                 continue
-            t_q = times[p.quorum - 1]
+            t_q = sorted(times[bit])[quorum - 1]
             deadline = max(t_q, p.gst) + 2 * p.sub_delay
             if deadline > ctx.horizon:
                 continue
+            got_round = outputs.get(rnd, {})
             for n in ctx.correct_nodes:
-                got = outputs.get(rnd, {}).get(n)
+                got = got_round.get(n)
                 if got is None or got.data["value"] != bit:
                     return _missed_deadline(
                         "wba_contract", f"round {rnd}: {p.quorum} correct inputs of "

@@ -164,19 +164,14 @@ def _parse_adversary(obj: dict, mode: str):
     if kind == "silent_leader":
         return SilentLeaderSpec(node)
     if kind == "equivocating_proposer":
-        parts = obj.get("partitions")
-        _expect(isinstance(parts, list) and parts,
-                "equivocating_proposer needs a partitions list")
+        # the spec checks that there are partitions, each with nodes, and
+        # each partition's parent
         built = []
-        for p in parts:
+        for p in _list_field(obj, "partitions"):
             _expect(isinstance(p, dict), f"partition must be an object: {p!r}")
-            nodes = _node_list(p.get("nodes", []), "partition nodes")
-            _expect(nodes != (), "partition needs nodes")
-            parent = p.get("parent", "bot")
-            _expect(parent in ("bot", "prev", None) or is_int(parent),
-                    f'partition parent must be "bot", "prev", null or a round: {parent!r}')
-            built.append(PartitionValue(nodes, _scalar(p.get("value"), "partition value"),
-                                        parent))
+            built.append(PartitionValue(_node_list(p.get("nodes", []), "partition nodes"),
+                                        _scalar(p.get("value"), "partition value"),
+                                        p.get("parent", "bot")))
         return EquivocatingProposerSpec(node, tuple(built))
     if kind == "flip_voter":
         bits = obj.get("bits", {})

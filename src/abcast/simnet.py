@@ -44,6 +44,13 @@ MAX_NODES = 256
 # A spec is both what a run config holds and the behaviour it names.  Every
 # seed of a config shares the same spec objects, so a driver keeps nothing
 # of a run on itself: the faulty node hands each driver its own `done` set.
+# Each spec checks its own fields, by the rules a scenario file's entry
+# keeps, when a run config holding it is built.
+
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
 
 class Driver:
     """A faulty node's behaviour, called by its `AdversaryApi`; the base
@@ -52,12 +59,24 @@ class Driver:
     def on_start(self, api: AdversaryApi, done: set) -> None: ...
     def on_deliver(self, api: AdversaryApi, done: set, msg) -> None: ...
 
+    def check(self) -> tuple[list, list]:
+        """ConfigError for a field the behaviour cannot run with; else the
+        times it acts at and the nodes it names as recipients."""
+        _need(is_int(self.node), f"adversary node must be an integer, got {self.node!r}")
+        return [], []
+
 
 @dataclass
 class CrashSpec:
     """Behaves correctly, then stops completely at `at`."""
     node: int
     at: int = 0
+
+    def check(self) -> tuple[list, list]:
+        """As `Driver.check`."""
+        _need(is_int(self.node), f"adversary node must be an integer, got {self.node!r}")
+        _need(is_int(self.at), f"crash time must be an integer, got {self.at!r}")
+        return [self.at], []
 
 
 @dataclass
@@ -79,6 +98,20 @@ class EquivocatingProposerSpec(Driver):
     every round it leads."""
     node: int
     partitions: tuple
+
+    def check(self) -> tuple[list, list]:
+        super().check()
+        parts = self.partitions
+        _need(type(parts) is tuple and parts != ()
+              and all(isinstance(part, PartitionValue) for part in parts),
+              f"equivocating_proposer needs one or more partitions, got {parts!r}")
+        for part in parts:
+            _need(isinstance(part.nodes, (tuple, list)) and len(part.nodes) > 0
+                  and all(map(is_int, part.nodes)),
+                  f"partition nodes must be a non-empty list of node ids, got {part.nodes!r}")
+            _need(part.parent in ("bot", "prev", None) or is_int(part.parent),
+                  f'partition parent must be "bot", "prev", null or a round: {part.parent!r}')
+        return [], [node for part in parts for node in part.nodes]
 
     def on_start(self, api: AdversaryApi, done: set) -> None:
         period = len(api.schedule.order) if api.schedule.order else api.params.n
@@ -110,6 +143,16 @@ class FlipVoterSpec(Driver):
     node: int
     bits: dict = field(default_factory=dict)
     equivocate: bool = False
+
+    def check(self) -> tuple[list, list]:
+        super().check()
+        bits = self.bits
+        _need(isinstance(bits, dict) and all(is_int(r) and is_int(b) and b in (0, 1)
+                                             for r, b in bits.items()),
+              f"flip_voter bits must map rounds to 0 or 1, got {bits!r}")
+        _need(type(self.equivocate) is bool,
+              f"flip_voter equivocate must be true or false, got {self.equivocate!r}")
+        return [], []
 
     def on_deliver(self, api: AdversaryApi, done: set, msg) -> None:
         key = msg.instance
@@ -144,6 +187,17 @@ class ScriptedSpec(Driver):
     """
     node: int
     script: tuple = ()
+
+    def check(self) -> tuple[list, list]:
+        super().check()
+        _need(isinstance(self.script, (tuple, list)),
+              f"script must be a list of entries, got {self.script!r}")
+        times, targets = [], []
+        for entry in self.script:
+            script_entry_key(entry)
+            times.append(entry["time"])
+            targets += () if entry.get("to", "all") == "all" else entry["to"]
+        return times, targets
 
     def on_script(self, api: AdversaryApi, entry: dict) -> None:
         key = parse_key(entry["instance"])
@@ -205,17 +259,11 @@ class RunConfig:
             instance_key(text)
             times.append(t)
         for spec in adversaries:
-            if isinstance(spec, EquivocatingProposerSpec):
-                targets += [node for part in spec.partitions for node in part.nodes]
-            elif isinstance(spec, ScriptedSpec):
-                for entry in spec.script:
-                    script_entry_key(entry)
-                    times.append(entry["time"])
-                    targets += () if entry.get("to", "all") == "all" else entry["to"]
-            elif isinstance(spec, CrashSpec):
-                times.append(spec.at)
-            elif not isinstance(spec, Driver):
+            if not isinstance(spec, (CrashSpec, Driver)):
                 raise ConfigError(f"unknown adversary spec {spec!r}")
+            acts, sends_to = spec.check()
+            times += acts
+            targets += sends_to
         if any(t < 0 for t in times):
             raise ConfigError(f"an event at t={min(times)} is before the run starts")
         inputs = (*self.injections, *self.raw_inputs)

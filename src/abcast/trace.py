@@ -17,9 +17,13 @@ a ``gossip`` event carries its signature.  `Trace.from_jsonl` reads v1 and
 v2.  A simulation records v2, so v1 text is written only as the text of a
 trace read from v1.
 
-The derived views the checkers read (events by kind, per-node rounds) come
-from one index, built on the first view call and rebuilt only when the
-trace has grown since; recording an event never touches it.
+The derived views the checkers read come from one index per trace state.
+The index, with the events by kind, is built on the first view call.  Every
+other view (the per-node round table of `current_round_at`, the checkers'
+per-instance maps) is built by its first reader, through `Trace.view`, and
+shared by every later one.  The index and its views are dropped when the
+trace has grown since they were built; recording an event never touches
+them.
 """
 
 from __future__ import annotations
@@ -265,27 +269,40 @@ class TraceEvent:
 
 
 class _Index:
-    """The events of one trace by kind, plus per node its advance times,
-    ascending, and the highest round it had reached at each."""
+    """The views of one trace state.  `by_kind`, the events by kind in trace
+    order, is built with the index; every other view is built by its first
+    reader, through `Trace.view`, and kept in `views` under its builder and
+    arguments."""
 
-    __slots__ = ("by_kind", "rounds")
+    __slots__ = ("by_kind", "views")
 
     def __init__(self, events: list[TraceEvent]):
         by_kind = defaultdict(list)
         for ev in events:
             by_kind[ev.kind].append(ev)
         self.by_kind = by_kind
-        pairs: dict[int, list[tuple[int, int]]] = {}
-        for ev in by_kind.get("advance", ()):
-            pairs.setdefault(ev.node, []).append((ev.time, ev.data["round"]))
-        self.rounds: dict[int, tuple[list[int], list[int]]] = {}
-        for node, seen in pairs.items():
-            seen.sort()
-            best, highs = 0, []
-            for _, rnd in seen:
-                best = max(best, rnd)
-                highs.append(best)
-            self.rounds[node] = ([t for t, _ in seen], highs)
+        self.views: dict[tuple, object] = {}
+
+
+def _round_table(trace: Trace) -> dict[int, tuple[list[int], list[int]]]:
+    """Per node its advance times, ascending, and the highest round it had
+    reached at each."""
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for ev in trace.iter_kind("advance"):
+        seen = pairs.get(ev.node)
+        if seen is None:
+            seen = pairs[ev.node] = []
+        seen.append((ev.time, ev.data["round"]))
+    table = {}
+    for node, seen in pairs.items():
+        seen.sort()
+        best, highs = 0, []
+        for _, rnd in seen:
+            if rnd > best:
+                best = rnd
+            highs.append(best)
+        table[node] = ([t for t, _ in seen], highs)
+    return table
 
 
 class Trace:
@@ -327,6 +344,17 @@ class Trace:
             self._indexed = len(self.events)
         return self._index
 
+    def view(self, build, *args):
+        """``build(self, *args)``, built on the first call with these
+        arguments since the trace last grew and shared by every later call
+        until it grows again.  `args` must be hashable, and no caller may
+        change the value it gets."""
+        views = self._views().views
+        key = (build, *args)
+        if key not in views:
+            views[key] = build(self, *args)
+        return views[key]
+
     def iter_kind(self, kind: str):
         return iter(self._views().by_kind.get(kind, ()))
 
@@ -349,7 +377,7 @@ class Trace:
 
     def current_round_at(self, node: int, when: int) -> int:
         """The node's round counter after all events at `when` are in."""
-        times, highs = self._views().rounds.get(node, ((), ()))
+        times, highs = self.view(_round_table).get(node, ((), ()))
         i = bisect_right(times, when)
         return highs[i - 1] if i else 0
 

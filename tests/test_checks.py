@@ -20,7 +20,9 @@ from abcast.checks import (
     run_checks,
 )
 from abcast.core import Params
+from abcast.simnet import run
 from abcast.trace import Trace
+from test_determinism import bundled_scenarios
 
 PARAMS = Params(n=4, f=1, delta=2, gst=0, sub_delay=6)
 
@@ -146,6 +148,16 @@ def test_wba_contract_weak_termination_violation():
     assert "never output" in rep.detail
     # With the horizon inside the grace window the obligation is waived.
     assert check_wba_contract(t, ctx(horizon=10)).status == PASS
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_wba_weak_termination_counts_each_input_equal_to_the_bit(bit):
+    # a decoded trace may carry a bool or a float that equals the bit
+    t = wba_trace([(0, bool(bit), 5), (1, float(bit), 6), (2, bit, 7)], [])
+    rep = check_wba_contract(t, ctx(horizon=1000))
+    assert rep.detail == f"round 0: 3 correct inputs of {bit} by t=7 but node 0 never output it"
+    mixed = wba_trace([(0, bit, 5), (1, float(bit), 6), (2, 1 - bit, 7)], [])
+    assert check_wba_contract(mixed, ctx(horizon=1000)).status == PASS
 
 
 def test_wba_termination_violation_points_at_missed_deadline():
@@ -380,3 +392,25 @@ def test_run_checks_dispatch():
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_every_check_takes_only_the_trace_and_its_context(name):
     assert list(inspect.signature(CHECKS[name]).parameters) == ["trace", "ctx"]
+
+
+BUNDLED = bundled_scenarios()
+
+
+@pytest.mark.parametrize("name", list(BUNDLED))
+def test_checks_that_share_views_report_alike_in_any_order(name):
+    """The checkers share the views built by the first that reads them, so
+    none may change one: every check reports the same run alike in `CHECKS`
+    order, in reversed order and on the decoded trace."""
+    sc = BUNDLED[name]
+    names = list(CHECKS)
+    for seed in range(5):
+        cfg = sc.config_for(seed)
+        ctx = sc.context_for(cfg)
+        trace = run(cfg)
+        forward = [r.to_json() for r in run_checks(trace, ctx, names)]
+        backward = [r.to_json() for r in run_checks(run(cfg), ctx, names[::-1])]
+        decoded = [r.to_json() for r in run_checks(Trace.from_jsonl(trace.to_jsonl()),
+                                                   ctx, names)]
+        assert backward[::-1] == forward, seed
+        assert decoded == forward, seed

@@ -44,10 +44,10 @@ SCENARIO_SEEDS = range(20)
 STREAM_SEEDS = range(3)
 
 
-def _scenario_cases() -> dict:
+def bundled_scenarios() -> dict:
     """Each loadable scenario on its own backend, and on the other backend
-    with the backend-specific options dropped."""
-    cases = {}
+    with the backend-specific options dropped, by "<stem>/<backend>"."""
+    found = {}
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         doc = json.loads(path.read_text())
         own = doc.get("backend", "bracha")
@@ -57,11 +57,14 @@ def _scenario_cases() -> dict:
             if own_kind != backend:
                 variant["backend"] = {"kind": backend}
             try:
-                sc = scenario_from_dict(variant)
+                found[f"{path.stem}/{backend}"] = scenario_from_dict(variant)
             except ConfigError:
                 continue
-            cases[f"{path.stem}/{backend}"] = (sc.config_for, SCENARIO_SEEDS)
-    return cases
+    return found
+
+
+def _scenario_cases() -> dict:
+    return {name: (sc.config_for, SCENARIO_SEEDS) for name, sc in bundled_scenarios().items()}
 
 
 def _stream(n: int, backend: str, horizon: int, delta: int = 2, gst: int = 0,

@@ -558,6 +558,20 @@ BAD_RUN_CONFIGS = {
     "a name as an adversary": dict(adversaries=("crash",)),
     "a number as an adversary": dict(adversaries=(3,)),
     "a spec that is no driver": dict(adversaries=(_NodeOnly(3),)),
+    # a spec built in code keeps the field rules of a scenario file's entry
+    "a partition that is no PartitionValue": dict(
+        adversaries=(EquivocatingProposerSpec(3, ("x",)),)),
+    "no partitions": dict(adversaries=(EquivocatingProposerSpec(3, ()),)),
+    "a partition with no nodes": dict(
+        adversaries=(EquivocatingProposerSpec(3, (PartitionValue((), "x"),)),)),
+    "a fractional partition parent": dict(
+        adversaries=(EquivocatingProposerSpec(3, (PartitionValue((0,), "x", 2.5),)),)),
+    "no bits map": dict(adversaries=(FlipVoterSpec(3, None),)),
+    "a bit that is neither 0 nor 1": dict(adversaries=(FlipVoterSpec(3, {1: 7}),)),
+    "an integer for equivocate": dict(adversaries=(FlipVoterSpec(3, {}, 1),)),
+    "a string adversary node": dict(adversaries=(SilentLeaderSpec("3"),)),
+    "a string crash time": dict(adversaries=(CrashSpec(3, "40"),)),
+    "no script list": dict(adversaries=(ScriptedSpec(3, None),)),
 }
 
 

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcast import trace as trace_module
-from abcast.checks import run_checks
+from abcast.checks import _by_instance, _instance_map, run_checks
 from abcast.scenario import scenario_from_dict
-from abcast.simnet import ScriptedSpec
+from abcast.simnet import ScriptedSpec, run
 from abcast.subproto import Kind
 from abcast.trace import Trace, TraceEvent
-from test_determinism import _FORGE_SCRIPT, _stream
+from test_determinism import _FORGE_SCRIPT, ROOT, _stream
 
 
 def sample_trace():
@@ -377,6 +377,11 @@ def test_views_see_events_appended_after_an_earlier_call():
     views = (t.ab_outputs, t.sub_outputs, t.advances)
     before = [view() for view in views]
     assert list(t.iter_kind("sub_input")) == []
+    # the views built by their first reader and then shared
+    assert t.current_round_at(1, 12) == 0
+    outputs = _by_instance(t, "sub_output", {1, 2})
+    assert outputs == {"rb/0": {2: t.events[4]}}
+    assert _by_instance(t, "sub_output", (2, 1)) is outputs
     t.append(12, "ab_output", 1, {"value": "v", "round": 0, "position": 0})
     t.append(12, "sub_output", 1, {"instance": "rb/0", "value": "v"})
     t.append(12, "sub_input", 1, {"instance": "wba/0", "value": 1})
@@ -388,6 +393,20 @@ def test_views_see_events_appended_after_an_earlier_call():
     assert 1 not in before[2] and after[2][1][0].data["round"] == 1
     assert [ev.seq for ev in t.iter_kind("sub_input")] == [8]
     assert t.current_round_at(1, 12) == 1
+    assert _by_instance(t, "sub_output", {1, 2}) == {"rb/0": {2: t.events[4], 1: t.events[7]}}
+    assert outputs == {"rb/0": {2: t.events[4]}}
+
+
+def test_the_fuzz_checks_build_no_round_table():
+    sc = scenario_from_dict(json.loads((ROOT / "scenarios" / "byzantine_n4.json").read_text()))
+    cfg = sc.config_for(0)
+    trace = run(cfg)
+    run_checks(trace, sc.context_for(cfg), ("safety", "wba_contract", "engine_invariants"))
+    built = trace._views().views
+    assert (trace_module._round_table,) not in built
+    assert any(key[0] is _instance_map for key in built)
+    run_checks(trace, sc.context_for(cfg), ("round_advance",))
+    assert (trace_module._round_table,) in trace._views().views
 
 
 class _Level(IntEnum):
